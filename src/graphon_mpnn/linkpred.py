@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import NumericalError, PreconditionError
 from .mpnn import NEIGHBOR_AVERAGE, Mpnn
 from .nn import AdamState, FeedForwardNet, adam_step, init_net, sigmoid
 from .node_mpnn import gmpnn_node
-from .pair_mpnn import gmpnn_pair, pair_message_weights
+from .pair_mpnn import PairGraph
 from .rng import child_seed, stream
 from .sbm import (
     SampledGraph,
@@ -121,16 +121,12 @@ def sample_across_block_nonedges(graph: SampledGraph, iso_pairs, count: int,
     return np.array(chosen, dtype=int)
 
 
-def build_scenario(spec: SbmSpec, n_tr: int, n_te: int, seed: int,
-                   scenario: str) -> tuple:
-    """Construct the (train, test) datasets for one scenario and seed.
+def build_training_split(spec: SbmSpec, n_tr: int, seed: int) -> tuple:
+    """The training dataset of one seed and its transductive test dataset.
 
-    All randomness is derived from ``seed`` through purpose-tagged streams,
-    so the training split is identical across the three scenarios of the
-    same seed and the whole construction is reproducible.
+    Every scenario of the seed trains on this split, so a run builds it
+    once and passes it to ``build_scenario``.
     """
-    if scenario not in SCENARIOS:
-        raise ValueError(f"scenario must be one of {SCENARIOS}")
     iso_pairs = isomorphic_block_pairs(spec)
     if not iso_pairs:
         raise PreconditionError("the model needs at least one matched block pair")
@@ -142,32 +138,46 @@ def build_scenario(spec: SbmSpec, n_tr: int, n_te: int, seed: int,
     n_train = int(math.floor(0.8 * n_hidden))
     n_val = int(math.floor(0.1 * n_hidden))
     n_test = n_hidden - n_train - n_val
-    pos_train = hidden[:n_train]
-    pos_val = hidden[n_train : n_train + n_val]
-    pos_test_reserved = hidden[n_train + n_val :]
 
     neg_rng = stream(seed, "negatives")
     negs = sample_across_block_nonedges(graph_tr, iso_pairs,
                                         n_train + n_val + n_test, neg_rng)
-    neg_train, neg_val = negs[:n_train], negs[n_train : n_train + n_val]
-    neg_test_transductive = negs[n_train + n_val :]
-
     train_ds = LinkDataset(
         observed=observed_tr,
-        positives={"train": pos_train, "val": pos_val},
-        negatives={"train": neg_train, "val": neg_val},
-        scenario=scenario,
+        positives={"train": hidden[:n_train],
+                   "val": hidden[n_train : n_train + n_val]},
+        negatives={"train": negs[:n_train], "val": negs[n_train : n_train + n_val]},
+        scenario="transductive",
     )
+    test_ds = LinkDataset(
+        observed=observed_tr,
+        positives={"test": hidden[n_train + n_val :]},
+        negatives={"test": negs[n_train + n_val :]},
+        scenario="transductive",
+    )
+    return train_ds, test_ds
 
+
+def build_scenario(spec: SbmSpec, n_tr: int, n_te: int, seed: int,
+                   scenario: str, training: tuple | None = None) -> tuple:
+    """Construct the (train, test) datasets for one scenario and seed.
+
+    All randomness is derived from ``seed`` through purpose-tagged streams,
+    so the training split is identical across the three scenarios of the
+    same seed and the whole construction is reproducible. ``training`` is
+    that split as ``build_training_split(spec, n_tr, seed)`` returns it;
+    it is built here when not given.
+    """
+    if scenario not in SCENARIOS:
+        raise ValueError(f"scenario must be one of {SCENARIOS}")
+    if training is None:
+        training = build_training_split(spec, n_tr, seed)
+    train_ds, transductive_ds = training
+    train_ds = replace(train_ds, scenario=scenario)
     if scenario == "transductive":
-        test_ds = LinkDataset(
-            observed=observed_tr,
-            positives={"test": pos_test_reserved},
-            negatives={"test": neg_test_transductive},
-            scenario=scenario,
-        )
-        return train_ds, test_ds
+        return train_ds, transductive_ds
 
+    n_test = len(transductive_ds.positives["test"])
     graph_te = sample_graph(spec, n_te, child_seed(seed, f"test-graph/{scenario}"))
     te_rng = stream(seed, f"splits/{scenario}")
     observed_te, hidden_te = _hide_edges(graph_te, 0.10, te_rng)
@@ -177,7 +187,8 @@ def build_scenario(spec: SbmSpec, n_tr: int, n_te: int, seed: int,
         )
     pos_test = hidden_te[:n_test]
     te_neg_rng = stream(seed, f"negatives/{scenario}")
-    neg_test = sample_across_block_nonedges(graph_te, iso_pairs, n_test, te_neg_rng)
+    neg_test = sample_across_block_nonedges(graph_te, isomorphic_block_pairs(spec),
+                                            n_test, te_neg_rng)
     test_ds = LinkDataset(
         observed=observed_te,
         positives={"test": pos_test},
@@ -287,7 +298,10 @@ def _node_forward(model: LinkModel, graph: SampledGraph, stats,
 
 
 def _node_backward(model: LinkModel, graph: SampledGraph, state, d_emb):
-    """Gradients of the scalar loss w.r.t. each update net's parameters."""
+    """Gradients of the scalar loss w.r.t. each update net's parameters.
+
+    Layer 0's input gradient is not needed, so the pass stops there.
+    """
     layer_caches, weights = state
     grads_per_layer = [None] * len(layer_caches)
     delta = d_emb
@@ -296,120 +310,100 @@ def _node_backward(model: LinkModel, graph: SampledGraph, state, d_emb):
         _, update = model.mpnn.layers[t]
         param_grads, d_u = update.net.backward(cache, delta)
         grads_per_layer[t] = param_grads
+        if t == 0:
+            break
         d_f = d_u[:, :f_width]
         d_m = d_u[:, f_width:]
         delta = d_f + graph.adjacency @ (d_m * weights[:, None])
     return grads_per_layer
 
 
-def _pair_forward(model: LinkModel, graph: SampledGraph, stats,
-                  with_cache: bool = False):
-    """Dense pairwise embeddings; optionally caches per-layer state."""
-    if not with_cache:
-        emb = gmpnn_pair(graph, stats, model.mpnn)
-        return emb.values, None
-    _require_projection_messages(model.mpnn)
-    n = graph.n
-    weights = pair_message_weights(stats)
-    f = np.ones((n, n, model.mpnn.feature_dims[0]))
-    layer_caches = []
-    for message, update in model.mpnn.layers:
-        m = np.empty_like(f)
-        for k in range(f.shape[2]):
-            fk = f[:, :, k]
-            m[:, :, k] = (fk @ graph.adjacency + graph.adjacency @ fk) * weights
-        u = np.concatenate([f, m], axis=-1)
-        out, cache = update.net.forward_cache(u)
-        layer_caches.append((cache, f.shape[2]))
-        f = out
-    return f, (layer_caches, weights)
-
-
-def _pair_backward(model: LinkModel, graph: SampledGraph, state, d_emb):
-    layer_caches, weights = state
-    grads_per_layer = [None] * len(layer_caches)
-    delta = d_emb
-    for t in range(len(layer_caches) - 1, -1, -1):
-        cache, f_width = layer_caches[t]
-        _, update = model.mpnn.layers[t]
-        param_grads, d_u = update.net.backward(cache, delta)
-        grads_per_layer[t] = param_grads
-        d_f = d_u[:, :, :f_width]
-        d_m = d_u[:, :, f_width:]
-        prev = d_f.copy()
-        for k in range(f_width):
-            g = d_m[:, :, k] * weights
-            prev[:, :, k] += g @ graph.adjacency + graph.adjacency @ g
-        delta = prev
-    return grads_per_layer
-
-
-def _head_inputs(model: LinkModel, emb, pairs):
+def _node_head_inputs(model: LinkModel, emb, pairs):
     i, j = pairs[:, 0], pairs[:, 1]
-    if model.kind == "pair":
-        return emb[i, j]
     if model.head_input == "concat":
         return np.concatenate([emb[i], emb[j]], axis=-1)
     return np.sum(emb[i] * emb[j], axis=-1, keepdims=True)
 
 
-def backbone_embeddings(model: LinkModel, graph: SampledGraph, stats=None):
-    if stats is None:
-        stats = graph_stats(graph)
-    forward = _node_forward if model.kind == "node" else _pair_forward
-    emb, _ = forward(model, graph, stats)
-    return emb
+class _Backbone:
+    """A link model's backbone bound to one observed graph.
 
-
-def model_scores(model: LinkModel, graph: SampledGraph, pairs,
-                 stats=None) -> np.ndarray:
-    """Head probabilities for the given pairs on the given observed graph."""
-    emb = backbone_embeddings(model, graph, stats)
-    return model.head.forward(_head_inputs(model, emb, pairs)).reshape(-1)
-
-
-def _loss_and_grads(model: LinkModel, graph: SampledGraph, stats, pairs,
-                    labels, frozen_emb=None):
-    """Cross-entropy over the given pairs and its exact parameter gradients.
-
-    Gradients are ordered like ``model.trainable_nets()`` parameters: head
-    first, then backbone update nets layer by layer (when trainable).
-    Returns (loss, grads, embeddings-at-current-parameters).
+    What the backbone reads of the graph (its statistics and, for a pair
+    backbone, the ``PairGraph``) is computed once and shared by every pass
+    over the graph.
     """
-    if frozen_emb is not None:
-        emb, bb_state = frozen_emb, None
-    elif model.kind == "node":
-        emb, bb_state = _node_forward(model, graph, stats, with_cache=True)
-    else:
-        emb, bb_state = _pair_forward(model, graph, stats, with_cache=True)
 
-    head_in = _head_inputs(model, emb, pairs)
-    _, cache = model.head.forward_cache(head_in)
-    logits = cache[1][-1].reshape(-1)
-    loss, d_logits = _bce_loss_and_grad(logits, labels)
-    head_grads, d_head_in = model.head.backward_from_logits(
-        cache, d_logits.reshape(-1, 1)
-    )
-    grads = list(head_grads)
-    if model.backbone_trainable:
+    def __init__(self, model: LinkModel, graph: SampledGraph, stats=None):
+        self.model = model
+        self.graph = graph
+        self.stats = graph_stats(graph) if stats is None else stats
+        self.pair_graph = (PairGraph(graph, self.stats)
+                           if model.kind == "pair" else None)
+
+    def forward(self, pairs, record: bool = False):
+        """Head inputs at ``pairs``, and with ``record`` the tape that
+        ``backward`` reads (else None for a pair backbone)."""
+        model = self.model
+        if model.kind == "pair":
+            return self.pair_graph.forward(model.mpnn, pairs, record=record)
+        emb, state = _node_forward(model, self.graph, self.stats, with_cache=record)
+        return _node_head_inputs(model, emb, pairs), (state, emb, pairs)
+
+    def backward(self, tape, d_head_in) -> list:
+        """Parameter gradients of each layer's update net, layer by layer."""
+        model = self.model
+        if model.kind == "pair":
+            return tape.backward(d_head_in)
+        state, emb, pairs = tape
         d_emb = np.zeros_like(emb)
         i, j = pairs[:, 0], pairs[:, 1]
-        if model.kind == "pair":
-            np.add.at(d_emb, (i, j), d_head_in)
-        elif model.head_input == "concat":
+        if model.head_input == "concat":
             f_t = emb.shape[1]
             np.add.at(d_emb, i, d_head_in[:, :f_t])
             np.add.at(d_emb, j, d_head_in[:, f_t:])
         else:
             np.add.at(d_emb, i, d_head_in * emb[j])
             np.add.at(d_emb, j, d_head_in * emb[i])
-        if model.kind == "node":
-            layer_grads = _node_backward(model, graph, bb_state, d_emb)
-        else:
-            layer_grads = _pair_backward(model, graph, bb_state, d_emb)
-        for g in layer_grads:
+        return _node_backward(model, self.graph, state, d_emb)
+
+
+def model_scores(model: LinkModel, graph: SampledGraph, pairs,
+                 stats=None) -> np.ndarray:
+    """Head probabilities for the given pairs on the given observed graph."""
+    head_in, _ = _Backbone(model, graph, stats).forward(pairs)
+    return model.head.forward(head_in).reshape(-1)
+
+
+def _loss_and_grads(backbone: _Backbone, pairs, labels, head_in=None):
+    """Cross-entropy over the first ``len(labels)`` pairs and its exact
+    parameter gradients.
+
+    Pairs past the labelled ones (the validation pairs during training)
+    ride along through the backbone without a gradient, so that one pass
+    embeds them too. ``head_in`` holds a frozen backbone's head inputs at
+    ``pairs``. Gradients are ordered like ``model.trainable_nets()``
+    parameters: head first, then backbone update nets layer by layer (when
+    trainable). Returns (loss, grads, head inputs at every pair).
+    """
+    model = backbone.model
+    n_loss = len(labels)
+    tape = None
+    if head_in is None:
+        head_in, tape = backbone.forward(pairs, record=model.backbone_trainable)
+
+    _, cache = model.head.forward_cache(head_in[:n_loss])
+    logits = cache[1].reshape(-1)
+    loss, d_logits = _bce_loss_and_grad(logits, labels)
+    head_grads, d_head_in = model.head.backward_from_logits(
+        cache, d_logits.reshape(-1, 1)
+    )
+    grads = list(head_grads)
+    if model.backbone_trainable:
+        d_all = np.zeros_like(head_in)
+        d_all[:n_loss] = d_head_in
+        for g in backbone.backward(tape, d_all):
             grads.extend(g)
-    return loss, grads, emb
+    return loss, grads, head_in
 
 
 # --- training --------------------------------------------------------------------
@@ -446,56 +440,58 @@ def _scatter_params(nets, params):
 
 
 def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
-                     lr: float = 1e-3, seed: int = 0) -> tuple:
+                     lr: float = 1e-3, seed: int = 0, stats=None) -> tuple:
     """Full-batch Adam on cross-entropy; returns (best model, train log).
 
     Validation accuracy at the model threshold is evaluated after every
     epoch; the returned model carries the parameters of the best epoch
     (earliest on ties). Non-finite losses abort with a NumericalError.
+    ``stats`` may pass the observed graph's statistics in, to share them.
     """
     model = model.copy()
-    graph = dataset.observed
-    stats = graph_stats(graph)
+    backbone = _Backbone(model, dataset.observed, stats)
     pos_tr, neg_tr = dataset.positives["train"], dataset.negatives["train"]
     pos_val, neg_val = dataset.positives["val"], dataset.negatives["val"]
-    train_pairs = np.concatenate([pos_tr, neg_tr], axis=0)
+    val_pairs = np.concatenate([pos_val, neg_val], axis=0)
+    pairs = np.concatenate([pos_tr, neg_tr, val_pairs], axis=0)
     labels = np.concatenate([np.ones(len(pos_tr)), np.zeros(len(neg_tr))])
+    n_train = len(labels)
 
     nets = model.trainable_nets()
     params = _gather_params(nets)
     state = AdamState.for_parameters(params, lr=lr)
     log_out = TrainLog()
 
-    frozen_backbone_emb = None
+    frozen_head_in = None
     if not model.backbone_trainable:
-        frozen_backbone_emb = backbone_embeddings(model, graph, stats)
+        frozen_head_in, _ = backbone.forward(pairs)
 
-    def val_accuracy(emb) -> float:
-        scores_p = model.head.forward(_head_inputs(model, emb, pos_val)).reshape(-1)
-        scores_n = model.head.forward(_head_inputs(model, emb, neg_val)).reshape(-1)
+    def val_accuracy(val_head_in) -> float:
+        scores = model.head.forward(val_head_in).reshape(-1)
+        scores_p, scores_n = scores[:len(pos_val)], scores[len(pos_val):]
         correct = int(np.sum(scores_p > model.tau)) + int(np.sum(scores_n <= model.tau))
-        return correct / (len(scores_p) + len(scores_n))
+        return correct / len(scores)
 
     best = None  # (val_acc, epoch, params); strict improvement keeps ties early
 
     for epoch in range(epochs + 1):
         if epoch == epochs:
-            if frozen_backbone_emb is not None:
-                emb = frozen_backbone_emb
+            if frozen_head_in is not None:
+                val_head_in = frozen_head_in[n_train:]
             else:
-                emb = backbone_embeddings(model, graph, stats)
+                val_head_in, _ = backbone.forward(val_pairs)
         else:
-            loss, grads, emb = _loss_and_grads(
-                model, graph, stats, train_pairs, labels,
-                frozen_emb=frozen_backbone_emb,
+            loss, grads, head_in = _loss_and_grads(
+                backbone, pairs, labels, head_in=frozen_head_in,
             )
             if not np.isfinite(loss):
                 log.error("training diverged at epoch %d (loss=%r)", epoch, loss)
                 raise NumericalError(f"non-finite loss at epoch {epoch}")
             log_out.losses.append(loss)
+            val_head_in = head_in[n_train:]
 
         # Accuracy of the parameters produced by `epoch` completed epochs.
-        acc = val_accuracy(emb)
+        acc = val_accuracy(val_head_in)
         log_out.val_accuracies.append(acc)
         if best is None or acc > best[0]:
             best = (acc, epoch - 1, [p.copy() for p in params])
@@ -588,8 +584,10 @@ class EvalReport:
     k_list: tuple
 
     def mean_std(self, scenario, method, metric) -> tuple:
+        """(mean, sample standard deviation); the deviation is None for a
+        single run, where none is defined."""
         vals = np.array(self.values[(scenario, method)][metric])
-        std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
+        std = float(vals.std(ddof=1)) if len(vals) > 1 else None
         return float(vals.mean()), std
 
     def metric_names(self) -> list:
@@ -616,7 +614,7 @@ class EvalReport:
             cells = [scenario, method]
             for metric in metrics:
                 mean, std = self.mean_std(scenario, method, metric)
-                cells.append(f"{mean:.4f}({std:.4f})")
+                cells.append(f"{mean:.4f}" if std is None else f"{mean:.4f}({std:.4f})")
             rows.append(cells)
         widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
         for r in [header] + rows:
@@ -625,7 +623,7 @@ class EvalReport:
 
 
 def _train_models_for_run(config: RunTableConfig, train_ds: LinkDataset,
-                          run_seed: int) -> dict:
+                          run_seed: int, stats) -> dict:
     models = {}
     if "node" in config.methods:
         model = node_link_model(
@@ -636,7 +634,8 @@ def _train_models_for_run(config: RunTableConfig, train_ds: LinkDataset,
             seed=child_seed(run_seed, "model/node"),
         )
         models["node"], _ = train_link_model(
-            model, train_ds, epochs=config.epochs_end_to_end, lr=config.lr
+            model, train_ds, epochs=config.epochs_end_to_end, lr=config.lr,
+            stats=stats,
         )
     if "pair_fixed" in config.methods:
         model = pair_link_model(
@@ -645,7 +644,7 @@ def _train_models_for_run(config: RunTableConfig, train_ds: LinkDataset,
             seed=child_seed(run_seed, "model/pair-fixed"),
         )
         models["pair_fixed"], _ = train_link_model(
-            model, train_ds, epochs=config.epochs_head, lr=config.lr
+            model, train_ds, epochs=config.epochs_head, lr=config.lr, stats=stats
         )
     if "pair_learn" in config.methods:
         model = pair_link_model(
@@ -655,7 +654,8 @@ def _train_models_for_run(config: RunTableConfig, train_ds: LinkDataset,
             seed=child_seed(run_seed, "model/pair-learn"),
         )
         models["pair_learn"], _ = train_link_model(
-            model, train_ds, epochs=config.epochs_end_to_end, lr=config.lr
+            model, train_ds, epochs=config.epochs_end_to_end, lr=config.lr,
+            stats=stats,
         )
     return models
 
@@ -663,31 +663,29 @@ def _train_models_for_run(config: RunTableConfig, train_ds: LinkDataset,
 def _run_one(args) -> dict:
     config, run_seed = args
     spec = config.spec
+    training = build_training_split(spec, config.n_train, run_seed)
+    train_ds = training[0]
+    train_stats = graph_stats(train_ds.observed)
+    models = _train_models_for_run(config, train_ds, run_seed, train_stats)
+
     out = {}
-    scenario_data = {}
     for scenario in config.scenarios:
         n_te = {"transductive": config.n_train,
                 "inductive_same": config.n_train,
                 "inductive_ood": config.n_test_ood}[scenario]
-        scenario_data[scenario] = build_scenario(spec, config.n_train, n_te,
-                                                 run_seed, scenario)
-    train_ds = scenario_data[config.scenarios[0]][0]
-    models = _train_models_for_run(config, train_ds, run_seed)
-
-    for scenario in config.scenarios:
-        _, test_ds = scenario_data[scenario]
+        _, test_ds = build_scenario(spec, config.n_train, n_te, run_seed,
+                                    scenario, training=training)
+        graph = test_ds.observed
+        stats = train_stats if graph is train_ds.observed else graph_stats(graph)
         pos, neg = test_ds.positives["test"], test_ds.negatives["test"]
-        test_stats = graph_stats(test_ds.observed)
+        pairs = np.concatenate([pos, neg], axis=0)
         for method in config.methods:
             if method == "oracle":
-                sp = oracle_scores(spec, test_ds.observed, pos)
-                sn = oracle_scores(spec, test_ds.observed, neg)
+                scores = oracle_scores(spec, graph, pairs)
             else:
-                model = models[method]
-                sp = model_scores(model, test_ds.observed, pos, test_stats)
-                sn = model_scores(model, test_ds.observed, neg, test_stats)
-            out[(scenario, method)] = evaluate(sp, sn, tau=0.5,
-                                               k_list=config.k_list)
+                scores = model_scores(models[method], graph, pairs, stats)
+            out[(scenario, method)] = evaluate(scores[:len(pos)], scores[len(pos):],
+                                               tau=0.5, k_list=config.k_list)
     return out
 
 

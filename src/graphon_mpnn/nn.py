@@ -14,10 +14,20 @@ import numpy as np
 
 from .rng import stream
 
+
+def _tanh_grad(h):
+    """1 - h^2 for h = tanh(z), with one temporary."""
+    d = h * h
+    return np.subtract(1.0, d, out=d)
+
+
+# activation -> (function applied in place on a fresh pre-activation z,
+# derivative written in terms of the output h = act(z), which the forward
+# cache keeps)
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda h: (h > 0.0).astype(float)),
+    "tanh": (lambda z: np.tanh(z, out=z), _tanh_grad),
+    "identity": (lambda z: z, lambda h: np.ones_like(h)),
 }
 
 # Lipschitz constant of each activation under the sup norm.
@@ -105,30 +115,35 @@ class FeedForwardNet:
         h = x
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
+            z = h @ w.T
+            z += b
             h = z if k == last else act(z)
         if self.output_activation == "sigmoid":
             h = sigmoid(h)
         return h
 
     def forward_cache(self, x: np.ndarray):
-        """Forward pass retaining pre-activations for backward()."""
+        """Forward pass retaining what backward() reads.
+
+        The cache is (inputs, logits, out): each layer's input (x, then the
+        hidden activations), the last layer's pre-activation output and the
+        net's output.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.width_in:
             raise ValueError(f"input width {x.shape[-1]} != {self.width_in}")
         act, _ = _ACTIVATIONS[self.activation]
         inputs = [x]
-        zs = []
         h = x
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            zs.append(z)
+            z = h @ w.T
+            z += b
             h = z if k == last else act(z)
             if k != last:
                 inputs.append(h)
         out = sigmoid(h) if self.output_activation == "sigmoid" else h
-        return out, (inputs, zs, out)
+        return out, (inputs, h, out)
 
     def backward(self, cache, grad_out: np.ndarray):
         """Gradients of <grad_out, forward(x)> w.r.t. parameters and input.
@@ -136,7 +151,7 @@ class FeedForwardNet:
         Returns (param_grads, grad_in). Parameter gradients are summed over
         all batch elements; grad_in matches the input batch shape.
         """
-        inputs, zs, out = cache
+        out = cache[2]
         delta = np.asarray(grad_out, dtype=float)
         if self.output_activation == "sigmoid":
             delta = delta * out * (1.0 - out)
@@ -148,7 +163,7 @@ class FeedForwardNet:
         return self._backward_from_logits(cache, np.asarray(grad_logits, dtype=float))
 
     def _backward_from_logits(self, cache, delta):
-        inputs, zs, _ = cache
+        inputs = cache[0]
         _, dact = _ACTIVATIONS[self.activation]
         grads = [None] * (2 * len(self.weights))
         for k in range(len(self.weights) - 1, -1, -1):
@@ -159,7 +174,7 @@ class FeedForwardNet:
             grads[2 * k + 1] = flat_delta.sum(axis=0)
             delta = delta @ self.weights[k]
             if k > 0:
-                delta = delta * dact(zs[k - 1])
+                delta *= dact(inputs[k])
         return grads, delta
 
 

@@ -7,14 +7,21 @@ nodes, normalized by the common-neighbor fraction c(i, j):
     m_ij = (1 / (2n c_ij)) sum_z [ A_jz msg(f_ij, f_iz) + A_iz msg(f_ij, f_jz) ]
     f_ij <- upd(f_ij, m_ij)
 
-For the neighbor-projection message this reduces to two adjacency matrix
+For the neighbor-projection message this reduces to adjacency matrix
 products per feature channel, the fast path that makes n = 8192 feasible.
-The continuous recursion collapses to r x r block-pair states.
+Pair features are exactly symmetric, which ``PairGraph.forward`` uses
+three ways: one product A F per channel gives both F A and A F; update nets
+run on the i <= j rows only; and from the all-ones start the first message
+needs no product. Callers that read only some pairs get the last layer at
+those pairs alone, and ``PairTape.backward`` backpropagates through a
+recorded pass. The continuous recursion collapses to r x r block-pair
+states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +40,12 @@ from .sbm import (
 #: message inputs.
 N_MAX_GENERAL = 4096
 N_MAX_SYMBOLIC = 8192
+
+#: The queried last layer takes row dots below n^2 / _ROW_DOT_COST pairs
+#: (see _queried_messages), gathered in chunks of _ROW_DOT_CHUNK pairs to
+#: keep the temporaries small.
+_ROW_DOT_COST = 150
+_ROW_DOT_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -89,16 +102,6 @@ def pair_message_weights(stats: GraphStats) -> np.ndarray:
     return 1.0 / (2.0 * stats.n * stats.common_neighbors)
 
 
-def _fast_pair_messages(adjacency, f, weights):
-    """(1/(2n c)) (F A + A F) per feature channel; exact for projections."""
-    n, _, width = f.shape
-    m = np.empty_like(f)
-    for k in range(width):
-        fk = f[:, :, k]
-        m[:, :, k] = (fk @ adjacency + adjacency @ fk) * weights
-    return m
-
-
 def _general_pair_messages(adjacency, f, message, weights):
     n, _, width = f.shape
     h = message.width_out
@@ -113,26 +116,242 @@ def _general_pair_messages(adjacency, f, message, weights):
     return m
 
 
-def gmpnn_pair(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn,
-               n_max: int | None = None) -> PairEmbeddings:
-    """Run the discrete pairwise recursion from the all-ones initialization."""
-    n = graph.n
+def _update_rows(update, x, m, record: bool):
+    if update.net is None:
+        return update(x, m), None
+    u = np.concatenate([x, m], axis=-1)
+    if record:
+        return update.net.forward_cache(u)
+    return update.net.forward(u), None
+
+
+def _require_size(n: int, mpnn: Mpnn, n_max: int | None) -> None:
     if n_max is None:
         n_max = N_MAX_SYMBOLIC if mpnn.all_symbolic else N_MAX_GENERAL
     if n > n_max:
         raise PreconditionError(f"pair recursion capped at n_max={n_max}, got n={n}")
-    width0 = mpnn.feature_dims[0]
-    f = np.ones((n, n, width0))
-    weights = pair_message_weights(stats)
-    for message, update in mpnn.layers:
-        if message.is_neighbor_projection:
-            m = _fast_pair_messages(graph.adjacency, f, weights)
-        else:
-            m = _general_pair_messages(graph.adjacency, f, message, weights)
-        f = update(f, m)
-        if not np.all(np.isfinite(f)):
-            raise NumericalError("non-finite pair features during message passing")
-    return PairEmbeddings(values=f, provenance="discrete")
+
+
+def _require_finite(values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("non-finite pair features during message passing")
+
+
+class PairGraph:
+    """One graph as the pairwise recursion reads it, and the recursion on it.
+
+    What every pass reads of the graph is computed once and shared: the
+    message weights, the integer degrees, the mask of the i <= j entries
+    and layer 0's update input. ``forward`` serves every caller: the dense
+    sweeps (through ``gmpnn_pair``), scoring at queried pairs, and
+    training, frozen or by backprop through the tape it records.
+    """
+
+    def __init__(self, graph: SampledGraph, stats: GraphStats):
+        self.n = graph.n
+        self.adjacency = graph.adjacency
+        self.weights = pair_message_weights(stats)
+        self._first_inputs = {}  # start width -> layer 0's update input
+
+    @cached_property
+    def degree_counts(self) -> np.ndarray:
+        """A @ ones: integer neighbor counts, exact in float64."""
+        return self.adjacency.sum(axis=1)
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """Boolean mask of the i <= j entries, the rows update nets run on."""
+        return np.triu(np.ones((self.n, self.n), dtype=bool))
+
+    def first_messages(self, out: np.ndarray) -> np.ndarray:
+        """Writes layer 0's message (D_i + D_j) W_ij into ``out`` (n x n).
+
+        From the all-ones start, A @ F is D_i in row i, so the first
+        message needs no matrix product.
+        """
+        np.add.outer(self.degree_counts, self.degree_counts, out=out)
+        out *= self.weights
+        return out
+
+    def first_update_input(self, width: int) -> np.ndarray:
+        """Layer 0's update input [ones, m] on the i <= j rows for a
+        width-``width`` start; the same in every pass, so built once."""
+        if width not in self._first_inputs:
+            m = self.first_messages(np.empty((self.n, self.n)))[self.upper][:, None]
+            ones = np.ones((m.shape[0], width))
+            self._first_inputs[width] = np.concatenate([ones] + [m] * width, axis=-1)
+        return self._first_inputs[width]
+
+    def mirror(self, upper_rows: np.ndarray) -> np.ndarray:
+        """Dense symmetric (n, n, F) tensor from its i <= j rows."""
+        u = np.zeros((self.n, self.n, upper_rows.shape[-1]))
+        u[self.upper] = upper_rows
+        return np.where(self.upper[:, :, None], u, u.transpose(1, 0, 2))
+
+    def scatter(self, values: np.ndarray, pairs=None) -> np.ndarray:
+        """Dense n x n matrix holding ``values`` at the i <= j rows, or
+        summed at ``pairs`` when given."""
+        n = self.n
+        if pairs is None:
+            out = np.zeros((n, n))
+            out[self.upper] = values
+            return out
+        flat = pairs[:, 0] * n + pairs[:, 1]
+        return np.bincount(flat, weights=values, minlength=n * n).reshape(n, n)
+
+    def fold(self, grad: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the i <= j rows of a mirrored tensor
+        from the gradient ``grad`` (n x n) of its dense form: d_ij + d_ji
+        off the diagonal, d_ii on it."""
+        total = grad + grad.T
+        np.fill_diagonal(total, grad.diagonal())
+        return total[self.upper]
+
+    def dense_messages(self, f, message, first: bool):
+        """One layer's messages on the dense symmetric features ``f``.
+
+        For the neighbor projection and symmetric F and A, F A = (A F)^T,
+        so each channel costs one product: Y = A F_k, m_k = (Y + Y^T) W.
+        """
+        if not message.is_neighbor_projection:
+            return _general_pair_messages(self.adjacency, f, message, self.weights)
+        m = np.empty_like(f)
+        for k in range(f.shape[2]):
+            mk = m[:, :, k]
+            if first:
+                self.first_messages(out=mk)
+                continue
+            y = self.adjacency @ f[:, :, k]
+            np.add(y, y.T, out=mk)
+            mk *= self.weights
+        return m
+
+    def queried_messages(self, f, message, pairs, first: bool):
+        """The messages at ``pairs`` only: W_ij (A_i . F_j + A_j . F_i) per
+        channel, O(n) per pair.
+
+        A row dot streams two gathered rows, which costs about as much as
+        150 flops of the blocked product A F; for more pairs than n^2 / 150
+        that one product is cheaper, and its entries are gathered instead.
+        """
+        i, j = pairs[:, 0], pairs[:, 1]
+        if not message.is_neighbor_projection:
+            return _general_pair_messages(self.adjacency, f, message, self.weights)[i, j]
+        w = self.weights[i, j]
+        if first:
+            d = self.degree_counts
+            return np.repeat(((d[i] + d[j]) * w)[:, None], f.shape[2], axis=1)
+        a = self.adjacency
+        m = np.empty((len(pairs), f.shape[2]))
+        for k in range(f.shape[2]):
+            fk = f[:, :, k]
+            if len(pairs) * _ROW_DOT_COST >= self.n ** 2:
+                y = a @ fk
+                m[:, k] = y[i, j] + y[j, i]
+                continue
+            for lo in range(0, len(pairs), _ROW_DOT_CHUNK):
+                ic, jc = i[lo : lo + _ROW_DOT_CHUNK], j[lo : lo + _ROW_DOT_CHUNK]
+                m[lo : lo + _ROW_DOT_CHUNK, k] = (np.einsum("pz,pz->p", a[ic], fk[jc])
+                                                  + np.einsum("pz,pz->p", a[jc], fk[ic]))
+        return m * w[:, None]
+
+    def forward(self, mpnn: Mpnn, pairs=None, record: bool = False,
+                n_max: int | None = None):
+        """Run the discrete pairwise recursion from the all-ones start.
+
+        Returns ``(values, tape)``. Without ``pairs``, values is the dense
+        (n, n, F) tensor. With ``pairs`` (k x 2), the last layer is
+        evaluated at those pairs only and values is (k, F). Pair features
+        are exactly symmetric: update nets run on the i <= j rows and are
+        mirrored; closed-form updates run elementwise on the dense tensor.
+        With ``record``, ``pairs`` is required and tape is the ``PairTape``
+        to backpropagate through; otherwise tape is None.
+        """
+        n = self.n
+        _require_size(n, mpnn, n_max)
+        if record and (pairs is None or not all(
+                msg.is_neighbor_projection and upd.net is not None
+                for msg, upd in mpnn.layers)):
+            raise PreconditionError(
+                "backprop through the pair recursion needs queried pairs, "
+                "neighbor-projection messages and net updates"
+            )
+        if pairs is not None:
+            pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+        f = np.ones((n, n, mpnn.feature_dims[0]))
+        caches = []
+        last = mpnn.depth - 1
+        for t, (message, update) in enumerate(mpnn.layers):
+            first = t == 0
+            if pairs is not None and t == last:
+                x = f[pairs[:, 0], pairs[:, 1]]
+                m = self.queried_messages(f, message, pairs, first)
+                out, cache = _update_rows(update, x, m, record)
+                caches.append(cache)
+                _require_finite(out)
+                tape = PairTape(self, mpnn, pairs, caches) if record else None
+                return out, tape
+            if update.net is None:
+                f = update(f, self.dense_messages(f, message, first))
+            else:
+                if first and message.is_neighbor_projection:
+                    u = self.first_update_input(f.shape[2])
+                    x, m = u[:, :f.shape[2]], u[:, f.shape[2]:]
+                else:
+                    m = self.dense_messages(f, message, first)
+                    x, m = f[self.upper], m[self.upper]
+                out, cache = _update_rows(update, x, m, record)
+                caches.append(cache)
+                f = self.mirror(out)
+            _require_finite(f)
+        return f, None
+
+
+@dataclass(frozen=True)
+class PairTape:
+    """A recorded ``PairGraph.forward`` at queried pairs."""
+
+    graph: PairGraph
+    mpnn: Mpnn
+    pairs: np.ndarray
+    caches: list  # per layer: the update net's forward cache
+
+    def backward(self, d_values: np.ndarray) -> list:
+        """Parameter gradients of <d_values, values> for the recorded pass.
+
+        Returns one gradient list per layer, ordered like each update net's
+        ``parameters()``. The queried layer's message gradients are
+        scattered to an n x n matrix G; with S = G + G^T the gradient of
+        the dense features below is A S, and each i <= j row collects
+        d_ij + d_ji. Layer 0 takes no input gradient, so the pass stops
+        there.
+        """
+        pg, mpnn = self.graph, self.mpnn
+        widths = mpnn.feature_dims
+        grads = [None] * mpnn.depth
+        delta = np.asarray(d_values, dtype=float)
+        rows = self.pairs  # the queried layer's rows; None below it (i <= j rows)
+        for t in range(mpnn.depth - 1, -1, -1):
+            grads[t], d_u = mpnn.layers[t][1].net.backward(self.caches[t], delta)
+            if t == 0:
+                break
+            width = widths[t]
+            delta = np.empty((pg.n * (pg.n + 1) // 2, width))
+            for k in range(width):
+                g = pg.scatter(d_u[:, width + k], rows) * pg.weights
+                dense = pg.adjacency @ (g + g.T)
+                dense += pg.scatter(d_u[:, k], rows)
+                delta[:, k] = pg.fold(dense)
+            rows = None
+        return grads
+
+
+def gmpnn_pair(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn,
+               n_max: int | None = None) -> PairEmbeddings:
+    """Run the discrete pairwise recursion from the all-ones initialization."""
+    _require_size(graph.n, mpnn, n_max)  # before the n x n work of PairGraph
+    values, _ = PairGraph(graph, stats).forward(mpnn, n_max=n_max)
+    return PairEmbeddings(values=values, provenance="discrete")
 
 
 def cmpnn_pair_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,

@@ -14,6 +14,7 @@ from graphon_mpnn import (
 )
 from graphon_mpnn.linkpred import (
     LinkDataset,
+    _Backbone,
     _loss_and_grads,
     model_scores,
 )
@@ -155,16 +156,34 @@ class TestEndToEndGradients:
         ds = tiny_dataset(linkpred_spec, 14, seed=0)
         model = node_link_model(feature_dims=(3, 2), update_hidden=4,
                                 head_hidden=(4,), head_input=head_input, seed=1)
-        stats = graph_stats(ds.observed)
+        backbone = _Backbone(model, ds.observed, graph_stats(ds.observed))
         pairs = np.concatenate([ds.positives["train"], ds.negatives["train"]])
         labels = np.concatenate([np.ones(6), np.zeros(6)])
-        _, grads, _ = _loss_and_grads(model, ds.observed, stats, pairs, labels)
+        _, grads, _ = _loss_and_grads(backbone, pairs, labels)
         params = []
         for net in model.trainable_nets():
             params.extend(net.parameters())
 
         def loss():
-            l, _, _ = _loss_and_grads(model, ds.observed, stats, pairs, labels)
+            l, _, _ = _loss_and_grads(backbone, pairs, labels)
+            return l
+
+        numeric = finite_difference_gradients(loss, params)
+        assert max_relative_error(grads, numeric) < 1e-4
+
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_pair_backbone_gradients_at_depth(self, linkpred_spec, T):
+        ds = tiny_dataset(linkpred_spec, 12, seed=3)
+        model = pair_link_model(T=T, learn_update=True, update_hidden=3,
+                                head_hidden=(4,), seed=2)
+        backbone = _Backbone(model, ds.observed, graph_stats(ds.observed))
+        pairs = np.concatenate([ds.positives["train"], ds.negatives["train"]])
+        labels = np.concatenate([np.ones(6), np.zeros(6)])
+        _, grads, _ = _loss_and_grads(backbone, pairs, labels)
+        params = [p for net in model.trainable_nets() for p in net.parameters()]
+
+        def loss():
+            l, _, _ = _loss_and_grads(backbone, pairs, labels)
             return l
 
         numeric = finite_difference_gradients(loss, params)
@@ -174,16 +193,16 @@ class TestEndToEndGradients:
         ds = tiny_dataset(linkpred_spec, 12, seed=3)
         model = pair_link_model(T=2, learn_update=True, update_hidden=3,
                                 head_hidden=(4,), seed=2)
-        stats = graph_stats(ds.observed)
+        backbone = _Backbone(model, ds.observed, graph_stats(ds.observed))
         pairs = np.concatenate([ds.positives["train"], ds.negatives["train"]])
         labels = np.concatenate([np.ones(6), np.zeros(6)])
-        _, grads, _ = _loss_and_grads(model, ds.observed, stats, pairs, labels)
+        _, grads, _ = _loss_and_grads(backbone, pairs, labels)
         params = []
         for net in model.trainable_nets():
             params.extend(net.parameters())
 
         def loss():
-            l, _, _ = _loss_and_grads(model, ds.observed, stats, pairs, labels)
+            l, _, _ = _loss_and_grads(backbone, pairs, labels)
             return l
 
         numeric = finite_difference_gradients(loss, params)
@@ -357,3 +376,30 @@ class TestRunTable:
         assert rows and rows[0][2].startswith("hits@")
         text = report.format_table()
         assert "oracle" in text and "mcc" in text
+
+
+class TestEvalReport:
+    def report(self, runs):
+        from graphon_mpnn import EvalReport
+
+        values = {("transductive", "oracle"): {
+            "hits@1": [0.5, 0.7][:runs], "mcc": [0.2, 0.4][:runs],
+            "balanced_accuracy": [0.6, 0.8][:runs], "auc": [0.75, 0.85][:runs]}}
+        return EvalReport(values=values, runs=runs, k_list=(1,))
+
+    def test_single_run_reports_no_deviation(self):
+        report = self.report(1)
+        assert report.mean_std("transductive", "oracle", "mcc") == (0.2, None)
+        rows = report.csv_rows()
+        assert all(len(row) == 6 and row[4] == "" for row in rows)
+        assert rows[0] == ["transductive", "oracle", "hits@1", "0.5", "", 1]
+        line = report.format_table().splitlines()[1]
+        assert "(" not in line and "0.5000" in line
+
+    def test_several_runs_report_sample_deviation(self):
+        report = self.report(2)
+        mean, std = report.mean_std("transductive", "oracle", "mcc")
+        assert mean == pytest.approx(0.3) and std == pytest.approx(np.sqrt(0.02))
+        rows = report.csv_rows()
+        assert rows[0][4] == repr(float(np.std([0.5, 0.7], ddof=1)))
+        assert f"0.3000({np.sqrt(0.02):.4f})" in report.format_table()

@@ -116,6 +116,32 @@ class TestForwardBackward:
         assert np.allclose(grads[1], grads[2], atol=1e-6)
 
 
+def test_tanh_backward_bitwise_equals_recomputed_derivative():
+    # backward reads tanh'(z) = 1 - h^2 off the cached activation h; the
+    # result must equal, bit for bit, recomputing 1 - tanh(z)^2
+    rng = np.random.default_rng(3)
+    for seed in range(5):
+        net = init_net([3, 7, 6, 2], "tanh", seed=seed)
+        x = rng.normal(scale=2.0, size=(50, 3))
+        g = rng.normal(size=(50, 2))
+        _, cache = net.forward_cache(x)
+        grads, grad_in = net.backward(cache, g)
+
+        inputs = cache[0]
+        delta = g
+        expected = [None] * (2 * len(net.weights))
+        for k in range(len(net.weights) - 1, -1, -1):
+            expected[2 * k] = delta.T @ inputs[k]
+            expected[2 * k + 1] = delta.sum(axis=0)
+            delta = delta @ net.weights[k]
+            if k > 0:
+                z = inputs[k - 1] @ net.weights[k - 1].T + net.biases[k - 1]
+                delta = delta * (1.0 - np.tanh(z) ** 2)
+        for a, b in zip(grads, expected):
+            assert np.array_equal(a, b)
+        assert np.array_equal(grad_in, delta)
+
+
 class TestLipschitz:
     def test_single_layer_row_sum(self):
         net = FeedForwardNet([2, 1], activation="identity")

@@ -13,9 +13,9 @@ from graphon_mpnn import (
 )
 from graphon_mpnn.mpnn import EPS_DIV, Mpnn, NeighborProjection, NetMessage, NetUpdate, RatioUpdate
 from graphon_mpnn.nn import init_net
-from graphon_mpnn.pair_mpnn import learnable_psi_mpnn
+from graphon_mpnn.pair_mpnn import PairGraph, learnable_psi_mpnn
 
-from oracles import pair_mpnn_oracle
+from oracles import finite_difference_gradients, max_relative_error, pair_mpnn_oracle
 
 
 class ProjectionWithoutFastPath(NeighborProjection):
@@ -87,21 +87,75 @@ class TestDiscrete:
     def test_symmetry_exact_every_layer(self, convergence_spec):
         g = sample_graph(convergence_spec, 40, seed=7)
         stats = graph_stats(g)
-        mpnn = learnable_psi_mpnn(3, hidden=4, seed=11)
-        f = np.ones((40, 40, 1))
-        from graphon_mpnn.pair_mpnn import _fast_pair_messages, pair_message_weights
-
-        w = pair_message_weights(stats)
-        for message, update in mpnn.layers:
-            m = _fast_pair_messages(g.adjacency, f, w)
-            f = update(f, m)
-            assert np.array_equal(f, np.swapaxes(f, 0, 1))
+        for T in (1, 2, 3):
+            for mpnn in (learnable_psi_mpnn(T, hidden=4, seed=11), fixed_psi_mpnn(T)):
+                f = gmpnn_pair(g, stats, mpnn).values
+                assert np.array_equal(f, np.swapaxes(f, 0, 1))
 
     def test_cap_enforced(self, convergence_spec):
         g = sample_graph(convergence_spec, 20, seed=0)
         stats = graph_stats(g)
         with pytest.raises(PreconditionError):
             gmpnn_pair(g, stats, fixed_psi_mpnn(1), n_max=10)
+
+
+def queried_pairs(n, count, seed):
+    """Random pairs in both orders, plus a diagonal pair and a repeat."""
+    pairs = np.random.default_rng(seed).integers(0, n, size=(count, 2))
+    return np.vstack([pairs, [[3, 3]], pairs[:1]])
+
+
+class TestPairEngine:
+    # at n = 120, 40 pairs take row dots and 300 pairs one product A F
+    @pytest.mark.parametrize("count", [40, 300])
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("learn", [False, True])
+    def test_queried_pairs_match_dense(self, convergence_spec, T, learn, count):
+        g = sample_graph(convergence_spec, 120, seed=4)
+        stats = graph_stats(g)
+        mpnn = learnable_psi_mpnn(T, hidden=4, seed=5) if learn else fixed_psi_mpnn(T)
+        dense = gmpnn_pair(g, stats, mpnn).values
+        pairs = queried_pairs(120, count, seed=T)
+        queried, tape = PairGraph(g, stats).forward(mpnn, pairs)
+        assert tape is None
+        expected = dense[pairs[:, 0], pairs[:, 1]]
+        np.testing.assert_allclose(queried, expected, rtol=1e-12, atol=0.0)
+        if count == 300:
+            assert np.array_equal(queried, expected)
+
+    def test_first_message_is_the_degree_product_exactly(self, convergence_spec):
+        g = sample_graph(convergence_spec, 200, seed=6)
+        pg = PairGraph(g, graph_stats(g))
+        y = g.adjacency @ np.ones((200, 200))
+        assert np.array_equal(pg.degree_counts, g.adjacency @ np.ones(200))
+        assert np.array_equal(pg.first_messages(np.empty((200, 200))),
+                              (y + y.T) * pg.weights)
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_tape_gradients_match_finite_differences(self, convergence_spec, T):
+        g = sample_graph(convergence_spec, 14, seed=2)
+        pg = PairGraph(g, graph_stats(g))
+        mpnn = learnable_psi_mpnn(T, hidden=3, seed=T)
+        pairs = queried_pairs(14, 10, seed=0)
+        d_out = np.random.default_rng(1).normal(size=(len(pairs), 1))
+        _, tape = pg.forward(mpnn, pairs, record=True)
+        analytic = [g for layer in tape.backward(d_out) for g in layer]
+        params = [p for net in mpnn.trainable_nets() for p in net.parameters()]
+
+        def loss():
+            values, _ = pg.forward(mpnn, pairs)
+            return float(np.sum(values * d_out))
+
+        numeric = finite_difference_gradients(loss, params)
+        assert max_relative_error(analytic, numeric) < 1e-6
+
+    def test_record_needs_pairs_and_update_nets(self, convergence_spec):
+        g = sample_graph(convergence_spec, 20, seed=0)
+        pg = PairGraph(g, graph_stats(g))
+        with pytest.raises(PreconditionError):
+            pg.forward(learnable_psi_mpnn(2), record=True)
+        with pytest.raises(PreconditionError):
+            pg.forward(fixed_psi_mpnn(2), np.array([[0, 1]]), record=True)
 
 
 class TestContinuous:
