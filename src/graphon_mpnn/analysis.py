@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,11 +180,6 @@ class BoundReport:
     bound_value: float
     n_condition_ok: bool
 
-    def named_constants(self) -> dict:
-        names = {"node_mean": ("C1", "C2"), "node_sum": ("C1s", "C2s"),
-                 "pair": ("C3", "C4")}[self.mode]
-        return {names[0]: self.c_offset, names[1]: self.c_scale}
-
 
 def default_probability_budget(mpnn: Mpnn, target: float = 0.01) -> float:
     """p such that the failure mass sum_l 2(H_l + 1) p equals ``target``."""
@@ -253,7 +248,6 @@ def bound_constants(mpnn: Mpnn, f_inf_norm: float, spec: SbmSpec,
         coef = 2.0 * math.sqrt(2.0)
     else:
         coef = 4.0 * math.sqrt(2.0) / denom ** 2 + 2.0 * math.sqrt(2.0) / denom
-    coef_parts = [coef] * mpnn.depth
 
     c_offset = 0.0
     c_scale = 0.0
@@ -263,14 +257,14 @@ def bound_constants(mpnn: Mpnn, f_inf_norm: float, spec: SbmSpec,
         tails[l] = tail
         tail *= contraction[l]
     for l in range(mpnn.depth):
-        c_offset += l_upd[l] * coef_parts[l] * (l_msg[l] * b1[l] + bias_msg[l]) * tails[l]
-        c_scale += l_upd[l] * coef_parts[l] * l_msg[l] * b2[l] * tails[l]
+        c_offset += l_upd[l] * coef * (l_msg[l] * b1[l] + bias_msg[l]) * tails[l]
+        c_scale += l_upd[l] * coef * l_msg[l] * b2[l] * tails[l]
 
     log_term = math.log(2.0 * n * n / p) if mode == "pair" else math.log(2.0 * n / p)
     rate = math.sqrt(log_term) / math.sqrt(n)
     bound_value = (c_offset + c_scale * f_inf_norm) * rate
     layer_terms = tuple(
-        l_upd[l] * coef_parts[l]
+        l_upd[l] * coef
         * (l_msg[l] * (b1[l] + b2[l] * f_inf_norm) + bias_msg[l]) * rate
         for l in range(mpnn.depth)
     )
@@ -299,7 +293,6 @@ class IsoGapStats:
 
     gaps_iso: np.ndarray
     gaps_non_iso: np.ndarray
-    quantiles: dict = field(default_factory=dict)
 
     @property
     def median_iso(self) -> float:
@@ -325,25 +318,27 @@ def _category_pools(graph: SampledGraph, iso_pairs, r: int):
 
 
 def _sample_gaps(emb_values, pool, budget, rng):
-    sizes = [len(ia) * len(jb) for ia, jb in pool]
-    total = int(sum(sizes))
+    """Gaps at ``budget`` distinct pairs drawn from ``pool`` (all of them when
+    the budget covers it). Flat index k of block pair (ia, jb) is the pair
+    (ia[k // len(jb)], jb[k % len(jb)]); pools are numbered in order."""
+    rows = np.array([len(ia) for ia, _ in pool])
+    cols = np.array([len(jb) for _, jb in pool])
+    sizes = rows * cols
+    total = int(sizes.sum())
     if total == 0:
         raise PreconditionError("no node pairs available in this category")
     if budget >= total:
         flat = np.arange(total)
     else:
         flat = np.sort(rng.choice(total, size=budget, replace=False))
-    offsets = np.cumsum([0] + sizes)
-    gaps = np.empty(len(flat))
-    for k, idx in enumerate(flat):
-        which = int(np.searchsorted(offsets, idx, side="right") - 1)
-        local = idx - offsets[which]
-        ia, jb = pool[which]
-        i = ia[local // len(jb)]
-        j = jb[local % len(jb)]
-        diff = emb_values[i] - emb_values[j]
-        gaps[k] = np.max(np.abs(diff))
-    return gaps
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    which = np.searchsorted(offsets, flat, side="right") - 1
+    local = flat - offsets[which]
+    row_start = np.concatenate([[0], np.cumsum(rows)])[which]
+    col_start = np.concatenate([[0], np.cumsum(cols)])[which]
+    i = np.concatenate([ia for ia, _ in pool])[row_start + local // cols[which]]
+    j = np.concatenate([jb for _, jb in pool])[col_start + local % cols[which]]
+    return np.max(np.abs(emb_values[i] - emb_values[j]), axis=1)
 
 
 def iso_gap_stats(node_emb: NodeEmbeddings, graph: SampledGraph, iso_pairs,
@@ -363,10 +358,4 @@ def iso_gap_stats(node_emb: NodeEmbeddings, graph: SampledGraph, iso_pairs,
     rng = stream(seed, "iso-gaps")
     gaps_iso = _sample_gaps(node_emb.values, iso_pool, sample_budget, rng)
     gaps_non_iso = _sample_gaps(node_emb.values, non_iso_pool, sample_budget, rng)
-    qs = (0.25, 0.5, 0.75)
-    quantiles = {
-        "iso": {q: float(np.quantile(gaps_iso, q)) for q in qs},
-        "non_iso": {q: float(np.quantile(gaps_non_iso, q)) for q in qs},
-    }
-    return IsoGapStats(gaps_iso=gaps_iso, gaps_non_iso=gaps_non_iso,
-                       quantiles=quantiles)
+    return IsoGapStats(gaps_iso=gaps_iso, gaps_non_iso=gaps_non_iso)

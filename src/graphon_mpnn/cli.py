@@ -35,7 +35,7 @@ from .sbm import (
     validate_sbm,
     write_edge_list,
 )
-from .util import default_jobs, format_float, write_csv
+from .util import format_float, parallel_map, write_csv
 
 log = logging.getLogger("graphon_mpnn")
 
@@ -96,6 +96,16 @@ def cmd_converge(args) -> int:
     return 0
 
 
+def _stability_point(task):
+    """Iso-gap statistics of one (n, seed) point. The graph lives only
+    while this runs, so a serial sweep holds one graph at a time."""
+    spec, mpnn, iso, n, seed, sample_budget = task
+    graph = sample_graph(spec, n, seed)
+    emb = gmpnn_node(graph, graph_stats(graph), mpnn, init="degree")
+    return analysis.iso_gap_stats(emb, graph, iso, sample_budget=sample_budget,
+                                  seed=seed)
+
+
 def cmd_stability(args) -> int:
     cfg, text = parse_stability_config(args.config)
     iso = isomorphic_block_pairs(cfg.spec)
@@ -103,25 +113,22 @@ def cmd_stability(args) -> int:
         raise PreconditionError("the model has no matched block pair")
     dims = [1] + [cfg.feature_dim] * cfg.layers
     mpnn = graphsage_mpnn(dims, update_hidden=cfg.update_hidden, seed=cfg.net_seed)
+    jobs = args.jobs if args.jobs else cfg.jobs
+    points = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
+    tasks = [(cfg.spec, mpnn, iso, n, seed, cfg.sample_budget) for n, seed in points]
+    results = parallel_map(_stability_point, tasks, jobs=jobs)
     gap_rows = []
     summary_rows = []
-    for n in cfg.n_list:
-        for seed in cfg.seeds:
-            graph = sample_graph(cfg.spec, n, seed)
-            stats = graph_stats(graph)
-            emb = gmpnn_node(graph, stats, mpnn, init="degree")
-            result = analysis.iso_gap_stats(emb, graph, iso,
-                                            sample_budget=cfg.sample_budget,
-                                            seed=seed)
-            for kind, gaps in (("iso", result.gaps_iso),
-                               ("non_iso", result.gaps_non_iso)):
-                for g in gaps:
-                    gap_rows.append([n, seed, kind, format_float(g)])
-            summary_rows.append([
-                n, seed,
-                format_float(result.median_iso),
-                format_float(result.median_non_iso),
-            ])
+    for (n, seed), result in zip(points, results):
+        for kind, gaps in (("iso", result.gaps_iso),
+                           ("non_iso", result.gaps_non_iso)):
+            for g in gaps:
+                gap_rows.append([n, seed, kind, format_float(g)])
+        summary_rows.append([
+            n, seed,
+            format_float(result.median_iso),
+            format_float(result.median_non_iso),
+        ])
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "gaps.csv"),
               ["n", "seed", "kind", "gap"], gap_rows)

@@ -196,6 +196,11 @@ class SampledGraph:
         return np.column_stack([iu[mask], ju[mask]])
 
 
+#: Rows per tile of the sampler's mirror copy: a 128-row strip of the upper
+#: triangle is copied into the lower one while it is still in cache.
+_MIRROR_ROWS = 128
+
+
 def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
     """Draw one n-node graph: i.i.d. positions, one Bernoulli per pair.
 
@@ -203,6 +208,7 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
     stream, both keyed by ``seed``; the draw is a pure function of
     (spec, n, seed). Each unordered pair {i, j} with i < j receives a
     single coin mirrored to both adjacency entries; the diagonal stays 0.
+    Rows are drawn in order, row i taking its n - 1 - i coins for j > i.
     """
     if n < 2:
         raise PreconditionError(f"need n >= 2, got {n}")
@@ -210,12 +216,22 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
     positions = stream(seed, "positions").random(n)
     block_of = np.searchsorted(spec.boundaries[:-1], positions, side="right")
 
+    # thresholds[a, j] is the edge probability between block a and node j.
+    thresholds = spec.S[:, block_of]
     adj = np.zeros((n, n), dtype=float)
     edges_rng = stream(seed, "edges")
-    for i in range(n - 1):
-        z = edges_rng.random(n - 1 - i)
-        adj[i, i + 1 :] = z < spec.S[block_of[i], block_of[i + 1 :]]
-    adj += adj.T
+    for i0 in range(0, n, _MIRROR_ROWS):
+        i1 = min(i0 + _MIRROR_ROWS, n)
+        for i in range(i0, min(i1, n - 1)):
+            z = edges_rng.random(n - 1 - i)
+            np.less(z, thresholds[block_of[i], i + 1 :], out=adj[i, i + 1 :])
+        # The strip's rows are complete: mirror it in place. The diagonal
+        # tile adds its transpose to its all-zero lower half; the part right
+        # of the tile is copied into the columns below it, which later rows
+        # never write. Only the tile needs a temporary, never an n x n one.
+        tile = adj[i0:i1, i0:i1]
+        tile += tile.T
+        adj[i1:, i0:i1] = adj[i0:i1, i1:].T
 
     features = spec.B[block_of]
     return SampledGraph(
@@ -235,6 +251,12 @@ class GraphStats:
     (1/n) sum_z A_iz A_jz`` with entries that would be zero replaced by
     ``1/n`` so pairwise aggregation never divides by zero. The matrix is
     computed lazily (it is an n x n product) and cached.
+
+    The counts are taken in float32 as ``A Aᵀ`` (equal to ``A A`` for the
+    symmetric 0/1 adjacency), which BLAS runs as a symmetric rank-k
+    update. They are exact while n < 2**24: every partial sum is an integer
+    no larger than n. Each count is cast to float64 before the division by
+    n, so the fractions are the correctly rounded float64 quotients.
     """
 
     def __init__(self, graph: SampledGraph):
@@ -246,8 +268,10 @@ class GraphStats:
     @property
     def common_neighbors(self) -> np.ndarray:
         if self._common is None:
-            a = self._graph.adjacency
-            c = (a @ a) / self.n
+            a32 = self._graph.adjacency.astype(np.float32)
+            counts = a32 @ a32.T
+            del a32
+            c = np.divide(counts, self.n, dtype=np.float64)
             c[c == 0.0] = 1.0 / self.n
             self._common = _freeze(c)
         return self._common

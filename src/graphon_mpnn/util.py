@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1
 
 
 def parallel_map(fn, tasks, jobs: int = 1) -> list:

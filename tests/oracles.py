@@ -20,6 +20,32 @@ def common_neighbors_oracle(block_mass, S):
     return out
 
 
+def sample_graph_oracle(block_mass, S, n, position_rng, edge_rng):
+    """Block assignment and adjacency by plain loops, one row at a time.
+
+    Node i lies in the first block whose cumulative mass exceeds its
+    position. Row i draws its n - 1 - i coins in one call, and coin k
+    decides the pair (i, i + 1 + k). Returns (block_of, adjacency).
+    """
+    positions = position_rng.random(n)
+    block_of = []
+    for x in positions:
+        a, right = 0, block_mass[0]
+        while a < len(block_mass) - 1 and x >= right:
+            a += 1
+            right += block_mass[a]
+        block_of.append(a)
+    adj = np.zeros((n, n))
+    for i in range(n - 1):
+        z = edge_rng.random(n - 1 - i)
+        for k in range(n - 1 - i):
+            j = i + 1 + k
+            if z[k] < S[block_of[i]][block_of[j]]:
+                adj[i, j] = 1.0
+                adj[j, i] = 1.0
+    return np.array(block_of), adj
+
+
 def node_mpnn_oracle(adjacency, features, layers, aggregation):
     """Node recursion by nested loops; layers are (message, update) callables
     taking and returning 1-d vectors."""

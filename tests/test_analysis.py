@@ -27,6 +27,7 @@ from graphon_mpnn.mpnn import Mpnn, NeighborProjection, NetMessage, NetUpdate, g
 from graphon_mpnn.nn import init_net
 from graphon_mpnn.node_mpnn import NodeEmbeddings
 from graphon_mpnn.pair_mpnn import PairEmbeddings, fixed_psi_mpnn
+from graphon_mpnn.rng import stream
 
 from test_node_mpnn import TakeMessage
 
@@ -261,6 +262,26 @@ class TestIsoGapStats:
         assert np.array_equal(sub.gaps_iso, sub2.gaps_iso)
         assert len(sub.gaps_iso) == 50
         assert set(np.round(sub.gaps_iso, 12)) <= set(np.round(full.gaps_iso, 12))
+
+    def test_budget_sample_matches_loop_reference(self, convergence_spec):
+        emb, g = self._embeddings(convergence_spec, 64, seed=2)
+        stats = iso_gap_stats(emb, g, [(0, 2)], sample_budget=50, seed=3)
+
+        def pairs(block_pairs):
+            # Pool order: block pairs in order, then i-major within each.
+            return [(i, j) for a, b in block_pairs
+                    for i in np.flatnonzero(g.block_of == a)
+                    for j in np.flatnonzero(g.block_of == b)]
+
+        rng = stream(3, "iso-gaps")
+        for pool, got in ((pairs([(0, 2)]), stats.gaps_iso),
+                          (pairs([(0, 1), (1, 2)]), stats.gaps_non_iso)):
+            flat = np.sort(rng.choice(len(pool), size=50, replace=False))
+            expected = []
+            for k in flat:
+                i, j = pool[k]
+                expected.append(np.max(np.abs(emb.values[i] - emb.values[j])))
+            assert np.array_equal(got, expected)
 
     def test_requires_iso_pairs(self, convergence_spec):
         emb, g = self._embeddings(convergence_spec, 32, seed=1)

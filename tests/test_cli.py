@@ -133,15 +133,20 @@ class TestConverge:
 
 
 class TestStability:
-    def test_gap_files(self, tmp_path, model_file):
-        cfg = tmp_path / "stab.cfg"
-        out = tmp_path / "stab_out"
+    @staticmethod
+    def _config(tmp_path, model_file, name="stab", seeds="0", extra=""):
+        cfg = tmp_path / f"{name}.cfg"
+        out = tmp_path / f"{name}_out"
         cfg.write_text(
             f"[sbm]\nspec = {model_file}\n"
-            "[stability]\nn_list = 64, 128\nseeds = 0\nfeature_dim = 4\n"
-            "sample_budget = 40\n"
+            f"[stability]\nn_list = 64, 128\nseeds = {seeds}\nfeature_dim = 4\n"
+            f"sample_budget = 40\n{extra}"
             f"[output]\ndir = {out}\n"
         )
+        return cfg, out
+
+    def test_gap_files(self, tmp_path, model_file):
+        cfg, out = self._config(tmp_path, model_file)
         proc = run_cli("stability", str(cfg))
         assert proc.returncode == 0, proc.stderr
         gaps = (out / "gaps.csv").read_text().splitlines()
@@ -151,6 +156,34 @@ class TestStability:
         medians = (out / "gap_medians.csv").read_text().splitlines()
         assert medians[0] == "n,seed,median_iso,median_non_iso"
         assert len(medians) == 3
+
+    def test_worker_pool_matches_serial(self, tmp_path, model_file):
+        outputs = []
+        for jobs in (1, 2):
+            cfg, out = self._config(tmp_path, model_file, name=f"jobs{jobs}",
+                                    seeds="0, 1", extra=f"jobs = {jobs}\n")
+            proc = run_cli("stability", str(cfg))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in ("gaps.csv", "gap_medians.csv")])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1].splitlines()) == 5
+
+    def test_jobs_key_reaches_the_worker_pool(self, tmp_path, model_file,
+                                              monkeypatch):
+        from graphon_mpnn import cli, util
+
+        seen = []
+
+        def recording_map(fn, tasks, jobs=1):
+            seen.append(jobs)
+            return util.parallel_map(fn, tasks, jobs=1)
+
+        monkeypatch.setattr(cli, "parallel_map", recording_map)
+        cfg, _ = self._config(tmp_path, model_file, extra="jobs = 2\n")
+        assert cli.main(["stability", str(cfg)]) == 0
+        assert cli.main(["--jobs", "1", "stability", str(cfg)]) == 0
+        assert seen == [2, 1]
 
 
 class TestInlineModel:

@@ -12,9 +12,10 @@ from graphon_mpnn import (
     sample_graph,
     validate_sbm,
 )
+from graphon_mpnn.rng import stream
 from graphon_mpnn.sbm import read_spec_file, write_edge_list, write_spec_file
 
-from oracles import common_neighbors_oracle
+from oracles import common_neighbors_oracle, sample_graph_oracle
 
 
 def graph_from_adjacency(adj):
@@ -143,6 +144,19 @@ class TestSampling:
             freq = np.bincount(g.block_of, minlength=3) / 10_000
             assert np.max(np.abs(freq - convergence_spec.block_mass)) <= 0.05
 
+    @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 300])
+    def test_matches_row_by_row_oracle(self, convergence_spec, linkpred_spec, n):
+        for spec in (convergence_spec, linkpred_spec):
+            for seed in (0, 1, 6):
+                g = sample_graph(spec, n, seed=seed)
+                block_of, adj = sample_graph_oracle(
+                    spec.block_mass.tolist(), spec.S.tolist(), n,
+                    stream(seed, "positions"), stream(seed, "edges"))
+                assert np.array_equal(g.block_of, block_of)
+                assert np.array_equal(g.adjacency, adj)
+                assert np.array_equal(g.adjacency, g.adjacency.T)
+                assert np.all(np.diag(g.adjacency) == 0.0)
+
     def test_rejects_tiny_n(self, convergence_spec):
         from graphon_mpnn import PreconditionError
 
@@ -190,6 +204,21 @@ class TestGraphStats:
         np.testing.assert_allclose(stats.degrees, 3 / 4)
         off = ~np.eye(4, dtype=bool)
         np.testing.assert_allclose(stats.common_neighbors[off], 2 / 4)
+
+
+    @pytest.mark.parametrize("n", [3, 129, 300])
+    def test_common_neighbors_are_exact_counts(self, convergence_spec, n):
+        g = sample_graph(convergence_spec, n, seed=2)
+        c = graph_stats(g).common_neighbors
+        a = g.adjacency
+        dense = (a @ a) / n
+        dense[dense == 0.0] = 1.0 / n
+        assert np.array_equal(c, dense)
+        counts = a.astype(np.int64) @ a.astype(np.int64)
+        from_counts = counts / n
+        from_counts[counts == 0] = 1.0 / n
+        assert np.array_equal(c, from_counts)
+        assert c.dtype == np.float64
 
 
 class TestSerialization:
