@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .linkpred import METHODS, SCENARIOS
 from .sbm import SbmSpec, read_spec_file
 
 
@@ -67,6 +68,16 @@ def load_sbm_section(parser: configparser.ConfigParser, base_dir: str) -> SbmSpe
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"incomplete inline [sbm] section: {exc}") from exc
     return SbmSpec(block_mass=block_mass, S=S, B=B)
+
+
+def _names(section, key, known) -> tuple:
+    """A comma list of names from ``known``, which is also the default."""
+    names = tuple(v.strip() for v in section.get(key, ",".join(known)).split(","))
+    unknown = [v for v in names if v not in known]
+    if unknown:
+        raise ConfigError(f"unknown {key} {', '.join(map(repr, unknown))}; "
+                          f"expected some of {', '.join(known)}")
+    return names
 
 
 def _require(section, key, subcommand):
@@ -201,14 +212,8 @@ def parse_table_config(path) -> tuple:
     if not parser.has_section("table"):
         raise ConfigError("config needs a [table] section")
     sec = parser["table"]
-    methods = tuple(
-        m.strip() for m in sec.get("methods", "node,pair_fixed,pair_learn,oracle").split(",")
-    )
-    scenarios = tuple(
-        s.strip() for s in sec.get(
-            "scenarios", "transductive,inductive_same,inductive_ood"
-        ).split(",")
-    )
+    methods = _names(sec, "methods", METHODS)
+    scenarios = _names(sec, "scenarios", SCENARIOS)
     cfg = TableConfigFile(
         spec=spec,
         n_train=int(_require(sec, "n_train", "table")),

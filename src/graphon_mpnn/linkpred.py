@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericalError, PreconditionError
 from .mpnn import NEIGHBOR_AVERAGE, Mpnn
 from .nn import AdamState, FeedForwardNet, adam_step, init_net, sigmoid
-from .node_mpnn import gmpnn_node
+from .node_mpnn import NodeGraph
 from .pair_mpnn import PairGraph
 from .rng import child_seed, stream
 from .sbm import (
@@ -204,18 +204,17 @@ def build_scenario(spec: SbmSpec, n_tr: int, n_te: int, seed: int,
 class LinkModel:
     """Embedding backbone plus a sigmoid-output link head.
 
-    ``kind`` is "node" or "pair". Node backbones feed the head either the
-    concatenated endpoint embeddings or their inner product; pair backbones
-    feed the pair embedding directly. ``backbone_trainable`` controls
-    whether gradients flow into the backbone's update nets.
+    ``kind`` is "node" or "pair". Node backbones start from the
+    size-normalized degrees and feed the head the concatenated endpoint
+    embeddings; pair backbones feed the pair embedding directly.
+    ``backbone_trainable`` controls whether gradients flow into the
+    backbone's update nets.
     """
 
     kind: str
     mpnn: Mpnn
     head: FeedForwardNet
-    head_input: str = "concat"  # node backbones: "concat" | "inner_product"
     tau: float = 0.5
-    node_init: str = "degree"
     backbone_trainable: bool = True
 
     def copy(self) -> "LinkModel":
@@ -229,20 +228,16 @@ class LinkModel:
 
 
 def node_link_model(spec_f0: int = 1, feature_dims=(8, 8), update_hidden=10,
-                    head_hidden=(10, 10, 10), head_input="concat",
-                    seed: int = 0) -> LinkModel:
+                    head_hidden=(10, 10, 10), seed: int = 0) -> LinkModel:
     """Node backbone in the neighbor-sampling style with an MLP head."""
     from .mpnn import graphsage_mpnn
 
     dims = [spec_f0, *feature_dims]
     mpnn = graphsage_mpnn(dims, update_hidden=update_hidden, seed=seed,
                           aggregation=NEIGHBOR_AVERAGE)
-    f_t = dims[-1]
-    head_in = 2 * f_t if head_input == "concat" else 1
-    head = init_net([head_in, *head_hidden, 1], "tanh", seed=seed,
+    head = init_net([2 * dims[-1], *head_hidden, 1], "tanh", seed=seed,
                     output_activation="sigmoid", tag="init/head")
-    return LinkModel(kind="node", mpnn=mpnn, head=head, head_input=head_input,
-                     node_init="degree", backbone_trainable=True)
+    return LinkModel(kind="node", mpnn=mpnn, head=head, backbone_trainable=True)
 
 
 def pair_link_model(T: int = 2, learn_update: bool = False, update_hidden=5,
@@ -262,134 +257,45 @@ def pair_link_model(T: int = 2, learn_update: bool = False, update_hidden=5,
 
 # --- forward/backward through the backbones -----------------------------------
 
-def _require_projection_messages(mpnn: Mpnn) -> None:
-    if not all(msg.is_neighbor_projection for msg, _ in mpnn.layers):
-        raise PreconditionError(
-            "end-to-end training supports neighbor-projection messages only"
-        )
+def _backbone_graph(model: LinkModel, graph: SampledGraph, stats=None):
+    """The engine a link model's backbone runs on one observed graph.
 
-
-def _node_forward(model: LinkModel, graph: SampledGraph, stats,
-                  with_cache: bool = False):
-    """Discrete node embeddings; optionally caches per-layer state for backprop."""
-    if not with_cache:
-        emb = gmpnn_node(graph, stats, model.mpnn, init=model.node_init)
-        return emb.values, None
-    _require_projection_messages(model.mpnn)
-    n = graph.n
-    if model.mpnn.aggregation == NEIGHBOR_AVERAGE:
-        weights = np.zeros(n)
-        nz = stats.degrees > 0
-        weights[nz] = 1.0 / (n * stats.degrees[nz])
-    else:
-        weights = np.full(n, 1.0 / n)
-    if model.node_init == "degree":
-        f = stats.degrees.reshape(-1, 1).copy()
-    else:
-        f = np.asarray(graph.node_features, dtype=float).copy()
-    layer_caches = []
-    for message, update in model.mpnn.layers:
-        m = (graph.adjacency @ f) * weights[:, None]
-        u = np.concatenate([f, m], axis=-1)
-        out, cache = update.net.forward_cache(u)
-        layer_caches.append((cache, f.shape[1]))
-        f = out
-    return f, (layer_caches, weights)
-
-
-def _node_backward(model: LinkModel, graph: SampledGraph, state, d_emb):
-    """Gradients of the scalar loss w.r.t. each update net's parameters.
-
-    Layer 0's input gradient is not needed, so the pass stops there.
+    A ``NodeGraph`` or ``PairGraph`` holds what the backbone reads of the
+    graph, so building it once shares that with every pass. Its
+    ``forward(model.mpnn, pairs, record)`` returns the head inputs at
+    ``pairs`` and, with ``record``, the tape whose ``backward`` returns
+    each layer's update-net gradients.
     """
-    layer_caches, weights = state
-    grads_per_layer = [None] * len(layer_caches)
-    delta = d_emb
-    for t in range(len(layer_caches) - 1, -1, -1):
-        cache, f_width = layer_caches[t]
-        _, update = model.mpnn.layers[t]
-        param_grads, d_u = update.net.backward(cache, delta)
-        grads_per_layer[t] = param_grads
-        if t == 0:
-            break
-        d_f = d_u[:, :f_width]
-        d_m = d_u[:, f_width:]
-        delta = d_f + graph.adjacency @ (d_m * weights[:, None])
-    return grads_per_layer
-
-
-def _node_head_inputs(model: LinkModel, emb, pairs):
-    i, j = pairs[:, 0], pairs[:, 1]
-    if model.head_input == "concat":
-        return np.concatenate([emb[i], emb[j]], axis=-1)
-    return np.sum(emb[i] * emb[j], axis=-1, keepdims=True)
-
-
-class _Backbone:
-    """A link model's backbone bound to one observed graph.
-
-    What the backbone reads of the graph (its statistics and, for a pair
-    backbone, the ``PairGraph``) is computed once and shared by every pass
-    over the graph.
-    """
-
-    def __init__(self, model: LinkModel, graph: SampledGraph, stats=None):
-        self.model = model
-        self.graph = graph
-        self.stats = graph_stats(graph) if stats is None else stats
-        self.pair_graph = (PairGraph(graph, self.stats)
-                           if model.kind == "pair" else None)
-
-    def forward(self, pairs, record: bool = False):
-        """Head inputs at ``pairs``, and with ``record`` the tape that
-        ``backward`` reads (else None for a pair backbone)."""
-        model = self.model
-        if model.kind == "pair":
-            return self.pair_graph.forward(model.mpnn, pairs, record=record)
-        emb, state = _node_forward(model, self.graph, self.stats, with_cache=record)
-        return _node_head_inputs(model, emb, pairs), (state, emb, pairs)
-
-    def backward(self, tape, d_head_in) -> list:
-        """Parameter gradients of each layer's update net, layer by layer."""
-        model = self.model
-        if model.kind == "pair":
-            return tape.backward(d_head_in)
-        state, emb, pairs = tape
-        d_emb = np.zeros_like(emb)
-        i, j = pairs[:, 0], pairs[:, 1]
-        if model.head_input == "concat":
-            f_t = emb.shape[1]
-            np.add.at(d_emb, i, d_head_in[:, :f_t])
-            np.add.at(d_emb, j, d_head_in[:, f_t:])
-        else:
-            np.add.at(d_emb, i, d_head_in * emb[j])
-            np.add.at(d_emb, j, d_head_in * emb[i])
-        return _node_backward(model, self.graph, state, d_emb)
+    stats = graph_stats(graph) if stats is None else stats
+    if model.kind == "pair":
+        return PairGraph(graph, stats)
+    return NodeGraph(graph, stats, init="degree")
 
 
 def model_scores(model: LinkModel, graph: SampledGraph, pairs,
                  stats=None) -> np.ndarray:
     """Head probabilities for the given pairs on the given observed graph."""
-    head_in, _ = _Backbone(model, graph, stats).forward(pairs)
+    head_in, _ = _backbone_graph(model, graph, stats).forward(model.mpnn, pairs)
     return model.head.forward(head_in).reshape(-1)
 
 
-def _loss_and_grads(backbone: _Backbone, pairs, labels, head_in=None):
+def _loss_and_grads(model: LinkModel, backbone, pairs, labels, head_in=None):
     """Cross-entropy over the first ``len(labels)`` pairs and its exact
     parameter gradients.
 
-    Pairs past the labelled ones (the validation pairs during training)
-    ride along through the backbone without a gradient, so that one pass
-    embeds them too. ``head_in`` holds a frozen backbone's head inputs at
-    ``pairs``. Gradients are ordered like ``model.trainable_nets()``
-    parameters: head first, then backbone update nets layer by layer (when
-    trainable). Returns (loss, grads, head inputs at every pair).
+    ``backbone`` is the model's ``_backbone_graph``. Pairs past the
+    labelled ones (the validation pairs during training) ride along
+    through the backbone without a gradient, so that one pass embeds them
+    too. ``head_in`` holds a frozen backbone's head inputs at ``pairs``.
+    Gradients are ordered like ``model.trainable_nets()`` parameters: head
+    first, then backbone update nets layer by layer (when trainable).
+    Returns (loss, grads, head inputs at every pair).
     """
-    model = backbone.model
     n_loss = len(labels)
     tape = None
     if head_in is None:
-        head_in, tape = backbone.forward(pairs, record=model.backbone_trainable)
+        head_in, tape = backbone.forward(model.mpnn, pairs,
+                                         record=model.backbone_trainable)
 
     _, cache = model.head.forward_cache(head_in[:n_loss])
     logits = cache[1].reshape(-1)
@@ -401,7 +307,7 @@ def _loss_and_grads(backbone: _Backbone, pairs, labels, head_in=None):
     if model.backbone_trainable:
         d_all = np.zeros_like(head_in)
         d_all[:n_loss] = d_head_in
-        for g in backbone.backward(tape, d_all):
+        for g in tape.backward(d_all):
             grads.extend(g)
     return loss, grads, head_in
 
@@ -449,7 +355,7 @@ def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
     ``stats`` may pass the observed graph's statistics in, to share them.
     """
     model = model.copy()
-    backbone = _Backbone(model, dataset.observed, stats)
+    backbone = _backbone_graph(model, dataset.observed, stats)
     pos_tr, neg_tr = dataset.positives["train"], dataset.negatives["train"]
     pos_val, neg_val = dataset.positives["val"], dataset.negatives["val"]
     val_pairs = np.concatenate([pos_val, neg_val], axis=0)
@@ -464,7 +370,7 @@ def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
 
     frozen_head_in = None
     if not model.backbone_trainable:
-        frozen_head_in, _ = backbone.forward(pairs)
+        frozen_head_in, _ = backbone.forward(model.mpnn, pairs)
 
     def val_accuracy(val_head_in) -> float:
         scores = model.head.forward(val_head_in).reshape(-1)
@@ -479,10 +385,10 @@ def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
             if frozen_head_in is not None:
                 val_head_in = frozen_head_in[n_train:]
             else:
-                val_head_in, _ = backbone.forward(val_pairs)
+                val_head_in, _ = backbone.forward(model.mpnn, val_pairs)
         else:
             loss, grads, head_in = _loss_and_grads(
-                backbone, pairs, labels, head_in=frozen_head_in,
+                model, backbone, pairs, labels, head_in=frozen_head_in,
             )
             if not np.isfinite(loss):
                 log.error("training diverged at epoch %d (loss=%r)", epoch, loss)
@@ -568,7 +474,6 @@ class RunTableConfig:
     node_feature_dims: tuple = (8, 8)
     node_update_hidden: int = 10
     head_hidden: tuple = (10, 10, 10)
-    head_input: str = "concat"
     pair_layers: int = 2
     pair_update_hidden: int = 5
     k_list: tuple = (10, 50, 100)
@@ -630,7 +535,6 @@ def _train_models_for_run(config: RunTableConfig, train_ds: LinkDataset,
             feature_dims=config.node_feature_dims,
             update_hidden=config.node_update_hidden,
             head_hidden=config.head_hidden,
-            head_input=config.head_input,
             seed=child_seed(run_seed, "model/node"),
         )
         models["node"], _ = train_link_model(

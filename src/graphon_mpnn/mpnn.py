@@ -121,6 +121,17 @@ class NetUpdate:
         return self.net.formal_bias()
 
 
+def update_rows(update, x, m, record: bool):
+    """One layer's update on the rows of ``x`` and ``m``, and with
+    ``record`` the update net's forward cache (else None)."""
+    if update.net is None:
+        return update(x, m), None
+    u = np.concatenate([x, m], axis=-1)
+    if record:
+        return update.net.forward_cache(u)
+    return update.net.forward(u), None
+
+
 @dataclass(frozen=True)
 class Mpnn:
     """T layers of (message, update) pairs plus the node aggregation mode.
@@ -199,19 +210,4 @@ def graphsage_mpnn(feature_dims, update_hidden=10, activation="tanh", seed=0,
         net = init_net([2 * f_in, update_hidden, f_out], activation,
                        seed=seed, tag=f"init/update{t}")
         layers.append((NeighborProjection(f_in), NetUpdate(net, trainable=trainable)))
-    return Mpnn(layers=tuple(layers), aggregation=aggregation)
-
-
-def random_net_mpnn(feature_dims, message_dims, hidden=6, activation="tanh",
-                    seed=0, aggregation=NEIGHBOR_AVERAGE) -> Mpnn:
-    """Network with random nets for both message and update (test fodder)."""
-    if len(message_dims) != len(feature_dims) - 1:
-        raise ValueError("need one message width per layer")
-    layers = []
-    for t in range(len(feature_dims) - 1):
-        f_in, f_out, h = feature_dims[t], feature_dims[t + 1], message_dims[t]
-        msg = init_net([2 * f_in, hidden, h], activation, seed=seed, tag=f"init/msg{t}")
-        upd = init_net([f_in + h, hidden, f_out], activation, seed=seed,
-                       tag=f"init/upd{t}")
-        layers.append((NetMessage(msg), NetUpdate(upd)))
     return Mpnn(layers=tuple(layers), aggregation=aggregation)

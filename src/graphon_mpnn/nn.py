@@ -7,7 +7,6 @@ Forward and backward operate on batched inputs of shape (..., width).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,37 +252,3 @@ def adam_step(params, grads, state: AdamState) -> list:
         v_hat = state.v[k] / (1 - state.beta2 ** t)
         out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
     return out
-
-
-# --- checkpointing --------------------------------------------------------------
-
-def save_net(net: FeedForwardNet, path) -> None:
-    """Text checkpoint: a header line of dims, then one float per line."""
-    with open(path, "w") as fh:
-        dims = " ".join(str(d) for d in net.dims)
-        fh.write(f"dims {dims} activation {net.activation} output {net.output_activation}\n")
-        for p in net.parameters():
-            for v in np.asarray(p).reshape(-1):
-                fh.write(f"{float(v)!r}\n")
-
-
-def load_net(path) -> FeedForwardNet:
-    with open(path) as fh:
-        header = fh.readline().split()
-        values = [float(line) for line in fh if line.strip()]
-    i_act = header.index("activation")
-    dims = [int(d) for d in header[1:i_act]]
-    activation = header[i_act + 1]
-    output_activation = header[header.index("output") + 1]
-    net = FeedForwardNet(dims, activation, output_activation)
-    flat = np.array(values)
-    offset = 0
-    params = []
-    for p in net.parameters():
-        size = p.size
-        params.append(flat[offset : offset + size].reshape(p.shape))
-        offset += size
-    if offset != flat.size:
-        raise ValueError(f"{path}: expected {offset} values, got {flat.size}")
-    net.set_parameters(params)
-    return net

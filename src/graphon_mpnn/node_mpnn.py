@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .mpnn import NEIGHBOR_AVERAGE, Mpnn
+from .mpnn import NEIGHBOR_AVERAGE, Mpnn, update_rows
 from .sbm import GraphStats, SampledGraph, SbmSpec, graphon_degree
 
 log = logging.getLogger(__name__)
@@ -57,8 +57,6 @@ def _resolve_node_init(graph: SampledGraph, stats: GraphStats, init) -> np.ndarr
     if isinstance(init, str):
         if init == "degree":
             return stats.degrees.reshape(-1, 1).copy()
-        if init == "block_signal":
-            return np.asarray(graph.node_features, dtype=float)
         raise ValueError(f"unknown init {init!r}")
     init = np.asarray(init, dtype=float)
     if init.ndim == 1:
@@ -85,6 +83,111 @@ def _message_sum(adjacency, features, message, row_weights):
     return out * row_weights[:, None]
 
 
+class NodeGraph:
+    """One graph as the node recursion reads it, and the recursion on it.
+
+    The start features and the row weights of each aggregation are
+    resolved once and shared by every pass. ``forward`` serves every
+    caller: the sweeps and stability runs (through ``gmpnn_node``),
+    scoring at queried pairs, and training by backprop through the tape it
+    records.
+    """
+
+    def __init__(self, graph: SampledGraph, stats: GraphStats, init=None):
+        self.n = graph.n
+        self.adjacency = graph.adjacency
+        self.degrees = stats.degrees
+        self.start = _resolve_node_init(graph, stats, init)
+        self._weights = {}  # aggregation -> row weights
+
+    def row_weights(self, aggregation: str) -> np.ndarray:
+        """1 / (n d_i) in mean mode, zero for isolated nodes (logged once);
+        1 / n in sum mode."""
+        if aggregation not in self._weights:
+            n = self.n
+            if aggregation == NEIGHBOR_AVERAGE:
+                isolated = self.degrees == 0.0
+                if isolated.any():
+                    log.info("mean aggregation: %d isolated nodes get zero messages",
+                             int(isolated.sum()))
+                weights = np.zeros(n)
+                weights[~isolated] = 1.0 / (n * self.degrees[~isolated])
+            else:
+                weights = np.full(n, 1.0 / n)
+            self._weights[aggregation] = weights
+        return self._weights[aggregation]
+
+    def forward(self, mpnn: Mpnn, pairs=None, record: bool = False):
+        """Run the discrete node recursion from the start features.
+
+        Returns ``(values, tape)``. Without ``pairs``, values is the dense
+        (n, F) feature matrix. With ``pairs`` (k x 2), values is the
+        endpoint concatenation [f_i, f_j], shape (k, 2F). With ``record``,
+        ``pairs`` is required and tape is the ``NodeTape`` to backpropagate
+        through; otherwise tape is None.
+        """
+        if record and (pairs is None or not all(
+                msg.is_neighbor_projection and upd.net is not None
+                for msg, upd in mpnn.layers)):
+            raise PreconditionError(
+                "backprop through the node recursion needs queried pairs, "
+                "neighbor-projection messages and net updates"
+            )
+        f = self.start
+        if f.shape[1] != mpnn.feature_dims[0]:
+            raise ValueError(
+                f"init width {f.shape[1]} != network input width {mpnn.feature_dims[0]}"
+            )
+        weights = self.row_weights(mpnn.aggregation)
+        caches = []
+        for message, update in mpnn.layers:
+            m = _message_sum(self.adjacency, f, message, weights)
+            f, cache = update_rows(update, f, m, record)
+            caches.append(cache)
+            if not np.all(np.isfinite(f)):
+                raise NumericalError("non-finite node features during message passing")
+        if pairs is None:
+            return f, None
+        pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+        values = np.concatenate([f[pairs[:, 0]], f[pairs[:, 1]]], axis=-1)
+        tape = NodeTape(self, mpnn, pairs, caches) if record else None
+        return values, tape
+
+
+@dataclass(frozen=True)
+class NodeTape:
+    """A recorded ``NodeGraph.forward`` at queried pairs."""
+
+    graph: NodeGraph
+    mpnn: Mpnn
+    pairs: np.ndarray
+    caches: list  # per layer: the update net's forward cache
+
+    def backward(self, d_values: np.ndarray) -> list:
+        """Parameter gradients of <d_values, values> for the recorded pass.
+
+        Returns one gradient list per layer, ordered like each update net's
+        ``parameters()``. The endpoint gradients are summed onto the nodes;
+        below layer t the node gradient is d_f + A (d_m w). Layer 0 takes no
+        input gradient, so the pass stops there.
+        """
+        ng, mpnn = self.graph, self.mpnn
+        widths = mpnn.feature_dims
+        width = widths[-1]
+        weights = ng.row_weights(mpnn.aggregation)
+        delta = np.zeros((ng.n, width))
+        np.add.at(delta, self.pairs[:, 0], d_values[:, :width])
+        np.add.at(delta, self.pairs[:, 1], d_values[:, width:])
+        grads = [None] * mpnn.depth
+        for t in range(mpnn.depth - 1, -1, -1):
+            grads[t], d_u = mpnn.layers[t][1].net.backward(self.caches[t], delta)
+            if t == 0:
+                break
+            d_f, d_m = d_u[:, :widths[t]], d_u[:, widths[t]:]
+            delta = d_f + ng.adjacency @ (d_m * weights[:, None])
+        return grads
+
+
 def gmpnn_node(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn,
                init=None) -> NodeEmbeddings:
     """Run the discrete node recursion on a sampled graph.
@@ -93,28 +196,8 @@ def gmpnn_node(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn,
     signal, "degree" for size-normalized degrees, or an explicit (n, F0)
     array. In mean mode, isolated nodes receive a zero message (logged).
     """
-    f = _resolve_node_init(graph, stats, init)
-    if f.shape[1] != mpnn.feature_dims[0]:
-        raise ValueError(
-            f"init width {f.shape[1]} != network input width {mpnn.feature_dims[0]}"
-        )
-    n = graph.n
-    if mpnn.aggregation == NEIGHBOR_AVERAGE:
-        isolated = stats.degrees == 0.0
-        if isolated.any():
-            log.info("mean aggregation: %d isolated nodes get zero messages",
-                     int(isolated.sum()))
-        weights = np.zeros(n)
-        weights[~isolated] = 1.0 / (n * stats.degrees[~isolated])
-    else:
-        weights = np.full(n, 1.0 / n)
-
-    for message, update in mpnn.layers:
-        m = _message_sum(graph.adjacency, f, message, weights)
-        f = update(f, m)
-        if not np.all(np.isfinite(f)):
-            raise NumericalError("non-finite node features during message passing")
-    return NodeEmbeddings(values=f, provenance="discrete")
+    values, _ = NodeGraph(graph, stats, init).forward(mpnn)
+    return NodeEmbeddings(values=values, provenance="discrete")
 
 
 def _block_messages(spec: SbmSpec, features: np.ndarray, message) -> np.ndarray:
@@ -181,12 +264,3 @@ def lift_block_embeddings(block_emb: BlockEmbeddings,
     return NodeEmbeddings(
         values=block_emb.values[graph.block_of], provenance="continuous_sampled"
     )
-
-
-def write_embeddings_csv(emb: NodeEmbeddings, path) -> None:
-    """One row per node, one column per feature."""
-    with open(path, "w") as fh:
-        width = emb.values.shape[1]
-        fh.write(",".join(f"f{k + 1}" for k in range(width)) + "\n")
-        for row in emb.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

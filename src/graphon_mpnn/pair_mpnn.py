@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .mpnn import Mpnn, NeighborProjection, RatioUpdate, NetUpdate
+from .mpnn import Mpnn, NeighborProjection, RatioUpdate, NetUpdate, update_rows
 from .nn import init_net
 from .sbm import (
     GraphStats,
@@ -114,15 +114,6 @@ def _general_pair_messages(adjacency, f, message, weights):
         term += np.einsum("z,jzh->jh", adjacency[i], other)
         m[i] = term * weights[i][:, None]
     return m
-
-
-def _update_rows(update, x, m, record: bool):
-    if update.net is None:
-        return update(x, m), None
-    u = np.concatenate([x, m], axis=-1)
-    if record:
-        return update.net.forward_cache(u)
-    return update.net.forward(u), None
 
 
 def _require_size(n: int, mpnn: Mpnn, n_max: int | None) -> None:
@@ -286,7 +277,7 @@ class PairGraph:
             if pairs is not None and t == last:
                 x = f[pairs[:, 0], pairs[:, 1]]
                 m = self.queried_messages(f, message, pairs, first)
-                out, cache = _update_rows(update, x, m, record)
+                out, cache = update_rows(update, x, m, record)
                 caches.append(cache)
                 _require_finite(out)
                 tape = PairTape(self, mpnn, pairs, caches) if record else None
@@ -300,7 +291,7 @@ class PairGraph:
                 else:
                     m = self.dense_messages(f, message, first)
                     x, m = f[self.upper], m[self.upper]
-                out, cache = _update_rows(update, x, m, record)
+                out, cache = update_rows(update, x, m, record)
                 caches.append(cache)
                 f = self.mirror(out)
             _require_finite(f)
@@ -409,14 +400,3 @@ def lift_block_pair(block_pair: BlockPairEmbeddings,
     return PairEmbeddings(
         values=block_pair.values[np.ix_(bo, bo)], provenance="continuous_sampled"
     )
-
-
-def write_pair_embeddings_csv(emb: PairEmbeddings, path) -> None:
-    """Upper triangle only: one row `i,j,f_1..f_F` per pair with i < j."""
-    n, _, width = emb.values.shape
-    with open(path, "w") as fh:
-        fh.write("i,j," + ",".join(f"f{k + 1}" for k in range(width)) + "\n")
-        for i in range(n):
-            for j in range(i + 1, n):
-                cells = ",".join(repr(float(v)) for v in emb.values[i, j])
-                fh.write(f"{i},{j},{cells}\n")

@@ -186,6 +186,25 @@ class TestStability:
         assert seen == [2, 1]
 
 
+class TestTable:
+    def test_unknown_method_or_scenario_is_a_config_error(self, tmp_path, model_file):
+        # rejected while parsing, before any model trains
+        for key, names, bad in (("methods", "oracle, pair_fixd", "pair_fixd"),
+                                ("scenarios", "transductive, inductiv_ood",
+                                 "inductiv_ood")):
+            cfg = tmp_path / f"{key}.cfg"
+            out = tmp_path / key
+            cfg.write_text(
+                f"[sbm]\nspec = {model_file}\n[table]\nn_train = 150\n"
+                f"n_test_ood = 300\nruns = 1\nseed = 0\nk_list = 1\n"
+                f"epochs_head = 2\n{key} = {names}\n[output]\ndir = {out}\n"
+            )
+            proc = run_cli("table", str(cfg))
+            assert proc.returncode == 2, proc.stderr
+            assert "config error" in proc.stderr and bad in proc.stderr
+            assert not out.exists()
+
+
 class TestInlineModel:
     def test_inline_sbm_section(self, tmp_path):
         cfg = tmp_path / "sample.cfg"

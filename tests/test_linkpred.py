@@ -14,10 +14,13 @@ from graphon_mpnn import (
 )
 from graphon_mpnn.linkpred import (
     LinkDataset,
-    _Backbone,
+    _backbone_graph,
     _loss_and_grads,
+    build_training_split,
     model_scores,
+    sample_across_block_nonedges,
 )
+from graphon_mpnn.rng import child_seed, stream
 from graphon_mpnn.sbm import graph_stats
 
 from oracles import finite_difference_gradients, max_relative_error
@@ -151,21 +154,20 @@ class TestBuildScenario:
 
 
 class TestEndToEndGradients:
-    @pytest.mark.parametrize("head_input", ["concat", "inner_product"])
-    def test_node_backbone_gradients(self, linkpred_spec, head_input):
+    def test_node_backbone_gradients(self, linkpred_spec):
         ds = tiny_dataset(linkpred_spec, 14, seed=0)
         model = node_link_model(feature_dims=(3, 2), update_hidden=4,
-                                head_hidden=(4,), head_input=head_input, seed=1)
-        backbone = _Backbone(model, ds.observed, graph_stats(ds.observed))
+                                head_hidden=(4,), seed=1)
+        backbone = _backbone_graph(model, ds.observed, graph_stats(ds.observed))
         pairs = np.concatenate([ds.positives["train"], ds.negatives["train"]])
         labels = np.concatenate([np.ones(6), np.zeros(6)])
-        _, grads, _ = _loss_and_grads(backbone, pairs, labels)
+        _, grads, _ = _loss_and_grads(model, backbone, pairs, labels)
         params = []
         for net in model.trainable_nets():
             params.extend(net.parameters())
 
         def loss():
-            l, _, _ = _loss_and_grads(backbone, pairs, labels)
+            l, _, _ = _loss_and_grads(model, backbone, pairs, labels)
             return l
 
         numeric = finite_difference_gradients(loss, params)
@@ -176,14 +178,14 @@ class TestEndToEndGradients:
         ds = tiny_dataset(linkpred_spec, 12, seed=3)
         model = pair_link_model(T=T, learn_update=True, update_hidden=3,
                                 head_hidden=(4,), seed=2)
-        backbone = _Backbone(model, ds.observed, graph_stats(ds.observed))
+        backbone = _backbone_graph(model, ds.observed, graph_stats(ds.observed))
         pairs = np.concatenate([ds.positives["train"], ds.negatives["train"]])
         labels = np.concatenate([np.ones(6), np.zeros(6)])
-        _, grads, _ = _loss_and_grads(backbone, pairs, labels)
+        _, grads, _ = _loss_and_grads(model, backbone, pairs, labels)
         params = [p for net in model.trainable_nets() for p in net.parameters()]
 
         def loss():
-            l, _, _ = _loss_and_grads(backbone, pairs, labels)
+            l, _, _ = _loss_and_grads(model, backbone, pairs, labels)
             return l
 
         numeric = finite_difference_gradients(loss, params)
@@ -193,16 +195,16 @@ class TestEndToEndGradients:
         ds = tiny_dataset(linkpred_spec, 12, seed=3)
         model = pair_link_model(T=2, learn_update=True, update_hidden=3,
                                 head_hidden=(4,), seed=2)
-        backbone = _Backbone(model, ds.observed, graph_stats(ds.observed))
+        backbone = _backbone_graph(model, ds.observed, graph_stats(ds.observed))
         pairs = np.concatenate([ds.positives["train"], ds.negatives["train"]])
         labels = np.concatenate([np.ones(6), np.zeros(6)])
-        _, grads, _ = _loss_and_grads(backbone, pairs, labels)
+        _, grads, _ = _loss_and_grads(model, backbone, pairs, labels)
         params = []
         for net in model.trainable_nets():
             params.extend(net.parameters())
 
         def loss():
-            l, _, _ = _loss_and_grads(backbone, pairs, labels)
+            l, _, _ = _loss_and_grads(model, backbone, pairs, labels)
             return l
 
         numeric = finite_difference_gradients(loss, params)
@@ -253,6 +255,33 @@ class TestTraining:
         model = pair_link_model(T=2, learn_update=False, seed=4)
         _, log = train_link_model(model, train_ds, epochs=30, lr=1e-3)
         assert all(b <= a + 1e-12 for a, b in zip(log.losses, log.losses[1:]))
+
+    def test_node_backbone_learns_non_matched_blocks(self, linkpred_spec):
+        # Across the matched blocks 0 and 2 node embeddings cannot tell an
+        # edge from a non-edge as n grows; across blocks 0 and 1 the
+        # expected degrees differ, so a working trainer must separate them.
+        # Same split and model as run 0 of a table; only the negatives move.
+        seed = child_seed(0, "run/0")
+        train_ds, test_ds = build_training_split(linkpred_spec, 500, seed)
+        # negatives are non-edges of the graph before its edges were hidden
+        full = sample_graph(linkpred_spec, 500, child_seed(seed, "train-graph"))
+        n_tr, n_val = len(train_ds.positives["train"]), len(train_ds.positives["val"])
+        pos_test = test_ds.positives["test"]
+        negs = sample_across_block_nonedges(full, [(0, 1)],
+                                            n_tr + n_val + len(pos_test),
+                                            stream(seed, "negatives"))
+        ds = LinkDataset(
+            observed=train_ds.observed,
+            positives=train_ds.positives,
+            negatives={"train": negs[:n_tr], "val": negs[n_tr : n_tr + n_val]},
+            scenario="transductive",
+        )
+        model = node_link_model(seed=child_seed(seed, "model/node"))
+        trained, log = train_link_model(model, ds, epochs=150, lr=1e-3)
+        scores_pos = model_scores(trained, ds.observed, pos_test)
+        scores_neg = model_scores(trained, ds.observed, negs[n_tr + n_val :])
+        assert evaluate(scores_pos, scores_neg, k_list=(10,))["auc"] >= 0.9
+        assert log.best_val_accuracy >= 0.9
 
     def test_divergence_aborts(self, linkpred_spec):
         from graphon_mpnn import NumericalError

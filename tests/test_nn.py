@@ -8,8 +8,6 @@ from graphon_mpnn.nn import (
     adam_step,
     init_net,
     lipschitz_upper_bound,
-    load_net,
-    save_net,
 )
 
 from oracles import finite_difference_gradients, max_relative_error
@@ -198,16 +196,3 @@ class TestAdam:
         for _ in range(500):
             w = adam_step(w, [2.0 * w[0]], state)
         assert float(np.sum(w[0] ** 2)) < 1e-6
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        net = init_net([3, 4, 2], "relu", seed=1, output_activation="sigmoid")
-        path = tmp_path / "net.txt"
-        save_net(net, path)
-        loaded = load_net(path)
-        assert loaded.dims == net.dims
-        assert loaded.activation == net.activation
-        assert loaded.output_activation == net.output_activation
-        x = np.random.default_rng(0).normal(size=(5, 3))
-        np.testing.assert_array_equal(net.forward(x), loaded.forward(x))

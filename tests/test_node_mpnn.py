@@ -16,13 +16,14 @@ from graphon_mpnn import (
 from graphon_mpnn.mpnn import (
     Mpnn,
     NeighborProjection,
+    NetMessage,
     NetUpdate,
     graphsage_mpnn,
-    random_net_mpnn,
 )
 from graphon_mpnn.nn import init_net
+from graphon_mpnn.node_mpnn import NodeGraph
 
-from oracles import node_mpnn_oracle
+from oracles import finite_difference_gradients, max_relative_error, node_mpnn_oracle
 
 
 class TakeMessage:
@@ -44,6 +45,19 @@ class TakeMessage:
 
     def formal_bias(self):
         return 0.0
+
+
+def random_net_mpnn(feature_dims, message_dims, hidden=6, seed=0,
+                    aggregation="neighbor_average") -> Mpnn:
+    """Random tanh nets for both message and update."""
+    layers = []
+    for t in range(len(feature_dims) - 1):
+        f_in, f_out, h = feature_dims[t], feature_dims[t + 1], message_dims[t]
+        msg = init_net([2 * f_in, hidden, h], "tanh", seed=seed, tag=f"init/msg{t}")
+        upd = init_net([f_in + h, hidden, f_out], "tanh", seed=seed,
+                       tag=f"init/upd{t}")
+        layers.append((NetMessage(msg), NetUpdate(upd)))
+    return Mpnn(layers=tuple(layers), aggregation=aggregation)
 
 
 def averaging_mpnn(width=1, layers=1, aggregation="neighbor_average"):
@@ -150,7 +164,7 @@ class TestDiscrete:
         adj[:, 3] = 0.0
         g = g.with_adjacency(adj)
         stats = graph_stats(g)
-        out = gmpnn_node(g, stats, averaging_mpnn(), init="block_signal")
+        out = gmpnn_node(g, stats, averaging_mpnn(), init=None)
         assert out.values[3, 0] == 0.0
         assert np.all(np.isfinite(out.values))
 
@@ -160,6 +174,62 @@ class TestDiscrete:
         mpnn = graphsage_mpnn([2, 4], seed=0)
         with pytest.raises(ValueError):
             gmpnn_node(g, stats, mpnn, init="degree")
+
+
+def queried_pairs(n, count, seed):
+    """Random pairs in both orders, plus a diagonal pair and a repeat."""
+    pairs = np.random.default_rng(seed).integers(0, n, size=(count, 2))
+    return np.concatenate([pairs, [[3, 3], pairs[0]]])
+
+
+class TestNodeEngine:
+    @pytest.mark.parametrize("aggregation", ["neighbor_average", "n_normalized_sum"])
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_queried_pairs_equal_dense_gather(self, convergence_spec, T, aggregation):
+        g = sample_graph(convergence_spec, 80, seed=4)
+        stats = graph_stats(g)
+        mpnn = graphsage_mpnn([1] + [3] * T, seed=T, aggregation=aggregation)
+        dense = gmpnn_node(g, stats, mpnn, init="degree").values
+        pairs = queried_pairs(80, 50, seed=T)
+        ng = NodeGraph(g, stats, init="degree")
+        queried, tape = ng.forward(mpnn, pairs)
+        assert tape is None
+        expected = np.concatenate([dense[pairs[:, 0]], dense[pairs[:, 1]]], axis=-1)
+        np.testing.assert_array_equal(queried, expected)
+        recorded, tape = ng.forward(mpnn, pairs, record=True)
+        assert tape is not None
+        np.testing.assert_array_equal(recorded, expected)
+
+    @pytest.mark.parametrize("aggregation", ["neighbor_average", "n_normalized_sum"])
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_tape_gradients_match_finite_differences(self, convergence_spec, T,
+                                                     aggregation):
+        g = sample_graph(convergence_spec, 14, seed=2)
+        ng = NodeGraph(g, graph_stats(g), init="degree")
+        mpnn = graphsage_mpnn([1] + [2] * T, update_hidden=3, seed=T,
+                              aggregation=aggregation)
+        pairs = queried_pairs(14, 10, seed=0)
+        d_out = np.random.default_rng(1).normal(size=(len(pairs), 4))
+        _, tape = ng.forward(mpnn, pairs, record=True)
+        analytic = [g for layer in tape.backward(d_out) for g in layer]
+        params = [p for net in mpnn.trainable_nets() for p in net.parameters()]
+
+        def loss():
+            values, _ = ng.forward(mpnn, pairs)
+            return float(np.sum(values * d_out))
+
+        numeric = finite_difference_gradients(loss, params)
+        assert max_relative_error(analytic, numeric) < 1e-6
+
+    def test_record_needs_pairs_and_update_nets(self, convergence_spec):
+        g = sample_graph(convergence_spec, 20, seed=0)
+        ng = NodeGraph(g, graph_stats(g))
+        with pytest.raises(PreconditionError):
+            ng.forward(graphsage_mpnn([1, 2]), record=True)
+        with pytest.raises(PreconditionError):
+            ng.forward(averaging_mpnn(), np.array([[0, 1]]), record=True)
+        with pytest.raises(PreconditionError):
+            ng.forward(random_net_mpnn([1, 2], [2]), np.array([[0, 1]]), record=True)
 
 
 class TestContinuous:

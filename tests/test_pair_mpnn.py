@@ -217,33 +217,3 @@ class TestLift:
         )
         lifted = lift_block_pair(block, gp).values
         np.testing.assert_array_equal(lifted, base[np.ix_(perm, perm)])
-
-
-class TestDumps:
-    def test_upper_triangle_csv(self, tmp_path, convergence_spec):
-        from graphon_mpnn.pair_mpnn import write_pair_embeddings_csv
-
-        g = sample_graph(convergence_spec, 5, seed=0)
-        emb = gmpnn_pair(g, graph_stats(g), fixed_psi_mpnn(1))
-        path = tmp_path / "pairs.csv"
-        write_pair_embeddings_csv(emb, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "i,j,f1"
-        assert len(lines) == 1 + 5 * 4 // 2
-        i, j, v = lines[1].split(",")
-        assert (int(i), int(j)) == (0, 1)
-        assert float(v) == emb.values[0, 1, 0]
-
-    def test_node_csv(self, tmp_path, convergence_spec):
-        from graphon_mpnn.node_mpnn import write_embeddings_csv
-        from graphon_mpnn import gmpnn_node
-        from graphon_mpnn.mpnn import graphsage_mpnn
-
-        g = sample_graph(convergence_spec, 6, seed=0)
-        emb = gmpnn_node(g, graph_stats(g), graphsage_mpnn([1, 3], seed=0),
-                         init="degree")
-        path = tmp_path / "nodes.csv"
-        write_embeddings_csv(emb, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "f1,f2,f3"
-        assert len(lines) == 7
