@@ -29,21 +29,8 @@ from .linkpred import (
 )
 from .mpnn import Mpnn, NeighborProjection, NetMessage, NetUpdate, RatioUpdate, graphsage_mpnn
 from .nn import AdamState, FeedForwardNet, adam_step, init_net, lipschitz_upper_bound
-from .node_mpnn import (
-    BlockEmbeddings,
-    NodeEmbeddings,
-    cmpnn_node_sbm,
-    gmpnn_node,
-    lift_block_embeddings,
-)
-from .pair_mpnn import (
-    BlockPairEmbeddings,
-    PairEmbeddings,
-    cmpnn_pair_sbm,
-    fixed_psi_mpnn,
-    gmpnn_pair,
-    lift_block_pair,
-)
+from .node_mpnn import cmpnn_node_sbm, gmpnn_node
+from .pair_mpnn import cmpnn_pair_sbm, fixed_psi_mpnn, gmpnn_pair
 from .sbm import (
     GraphStats,
     SampledGraph,

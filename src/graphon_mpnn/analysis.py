@@ -2,8 +2,9 @@
 constants that upper-bound the discrete-to-continuous gap.
 
 The gap delta is the maximum (over nodes, or node pairs) sup-norm
-difference between discrete embeddings and the lifted continuous ones. Its
-high-probability upper bound has the form
+difference between discrete embeddings and the continuous block values at
+each node's block (or each pair's two blocks). Its high-probability upper
+bound has the form
 
     node:  (C1 + C2 ||f||) sqrt(log(2 n   / p)) / sqrt(n)
     pair:  (C3 + C4 ||f||) sqrt(log(2 n^2 / p)) / sqrt(n)
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .mpnn import NEIGHBOR_AVERAGE, N_NORMALIZED_SUM, Mpnn
-from .node_mpnn import NodeEmbeddings, cmpnn_node_sbm, gmpnn_node, lift_block_embeddings
-from .pair_mpnn import PairEmbeddings, cmpnn_pair_sbm, gmpnn_pair, lift_block_pair
+from .node_mpnn import cmpnn_node_sbm, gmpnn_node
+from .pair_mpnn import cmpnn_pair_sbm, gmpnn_pair
 from .rng import stream
 from .sbm import SampledGraph, SbmSpec, graph_stats, graphon_degree, graphon_common_neighbors, sample_graph
 from .util import parallel_map
@@ -32,35 +33,58 @@ log = logging.getLogger(__name__)
 
 SWEEP_MODES = ("node_mean", "node_sum", "pair_fixed", "pair_net")
 
+#: ``delta_pair`` gathers row strips of about this many entries (8 MiB).
+_STRIP_ENTRIES = 1 << 20
+
 
 # --- gap metrics ------------------------------------------------------------
 
-def delta_node(discrete: NodeEmbeddings, continuous: NodeEmbeddings) -> float:
-    """Max over nodes of the sup-norm row difference."""
-    a, b = discrete.values, continuous.values
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b)))
+def delta_node(values: np.ndarray, block_values: np.ndarray,
+               block_of: np.ndarray) -> float:
+    """Max over nodes i of the sup-norm gap between row i of ``values``
+    (n x F) and the row of ``block_values`` (r x F) at i's block."""
+    if values.shape != (len(block_of),) + block_values.shape[1:]:
+        raise ValueError(f"shape mismatch: {values.shape} vs {len(block_of)} "
+                         f"nodes of block values {block_values.shape}")
+    _require_blocks(block_values, block_of)
+    return float(np.max(np.abs(values - block_values[block_of])))
 
 
-def delta_pair(discrete: PairEmbeddings, continuous: PairEmbeddings,
-               include_diagonal: bool = False) -> float:
-    """Max over node pairs of the sup-norm entry difference.
+def delta_pair(values: np.ndarray, block_values: np.ndarray,
+               block_of: np.ndarray) -> float:
+    """Max over node pairs i != j of the sup-norm gap between ``values``
+    (n x n x F) at (i, j) and ``block_values`` (r x r x F) at their blocks.
 
-    The diagonal (i, i) is excluded by default: the empirical
-    common-neighbor count of a node with itself estimates its degree, not
-    the squared-kernel integral, so the diagonal gap does not shrink with n
-    and is not covered by the pairwise concentration argument.
+    The diagonal (i, i) is excluded: the empirical common-neighbor count of
+    a node with itself estimates its degree, not the squared-kernel
+    integral, so the diagonal gap does not shrink with n and is not covered
+    by the pairwise concentration argument.
+
+    The gaps are taken in row strips, so no n x n temporary is built. A
+    strip's diagonal entries are zeroed, which cannot raise a maximum of
+    non-negative gaps.
     """
-    a, b = discrete.values, continuous.values
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    gaps = np.abs(a - b)
-    if not include_diagonal:
-        n = gaps.shape[0]
-        mask = ~np.eye(n, dtype=bool)
-        return float(np.max(gaps[mask]))
-    return float(np.max(gaps))
+    n = len(block_of)
+    if values.shape != (n, n) + block_values.shape[2:]:
+        raise ValueError(f"shape mismatch: {values.shape} vs {n} nodes of "
+                         f"block values {block_values.shape}")
+    _require_blocks(block_values, block_of)
+    rows = max(1, _STRIP_ENTRIES // values[0].size)
+    maxima = []
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        gaps = block_values[np.ix_(block_of[lo:hi], block_of)]
+        np.subtract(values[lo:hi], gaps, out=gaps)
+        np.abs(gaps, out=gaps)
+        diagonal = np.arange(lo, hi)
+        gaps[diagonal - lo, diagonal] = 0.0
+        maxima.append(gaps.max())
+    return float(np.max(maxima))
+
+
+def _require_blocks(block_values: np.ndarray, block_of: np.ndarray) -> None:
+    if block_values.shape[0] <= block_of.max():
+        raise ValueError("block count does not cover the graph's blocks")
 
 
 # --- convergence sweep --------------------------------------------------------
@@ -83,12 +107,12 @@ def _sweep_one(args):
         net = mpnn.with_aggregation(agg)
         discrete = gmpnn_node(graph, stats, net, init="degree")
         block = cmpnn_node_sbm(spec, net, init="degree")
-        delta = delta_node(discrete, lift_block_embeddings(block, graph))
+        delta = delta_node(discrete, block, graph.block_of)
         f_inf = float(np.max(np.abs(graphon_degree(spec))))
     else:
         discrete = gmpnn_pair(graph, stats, mpnn)
         block = cmpnn_pair_sbm(spec, mpnn)
-        delta = delta_pair(discrete, lift_block_pair(block, graph))
+        delta = delta_pair(discrete, block, graph.block_of)
         f_inf = 1.0
     bound = None
     if mode != "pair_fixed":
@@ -341,9 +365,10 @@ def _sample_gaps(emb_values, pool, budget, rng):
     return np.max(np.abs(emb_values[i] - emb_values[j]), axis=1)
 
 
-def iso_gap_stats(node_emb: NodeEmbeddings, graph: SampledGraph, iso_pairs,
+def iso_gap_stats(values: np.ndarray, graph: SampledGraph, iso_pairs,
                   sample_budget: int = 2000, seed: int = 0) -> IsoGapStats:
-    """Sample per-pair embedding gaps within and outside matched-block pairs.
+    """Sample per-pair gaps of the (n, F) node features ``values`` within
+    and outside matched-block pairs.
 
     "iso" pairs take one endpoint from each block of a matched pair;
     "non-iso" pairs span two distinct blocks that are not matched. When the
@@ -356,6 +381,6 @@ def iso_gap_stats(node_emb: NodeEmbeddings, graph: SampledGraph, iso_pairs,
     if not non_iso_pool:
         raise PreconditionError("the model has no unmatched block pair")
     rng = stream(seed, "iso-gaps")
-    gaps_iso = _sample_gaps(node_emb.values, iso_pool, sample_budget, rng)
-    gaps_non_iso = _sample_gaps(node_emb.values, non_iso_pool, sample_budget, rng)
+    gaps_iso = _sample_gaps(values, iso_pool, sample_budget, rng)
+    gaps_non_iso = _sample_gaps(values, non_iso_pool, sample_budget, rng)
     return IsoGapStats(gaps_iso=gaps_iso, gaps_non_iso=gaps_non_iso)

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -101,8 +102,8 @@ def _stability_point(task):
     while this runs, so a serial sweep holds one graph at a time."""
     spec, mpnn, iso, n, seed, sample_budget = task
     graph = sample_graph(spec, n, seed)
-    emb = gmpnn_node(graph, graph_stats(graph), mpnn, init="degree")
-    return analysis.iso_gap_stats(emb, graph, iso, sample_budget=sample_budget,
+    values = gmpnn_node(graph, graph_stats(graph), mpnn, init="degree")
+    return analysis.iso_gap_stats(values, graph, iso, sample_budget=sample_budget,
                                   seed=seed)
 
 
@@ -140,32 +141,18 @@ def cmd_stability(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cfg, text = parse_table_config(args.config)
-    jobs = args.jobs if args.jobs else cfg.jobs
-    run_cfg = linkpred.RunTableConfig(
-        spec=cfg.spec,
-        n_train=cfg.n_train,
-        n_test_ood=cfg.n_test_ood,
-        runs=cfg.runs,
-        seed=cfg.seed,
-        methods=cfg.methods,
-        scenarios=cfg.scenarios,
-        epochs_head=cfg.epochs_head,
-        epochs_end_to_end=cfg.epochs_end_to_end,
-        lr=cfg.lr,
-        pair_layers=cfg.pair_layers,
-        k_list=cfg.k_list,
-        jobs=jobs,
-    )
-    report = linkpred.run_table(run_cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_csv(os.path.join(cfg.out_dir, "table.csv"),
+    cfg, out_dir, text = parse_table_config(args.config)
+    if args.jobs:
+        cfg = dataclasses.replace(cfg, jobs=args.jobs)
+    report = linkpred.run_table(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    write_csv(os.path.join(out_dir, "table.csv"),
               ["scenario", "method", "metric", "mean", "std", "runs"],
               report.csv_rows())
     table_text = report.format_table()
-    with open(os.path.join(cfg.out_dir, "table.txt"), "w") as fh:
+    with open(os.path.join(out_dir, "table.txt"), "w") as fh:
         fh.write(table_text + "\n")
-    write_manifest(cfg.out_dir, text, {"subcommand": "table"})
+    write_manifest(out_dir, text, {"subcommand": "table"})
     print(table_text)
     return 0
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .linkpred import METHODS, SCENARIOS
+from .linkpred import METHODS, SCENARIOS, RunTableConfig
 from .sbm import SbmSpec, read_spec_file
 
 
@@ -86,6 +86,14 @@ def _require(section, key, subcommand):
     return section[key]
 
 
+def _at_least(low, key, values):
+    """``values`` (an int or a tuple of ints), each checked to be >= ``low``."""
+    for v in values if isinstance(values, tuple) else (values,):
+        if v < low:
+            raise ConfigError(f"{key} must be >= {low}, got {v}")
+    return values
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     spec: SbmSpec
@@ -123,24 +131,6 @@ class StabilityConfig:
     jobs: int = 1
 
 
-@dataclass(frozen=True)
-class TableConfigFile:
-    spec: SbmSpec
-    out_dir: str
-    n_train: int
-    n_test_ood: int
-    runs: int
-    seed: int
-    methods: tuple
-    scenarios: tuple
-    epochs_head: int = 200
-    epochs_end_to_end: int = 200
-    lr: float = 1e-3
-    pair_layers: int = 2
-    k_list: tuple = (10, 50, 100)
-    jobs: int = 1
-
-
 def parse_sample_config(path) -> tuple:
     text = _read_config_text(path)
     parser = _parser(text)
@@ -150,7 +140,7 @@ def parse_sample_config(path) -> tuple:
     cfg = SampleConfig(
         spec=spec,
         n=int(_require(sec, "n", "sample")),
-        seed=int(_require(sec, "seed", "sample")),
+        seed=_at_least(0, "[sample] seed", int(_require(sec, "seed", "sample"))),
         out_dir=_resolve_out(parser, base),
     )
     return cfg, text
@@ -169,7 +159,8 @@ def parse_converge_config(path) -> tuple:
         spec=spec,
         mode=mode,
         n_list=tuple(_ints(_require(sec, "n_list", "converge"))),
-        seeds=tuple(_ints(_require(sec, "seeds", "converge"))),
+        seeds=_at_least(0, "[converge] seeds",
+                        tuple(_ints(_require(sec, "seeds", "converge")))),
         layers=sec.getint("layers", 2),
         feature_dim=sec.getint("feature_dim", 8),
         update_hidden=sec.getint("update_hidden", 10),
@@ -192,12 +183,14 @@ def parse_stability_config(path) -> tuple:
     cfg = StabilityConfig(
         spec=spec,
         n_list=tuple(_ints(_require(sec, "n_list", "stability"))),
-        seeds=tuple(_ints(_require(sec, "seeds", "stability"))),
+        seeds=_at_least(0, "[stability] seeds",
+                        tuple(_ints(_require(sec, "seeds", "stability")))),
         layers=sec.getint("layers", 2),
         feature_dim=sec.getint("feature_dim", 8),
         update_hidden=sec.getint("update_hidden", 10),
         net_seed=sec.getint("net_seed", 0),
-        sample_budget=sec.getint("sample_budget", 2000),
+        sample_budget=_at_least(1, "[stability] sample_budget",
+                                sec.getint("sample_budget", 2000)),
         jobs=sec.getint("jobs", 1),
         out_dir=_resolve_out(parser, base),
     )
@@ -205,6 +198,7 @@ def parse_stability_config(path) -> tuple:
 
 
 def parse_table_config(path) -> tuple:
+    """(run config, output directory, config text) of a table config."""
     text = _read_config_text(path)
     parser = _parser(text)
     base = os.path.dirname(os.path.abspath(path))
@@ -212,25 +206,23 @@ def parse_table_config(path) -> tuple:
     if not parser.has_section("table"):
         raise ConfigError("config needs a [table] section")
     sec = parser["table"]
-    methods = _names(sec, "methods", METHODS)
-    scenarios = _names(sec, "scenarios", SCENARIOS)
-    cfg = TableConfigFile(
+    cfg = RunTableConfig(
         spec=spec,
         n_train=int(_require(sec, "n_train", "table")),
         n_test_ood=int(_require(sec, "n_test_ood", "table")),
-        runs=int(_require(sec, "runs", "table")),
+        runs=_at_least(1, "[table] runs", int(_require(sec, "runs", "table"))),
         seed=int(_require(sec, "seed", "table")),
-        methods=methods,
-        scenarios=scenarios,
+        methods=_names(sec, "methods", METHODS),
+        scenarios=_names(sec, "scenarios", SCENARIOS),
         epochs_head=sec.getint("epochs_head", 200),
         epochs_end_to_end=sec.getint("epochs_end_to_end", 200),
         lr=sec.getfloat("lr", 1e-3),
         pair_layers=sec.getint("pair_layers", 2),
-        k_list=tuple(_ints(sec.get("k_list", "10, 50, 100"))),
+        k_list=_at_least(1, "[table] k_list",
+                         tuple(_ints(sec.get("k_list", "10, 50, 100")))),
         jobs=sec.getint("jobs", 1),
-        out_dir=_resolve_out(parser, base),
     )
-    return cfg, text
+    return cfg, _resolve_out(parser, base), text
 
 
 def _resolve_out(parser, base) -> str:

@@ -346,7 +346,7 @@ def _scatter_params(nets, params):
 
 
 def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
-                     lr: float = 1e-3, seed: int = 0, stats=None) -> tuple:
+                     lr: float = 1e-3, stats=None) -> tuple:
     """Full-batch Adam on cross-entropy; returns (best model, train log).
 
     Validation accuracy at the model threshold is evaluated after every
@@ -424,12 +424,13 @@ def evaluate(scores_pos, scores_neg, tau: float = 0.5,
              k_list=(10, 50, 100)) -> dict:
     """Ranking and threshold metrics for one scored test split.
 
-    hits@K counts positives strictly above the K-th largest negative score
-    (ties count as failure). auc is the Mann-Whitney statistic: the fraction
-    of (positive, negative) pairs in which the positive scores higher, with
-    ties counted as half; it reads 0.5 for a random ranking. mcc and
-    balanced accuracy come from the confusion matrix of "predict a link iff
-    score > tau"; mcc is 0 when its denominator vanishes.
+    hits@K (K >= 1) counts positives strictly above the K-th largest
+    negative score (ties count as failure). auc is the Mann-Whitney
+    statistic: the fraction of (positive, negative) pairs in which the
+    positive scores higher, with ties counted as half; it reads 0.5 for a
+    random ranking. mcc and balanced accuracy come from the confusion
+    matrix of "predict a link iff score > tau"; mcc is 0 when its
+    denominator vanishes.
     """
     scores_pos = np.asarray(scores_pos, dtype=float)
     scores_neg = np.asarray(scores_neg, dtype=float)
@@ -438,6 +439,8 @@ def evaluate(scores_pos, scores_neg, tau: float = 0.5,
     metrics = {}
     neg_sorted = np.sort(scores_neg)[::-1]
     for k in k_list:
+        if k < 1:
+            raise PreconditionError(f"hits@{k} needs K >= 1")
         if k > scores_neg.size:
             raise PreconditionError(f"hits@{k} needs at least {k} negatives")
         metrics[f"hits@{k}"] = float(np.mean(scores_pos > neg_sorted[k - 1]))
@@ -471,11 +474,7 @@ class RunTableConfig:
     epochs_head: int = 200
     epochs_end_to_end: int = 200
     lr: float = 1e-3
-    node_feature_dims: tuple = (8, 8)
-    node_update_hidden: int = 10
-    head_hidden: tuple = (10, 10, 10)
     pair_layers: int = 2
-    pair_update_hidden: int = 5
     k_list: tuple = (10, 50, 100)
     jobs: int = 1
 
@@ -531,12 +530,7 @@ def _train_models_for_run(config: RunTableConfig, train_ds: LinkDataset,
                           run_seed: int, stats) -> dict:
     models = {}
     if "node" in config.methods:
-        model = node_link_model(
-            feature_dims=config.node_feature_dims,
-            update_hidden=config.node_update_hidden,
-            head_hidden=config.head_hidden,
-            seed=child_seed(run_seed, "model/node"),
-        )
+        model = node_link_model(seed=child_seed(run_seed, "model/node"))
         models["node"], _ = train_link_model(
             model, train_ds, epochs=config.epochs_end_to_end, lr=config.lr,
             stats=stats,
@@ -544,7 +538,6 @@ def _train_models_for_run(config: RunTableConfig, train_ds: LinkDataset,
     if "pair_fixed" in config.methods:
         model = pair_link_model(
             T=config.pair_layers, learn_update=False,
-            head_hidden=config.head_hidden,
             seed=child_seed(run_seed, "model/pair-fixed"),
         )
         models["pair_fixed"], _ = train_link_model(
@@ -553,8 +546,6 @@ def _train_models_for_run(config: RunTableConfig, train_ds: LinkDataset,
     if "pair_learn" in config.methods:
         model = pair_link_model(
             T=config.pair_layers, learn_update=True,
-            update_hidden=config.pair_update_hidden,
-            head_hidden=config.head_hidden,
             seed=child_seed(run_seed, "model/pair-learn"),
         )
         models["pair_learn"], _ = train_link_model(

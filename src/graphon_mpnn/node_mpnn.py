@@ -28,29 +28,6 @@ log = logging.getLogger(__name__)
 _CHUNK_ROWS = 128
 
 
-@dataclass(frozen=True)
-class NodeEmbeddings:
-    """n x F matrix of per-node features with a provenance tag."""
-
-    values: np.ndarray
-    provenance: str  # "discrete" | "continuous_sampled"
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class BlockEmbeddings:
-    """r x F matrix of per-block continuous features."""
-
-    values: np.ndarray
-
-    @property
-    def r(self) -> int:
-        return self.values.shape[0]
-
-
 def _resolve_node_init(graph: SampledGraph, stats: GraphStats, init) -> np.ndarray:
     if init is None:
         return np.asarray(graph.node_features, dtype=float)
@@ -189,15 +166,15 @@ class NodeTape:
 
 
 def gmpnn_node(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn,
-               init=None) -> NodeEmbeddings:
-    """Run the discrete node recursion on a sampled graph.
+               init=None) -> np.ndarray:
+    """The (n, F) features of the discrete node recursion on a sampled graph.
 
     ``init`` is the initial feature matrix: None for the graph's block
     signal, "degree" for size-normalized degrees, or an explicit (n, F0)
     array. In mean mode, isolated nodes receive a zero message (logged).
     """
     values, _ = NodeGraph(graph, stats, init).forward(mpnn)
-    return NodeEmbeddings(values=values, provenance="discrete")
+    return values
 
 
 def _block_messages(spec: SbmSpec, features: np.ndarray, message) -> np.ndarray:
@@ -219,7 +196,9 @@ def cmpnn_node_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
     B_a <- upd(B_a, g_a)
 
     ``init`` defaults to the spec's block signal; pass "degree" for the
-    per-block expected degree, or an explicit (r, F0) array.
+    per-block expected degree, or an explicit (r, F0) array. Returns the
+    (r, F) block values, or with ``return_layers`` the list of them for
+    the start and after every layer.
     """
     if init is None:
         f = np.asarray(spec.B, dtype=float).copy()
@@ -244,23 +223,13 @@ def cmpnn_node_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
                 "mean aggregation undefined: a block has zero expected degree"
             )
 
-    trace = [BlockEmbeddings(values=f.copy())]
+    trace = [f.copy()]
     for message, update in mpnn.layers:
         g = _block_messages(spec, f, message)
         if mean_mode:
             g = g / d[:, None]
         f = update(f, g)
-        trace.append(BlockEmbeddings(values=f.copy()))
+        trace.append(f.copy())
     if return_layers:
         return trace
     return trace[-1]
-
-
-def lift_block_embeddings(block_emb: BlockEmbeddings,
-                          graph: SampledGraph) -> NodeEmbeddings:
-    """Expand per-block values to per-node rows via each node's block."""
-    if block_emb.values.shape[0] <= graph.block_of.max():
-        raise ValueError("block count does not cover the graph's blocks")
-    return NodeEmbeddings(
-        values=block_emb.values[graph.block_of], provenance="continuous_sampled"
-    )

@@ -48,29 +48,6 @@ _ROW_DOT_COST = 150
 _ROW_DOT_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class PairEmbeddings:
-    """Dense n x n x F tensor of per-pair features."""
-
-    values: np.ndarray
-    provenance: str  # "discrete" | "continuous_sampled"
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class BlockPairEmbeddings:
-    """r x r x F tensor of continuous per-block-pair features."""
-
-    values: np.ndarray
-
-    @property
-    def r(self) -> int:
-        return self.values.shape[0]
-
-
 def fixed_psi_mpnn(T: int) -> Mpnn:
     """The closed-form variant: message (x, y) -> y, update (x, m) -> x/m.
 
@@ -116,11 +93,10 @@ def _general_pair_messages(adjacency, f, message, weights):
     return m
 
 
-def _require_size(n: int, mpnn: Mpnn, n_max: int | None) -> None:
-    if n_max is None:
-        n_max = N_MAX_SYMBOLIC if mpnn.all_symbolic else N_MAX_GENERAL
-    if n > n_max:
-        raise PreconditionError(f"pair recursion capped at n_max={n_max}, got n={n}")
+def _require_size(n: int, mpnn: Mpnn) -> None:
+    cap = N_MAX_SYMBOLIC if mpnn.all_symbolic else N_MAX_GENERAL
+    if n > cap:
+        raise PreconditionError(f"pair recursion capped at n <= {cap}, got n = {n}")
 
 
 def _require_finite(values) -> None:
@@ -246,8 +222,7 @@ class PairGraph:
                                                   + np.einsum("pz,pz->p", a[jc], fk[ic]))
         return m * w[:, None]
 
-    def forward(self, mpnn: Mpnn, pairs=None, record: bool = False,
-                n_max: int | None = None):
+    def forward(self, mpnn: Mpnn, pairs=None, record: bool = False):
         """Run the discrete pairwise recursion from the all-ones start.
 
         Returns ``(values, tape)``. Without ``pairs``, values is the dense
@@ -259,7 +234,7 @@ class PairGraph:
         to backpropagate through; otherwise tape is None.
         """
         n = self.n
-        _require_size(n, mpnn, n_max)
+        _require_size(n, mpnn)
         if record and (pairs is None or not all(
                 msg.is_neighbor_projection and upd.net is not None
                 for msg, upd in mpnn.layers)):
@@ -337,12 +312,12 @@ class PairTape:
         return grads
 
 
-def gmpnn_pair(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn,
-               n_max: int | None = None) -> PairEmbeddings:
-    """Run the discrete pairwise recursion from the all-ones initialization."""
-    _require_size(graph.n, mpnn, n_max)  # before the n x n work of PairGraph
-    values, _ = PairGraph(graph, stats).forward(mpnn, n_max=n_max)
-    return PairEmbeddings(values=values, provenance="discrete")
+def gmpnn_pair(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn) -> np.ndarray:
+    """The dense (n, n, F) features of the discrete pairwise recursion from
+    the all-ones initialization."""
+    _require_size(graph.n, mpnn)  # before the n x n work of PairGraph
+    values, _ = PairGraph(graph, stats).forward(mpnn)
+    return values
 
 
 def cmpnn_pair_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
@@ -354,6 +329,8 @@ def cmpnn_pair_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
 
     ``init`` defaults to all ones; pass an (r, r) or (r, r, F0) array for
     other starting signals (e.g. the edge-probability matrix itself).
+    Returns the (r, r, F) block-pair values, or with ``return_layers`` the
+    list of them for the start and after every layer.
     """
     r = spec.r
     c = graphon_common_neighbors(spec)
@@ -374,7 +351,7 @@ def cmpnn_pair_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
         f = f.copy()
 
     pi = spec.block_mass
-    trace = [BlockPairEmbeddings(values=f.copy())]
+    trace = [f.copy()]
     for message, update in mpnn.layers:
         fab = np.broadcast_to(f[:, :, None, :], (r, r, r, f.shape[2]))
         fac = np.broadcast_to(f[:, None, :, :], (r, r, r, f.shape[2]))
@@ -385,18 +362,7 @@ def cmpnn_pair_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
         g += np.einsum("c,ac,abch->abh", pi, spec.S, other)
         g /= 2.0 * c[:, :, None]
         f = update(f, g)
-        trace.append(BlockPairEmbeddings(values=f.copy()))
+        trace.append(f.copy())
     if return_layers:
         return trace
     return trace[-1]
-
-
-def lift_block_pair(block_pair: BlockPairEmbeddings,
-                    graph: SampledGraph) -> PairEmbeddings:
-    """Expand block-pair values to per-node-pair entries."""
-    if block_pair.values.shape[0] <= graph.block_of.max():
-        raise ValueError("block count does not cover the graph's blocks")
-    bo = graph.block_of
-    return PairEmbeddings(
-        values=block_pair.values[np.ix_(bo, bo)], provenance="continuous_sampled"
-    )

@@ -10,7 +10,6 @@ from graphon_mpnn import (
     PreconditionError,
     SbmSpec,
     bound_constants,
-    cmpnn_node_sbm,
     convergence_sweep,
     delta_node,
     delta_pair,
@@ -18,59 +17,111 @@ from graphon_mpnn import (
     graph_stats,
     iso_gap_stats,
     isomorphic_block_pairs,
-    lift_block_embeddings,
     loglog_slope,
     sample_graph,
 )
+from graphon_mpnn import analysis
 from graphon_mpnn.analysis import default_probability_budget
 from graphon_mpnn.mpnn import Mpnn, NeighborProjection, NetMessage, NetUpdate, graphsage_mpnn
 from graphon_mpnn.nn import init_net
-from graphon_mpnn.node_mpnn import NodeEmbeddings
-from graphon_mpnn.pair_mpnn import PairEmbeddings, fixed_psi_mpnn
+from graphon_mpnn.pair_mpnn import fixed_psi_mpnn
 from graphon_mpnn.rng import stream
 
 from test_node_mpnn import TakeMessage
 
 
-def node_emb(values):
-    return NodeEmbeddings(values=np.asarray(values, dtype=float),
-                          provenance="discrete")
+def loop_delta_node(values, block_values, block_of):
+    """Reference: the largest coordinate gap, node by node."""
+    return max(abs(values[i, h] - block_values[block_of[i], h])
+               for i in range(len(block_of)) for h in range(values.shape[1]))
 
 
-def pair_emb(values):
-    return PairEmbeddings(values=np.asarray(values, dtype=float),
-                          provenance="discrete")
+def loop_delta_pair(values, block_values, block_of):
+    """Reference: the largest coordinate gap over pairs i != j."""
+    n = len(block_of)
+    return max(abs(values[i, j, h] - block_values[block_of[i], block_of[j], h])
+               for i in range(n) for j in range(n) if i != j
+               for h in range(values.shape[2]))
 
 
 class TestDeltas:
     def test_zero_on_identical(self):
-        v = np.random.default_rng(0).normal(size=(6, 3))
-        assert delta_node(node_emb(v), node_emb(v.copy())) == 0.0
+        block = np.random.default_rng(0).normal(size=(3, 2))
+        block_of = np.array([2, 0, 1, 1, 0, 2])
+        assert delta_node(block[block_of], block, block_of) == 0.0
+        pair_block = np.random.default_rng(1).normal(size=(3, 3, 2))
+        lifted = pair_block[np.ix_(block_of, block_of)]
+        assert delta_pair(lifted, pair_block, block_of) == 0.0
 
     def test_single_perturbation(self):
+        block_of = np.array([0, 1, 1, 0])
         v = np.zeros((4, 2))
-        w = v.copy()
-        w[2, 1] = 0.3
-        assert delta_node(node_emb(v), node_emb(w)) == pytest.approx(0.3)
+        v[2, 1] = 0.3
+        assert delta_node(v, np.zeros((2, 2)), block_of) == pytest.approx(0.3)
 
     def test_small_case_hand_value(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0], [3.0, 3.0], [1.0, 1.0], [0.0, 0.0]])
-        b = np.array([[1.5, 2.0], [0.0, 0.0], [3.0, 4.0], [1.0, 1.0], [0.2, 0.0]])
+        block = np.array([[1.5, 2.0], [0.0, 0.0], [3.0, 4.0], [1.0, 1.0], [0.2, 0.0]])
+        block_of = np.array([0, 1, 2, 3, 4])
         # row sup gaps: 0.5, 1.0, 1.0, 0.0, 0.2 -> max 1.0
-        assert delta_node(node_emb(a), node_emb(b)) == pytest.approx(1.0)
+        assert delta_node(a, block, block_of) == pytest.approx(1.0)
+        # nodes 2 and 3 read block 0 instead: gaps 1.5, 1.5 -> max 1.5
+        assert delta_node(a, block, np.array([0, 1, 0, 0, 4])) == pytest.approx(1.5)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            delta_node(node_emb(np.zeros((3, 2))), node_emb(np.zeros((4, 2))))
+        block_of = np.array([0, 1, 0])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            delta_node(np.zeros((4, 2)), np.zeros((2, 2)), block_of)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            delta_node(np.zeros((3, 2)), np.zeros((2, 3)), block_of)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            delta_pair(np.zeros((3, 4, 1)), np.zeros((2, 2, 1)), block_of)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            delta_pair(np.zeros((3, 3, 2)), np.zeros((2, 2, 1)), block_of)
+
+    def test_block_count_must_cover_the_blocks(self):
+        block_of = np.array([0, 2, 1])
+        with pytest.raises(ValueError, match="does not cover"):
+            delta_node(np.zeros((3, 1)), np.zeros((2, 1)), block_of)
+        with pytest.raises(ValueError, match="does not cover"):
+            delta_pair(np.zeros((3, 3, 1)), np.zeros((2, 2, 1)), block_of)
 
     def test_pair_excludes_diagonal_by_default(self):
         a = np.zeros((3, 3, 1))
-        b = a.copy()
-        b[1, 1, 0] = 9.0
-        b[0, 2, 0] = 0.25
-        assert delta_pair(pair_emb(a), pair_emb(b)) == pytest.approx(0.25)
-        assert delta_pair(pair_emb(a), pair_emb(b),
-                          include_diagonal=True) == pytest.approx(9.0)
+        a[1, 1, 0] = 9.0
+        a[0, 2, 0] = 0.25
+        assert delta_pair(a, np.zeros((1, 1, 1)), np.zeros(3, dtype=int)) == 0.25
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("strip_rows", [None, 2])
+    def test_match_the_loop_reference(self, seed, strip_rows, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n, r = 23, 4
+        if strip_rows:
+            # strips of 2 rows, the last of 1, each crossing the diagonal
+            monkeypatch.setattr(analysis, "_STRIP_ENTRIES", strip_rows * n * 2)
+        block_of = rng.permutation(np.arange(n) % r)
+        node_block = rng.normal(size=(r, 2))
+        pair_block = rng.normal(size=(r, r, 2))
+        node_values = rng.normal(size=(n, 2))
+        pair_values = rng.normal(size=(n, n, 2))
+        # a planted diagonal gap larger than every other is ignored
+        pair_values[n - 1, n - 1, 1] = 100.0
+        assert (delta_node(node_values, node_block, block_of)
+                == loop_delta_node(node_values, node_block, block_of))
+        want = loop_delta_pair(pair_values, pair_block, block_of)
+        assert want < 50.0
+        assert delta_pair(pair_values, pair_block, block_of) == want
+
+    def test_single_block_model(self):
+        rng = np.random.default_rng(5)
+        block_of = np.zeros(7, dtype=int)
+        node_values, pair_values = rng.normal(size=(7, 2)), rng.normal(size=(7, 7, 2))
+        node_block, pair_block = rng.normal(size=(1, 2)), rng.normal(size=(1, 1, 2))
+        assert (delta_node(node_values, node_block, block_of)
+                == np.max(np.abs(node_values - node_block[0])))
+        assert (delta_pair(pair_values, pair_block, block_of)
+                == loop_delta_pair(pair_values, pair_block, block_of))
 
     @given(
         a=arrays(np.float64, (5, 2), elements=st.floats(-10, 10)),
@@ -78,10 +129,12 @@ class TestDeltas:
         c=arrays(np.float64, (5, 2), elements=st.floats(-10, 10)),
     )
     def test_metric_properties(self, a, b, c):
-        d_ab = delta_node(node_emb(a), node_emb(b))
-        d_ba = delta_node(node_emb(b), node_emb(a))
-        d_ac = delta_node(node_emb(a), node_emb(c))
-        d_cb = delta_node(node_emb(c), node_emb(b))
+        # one block per node: the gap is the sup-norm distance of a and b
+        own = np.arange(5)
+        d_ab = delta_node(a, b, own)
+        d_ba = delta_node(b, a, own)
+        d_ac = delta_node(a, c, own)
+        d_cb = delta_node(c, b, own)
         assert d_ab == d_ba
         assert (d_ab == 0.0) == np.array_equal(a, b)
         assert d_ab <= d_ac + d_cb + 1e-12
@@ -240,7 +293,7 @@ class TestIsoGapStats:
 
     def test_identical_embeddings_give_zero_gaps(self, convergence_spec):
         g = sample_graph(convergence_spec, 50, seed=0)
-        emb = node_emb(np.ones((50, 3)))
+        emb = np.ones((50, 3))
         stats = iso_gap_stats(emb, g, [(0, 2)], sample_budget=100, seed=0)
         assert np.all(stats.gaps_iso == 0.0)
         assert np.all(stats.gaps_non_iso == 0.0)
@@ -251,7 +304,7 @@ class TestIsoGapStats:
         expected = []
         for i in np.flatnonzero(g.block_of == 0):
             for j in np.flatnonzero(g.block_of == 2):
-                expected.append(np.max(np.abs(emb.values[i] - emb.values[j])))
+                expected.append(np.max(np.abs(emb[i] - emb[j])))
         assert sorted(stats.gaps_iso.tolist()) == sorted(expected)
 
     def test_budget_sampling_is_subset_and_deterministic(self, convergence_spec):
@@ -280,7 +333,7 @@ class TestIsoGapStats:
             expected = []
             for k in flat:
                 i, j = pool[k]
-                expected.append(np.max(np.abs(emb.values[i] - emb.values[j])))
+                expected.append(np.max(np.abs(emb[i] - emb[j])))
             assert np.array_equal(got, expected)
 
     def test_requires_iso_pairs(self, convergence_spec):
@@ -292,7 +345,7 @@ class TestIsoGapStats:
         spec = SbmSpec(block_mass=[0.5, 0.5], S=[[0.6, 0.1], [0.1, 0.6]],
                        B=np.ones((2, 1)))
         g = sample_graph(spec, 40, seed=0)
-        emb = node_emb(np.ones((40, 2)))
+        emb = np.ones((40, 2))
         with pytest.raises(PreconditionError):
             iso_gap_stats(emb, g, isomorphic_block_pairs(spec),
                           sample_budget=10, seed=0)

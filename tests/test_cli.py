@@ -205,6 +205,30 @@ class TestTable:
             assert not out.exists()
 
 
+TABLE_KEYS = "n_train = 150\nn_test_ood = 300\nseed = 0\nmethods = oracle\n"
+
+
+class TestOutOfRangeCounts:
+    @pytest.mark.parametrize("command, section, key", [
+        ("stability", "n_list = 64\nseeds = 0\nsample_budget = 0\n", "sample_budget"),
+        ("table", TABLE_KEYS + "runs = 1\nk_list = 0, 1\n", "k_list"),
+        ("table", TABLE_KEYS + "runs = 1\nk_list = -3\n", "k_list"),
+        ("table", TABLE_KEYS + "runs = 0\n", "runs"),
+        ("converge", "mode = node_mean\nn_list = 32, 64, 128\nseeds = -1\n", "seeds"),
+        ("stability", "n_list = 64\nseeds = 0, -1\n", "seeds"),
+        ("sample", "n = 10\nseed = -1\n", "seed"),
+    ])
+    def test_is_a_config_error(self, tmp_path, model_file, command, section, key):
+        cfg = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"[sbm]\nspec = {model_file}\n[{command}]\n{section}"
+                       f"[output]\ndir = {out}\n")
+        proc = run_cli(command, str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr and f"{key} must be >=" in proc.stderr
+        assert not out.exists()
+
+
 class TestInlineModel:
     def test_inline_sbm_section(self, tmp_path):
         cfg = tmp_path / "sample.cfg"

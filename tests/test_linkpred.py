@@ -365,6 +365,12 @@ class TestEvaluate:
         with pytest.raises(PreconditionError):
             evaluate([0.9], [0.1, 0.2], k_list=(3,))
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_is_an_error(self, k):
+        # hits@0 would read the smallest negative, hits@-3 the third smallest
+        with pytest.raises(PreconditionError):
+            evaluate([0.9], [0.1, 0.2], k_list=(k,))
+
     def test_hits_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)
         pos, neg = rng.random(50), rng.random(60)

@@ -10,7 +10,6 @@ from graphon_mpnn import (
     gmpnn_node,
     graph_stats,
     graphon_degree,
-    lift_block_embeddings,
     sample_graph,
 )
 from graphon_mpnn.mpnn import (
@@ -20,6 +19,7 @@ from graphon_mpnn.mpnn import (
     NetUpdate,
     graphsage_mpnn,
 )
+from graphon_mpnn.analysis import delta_node
 from graphon_mpnn.nn import init_net
 from graphon_mpnn.node_mpnn import NodeGraph
 
@@ -96,7 +96,7 @@ class TestDiscrete:
             nbrs = np.flatnonzero(g.adjacency[i])
             if len(nbrs):
                 expected[i] = d[nbrs].mean()
-        np.testing.assert_allclose(out.values, expected, atol=1e-14)
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_sum_mode_on_empty_graph(self):
         spec = SbmSpec(block_mass=[1.0], S=[[0.5]], B=[[3.0]])
@@ -111,7 +111,7 @@ class TestDiscrete:
         out = gmpnn_node(g, stats, mpnn)
         expected = net.forward(np.concatenate([g.node_features,
                                                np.zeros((6, 1))], axis=1))
-        np.testing.assert_allclose(out.values, expected, atol=1e-15)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
 
     @pytest.mark.parametrize("aggregation", ["neighbor_average", "n_normalized_sum"])
     def test_matches_nested_loop_oracle(self, aggregation):
@@ -127,7 +127,7 @@ class TestDiscrete:
             expected = node_mpnn_oracle(
                 g.adjacency, g.node_features, layer_callables(mpnn), aggregation
             )
-            np.testing.assert_allclose(out.values, expected, atol=1e-12)
+            np.testing.assert_allclose(out, expected, atol=1e-12)
 
     @pytest.mark.parametrize("aggregation", ["neighbor_average", "n_normalized_sum"])
     def test_oracle_envelope_n8_t3(self, aggregation):
@@ -142,18 +142,18 @@ class TestDiscrete:
         expected = node_mpnn_oracle(
             g.adjacency, g.node_features, layer_callables(mpnn), aggregation
         )
-        np.testing.assert_allclose(out.values, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_permutation_equivariance(self, convergence_spec):
         g = sample_graph(convergence_spec, 50, seed=8)
         stats = graph_stats(g)
         mpnn = graphsage_mpnn([1, 6, 4], seed=3)
-        base = gmpnn_node(g, stats, mpnn, init="degree").values
+        base = gmpnn_node(g, stats, mpnn, init="degree")
         rng = np.random.default_rng(0)
         for _ in range(5):
             perm = rng.permutation(50)
             gp = permuted(g, perm)
-            out = gmpnn_node(gp, graph_stats(gp), mpnn, init="degree").values
+            out = gmpnn_node(gp, graph_stats(gp), mpnn, init="degree")
             np.testing.assert_allclose(out, base[perm], atol=1e-12)
 
     def test_isolated_nodes_get_zero_message(self):
@@ -165,8 +165,8 @@ class TestDiscrete:
         g = g.with_adjacency(adj)
         stats = graph_stats(g)
         out = gmpnn_node(g, stats, averaging_mpnn(), init=None)
-        assert out.values[3, 0] == 0.0
-        assert np.all(np.isfinite(out.values))
+        assert out[3, 0] == 0.0
+        assert np.all(np.isfinite(out))
 
     def test_width_mismatch_is_an_error(self, convergence_spec):
         g = sample_graph(convergence_spec, 10, seed=0)
@@ -189,7 +189,7 @@ class TestNodeEngine:
         g = sample_graph(convergence_spec, 80, seed=4)
         stats = graph_stats(g)
         mpnn = graphsage_mpnn([1] + [3] * T, seed=T, aggregation=aggregation)
-        dense = gmpnn_node(g, stats, mpnn, init="degree").values
+        dense = gmpnn_node(g, stats, mpnn, init="degree")
         pairs = queried_pairs(80, 50, seed=T)
         ng = NodeGraph(g, stats, init="degree")
         queried, tape = ng.forward(mpnn, pairs)
@@ -239,7 +239,7 @@ class TestContinuous:
         expected_b1 = (
             0.45 * 0.55 * d[0] + 0.10 * 0.05 * d[1] + 0.45 * 0.02 * d[2]
         ) / d[0]
-        assert out.values[0, 0] == pytest.approx(expected_b1, abs=1e-15)
+        assert out[0, 0] == pytest.approx(expected_b1, abs=1e-15)
 
     def test_single_block_scalar_recursion(self):
         spec = SbmSpec(block_mass=[1.0], S=[[0.4]], B=[[2.0]])
@@ -251,14 +251,14 @@ class TestContinuous:
         f = 2.0
         for _ in range(3):
             f = float(net.forward(np.array([f, f]))[0])
-        assert out.values[0, 0] == pytest.approx(f, abs=1e-14)
+        assert out[0, 0] == pytest.approx(f, abs=1e-14)
 
     def test_interchangeable_blocks_stay_equal(self, convergence_spec):
         mpnn = graphsage_mpnn([1, 5, 5], seed=21)
         trace = cmpnn_node_sbm(convergence_spec, mpnn, init="degree",
                                return_layers=True)
         for layer in trace:
-            assert np.array_equal(layer.values[0], layer.values[2])
+            assert np.array_equal(layer[0], layer[2])
 
     def test_zero_degree_block_is_hard_error(self):
         spec = SbmSpec(
@@ -278,31 +278,37 @@ class TestContinuous:
                                return_layers=True)
         for l, layer in enumerate(trace[1:]):
             cap = report.b1[l] + report.b2[l] * f_inf
-            assert float(np.max(np.abs(layer.values))) <= cap + 1e-12
+            assert float(np.max(np.abs(layer))) <= cap + 1e-12
 
 
 class TestLift:
+    """The gap reads each node's row of the block values by its block."""
+
     def test_single_block_rows_identical(self):
         spec = SbmSpec(block_mass=[1.0], S=[[0.5]], B=[[1.5]])
         g = sample_graph(spec, 12, seed=0)
         block = cmpnn_node_sbm(spec, averaging_mpnn())
-        lifted = lift_block_embeddings(block, g)
-        assert np.all(lifted.values == lifted.values[0])
-        assert lifted.provenance == "continuous_sampled"
+        values = np.random.default_rng(2).normal(size=(12, 1))
+        assert delta_node(values, block, g.block_of) == np.max(np.abs(values - block[0]))
+        assert delta_node(np.repeat(block, 12, axis=0), block, g.block_of) == 0.0
 
     def test_permutation_equivariance(self, convergence_spec):
+        # relabelling the nodes leaves the gap unchanged
         g = sample_graph(convergence_spec, 30, seed=5)
-        block = cmpnn_node_sbm(convergence_spec, averaging_mpnn(), init="degree")
-        base = lift_block_embeddings(block, g).values
+        mpnn = averaging_mpnn()
+        block = cmpnn_node_sbm(convergence_spec, mpnn, init="degree")
+        values = gmpnn_node(g, graph_stats(g), mpnn, init="degree")
+        base = delta_node(values, block, g.block_of)
+        assert base > 0.0
         perm = np.random.default_rng(1).permutation(30)
-        lifted = lift_block_embeddings(block, permuted(g, perm)).values
-        np.testing.assert_array_equal(lifted, base[perm])
+        assert delta_node(values[perm], block, permuted(g, perm).block_of) == base
 
     def test_interchangeable_blocks_lift_identically(self, convergence_spec):
+        # blocks 0 and 2 carry equal rows, so swapping their labels is no change
         g = sample_graph(convergence_spec, 64, seed=6)
         mpnn = graphsage_mpnn([1, 4], seed=2)
         block = cmpnn_node_sbm(convergence_spec, mpnn, init="degree")
-        lifted = lift_block_embeddings(block, g).values
-        rows_0 = lifted[g.block_of == 0]
-        rows_2 = lifted[g.block_of == 2]
-        assert np.array_equal(rows_0[0], rows_2[0])
+        values = gmpnn_node(g, graph_stats(g), mpnn, init="degree")
+        swapped = np.array([2, 1, 0])[g.block_of]
+        assert np.array_equal(block[0], block[2])
+        assert delta_node(values, block, swapped) == delta_node(values, block, g.block_of)

@@ -8,10 +8,11 @@ from graphon_mpnn import (
     fixed_psi_mpnn,
     gmpnn_pair,
     graph_stats,
-    lift_block_pair,
     sample_graph,
 )
 from graphon_mpnn.mpnn import EPS_DIV, Mpnn, NeighborProjection, NetMessage, NetUpdate, RatioUpdate
+from graphon_mpnn import pair_mpnn
+from graphon_mpnn.analysis import delta_pair
 from graphon_mpnn.nn import init_net
 from graphon_mpnn.pair_mpnn import PairGraph, learnable_psi_mpnn
 
@@ -40,13 +41,13 @@ class TestFixedVariant:
         out = gmpnn_pair(g, stats, fixed_psi_mpnn(1))
         d = stats.degrees
         expected = 2.0 * stats.common_neighbors / (d[:, None] + d[None, :])
-        np.testing.assert_allclose(out.values[:, :, 0], expected, atol=1e-13)
+        np.testing.assert_allclose(out[:, :, 0], expected, atol=1e-13)
 
     def test_complete_graph_value(self):
         spec = SbmSpec(block_mass=[1.0], S=[[1.0]], B=[[1.0]])
         n = 9
         g = sample_graph(spec, n, seed=0)
-        out = gmpnn_pair(g, graph_stats(g), fixed_psi_mpnn(1)).values[:, :, 0]
+        out = gmpnn_pair(g, graph_stats(g), fixed_psi_mpnn(1))[:, :, 0]
         off = ~np.eye(n, dtype=bool)
         np.testing.assert_allclose(out[off], (n - 2) / (n - 1), atol=1e-14)
 
@@ -59,7 +60,7 @@ class TestDiscrete:
             mpnn = fixed_psi_mpnn(2)
             out = gmpnn_pair(g, stats, mpnn)
             expected = pair_mpnn_oracle(g.adjacency, list(mpnn.layers))
-            np.testing.assert_allclose(out.values, expected, atol=1e-12)
+            np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_matches_nested_loop_oracle_nets(self):
         spec = SbmSpec(block_mass=[0.6, 0.4], S=[[0.8, 0.3], [0.3, 0.7]],
@@ -74,14 +75,14 @@ class TestDiscrete:
             mpnn = Mpnn(layers=((msg, upd), (msg2, upd2)))
             out = gmpnn_pair(g, stats, mpnn)
             expected = pair_mpnn_oracle(g.adjacency, list(mpnn.layers))
-            np.testing.assert_allclose(out.values, expected, atol=1e-12)
+            np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_fast_path_equals_general_path(self, convergence_spec):
         g = sample_graph(convergence_spec, 512, seed=1)
         stats = graph_stats(g)
-        fast = gmpnn_pair(g, stats, fixed_psi_mpnn(1)).values
+        fast = gmpnn_pair(g, stats, fixed_psi_mpnn(1))
         slow_mpnn = Mpnn(layers=((ProjectionWithoutFastPath(1), RatioUpdate(1)),))
-        slow = gmpnn_pair(g, stats, slow_mpnn).values
+        slow = gmpnn_pair(g, stats, slow_mpnn)
         assert np.max(np.abs(fast - slow)) < 1e-10
 
     def test_symmetry_exact_every_layer(self, convergence_spec):
@@ -89,14 +90,18 @@ class TestDiscrete:
         stats = graph_stats(g)
         for T in (1, 2, 3):
             for mpnn in (learnable_psi_mpnn(T, hidden=4, seed=11), fixed_psi_mpnn(T)):
-                f = gmpnn_pair(g, stats, mpnn).values
+                f = gmpnn_pair(g, stats, mpnn)
                 assert np.array_equal(f, np.swapaxes(f, 0, 1))
 
-    def test_cap_enforced(self, convergence_spec):
+    def test_cap_enforced(self, convergence_spec, monkeypatch):
+        monkeypatch.setattr(pair_mpnn, "N_MAX_GENERAL", 10)
+        monkeypatch.setattr(pair_mpnn, "N_MAX_SYMBOLIC", 10)
         g = sample_graph(convergence_spec, 20, seed=0)
         stats = graph_stats(g)
         with pytest.raises(PreconditionError):
-            gmpnn_pair(g, stats, fixed_psi_mpnn(1), n_max=10)
+            gmpnn_pair(g, stats, fixed_psi_mpnn(1))
+        with pytest.raises(PreconditionError):
+            PairGraph(g, stats).forward(learnable_psi_mpnn(1), np.array([[0, 1]]))
 
 
 def queried_pairs(n, count, seed):
@@ -114,7 +119,7 @@ class TestPairEngine:
         g = sample_graph(convergence_spec, 120, seed=4)
         stats = graph_stats(g)
         mpnn = learnable_psi_mpnn(T, hidden=4, seed=5) if learn else fixed_psi_mpnn(T)
-        dense = gmpnn_pair(g, stats, mpnn).values
+        dense = gmpnn_pair(g, stats, mpnn)
         pairs = queried_pairs(120, count, seed=T)
         queried, tape = PairGraph(g, stats).forward(mpnn, pairs)
         assert tape is None
@@ -164,17 +169,17 @@ class TestContinuous:
         trace = cmpnn_pair_sbm(convergence_spec, mpnn, init=convergence_spec.S,
                                return_layers=True)
         for layer in trace:
-            assert np.max(np.abs(layer.values[:, :, 0] - convergence_spec.S)) < 1e-12
+            assert np.max(np.abs(layer[:, :, 0] - convergence_spec.S)) < 1e-12
 
     def test_single_block_reaches_edge_probability_in_one_step(self):
         p = 0.37
         spec = SbmSpec(block_mass=[1.0], S=[[p]], B=[[1.0]])
         out = cmpnn_pair_sbm(spec, fixed_psi_mpnn(1))
-        assert out.values[0, 0, 0] == pytest.approx(p, abs=1e-15)
+        assert out[0, 0, 0] == pytest.approx(p, abs=1e-15)
 
     def test_ones_init_converges_to_edge_probabilities(self, convergence_spec):
         out = cmpnn_pair_sbm(convergence_spec, fixed_psi_mpnn(50))
-        assert np.max(np.abs(out.values[:, :, 0] - convergence_spec.S)) < 1e-6
+        assert np.max(np.abs(out[:, :, 0] - convergence_spec.S)) < 1e-6
 
     def test_zero_common_neighbors_is_hard_error(self):
         spec = SbmSpec(block_mass=[0.5, 0.5], S=np.eye(2), B=np.ones((2, 1)))
@@ -183,37 +188,32 @@ class TestContinuous:
 
 
 class TestLift:
+    """The gap reads each pair's entry of the block values by its blocks."""
+
     def test_single_block_constant(self):
         spec = SbmSpec(block_mass=[1.0], S=[[0.5]], B=[[1.0]])
         g = sample_graph(spec, 15, seed=0)
         block = cmpnn_pair_sbm(spec, fixed_psi_mpnn(2))
-        lifted = lift_block_pair(block, g).values
-        assert np.all(lifted == lifted[0, 0])
+        values = np.random.default_rng(0).normal(size=(15, 15, 1))
+        off = ~np.eye(15, dtype=bool)
+        expected = np.max(np.abs(values[off] - block[0, 0]))
+        assert delta_pair(values, block, g.block_of) == expected
 
     def test_entries_depend_only_on_block_pair(self, convergence_spec):
         g = sample_graph(convergence_spec, 30, seed=2)
         block = cmpnn_pair_sbm(convergence_spec, fixed_psi_mpnn(2))
-        lifted = lift_block_pair(block, g).values
-        for _ in range(20):
-            i, j = np.random.default_rng(0).integers(0, 30, size=2)
-            expected = block.values[g.block_of[i], g.block_of[j]]
-            np.testing.assert_array_equal(lifted[i, j], expected)
+        values = gmpnn_pair(g, graph_stats(g), fixed_psi_mpnn(2))
+        bo = g.block_of
+        expected = max(float(np.max(np.abs(values[i, j] - block[bo[i], bo[j]])))
+                       for i in range(30) for j in range(30) if i != j)
+        assert delta_pair(values, block, g.block_of) == expected
 
     def test_permutation_equivariance(self, convergence_spec):
-        import dataclasses
-
-        from graphon_mpnn.sbm import _freeze
-
+        # relabelling the nodes leaves the gap unchanged
         g = sample_graph(convergence_spec, 25, seed=4)
         block = cmpnn_pair_sbm(convergence_spec, fixed_psi_mpnn(1))
-        base = lift_block_pair(block, g).values
+        values = gmpnn_pair(g, graph_stats(g), fixed_psi_mpnn(1))
+        base = delta_pair(values, block, g.block_of)
+        assert base > 0.0
         perm = np.random.default_rng(3).permutation(25)
-        gp = dataclasses.replace(
-            g,
-            positions=_freeze(g.positions[perm]),
-            block_of=_freeze(g.block_of[perm]),
-            adjacency=_freeze(g.adjacency[np.ix_(perm, perm)]),
-            node_features=_freeze(g.node_features[perm]),
-        )
-        lifted = lift_block_pair(block, gp).values
-        np.testing.assert_array_equal(lifted, base[np.ix_(perm, perm)])
+        assert delta_pair(values[np.ix_(perm, perm)], block, g.block_of[perm]) == base
