@@ -25,9 +25,7 @@ from .config import (
     write_manifest,
 )
 from .errors import ConfigError, NumericalError, PreconditionError, SpecValidationError
-from .mpnn import graphsage_mpnn
 from .node_mpnn import gmpnn_node
-from .pair_mpnn import fixed_psi_mpnn, learnable_psi_mpnn
 from .sbm import (
     graph_stats,
     isomorphic_block_pairs,
@@ -39,19 +37,6 @@ from .sbm import (
 from .util import format_float, parallel_map, write_csv
 
 log = logging.getLogger("graphon_mpnn")
-
-
-def _sweep_mpnn(cfg, mode):
-    if mode in ("node_mean", "node_sum"):
-        dims = [1] + [cfg.feature_dim] * cfg.layers
-        return graphsage_mpnn(dims, update_hidden=cfg.update_hidden,
-                              seed=cfg.net_seed)
-    if mode == "pair_fixed":
-        return fixed_psi_mpnn(cfg.layers)
-    if mode == "pair_net":
-        return learnable_psi_mpnn(cfg.layers, hidden=cfg.update_hidden,
-                                  seed=cfg.net_seed)
-    raise ConfigError(f"unknown mode {mode!r}")
 
 
 def cmd_sample(args) -> int:
@@ -68,8 +53,7 @@ def cmd_sample(args) -> int:
 def cmd_converge(args) -> int:
     cfg, text = parse_converge_config(args.config)
     jobs = args.jobs if args.jobs else cfg.jobs
-    mpnn = _sweep_mpnn(cfg, cfg.mode)
-    records = analysis.convergence_sweep(cfg.spec, mpnn, cfg.mode, cfg.n_list,
+    records = analysis.convergence_sweep(cfg.spec, cfg.mpnn, cfg.mode, cfg.n_list,
                                          cfg.seeds, p=cfg.p, jobs=jobs)
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = [[r.mode, r.n, r.seed, format_float(r.delta), format_float(r.bound)]
@@ -112,11 +96,9 @@ def cmd_stability(args) -> int:
     iso = isomorphic_block_pairs(cfg.spec)
     if not iso:
         raise PreconditionError("the model has no matched block pair")
-    dims = [1] + [cfg.feature_dim] * cfg.layers
-    mpnn = graphsage_mpnn(dims, update_hidden=cfg.update_hidden, seed=cfg.net_seed)
     jobs = args.jobs if args.jobs else cfg.jobs
     points = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
-    tasks = [(cfg.spec, mpnn, iso, n, seed, cfg.sample_budget) for n, seed in points]
+    tasks = [(cfg.spec, cfg.mpnn, iso, n, seed, cfg.sample_budget) for n, seed in points]
     results = parallel_map(_stability_point, tasks, jobs=jobs)
     gap_rows = []
     summary_rows = []

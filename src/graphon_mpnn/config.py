@@ -3,6 +3,9 @@
 One file drives one subcommand. The [sbm] section either points at a model
 file (``spec = path``) or inlines the model (r, block_mass, S, B). Arrays
 are comma lists. Seeds are always explicit; nothing defaults to the clock.
+Each key is read once, with its range checked; a key no reader uses and a
+section other than [sbm], the subcommand's own and [output] are config
+errors. The sweep configs carry the network their keys describe.
 """
 
 from __future__ import annotations
@@ -14,84 +17,146 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import SWEEP_MODES
 from .errors import ConfigError
 from .linkpred import METHODS, SCENARIOS, RunTableConfig
+from .mpnn import Mpnn, graphsage_mpnn
+from .pair_mpnn import fixed_psi_mpnn, learnable_psi_mpnn
 from .sbm import SbmSpec, read_spec_file
 
-
-def _read_config_text(path) -> str:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        return fh.read()
+_REQUIRED = object()
 
 
-def _parser(text: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-    return parser
+class _Section:
+    """One config section, read key by key: ``get`` parses a key, checks its
+    range and marks it read; ``close`` rejects every key left unread, so a
+    misspelt key is an error rather than a default silently kept.
+    ``configparser`` stores keys in lower case, and so does the reader."""
+
+    def __init__(self, parser, name):
+        self.name = name
+        self._values = dict(parser[name]) if parser.has_section(name) else {}
+        self._read = set()
+
+    def get(self, key, parse=int, default=_REQUIRED, low=None):
+        """``key`` parsed by ``parse``; each value (or each entry of a tuple)
+        must be >= ``low``. A missing key returns ``default``, or is an
+        error when there is none."""
+        text = self._values.get(key.lower())
+        self._read.add(key.lower())
+        if text is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"[{self.name}] section needs '{key}'")
+            return default
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"[{self.name}] {key}: {exc}") from exc
+        for v in value if isinstance(value, tuple) else (value,):
+            if low is not None and v < low:
+                raise ConfigError(f"[{self.name}] {key} must be >= {low}, got {v}")
+        return value
+
+    def close(self) -> None:
+        unread = sorted(set(self._values) - self._read)
+        if unread:
+            raise ConfigError(f"[{self.name}] has unused keys: {', '.join(unread)}")
 
 
-def _ints(value: str) -> list:
-    try:
-        return [int(v) for v in value.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"expected integer list, got {value!r}") from exc
+def _ints(text: str) -> tuple:
+    return tuple(int(v) for v in text.replace(",", " ").split())
 
 
-def _floats(value: str) -> list:
-    try:
-        return [float(v) for v in value.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"expected float list, got {value!r}") from exc
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+def _probability(text: str) -> float:
+    p = float(text)
+    if not 0 < p < 1:
+        raise ValueError(f"must be in (0, 1), got {p}")
+    return p
+
+
+def _one_of(known):
+    """Parser of one name from ``known``."""
+    def parse(text):
+        if text not in known:
+            raise ValueError(f"unknown {text!r}; expected one of {', '.join(known)}")
+        return text
+    return parse
+
+
+def _names(known):
+    """Parser of a comma list of names from ``known``."""
+    one = _one_of(known)
+    return lambda text: tuple(one(v.strip()) for v in text.split(","))
 
 
 def load_sbm_section(parser: configparser.ConfigParser, base_dir: str) -> SbmSpec:
     if not parser.has_section("sbm"):
         raise ConfigError("config needs an [sbm] section")
-    section = parser["sbm"]
-    if "spec" in section:
-        path = section["spec"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
+    sec = _Section(parser, "sbm")
+    path = sec.get("spec", str, None)
+    if path is not None:
+        path = os.path.join(base_dir, path)
+        sec.close()
         if not os.path.exists(path):
             raise ConfigError(f"sbm spec file not found: {path}")
         return read_spec_file(path)
+    r = sec.get("r", low=1)
+    block_mass, S, B = (np.array(sec.get(key, _floats))
+                        for key in ("block_mass", "S", "B"))
+    sec.close()
     try:
-        r = section.getint("r")
-        block_mass = np.array(_floats(section["block_mass"]))
-        S = np.array(_floats(section["S"])).reshape(r, r)
-        B = np.array(_floats(section["B"])).reshape(r, -1)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"incomplete inline [sbm] section: {exc}") from exc
+        S, B = S.reshape(r, r), B.reshape(r, -1)
+    except ValueError as exc:
+        raise ConfigError(f"inline [sbm] section: {exc}") from exc
     return SbmSpec(block_mass=block_mass, S=S, B=B)
 
 
-def _names(section, key, known) -> tuple:
-    """A comma list of names from ``known``, which is also the default."""
-    names = tuple(v.strip() for v in section.get(key, ",".join(known)).split(","))
-    unknown = [v for v in names if v not in known]
-    if unknown:
-        raise ConfigError(f"unknown {key} {', '.join(map(repr, unknown))}; "
-                          f"expected some of {', '.join(known)}")
-    return names
+def _open(path, command: str) -> tuple:
+    """(the [command] section, the model, the output directory, the config
+    text) of the config file at ``path``."""
+    if not os.path.exists(path):
+        raise ConfigError(f"config file not found: {path}")
+    with open(path) as fh:
+        text = fh.read()
+    # values are literal: a '%' in a path is not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    for name in parser.sections():
+        if name not in ("sbm", command, "output"):
+            raise ConfigError(f"unknown section [{name}]; a {command} config "
+                              f"has [sbm], [{command}] and [output]")
+    # model paths resolve against the config file; output dirs against the
+    # working directory
+    spec = load_sbm_section(parser, os.path.dirname(os.path.abspath(path)))
+    if not parser.has_section(command):
+        raise ConfigError(f"config needs a [{command}] section")
+    output = _Section(parser, "output")
+    out_dir = os.path.abspath(output.get("dir", str))
+    output.close()
+    return _Section(parser, command), spec, out_dir, text
 
 
-def _require(section, key, subcommand):
-    if key not in section:
-        raise ConfigError(f"[{subcommand}] section needs '{key}'")
-    return section[key]
-
-
-def _at_least(low, key, values):
-    """``values`` (an int or a tuple of ints), each checked to be >= ``low``."""
-    for v in values if isinstance(values, tuple) else (values,):
-        if v < low:
-            raise ConfigError(f"{key} must be >= {low}, got {v}")
-    return values
+def _sweep_net(sec: _Section, mode: str = "node_mean") -> Mpnn:
+    """The network of a sweep, built from the keys ``mode`` uses: the
+    closed-form pair net reads only ``layers``, the learnable one has no
+    ``feature_dim``."""
+    layers = sec.get("layers", int, 2, low=1)
+    if mode == "pair_fixed":
+        return fixed_psi_mpnn(layers)
+    hidden = sec.get("update_hidden", int, 10, low=1)
+    seed = sec.get("net_seed", int, 0, low=0)
+    if mode == "pair_net":
+        return learnable_psi_mpnn(layers, hidden=hidden, seed=seed)
+    dims = [1] + [sec.get("feature_dim", int, 8, low=1)] * layers
+    return graphsage_mpnn(dims, update_hidden=hidden, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -109,10 +174,7 @@ class ConvergeConfig:
     n_list: tuple
     seeds: tuple
     out_dir: str
-    layers: int = 2
-    feature_dim: int = 8
-    update_hidden: int = 10
-    net_seed: int = 0
+    mpnn: Mpnn
     p: float | None = None
     jobs: int = 1
 
@@ -123,114 +185,72 @@ class StabilityConfig:
     n_list: tuple
     seeds: tuple
     out_dir: str
-    layers: int = 2
-    feature_dim: int = 8
-    update_hidden: int = 10
-    net_seed: int = 0
+    mpnn: Mpnn
     sample_budget: int = 2000
     jobs: int = 1
 
 
 def parse_sample_config(path) -> tuple:
-    text = _read_config_text(path)
-    parser = _parser(text)
-    base = os.path.dirname(os.path.abspath(path))
-    spec = load_sbm_section(parser, base)
-    sec = parser["sample"] if parser.has_section("sample") else {}
-    cfg = SampleConfig(
-        spec=spec,
-        n=int(_require(sec, "n", "sample")),
-        seed=_at_least(0, "[sample] seed", int(_require(sec, "seed", "sample"))),
-        out_dir=_resolve_out(parser, base),
-    )
+    sec, spec, out_dir, text = _open(path, "sample")
+    cfg = SampleConfig(spec=spec, n=sec.get("n"), seed=sec.get("seed", low=0),
+                       out_dir=out_dir)
+    sec.close()
     return cfg, text
 
 
 def parse_converge_config(path) -> tuple:
-    text = _read_config_text(path)
-    parser = _parser(text)
-    base = os.path.dirname(os.path.abspath(path))
-    spec = load_sbm_section(parser, base)
-    if not parser.has_section("converge"):
-        raise ConfigError("config needs a [converge] section")
-    sec = parser["converge"]
-    mode = _require(sec, "mode", "converge")
+    sec, spec, out_dir, text = _open(path, "converge")
+    mode = sec.get("mode", _one_of(SWEEP_MODES))
     cfg = ConvergeConfig(
         spec=spec,
         mode=mode,
-        n_list=tuple(_ints(_require(sec, "n_list", "converge"))),
-        seeds=_at_least(0, "[converge] seeds",
-                        tuple(_ints(_require(sec, "seeds", "converge")))),
-        layers=sec.getint("layers", 2),
-        feature_dim=sec.getint("feature_dim", 8),
-        update_hidden=sec.getint("update_hidden", 10),
-        net_seed=sec.getint("net_seed", 0),
-        p=sec.getfloat("p") if "p" in sec else None,
-        jobs=sec.getint("jobs", 1),
-        out_dir=_resolve_out(parser, base),
+        n_list=sec.get("n_list", _ints),
+        seeds=sec.get("seeds", _ints, low=0),
+        out_dir=out_dir,
+        mpnn=_sweep_net(sec, mode),
+        # the closed-form pair net has no bound, so no failure probability
+        p=None if mode == "pair_fixed" else sec.get("p", _probability, None),
+        jobs=sec.get("jobs", int, 1, low=1),
     )
+    sec.close()
     return cfg, text
 
 
 def parse_stability_config(path) -> tuple:
-    text = _read_config_text(path)
-    parser = _parser(text)
-    base = os.path.dirname(os.path.abspath(path))
-    spec = load_sbm_section(parser, base)
-    if not parser.has_section("stability"):
-        raise ConfigError("config needs a [stability] section")
-    sec = parser["stability"]
+    sec, spec, out_dir, text = _open(path, "stability")
     cfg = StabilityConfig(
         spec=spec,
-        n_list=tuple(_ints(_require(sec, "n_list", "stability"))),
-        seeds=_at_least(0, "[stability] seeds",
-                        tuple(_ints(_require(sec, "seeds", "stability")))),
-        layers=sec.getint("layers", 2),
-        feature_dim=sec.getint("feature_dim", 8),
-        update_hidden=sec.getint("update_hidden", 10),
-        net_seed=sec.getint("net_seed", 0),
-        sample_budget=_at_least(1, "[stability] sample_budget",
-                                sec.getint("sample_budget", 2000)),
-        jobs=sec.getint("jobs", 1),
-        out_dir=_resolve_out(parser, base),
+        n_list=sec.get("n_list", _ints),
+        seeds=sec.get("seeds", _ints, low=0),
+        out_dir=out_dir,
+        mpnn=_sweep_net(sec),
+        sample_budget=sec.get("sample_budget", int, 2000, low=1),
+        jobs=sec.get("jobs", int, 1, low=1),
     )
+    sec.close()
     return cfg, text
 
 
 def parse_table_config(path) -> tuple:
     """(run config, output directory, config text) of a table config."""
-    text = _read_config_text(path)
-    parser = _parser(text)
-    base = os.path.dirname(os.path.abspath(path))
-    spec = load_sbm_section(parser, base)
-    if not parser.has_section("table"):
-        raise ConfigError("config needs a [table] section")
-    sec = parser["table"]
+    sec, spec, out_dir, text = _open(path, "table")
     cfg = RunTableConfig(
         spec=spec,
-        n_train=int(_require(sec, "n_train", "table")),
-        n_test_ood=int(_require(sec, "n_test_ood", "table")),
-        runs=_at_least(1, "[table] runs", int(_require(sec, "runs", "table"))),
-        seed=int(_require(sec, "seed", "table")),
-        methods=_names(sec, "methods", METHODS),
-        scenarios=_names(sec, "scenarios", SCENARIOS),
-        epochs_head=sec.getint("epochs_head", 200),
-        epochs_end_to_end=sec.getint("epochs_end_to_end", 200),
-        lr=sec.getfloat("lr", 1e-3),
-        pair_layers=sec.getint("pair_layers", 2),
-        k_list=_at_least(1, "[table] k_list",
-                         tuple(_ints(sec.get("k_list", "10, 50, 100")))),
-        jobs=sec.getint("jobs", 1),
+        n_train=sec.get("n_train"),
+        n_test_ood=sec.get("n_test_ood"),
+        runs=sec.get("runs", low=1),
+        seed=sec.get("seed"),
+        methods=sec.get("methods", _names(METHODS), METHODS),
+        scenarios=sec.get("scenarios", _names(SCENARIOS), SCENARIOS),
+        epochs_head=sec.get("epochs_head", int, 200, low=0),
+        epochs_end_to_end=sec.get("epochs_end_to_end", int, 200, low=0),
+        lr=sec.get("lr", float, 1e-3),
+        pair_layers=sec.get("pair_layers", int, 2, low=1),
+        k_list=sec.get("k_list", _ints, (10, 50, 100), low=1),
+        jobs=sec.get("jobs", int, 1, low=1),
     )
-    return cfg, _resolve_out(parser, base), text
-
-
-def _resolve_out(parser, base) -> str:
-    # model paths resolve against the config file; output dirs against the
-    # working directory
-    if not parser.has_section("output") or "dir" not in parser["output"]:
-        raise ConfigError("config needs an [output] section with 'dir'")
-    return os.path.abspath(parser["output"]["dir"])
+    sec.close()
+    return cfg, out_dir, text
 
 
 def write_manifest(out_dir: str, config_text: str, extra: dict | None = None) -> str:

@@ -20,15 +20,15 @@ from __future__ import annotations
 import copy
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .mpnn import NEIGHBOR_AVERAGE, Mpnn
+from .mpnn import NEIGHBOR_AVERAGE, Mpnn, graphsage_mpnn
 from .nn import AdamState, FeedForwardNet, adam_step, init_net, sigmoid
 from .node_mpnn import NodeGraph
-from .pair_mpnn import PairGraph
+from .pair_mpnn import PairGraph, fixed_psi_mpnn, learnable_psi_mpnn
 from .rng import child_seed, stream
 from .sbm import (
     SampledGraph,
@@ -37,12 +37,14 @@ from .sbm import (
     isomorphic_block_pairs,
     sample_graph,
 )
-from .util import parallel_map
+from .util import format_float, parallel_map
 
 log = logging.getLogger(__name__)
 
 SCENARIOS = ("transductive", "inductive_same", "inductive_ood")
 METHODS = ("node", "pair_fixed", "pair_learn", "oracle")
+#: score threshold of a predicted link, for validation accuracy and metrics
+TAU = 0.5
 
 
 # --- datasets -------------------------------------------------------------------
@@ -54,7 +56,6 @@ class LinkDataset:
     observed: SampledGraph
     positives: dict  # split -> (k, 2) int array
     negatives: dict  # split -> (k, 2) int array
-    scenario: str
 
 
 def _hide_edges(graph: SampledGraph, fraction: float, rng) -> tuple:
@@ -147,13 +148,11 @@ def build_training_split(spec: SbmSpec, n_tr: int, seed: int) -> tuple:
         positives={"train": hidden[:n_train],
                    "val": hidden[n_train : n_train + n_val]},
         negatives={"train": negs[:n_train], "val": negs[n_train : n_train + n_val]},
-        scenario="transductive",
     )
     test_ds = LinkDataset(
         observed=observed_tr,
         positives={"test": hidden[n_train + n_val :]},
         negatives={"test": negs[n_train + n_val :]},
-        scenario="transductive",
     )
     return train_ds, test_ds
 
@@ -173,7 +172,6 @@ def build_scenario(spec: SbmSpec, n_tr: int, n_te: int, seed: int,
     if training is None:
         training = build_training_split(spec, n_tr, seed)
     train_ds, transductive_ds = training
-    train_ds = replace(train_ds, scenario=scenario)
     if scenario == "transductive":
         return train_ds, transductive_ds
 
@@ -193,7 +191,6 @@ def build_scenario(spec: SbmSpec, n_tr: int, n_te: int, seed: int,
         observed=observed_te,
         positives={"test": pos_test},
         negatives={"test": neg_test},
-        scenario=scenario,
     )
     return train_ds, test_ds
 
@@ -214,7 +211,6 @@ class LinkModel:
     kind: str
     mpnn: Mpnn
     head: FeedForwardNet
-    tau: float = 0.5
     backbone_trainable: bool = True
 
     def copy(self) -> "LinkModel":
@@ -230,8 +226,6 @@ class LinkModel:
 def node_link_model(spec_f0: int = 1, feature_dims=(8, 8), update_hidden=10,
                     head_hidden=(10, 10, 10), seed: int = 0) -> LinkModel:
     """Node backbone in the neighbor-sampling style with an MLP head."""
-    from .mpnn import graphsage_mpnn
-
     dims = [spec_f0, *feature_dims]
     mpnn = graphsage_mpnn(dims, update_hidden=update_hidden, seed=seed,
                           aggregation=NEIGHBOR_AVERAGE)
@@ -243,8 +237,6 @@ def node_link_model(spec_f0: int = 1, feature_dims=(8, 8), update_hidden=10,
 def pair_link_model(T: int = 2, learn_update: bool = False, update_hidden=5,
                     head_hidden=(10, 10, 10), seed: int = 0) -> LinkModel:
     """Pairwise backbone: fixed ratio update or a trainable update net."""
-    from .pair_mpnn import fixed_psi_mpnn, learnable_psi_mpnn
-
     if learn_update:
         mpnn = learnable_psi_mpnn(T, hidden=update_hidden, seed=seed)
     else:
@@ -349,11 +341,14 @@ def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
                      lr: float = 1e-3, stats=None) -> tuple:
     """Full-batch Adam on cross-entropy; returns (best model, train log).
 
-    Validation accuracy at the model threshold is evaluated after every
+    Validation accuracy at the threshold ``TAU`` is evaluated after every
     epoch; the returned model carries the parameters of the best epoch
     (earliest on ties). Non-finite losses abort with a NumericalError.
     ``stats`` may pass the observed graph's statistics in, to share them.
+    ``epochs = 0`` returns the model as given, with its validation accuracy.
     """
+    if epochs < 0:
+        raise PreconditionError(f"epochs must be >= 0, got {epochs}")
     model = model.copy()
     backbone = _backbone_graph(model, dataset.observed, stats)
     pos_tr, neg_tr = dataset.positives["train"], dataset.negatives["train"]
@@ -375,7 +370,7 @@ def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
     def val_accuracy(val_head_in) -> float:
         scores = model.head.forward(val_head_in).reshape(-1)
         scores_p, scores_n = scores[:len(pos_val)], scores[len(pos_val):]
-        correct = int(np.sum(scores_p > model.tau)) + int(np.sum(scores_n <= model.tau))
+        correct = int(np.sum(scores_p > TAU)) + int(np.sum(scores_n <= TAU))
         return correct / len(scores)
 
     best = None  # (val_acc, epoch, params); strict improvement keeps ties early
@@ -420,7 +415,7 @@ def oracle_scores(spec: SbmSpec, graph: SampledGraph, pairs) -> np.ndarray:
     return spec.S[graph.block_of[pairs[:, 0]], graph.block_of[pairs[:, 1]]]
 
 
-def evaluate(scores_pos, scores_neg, tau: float = 0.5,
+def evaluate(scores_pos, scores_neg, tau: float = TAU,
              k_list=(10, 50, 100)) -> dict:
     """Ranking and threshold metrics for one scored test split.
 
@@ -499,8 +494,6 @@ class EvalReport:
                 + ["mcc", "balanced_accuracy", "auc"])
 
     def csv_rows(self) -> list:
-        from .util import format_float
-
         rows = []
         for (scenario, method) in sorted(self.values):
             for metric in self.metric_names():
@@ -580,7 +573,7 @@ def _run_one(args) -> dict:
             else:
                 scores = model_scores(models[method], graph, pairs, stats)
             out[(scenario, method)] = evaluate(scores[:len(pos)], scores[len(pos):],
-                                               tau=0.5, k_list=config.k_list)
+                                               tau=TAU, k_list=config.k_list)
     return out
 
 

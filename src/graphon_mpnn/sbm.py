@@ -86,13 +86,6 @@ class SbmSpec:
                 "zero minimum common-neighbor fraction; pairwise recursion undefined"
             )
 
-    def save(self, path) -> None:
-        write_spec_file(self, path)
-
-    @classmethod
-    def load(cls, path) -> "SbmSpec":
-        return read_spec_file(path)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

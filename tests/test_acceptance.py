@@ -26,6 +26,7 @@ from graphon_mpnn.mpnn import Mpnn, NetMessage, NetUpdate, graphsage_mpnn
 from graphon_mpnn.nn import init_net
 from graphon_mpnn.pair_mpnn import fixed_psi_mpnn, learnable_psi_mpnn
 from graphon_mpnn.linkpred import node_link_model, pair_link_model
+from graphon_mpnn.sbm import write_spec_file
 
 from oracles import (
     finite_difference_gradients,
@@ -291,7 +292,7 @@ class TestCriterion9:
 
         t0 = time.time()
         spec_path = tmp_path / "model.sbm"
-        linkpred_spec.save(spec_path)
+        write_spec_file(linkpred_spec, spec_path)
 
         configs = {
             "sample": "[sbm]\nspec = model.sbm\n[sample]\nn = 64\nseed = 3\n",

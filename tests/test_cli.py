@@ -1,17 +1,27 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graphon_mpnn import config
+from graphon_mpnn.pair_mpnn import learnable_psi_mpnn
 from graphon_mpnn.sbm import write_spec_file
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "scripts" / "configs"
 
 
 def run_cli(*args, cwd=None):
+    # the source tree goes first on the path, so that a run from another
+    # working directory imports the same package
+    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "graphon_mpnn", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -205,7 +215,28 @@ class TestTable:
             assert not out.exists()
 
 
+def assert_config_error(tmp_path, command, body, message, output=""):
+    """A config of ``body`` and an [output] section (``dir`` plus
+    ``output``) exits 2 with ``message`` before making the directory."""
+    cfg = tmp_path / "bad.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(f"{body}[output]\ndir = {out}\n{output}")
+    proc = run_cli(command, str(cfg))
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and message in proc.stderr
+    assert not out.exists()
+
+
+def assert_same_net(got, want):
+    assert len(got.layers) == len(want.layers)
+    for (_, update), (_, expected) in zip(got.layers, want.layers):
+        for a, b in zip(update.net.parameters(), expected.net.parameters()):
+            np.testing.assert_array_equal(a, b)
+
+
 TABLE_KEYS = "n_train = 150\nn_test_ood = 300\nseed = 0\nmethods = oracle\n"
+NODE_SWEEP = "mode = node_mean\nn_list = 32\nseeds = 0\n"
+NET_KEYS = (("layers", 0), ("feature_dim", 0), ("update_hidden", 0), ("net_seed", -1))
 
 
 class TestOutOfRangeCounts:
@@ -217,16 +248,119 @@ class TestOutOfRangeCounts:
         ("converge", "mode = node_mean\nn_list = 32, 64, 128\nseeds = -1\n", "seeds"),
         ("stability", "n_list = 64\nseeds = 0, -1\n", "seeds"),
         ("sample", "n = 10\nseed = -1\n", "seed"),
+        *(("converge", f"{NODE_SWEEP}{key} = {value}\n", key)
+          for key, value in NET_KEYS + (("jobs", 0),)),
+        ("converge", "mode = pair_fixed\nn_list = 32\nseeds = 0\nlayers = 0\n",
+         "layers"),
+        ("converge", "mode = pair_net\nn_list = 32\nseeds = 0\nupdate_hidden = 0\n",
+         "update_hidden"),
+        *(("stability", f"n_list = 64\nseeds = 0\n{key} = {value}\n", key)
+          for key, value in NET_KEYS + (("jobs", 0),)),
+        *(("table", f"{TABLE_KEYS}runs = 1\n{key} = {value}\n", key)
+          for key, value in (("epochs_head", -1), ("epochs_end_to_end", -1),
+                             ("pair_layers", 0), ("jobs", 0))),
     ])
     def test_is_a_config_error(self, tmp_path, model_file, command, section, key):
-        cfg = tmp_path / "bad.cfg"
-        out = tmp_path / "out"
-        cfg.write_text(f"[sbm]\nspec = {model_file}\n[{command}]\n{section}"
-                       f"[output]\ndir = {out}\n")
-        proc = run_cli(command, str(cfg))
-        assert proc.returncode == 2, proc.stderr
-        assert "config error" in proc.stderr and f"{key} must be >=" in proc.stderr
-        assert not out.exists()
+        assert_config_error(tmp_path, command,
+                            f"[sbm]\nspec = {model_file}\n[{command}]\n{section}",
+                            f"{key} must be >=")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "1", "1.5", "nan"])
+    def test_probability_outside_the_unit_interval(self, tmp_path, model_file, value):
+        assert_config_error(tmp_path, "converge",
+                            f"[sbm]\nspec = {model_file}\n[converge]\n"
+                            f"{NODE_SWEEP}p = {value}\n", "p: must be in (0, 1)")
+
+
+class TestConfigReader:
+    """Every key is read once: unread keys, unknown sections and values that
+    do not parse as their type are config errors, raised before any work."""
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("converge", NODE_SWEEP + "layrs = 5\n", "layrs"),
+        ("table", TABLE_KEYS + "runs = 1\nepoch_head = 5\n", "epoch_head"),
+        # the closed-form pair net has no bound and no update net
+        ("converge", "mode = pair_fixed\nn_list = 32\nseeds = 0\nfeature_dim = 4\n",
+         "feature_dim"),
+        ("converge", "mode = pair_fixed\nn_list = 32\nseeds = 0\np = 0.01\n", "p"),
+        ("converge", "mode = pair_fixed\nn_list = 32\nseeds = 0\nnet_seed = 1\n",
+         "net_seed"),
+        ("converge", "mode = pair_net\nn_list = 32\nseeds = 0\nfeature_dim = 4\n",
+         "feature_dim"),
+        ("stability", "n_list = 64\nseeds = 0\nmode = node_mean\n", "mode"),
+        ("sample", "n = 10\nseed = 0\nn_list = 10\n", "n_list"),
+    ])
+    def test_unread_key(self, tmp_path, model_file, command, section, key):
+        assert_config_error(tmp_path, command,
+                            f"[sbm]\nspec = {model_file}\n[{command}]\n{section}",
+                            "unused keys: " + key)
+
+    def test_unread_model_and_output_keys(self, tmp_path, model_file):
+        sample = "[sample]\nn = 10\nseed = 0\n"
+        assert_config_error(tmp_path, "sample",
+                            f"[sbm]\nspec = {model_file}\nr = 3\n{sample}",
+                            "[sbm] has unused keys: r")
+        assert_config_error(tmp_path, "sample", f"[sbm]\nspec = {model_file}\n{sample}",
+                            "[output] has unused keys: dirr", output="dirr = x\n")
+
+    @pytest.mark.parametrize("command, section, extra", [
+        ("sample", "n = 10\nseed = 0\n", "[sampel]\nn = 10\n"),
+        ("stability", "n_list = 64\nseeds = 0\n", "[converge]\nmode = node_mean\n"),
+    ])
+    def test_unknown_section(self, tmp_path, model_file, command, section, extra):
+        assert_config_error(tmp_path, command,
+                            f"[sbm]\nspec = {model_file}\n{extra}[{command}]\n{section}",
+                            "config error: unknown section [")
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("sample", "n = 1.5\nseed = 0\n", "n"),
+        ("converge", "mode = node_mean\nn_list = 32, x\nseeds = 0\n", "n_list"),
+        ("table", TABLE_KEYS + "runs = 1\nlr = fast\n", "lr"),
+        ("converge", "mode = node_max\nn_list = 32\nseeds = 0\n", "mode"),
+    ])
+    def test_value_of_the_wrong_type(self, tmp_path, model_file, command, section, key):
+        assert_config_error(tmp_path, command,
+                            f"[sbm]\nspec = {model_file}\n[{command}]\n{section}",
+                            f"config error: [{command}] {key}: ")
+
+    def test_percent_sign_is_literal(self, tmp_path, model_file):
+        cfg = tmp_path / "pct.cfg"
+        cfg.write_text(f"[sbm]\nspec = {model_file}\n[sample]\nn = 10\nseed = 0\n"
+                       f"[output]\ndir = {tmp_path / 'out%1'}\n")
+        proc = run_cli("sample", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out%1" / "edges.txt").exists()
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
+                             ids=lambda p: p.name)
+    def test_parses(self, path):
+        command = path.name.split("_")[0].removesuffix(".cfg")
+        cfg = getattr(config, f"parse_{command}_config")(path)[0]
+        if command == "converge":
+            assert path.name == f"converge_{cfg.mode}.cfg"
+        if command in ("converge", "stability"):
+            assert cfg.mpnn.layers
+
+    def test_pair_net_keys_reach_the_network(self, tmp_path, model_file):
+        cfg, _ = config.parse_converge_config(CONFIGS / "converge_pair_net.cfg")
+        assert_same_net(cfg.mpnn, learnable_psi_mpnn(2, hidden=5, seed=1))
+        # without the net keys: 2 layers, update width 10, net seed 0
+        path = tmp_path / "net.cfg"
+        path.write_text(f"[sbm]\nspec = {model_file}\n[converge]\nmode = pair_net\n"
+                        f"n_list = 32\nseeds = 0\n[output]\ndir = {tmp_path}\n")
+        cfg, _ = config.parse_converge_config(path)
+        assert_same_net(cfg.mpnn, learnable_psi_mpnn(2, hidden=10, seed=0))
+
+    def test_golden_sample(self, tmp_path):
+        # the output directory resolves against the working directory
+        proc = run_cli("sample", str(CONFIGS / "sample_example.cfg"), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("edges.txt", "blocks.txt"):
+            golden = REPO / "out" / "sample_example" / name
+            assert (tmp_path / "out" / "sample_example" / name).read_bytes() == \
+                golden.read_bytes(), name
 
 
 class TestInlineModel:

@@ -37,7 +37,6 @@ def tiny_dataset(spec, n, seed, n_pos=6, n_neg=6):
         observed=g,
         positives={"train": edges[:n_pos], "val": edges[n_pos : 2 * n_pos]},
         negatives={"train": non[:n_neg], "val": non[n_neg : 2 * n_neg]},
-        scenario="transductive",
     )
 
 
@@ -221,6 +220,12 @@ class TestTraining:
             np.testing.assert_array_equal(p, q)
         assert log.best_epoch == -1
 
+    def test_negative_epochs_is_an_error(self, linkpred_spec):
+        ds = tiny_dataset(linkpred_spec, 20, seed=1)
+        model = pair_link_model(T=1, learn_update=False, head_hidden=(4,), seed=0)
+        with pytest.raises(PreconditionError, match="epochs must be >= 0"):
+            train_link_model(model, ds, epochs=-1)
+
     def test_separable_instance_reaches_full_accuracy(self, linkpred_spec):
         # in-block edges vs across-matched-block non-edges: the pairwise
         # features concentrate near 0.6 and 0.02, a separable instance
@@ -239,7 +244,6 @@ class TestTraining:
             observed=g,
             positives={"train": within[:10], "val": within[:10]},
             negatives={"train": across[:10], "val": across[:10]},
-            scenario="transductive",
         )
         model = pair_link_model(T=2, learn_update=False, head_hidden=(8,), seed=3)
         trained, log = train_link_model(model, ds, epochs=200, lr=1e-2)
@@ -274,7 +278,6 @@ class TestTraining:
             observed=train_ds.observed,
             positives=train_ds.positives,
             negatives={"train": negs[:n_tr], "val": negs[n_tr : n_tr + n_val]},
-            scenario="transductive",
         )
         model = node_link_model(seed=child_seed(seed, "model/node"))
         trained, log = train_link_model(model, ds, epochs=150, lr=1e-3)
