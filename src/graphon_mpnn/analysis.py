@@ -205,10 +205,10 @@ class BoundReport:
     n_condition_ok: bool
 
 
-def default_probability_budget(mpnn: Mpnn, target: float = 0.01) -> float:
-    """p such that the failure mass sum_l 2(H_l + 1) p equals ``target``."""
+def default_probability_budget(mpnn: Mpnn) -> float:
+    """p such that the failure mass sum_l 2(H_l + 1) p equals 0.01."""
     weight = sum(2 * (h + 1) for h in mpnn.message_dims)
-    return target / weight
+    return 0.01 / weight
 
 
 def bound_constants(mpnn: Mpnn, f_inf_norm: float, spec: SbmSpec,

@@ -155,14 +155,21 @@ def cmd_validate_spec(args) -> int:
     return 0
 
 
+def _worker_cap(text: str) -> int:
+    """The --jobs value: an integer >= 0, where 0 takes the config's."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphon-mpnn",
         description="Block-model sampling, message-passing convergence "
                     "sweeps, and link-prediction evaluation.",
     )
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="worker cap (default: value from config, else 1)")
+    parser.add_argument("--jobs", type=_worker_cap, default=0,
+                        help="worker cap (default 0: value from config, else 1)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

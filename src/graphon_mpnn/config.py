@@ -78,6 +78,13 @@ def _probability(text: str) -> float:
     return p
 
 
+def _positive(text: str) -> float:
+    x = float(text)
+    if not 0 < x < float("inf"):
+        raise ValueError(f"must be finite and > 0, got {x}")
+    return x
+
+
 def _one_of(known):
     """Parser of one name from ``known``."""
     def parse(text):
@@ -244,7 +251,7 @@ def parse_table_config(path) -> tuple:
         scenarios=sec.get("scenarios", _names(SCENARIOS), SCENARIOS),
         epochs_head=sec.get("epochs_head", int, 200, low=0),
         epochs_end_to_end=sec.get("epochs_end_to_end", int, 200, low=0),
-        lr=sec.get("lr", float, 1e-3),
+        lr=sec.get("lr", _positive, 1e-3),
         pair_layers=sec.get("pair_layers", int, 2, low=1),
         k_list=sec.get("k_list", _ints, (10, 50, 100), low=1),
         jobs=sec.get("jobs", int, 1, low=1),

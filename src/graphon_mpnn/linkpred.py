@@ -204,34 +204,31 @@ class LinkModel:
     ``kind`` is "node" or "pair". Node backbones start from the
     size-normalized degrees and feed the head the concatenated endpoint
     embeddings; pair backbones feed the pair embedding directly.
-    ``backbone_trainable`` controls whether gradients flow into the
-    backbone's update nets.
+    Gradients flow into the backbone exactly when it has nets.
     """
 
     kind: str
     mpnn: Mpnn
     head: FeedForwardNet
-    backbone_trainable: bool = True
 
-    def copy(self) -> "LinkModel":
-        return copy.deepcopy(self)
+    @property
+    def backbone_trainable(self) -> bool:
+        return bool(self.mpnn.trainable_nets())
 
     def trainable_nets(self) -> list:
-        nets = [self.head]
-        if self.backbone_trainable:
-            nets.extend(self.mpnn.trainable_nets())
-        return nets
+        return [self.head, *self.mpnn.trainable_nets()]
 
 
-def node_link_model(spec_f0: int = 1, feature_dims=(8, 8), update_hidden=10,
+def node_link_model(feature_dims=(8, 8), update_hidden=10,
                     head_hidden=(10, 10, 10), seed: int = 0) -> LinkModel:
-    """Node backbone in the neighbor-sampling style with an MLP head."""
-    dims = [spec_f0, *feature_dims]
+    """Node backbone in the neighbor-sampling style with an MLP head; it
+    starts from the one-column size-normalized degrees."""
+    dims = [1, *feature_dims]
     mpnn = graphsage_mpnn(dims, update_hidden=update_hidden, seed=seed,
                           aggregation=NEIGHBOR_AVERAGE)
     head = init_net([2 * dims[-1], *head_hidden, 1], "tanh", seed=seed,
                     output_activation="sigmoid", tag="init/head")
-    return LinkModel(kind="node", mpnn=mpnn, head=head, backbone_trainable=True)
+    return LinkModel(kind="node", mpnn=mpnn, head=head)
 
 
 def pair_link_model(T: int = 2, learn_update: bool = False, update_hidden=5,
@@ -243,8 +240,7 @@ def pair_link_model(T: int = 2, learn_update: bool = False, update_hidden=5,
         mpnn = fixed_psi_mpnn(T)
     head = init_net([1, *head_hidden, 1], "tanh", seed=seed,
                     output_activation="sigmoid", tag="init/head")
-    return LinkModel(kind="pair", mpnn=mpnn, head=head,
-                     backbone_trainable=learn_update)
+    return LinkModel(kind="pair", mpnn=mpnn, head=head)
 
 
 # --- forward/backward through the backbones -----------------------------------
@@ -280,7 +276,8 @@ def _loss_and_grads(model: LinkModel, backbone, pairs, labels, head_in=None):
     through the backbone without a gradient, so that one pass embeds them
     too. ``head_in`` holds a frozen backbone's head inputs at ``pairs``.
     Gradients are ordered like ``model.trainable_nets()`` parameters: head
-    first, then backbone update nets layer by layer (when trainable).
+    first, then the backbone's update nets layer by layer (when it has
+    any).
     Returns (loss, grads, head inputs at every pair).
     """
     n_loss = len(labels)
@@ -296,7 +293,7 @@ def _loss_and_grads(model: LinkModel, backbone, pairs, labels, head_in=None):
         cache, d_logits.reshape(-1, 1)
     )
     grads = list(head_grads)
-    if model.backbone_trainable:
+    if tape is not None:
         d_all = np.zeros_like(head_in)
         d_all[:n_loss] = d_head_in
         for g in tape.backward(d_all):
@@ -322,34 +319,20 @@ def _bce_loss_and_grad(logits, labels):
     return loss, grad
 
 
-def _gather_params(nets):
-    params = []
-    for net in nets:
-        params.extend(net.parameters())
-    return params
-
-
-def _scatter_params(nets, params):
-    offset = 0
-    for net in nets:
-        k = 2 * len(net.weights)
-        net.set_parameters(params[offset : offset + k])
-        offset += k
-
-
 def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
                      lr: float = 1e-3, stats=None) -> tuple:
     """Full-batch Adam on cross-entropy; returns (best model, train log).
 
     Validation accuracy at the threshold ``TAU`` is evaluated after every
-    epoch; the returned model carries the parameters of the best epoch
-    (earliest on ties). Non-finite losses abort with a NumericalError.
-    ``stats`` may pass the observed graph's statistics in, to share them.
+    epoch; the returned model, a copy that Adam steps in place, carries the
+    parameters of the best epoch (earliest on ties). Non-finite losses
+    abort with a NumericalError. ``stats`` may pass the observed graph's
+    statistics in, to share them.
     ``epochs = 0`` returns the model as given, with its validation accuracy.
     """
     if epochs < 0:
         raise PreconditionError(f"epochs must be >= 0, got {epochs}")
-    model = model.copy()
+    model = copy.deepcopy(model)
     backbone = _backbone_graph(model, dataset.observed, stats)
     pos_tr, neg_tr = dataset.positives["train"], dataset.negatives["train"]
     pos_val, neg_val = dataset.positives["val"], dataset.negatives["val"]
@@ -358,8 +341,7 @@ def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
     labels = np.concatenate([np.ones(len(pos_tr)), np.zeros(len(neg_tr))])
     n_train = len(labels)
 
-    nets = model.trainable_nets()
-    params = _gather_params(nets)
+    params = [p for net in model.trainable_nets() for p in net.parameters()]
     state = AdamState.for_parameters(params, lr=lr)
     log_out = TrainLog()
 
@@ -399,11 +381,11 @@ def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
         if epoch == epochs:
             break
 
-        params = adam_step(params, grads, state)
-        _scatter_params(nets, params)
+        adam_step(params, grads, state)
 
     log_out.best_val_accuracy, log_out.best_epoch = best[0], best[1]
-    _scatter_params(nets, best[2])
+    for p, kept in zip(params, best[2]):
+        p[...] = kept
     return model, log_out
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .errors import PreconditionError
 from .nn import FeedForwardNet, init_net, lipschitz_upper_bound
 
 NEIGHBOR_AVERAGE = "neighbor_average"
@@ -33,7 +35,6 @@ class NeighborProjection:
     """
 
     is_neighbor_projection = True
-    trainable = False
     net = None
 
     def __init__(self, width: int):
@@ -57,18 +58,16 @@ class RatioUpdate:
     """
 
     is_neighbor_projection = False
-    trainable = False
     net = None
 
-    def __init__(self, width: int, eps_div: float = EPS_DIV):
+    def __init__(self, width: int):
         self.width_in = 2 * int(width)
         self.width_out = int(width)
-        self.eps_div = float(eps_div)
 
     def __call__(self, x, m):
         x = np.asarray(x, dtype=float)
         m = np.asarray(m, dtype=float)
-        return x / np.maximum(m, self.eps_div)
+        return x / np.maximum(m, EPS_DIV)
 
     def lipschitz(self):
         return None
@@ -82,11 +81,10 @@ class NetMessage:
 
     is_neighbor_projection = False
 
-    def __init__(self, net: FeedForwardNet, trainable: bool = True):
+    def __init__(self, net: FeedForwardNet):
         if net.width_in % 2 != 0:
             raise ValueError("message net input width must be even (pair input)")
         self.net = net
-        self.trainable = trainable
         self.width_in = net.width_in
         self.width_out = net.width_out
 
@@ -105,9 +103,8 @@ class NetUpdate:
 
     is_neighbor_projection = False
 
-    def __init__(self, net: FeedForwardNet, trainable: bool = True):
+    def __init__(self, net: FeedForwardNet):
         self.net = net
-        self.trainable = trainable
         self.width_in = net.width_in
         self.width_out = net.width_out
 
@@ -184,30 +181,69 @@ class Mpnn:
         return all(msg.net is None and upd.net is None for msg, upd in self.layers)
 
     def trainable_nets(self) -> list:
-        nets = []
-        for msg, upd in self.layers:
-            if msg.net is not None and msg.trainable:
-                nets.append(msg.net)
-            if upd.net is not None and upd.trainable:
-                nets.append(upd.net)
-        return nets
+        """Every net of the network, layer by layer, message before update."""
+        return [part.net for layer in self.layers for part in layer
+                if part.net is not None]
 
     def with_aggregation(self, aggregation: str) -> "Mpnn":
         return dataclasses.replace(self, aggregation=aggregation)
 
 
-def graphsage_mpnn(feature_dims, update_hidden=10, activation="tanh", seed=0,
-                   aggregation=NEIGHBOR_AVERAGE, trainable=True) -> Mpnn:
+def graphsage_mpnn(feature_dims, update_hidden=10, seed=0,
+                   aggregation=NEIGHBOR_AVERAGE) -> Mpnn:
     """Randomly initialized network in the neighbor-sampling style.
 
     Each layer projects the neighbor feature as its message and updates via
-    a one-hidden-layer net on [own, aggregated]: for ``feature_dims``
+    a one-hidden-layer tanh net on [own, aggregated]: for ``feature_dims``
     [F0, F1, ..., FT] layer t maps width F_{t-1} to F_t.
     """
     layers = []
     for t in range(len(feature_dims) - 1):
         f_in, f_out = feature_dims[t], feature_dims[t + 1]
-        net = init_net([2 * f_in, update_hidden, f_out], activation,
+        net = init_net([2 * f_in, update_hidden, f_out], "tanh",
                        seed=seed, tag=f"init/update{t}")
-        layers.append((NeighborProjection(f_in), NetUpdate(net, trainable=trainable)))
+        layers.append((NeighborProjection(f_in), NetUpdate(net)))
     return Mpnn(layers=tuple(layers), aggregation=aggregation)
+
+
+def require_tape(mpnn: Mpnn, pairs, engine: str) -> None:
+    """Raise unless a pass of ``mpnn`` at ``pairs`` can be recorded for
+    backprop: the tape needs queried pairs, neighbor-projection messages
+    and net updates."""
+    if pairs is None or not all(msg.is_neighbor_projection and upd.net is not None
+                                for msg, upd in mpnn.layers):
+        raise PreconditionError(
+            f"backprop through the {engine} recursion needs queried pairs, "
+            "neighbor-projection messages and net updates"
+        )
+
+
+@dataclass(frozen=True)
+class Tape:
+    """A recorded forward pass of either engine at queried pairs.
+
+    ``pull(t, d)`` is the engine's share of the backward pass: it maps the
+    gradient at layer t's update input to the gradient at layer t-1's
+    output rows, and at t = depth the gradient at the returned values to
+    the gradient at the last layer's output rows.
+    """
+
+    mpnn: Mpnn
+    caches: list  # per layer: the update net's forward cache
+    pull: Callable
+
+    def backward(self, d_values: np.ndarray) -> list:
+        """Parameter gradients of <d_values, values> for the recorded pass.
+
+        Returns one gradient list per layer, ordered like each update net's
+        ``parameters()``. Layer 0 takes no input gradient, so the pass
+        stops there.
+        """
+        depth = self.mpnn.depth
+        grads = [None] * depth
+        delta = self.pull(depth, d_values)
+        for t in range(depth - 1, -1, -1):
+            grads[t], d_u = self.mpnn.layers[t][1].net.backward(self.caches[t], delta)
+            if t > 0:
+                delta = self.pull(t, d_u)
+        return grads

@@ -46,12 +46,12 @@ class FeedForwardNet:
     """MLP with one activation on hidden layers and identity/sigmoid output.
 
     Parameters are ``weights[k]`` of shape (dims[k+1], dims[k]) and
-    ``biases[k]`` of shape (dims[k+1],). ``backward`` returns exact
-    gradients of the scalar <grad_out, forward(x)>.
+    ``biases[k]`` of shape (dims[k+1],), all zero at construction.
+    ``backward`` returns exact gradients of the scalar
+    <grad_out, forward(x)>.
     """
 
-    def __init__(self, dims, activation="tanh", output_activation="identity",
-                 weights=None, biases=None):
+    def __init__(self, dims, activation="tanh", output_activation="identity"):
         if not dims or len(dims) < 2:
             raise ValueError("dims must list at least input and output widths")
         if activation not in _ACTIVATIONS:
@@ -61,14 +61,8 @@ class FeedForwardNet:
         self.dims = [int(d) for d in dims]
         self.activation = activation
         self.output_activation = output_activation
-        if weights is None:
-            weights = [np.zeros((o, i)) for i, o in zip(self.dims, self.dims[1:])]
-            biases = [np.zeros(o) for o in self.dims[1:]]
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        for k, (i, o) in enumerate(zip(self.dims, self.dims[1:])):
-            if self.weights[k].shape != (o, i) or self.biases[k].shape != (o,):
-                raise ValueError(f"layer {k} parameter shape mismatch")
+        self.weights = [np.zeros((o, i)) for i, o in zip(self.dims, self.dims[1:])]
+        self.biases = [np.zeros(o) for o in self.dims[1:]]
 
     # -- basic properties ----------------------------------------------------
 
@@ -81,23 +75,11 @@ class FeedForwardNet:
         return self.dims[-1]
 
     def parameters(self) -> list:
+        """The parameter arrays themselves, [w0, b0, w1, b1, ...]."""
         out = []
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
         return out
-
-    def set_parameters(self, params) -> None:
-        it = iter(params)
-        for k in range(len(self.weights)):
-            self.weights[k] = np.asarray(next(it), dtype=float)
-            self.biases[k] = np.asarray(next(it), dtype=float)
-
-    def copy(self) -> "FeedForwardNet":
-        return FeedForwardNet(
-            self.dims, self.activation, self.output_activation,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
 
     def formal_bias(self) -> float:
         """Sup norm of the output at the zero input."""
@@ -178,15 +160,13 @@ class FeedForwardNet:
 
 
 def init_net(dims, activation="tanh", seed=0, output_activation="identity",
-             zero=False, tag="init") -> FeedForwardNet:
+             tag="init") -> FeedForwardNet:
     """Random net with weights and biases ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
 
     Deterministic in ``(seed, tag)``; distinct tags give independent nets
-    from one seed. ``zero=True`` overrides with all-zero parameters.
+    from one seed.
     """
     net = FeedForwardNet(dims, activation, output_activation)
-    if zero:
-        return net
     rng = stream(seed, tag)
     for k, (i, o) in enumerate(zip(net.dims, net.dims[1:])):
         bound = 1.0 / np.sqrt(i)
@@ -215,6 +195,10 @@ def lipschitz_upper_bound(net: FeedForwardNet) -> float:
 
 # --- Adam ---------------------------------------------------------------------
 
+#: Adam's moment decay rates and denominator guard, the usual defaults.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, shaped like the parameter list."""
@@ -223,32 +207,21 @@ class AdamState:
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_parameters(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        return cls(
-            step=0,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def for_parameters(cls, params, lr=1e-3):
+        return cls(m=[np.zeros_like(p) for p in params],
+                   v=[np.zeros_like(p) for p in params], lr=lr)
 
 
-def adam_step(params, grads, state: AdamState) -> list:
-    """One Adam update over a flat parameter list; returns new parameters.
-
-    ``state`` is updated in place (step count and moments).
-    """
+def adam_step(params, grads, state: AdamState) -> None:
+    """One Adam update of a flat parameter list: the parameter arrays and
+    ``state`` (step count and moments) are updated in place."""
     state.step += 1
     t = state.step
-    out = []
     for k, (p, g) in enumerate(zip(params, grads)):
-        state.m[k] = state.beta1 * state.m[k] + (1 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1 - state.beta2) * g * g
-        m_hat = state.m[k] / (1 - state.beta1 ** t)
-        v_hat = state.v[k] / (1 - state.beta2 ** t)
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
+        state.m[k] = _BETA1 * state.m[k] + (1 - _BETA1) * g
+        state.v[k] = _BETA2 * state.v[k] + (1 - _BETA2) * g * g
+        m_hat = state.m[k] / (1 - _BETA1 ** t)
+        v_hat = state.v[k] / (1 - _BETA2 ** t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + _EPS)

@@ -15,12 +15,11 @@ function is piecewise constant.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .mpnn import NEIGHBOR_AVERAGE, Mpnn, update_rows
+from .mpnn import NEIGHBOR_AVERAGE, Mpnn, Tape, require_tape, update_rows
 from .sbm import GraphStats, SampledGraph, SbmSpec, graphon_degree
 
 log = logging.getLogger(__name__)
@@ -100,16 +99,11 @@ class NodeGraph:
         Returns ``(values, tape)``. Without ``pairs``, values is the dense
         (n, F) feature matrix. With ``pairs`` (k x 2), values is the
         endpoint concatenation [f_i, f_j], shape (k, 2F). With ``record``,
-        ``pairs`` is required and tape is the ``NodeTape`` to backpropagate
+        ``pairs`` is required and tape is the ``Tape`` to backpropagate
         through; otherwise tape is None.
         """
-        if record and (pairs is None or not all(
-                msg.is_neighbor_projection and upd.net is not None
-                for msg, upd in mpnn.layers)):
-            raise PreconditionError(
-                "backprop through the node recursion needs queried pairs, "
-                "neighbor-projection messages and net updates"
-            )
+        if record:
+            require_tape(mpnn, pairs, "node")
         f = self.start
         if f.shape[1] != mpnn.feature_dims[0]:
             raise ValueError(
@@ -127,42 +121,28 @@ class NodeGraph:
             return f, None
         pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
         values = np.concatenate([f[pairs[:, 0]], f[pairs[:, 1]]], axis=-1)
-        tape = NodeTape(self, mpnn, pairs, caches) if record else None
-        return values, tape
+        return values, Tape(mpnn, caches, self._pull(mpnn, pairs)) if record else None
 
+    def _pull(self, mpnn: Mpnn, pairs: np.ndarray):
+        """The tape's pull for a pass queried at ``pairs``.
 
-@dataclass(frozen=True)
-class NodeTape:
-    """A recorded ``NodeGraph.forward`` at queried pairs."""
-
-    graph: NodeGraph
-    mpnn: Mpnn
-    pairs: np.ndarray
-    caches: list  # per layer: the update net's forward cache
-
-    def backward(self, d_values: np.ndarray) -> list:
-        """Parameter gradients of <d_values, values> for the recorded pass.
-
-        Returns one gradient list per layer, ordered like each update net's
-        ``parameters()``. The endpoint gradients are summed onto the nodes;
-        below layer t the node gradient is d_f + A (d_m w). Layer 0 takes no
-        input gradient, so the pass stops there.
+        The endpoint gradients are summed onto the nodes; below layer t the
+        node gradient is d_f + A (d_m w).
         """
-        ng, mpnn = self.graph, self.mpnn
         widths = mpnn.feature_dims
-        width = widths[-1]
-        weights = ng.row_weights(mpnn.aggregation)
-        delta = np.zeros((ng.n, width))
-        np.add.at(delta, self.pairs[:, 0], d_values[:, :width])
-        np.add.at(delta, self.pairs[:, 1], d_values[:, width:])
-        grads = [None] * mpnn.depth
-        for t in range(mpnn.depth - 1, -1, -1):
-            grads[t], d_u = mpnn.layers[t][1].net.backward(self.caches[t], delta)
-            if t == 0:
-                break
-            d_f, d_m = d_u[:, :widths[t]], d_u[:, widths[t]:]
-            delta = d_f + ng.adjacency @ (d_m * weights[:, None])
-        return grads
+        weights = self.row_weights(mpnn.aggregation)
+
+        def pull(t, d):
+            if t == mpnn.depth:
+                width = widths[-1]
+                delta = np.zeros((self.n, width))
+                np.add.at(delta, pairs[:, 0], d[:, :width])
+                np.add.at(delta, pairs[:, 1], d[:, width:])
+                return delta
+            d_f, d_m = d[:, :widths[t]], d[:, widths[t]:]
+            return d_f + self.adjacency @ (d_m * weights[:, None])
+
+        return pull
 
 
 def gmpnn_node(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn,

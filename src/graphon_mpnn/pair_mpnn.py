@@ -13,20 +13,27 @@ Pair features are exactly symmetric, which ``PairGraph.forward`` uses
 three ways: one product A F per channel gives both F A and A F; update nets
 run on the i <= j rows only; and from the all-ones start the first message
 needs no product. Callers that read only some pairs get the last layer at
-those pairs alone, and ``PairTape.backward`` backpropagates through a
-recorded pass. The continuous recursion collapses to r x r block-pair
+those pairs alone, and the ``Tape`` it records backpropagates through
+the pass. The continuous recursion collapses to r x r block-pair
 states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .mpnn import Mpnn, NeighborProjection, RatioUpdate, NetUpdate, update_rows
+from .mpnn import (
+    Mpnn,
+    NeighborProjection,
+    NetUpdate,
+    RatioUpdate,
+    Tape,
+    require_tape,
+    update_rows,
+)
 from .nn import init_net
 from .sbm import (
     GraphStats,
@@ -61,16 +68,16 @@ def fixed_psi_mpnn(T: int) -> Mpnn:
     return Mpnn(layers=layers)
 
 
-def learnable_psi_mpnn(T: int, hidden: int = 5, n_hidden_layers: int = 2,
-                       activation="tanh", seed=0) -> Mpnn:
-    """Neighbor-projection messages with a trainable per-layer update net."""
+def learnable_psi_mpnn(T: int, hidden: int = 5, seed=0) -> Mpnn:
+    """Neighbor-projection messages with a trainable per-layer update net:
+    two hidden tanh layers of width ``hidden``."""
     if T < 1:
         raise PreconditionError("need at least one layer")
     layers = []
     for t in range(T):
-        dims = [2] + [hidden] * n_hidden_layers + [1]
-        net = init_net(dims, activation, seed=seed, tag=f"init/pair-update{t}")
-        layers.append((NeighborProjection(1), NetUpdate(net, trainable=True)))
+        net = init_net([2, hidden, hidden, 1], "tanh", seed=seed,
+                       tag=f"init/pair-update{t}")
+        layers.append((NeighborProjection(1), NetUpdate(net)))
     return Mpnn(layers=tuple(layers))
 
 
@@ -230,18 +237,13 @@ class PairGraph:
         evaluated at those pairs only and values is (k, F). Pair features
         are exactly symmetric: update nets run on the i <= j rows and are
         mirrored; closed-form updates run elementwise on the dense tensor.
-        With ``record``, ``pairs`` is required and tape is the ``PairTape``
-        to backpropagate through; otherwise tape is None.
+        With ``record``, ``pairs`` is required and tape is the ``Tape`` to
+        backpropagate through; otherwise tape is None.
         """
         n = self.n
         _require_size(n, mpnn)
-        if record and (pairs is None or not all(
-                msg.is_neighbor_projection and upd.net is not None
-                for msg, upd in mpnn.layers)):
-            raise PreconditionError(
-                "backprop through the pair recursion needs queried pairs, "
-                "neighbor-projection messages and net updates"
-            )
+        if record:
+            require_tape(mpnn, pairs, "pair")
         if pairs is not None:
             pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
         f = np.ones((n, n, mpnn.feature_dims[0]))
@@ -255,7 +257,7 @@ class PairGraph:
                 out, cache = update_rows(update, x, m, record)
                 caches.append(cache)
                 _require_finite(out)
-                tape = PairTape(self, mpnn, pairs, caches) if record else None
+                tape = Tape(mpnn, caches, self._pull(mpnn, pairs)) if record else None
                 return out, tape
             if update.net is None:
                 f = update(f, self.dense_messages(f, message, first))
@@ -272,44 +274,31 @@ class PairGraph:
             _require_finite(f)
         return f, None
 
+    def _pull(self, mpnn: Mpnn, pairs: np.ndarray):
+        """The tape's pull for a pass queried at ``pairs``.
 
-@dataclass(frozen=True)
-class PairTape:
-    """A recorded ``PairGraph.forward`` at queried pairs."""
-
-    graph: PairGraph
-    mpnn: Mpnn
-    pairs: np.ndarray
-    caches: list  # per layer: the update net's forward cache
-
-    def backward(self, d_values: np.ndarray) -> list:
-        """Parameter gradients of <d_values, values> for the recorded pass.
-
-        Returns one gradient list per layer, ordered like each update net's
-        ``parameters()``. The queried layer's message gradients are
-        scattered to an n x n matrix G; with S = G + G^T the gradient of
-        the dense features below is A S, and each i <= j row collects
-        d_ij + d_ji. Layer 0 takes no input gradient, so the pass stops
-        there.
+        The last layer's output rows are the returned values. Below layer
+        t, the message gradients at its rows (the queried pairs for the
+        last layer, the i <= j rows under it) are scattered to an n x n
+        matrix G; with S = G + G^T the gradient of the dense features
+        below is A S, and each i <= j row collects d_ij + d_ji.
         """
-        pg, mpnn = self.graph, self.mpnn
         widths = mpnn.feature_dims
-        grads = [None] * mpnn.depth
-        delta = np.asarray(d_values, dtype=float)
-        rows = self.pairs  # the queried layer's rows; None below it (i <= j rows)
-        for t in range(mpnn.depth - 1, -1, -1):
-            grads[t], d_u = mpnn.layers[t][1].net.backward(self.caches[t], delta)
-            if t == 0:
-                break
+
+        def pull(t, d):
+            if t == mpnn.depth:
+                return np.asarray(d, dtype=float)
+            rows = pairs if t == mpnn.depth - 1 else None
             width = widths[t]
-            delta = np.empty((pg.n * (pg.n + 1) // 2, width))
+            delta = np.empty((self.n * (self.n + 1) // 2, width))
             for k in range(width):
-                g = pg.scatter(d_u[:, width + k], rows) * pg.weights
-                dense = pg.adjacency @ (g + g.T)
-                dense += pg.scatter(d_u[:, k], rows)
-                delta[:, k] = pg.fold(dense)
-            rows = None
-        return grads
+                g = self.scatter(d[:, width + k], rows) * self.weights
+                dense = self.adjacency @ (g + g.T)
+                dense += self.scatter(d[:, k], rows)
+                delta[:, k] = self.fold(dense)
+            return delta
+
+        return pull
 
 
 def gmpnn_pair(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn) -> np.ndarray:

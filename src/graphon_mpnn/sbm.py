@@ -143,24 +143,28 @@ def graphon_common_neighbors(spec: SbmSpec) -> np.ndarray:
     return (spec.S * spec.block_mass) @ spec.S.T
 
 
-def isomorphic_block_pairs(spec: SbmSpec, tol: float = 1e-9) -> list:
+#: Tolerance of ``isomorphic_block_pairs``' comparisons.
+_ISO_TOL = 1e-9
+
+
+def isomorphic_block_pairs(spec: SbmSpec) -> list:
     """All unordered block pairs {a, b} the model cannot distinguish.
 
     A pair qualifies when the masses agree, swapping a and b leaves S
-    unchanged entrywise, and the block signals agree, all within ``tol``.
+    unchanged entrywise, and the block signals agree, all within 1e-9.
     """
     pairs = []
     r = spec.r
     for a in range(r):
         for b in range(a + 1, r):
-            if abs(spec.block_mass[a] - spec.block_mass[b]) > tol:
+            if abs(spec.block_mass[a] - spec.block_mass[b]) > _ISO_TOL:
                 continue
             perm = np.arange(r)
             perm[a], perm[b] = b, a
             S_swapped = spec.S[np.ix_(perm, perm)]
-            if np.max(np.abs(S_swapped - spec.S)) > tol:
+            if np.max(np.abs(S_swapped - spec.S)) > _ISO_TOL:
                 continue
-            if np.max(np.abs(spec.B[a] - spec.B[b])) > tol:
+            if np.max(np.abs(spec.B[a] - spec.B[b])) > _ISO_TOL:
                 continue
             pairs.append((a, b))
     return pairs

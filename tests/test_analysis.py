@@ -23,7 +23,7 @@ from graphon_mpnn import (
 from graphon_mpnn import analysis
 from graphon_mpnn.analysis import default_probability_budget
 from graphon_mpnn.mpnn import Mpnn, NeighborProjection, NetMessage, NetUpdate, graphsage_mpnn
-from graphon_mpnn.nn import init_net
+from graphon_mpnn.nn import FeedForwardNet
 from graphon_mpnn.pair_mpnn import fixed_psi_mpnn
 from graphon_mpnn.rng import stream
 
@@ -200,9 +200,9 @@ class TestBoundConstants:
 
     def test_zero_weight_message_net_leaves_bias_only(self):
         spec = SbmSpec(block_mass=[1.0], S=[[0.5]], B=[[1.0]])
-        msg_net = init_net([2, 1], seed=0, zero=True)
+        msg_net = FeedForwardNet([2, 1])
         msg_net.biases[0] = np.array([0.7])
-        upd_net = init_net([2, 1], seed=0, zero=True)
+        upd_net = FeedForwardNet([2, 1])
         upd_net.weights[0] = np.array([[0.5, 0.5]])
         mpnn = Mpnn(layers=((NetMessage(msg_net), NetUpdate(upd_net)),))
         report = bound_constants(mpnn, 1.0, spec, p=0.01, mode="node_mean", n=64)

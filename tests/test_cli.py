@@ -193,7 +193,8 @@ class TestStability:
         cfg, _ = self._config(tmp_path, model_file, extra="jobs = 2\n")
         assert cli.main(["stability", str(cfg)]) == 0
         assert cli.main(["--jobs", "1", "stability", str(cfg)]) == 0
-        assert seen == [2, 1]
+        assert cli.main(["--jobs", "0", "stability", str(cfg)]) == 0
+        assert seen == [2, 1, 2]
 
 
 class TestTable:
@@ -270,6 +271,23 @@ class TestOutOfRangeCounts:
         assert_config_error(tmp_path, "converge",
                             f"[sbm]\nspec = {model_file}\n[converge]\n"
                             f"{NODE_SWEEP}p = {value}\n", "p: must be in (0, 1)")
+
+    @pytest.mark.parametrize("value", ["0", "-1e-2", "inf", "nan"])
+    def test_learning_rate_not_finite_and_positive(self, tmp_path, model_file, value):
+        assert_config_error(tmp_path, "table",
+                            f"[sbm]\nspec = {model_file}\n[table]\n"
+                            f"{TABLE_KEYS}runs = 1\nlr = {value}\n",
+                            "lr: must be finite and > 0")
+
+    def test_negative_jobs_flag_is_a_usage_error(self, tmp_path, model_file):
+        cfg = tmp_path / "sample.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"[sbm]\nspec = {model_file}\n[sample]\nn = 10\nseed = 0\n"
+                       f"[output]\ndir = {out}\n")
+        proc = run_cli("--jobs", "-3", "sample", str(cfg))
+        assert proc.returncode == 2
+        assert "--jobs: must be an integer >= 0" in proc.stderr
+        assert not out.exists()
 
 
 class TestConfigReader:

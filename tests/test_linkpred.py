@@ -13,6 +13,7 @@ from graphon_mpnn import (
     train_link_model,
 )
 from graphon_mpnn.linkpred import (
+    TAU,
     LinkDataset,
     _backbone_graph,
     _loss_and_grads,
@@ -285,6 +286,45 @@ class TestTraining:
         scores_neg = model_scores(trained, ds.observed, negs[n_tr + n_val :])
         assert evaluate(scores_pos, scores_neg, k_list=(10,))["auc"] >= 0.9
         assert log.best_val_accuracy >= 0.9
+
+    def test_caller_model_is_left_untouched(self, linkpred_spec):
+        # Adam steps the trained copy's arrays in place; none of them may be
+        # the caller's, or the caller's model would move with it.
+        train_ds, _ = build_training_split(linkpred_spec, 150, 7)
+        for model in (node_link_model(seed=1), pair_link_model(T=2, seed=0),
+                      pair_link_model(T=2, learn_update=True, seed=2)):
+            params = [p for net in model.trainable_nets() for p in net.parameters()]
+            before = [p.copy() for p in params]
+            trained, _ = train_link_model(model, train_ds, epochs=5, lr=5e-2)
+            for p, q in zip(params, before):
+                assert p.tobytes() == q.tobytes()
+            trained_ids = {id(p) for net in trained.trainable_nets()
+                           for p in net.parameters()}
+            assert trained_ids.isdisjoint(id(p) for p in params)
+
+    def test_returned_model_carries_the_best_epoch(self, linkpred_spec):
+        train_ds, _ = build_training_split(linkpred_spec, 150, 7)
+        model = pair_link_model(T=2, seed=0)
+        trained, log = train_link_model(model, train_ds, epochs=5, lr=1e-2)
+        # validation peaks before the last epoch, so the best parameters
+        # must be restored, not left at the last step
+        assert log.val_accuracies[-1] < log.best_val_accuracy
+        pos, neg = train_ds.positives["val"], train_ds.negatives["val"]
+        scores = model_scores(trained, train_ds.observed, np.concatenate([pos, neg]))
+        correct = np.sum(scores[:len(pos)] > TAU) + np.sum(scores[len(pos):] <= TAU)
+        assert correct / len(scores) == log.best_val_accuracy
+
+    def test_backbone_trainable_is_read_off_the_network(self):
+        node = node_link_model()
+        learn = pair_link_model(learn_update=True)
+        fixed = pair_link_model(learn_update=False)
+        assert node.backbone_trainable and learn.backbone_trainable
+        assert not fixed.backbone_trainable
+        assert fixed.trainable_nets() == [fixed.head]
+        for model in (node, learn):
+            nets = model.trainable_nets()
+            assert nets[0] is model.head
+            assert nets[1:] == [upd.net for _, upd in model.mpnn.layers]
 
     def test_divergence_aborts(self, linkpred_spec):
         from graphon_mpnn import NumericalError

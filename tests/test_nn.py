@@ -26,7 +26,7 @@ class TestInit:
         )
 
     def test_zero_init_reduces_to_bias(self):
-        net = init_net([2, 1], seed=0, zero=True)
+        net = FeedForwardNet([2, 1])
         net.biases[0] = np.array([0.7])
         out = net.forward(np.array([3.0, -4.0]))
         assert out == pytest.approx([0.7])
@@ -165,7 +165,7 @@ class TestLipschitz:
     @given(alpha=st.floats(0.1, 10.0), seed=st.integers(0, 100))
     def test_scaling_homogeneity(self, alpha, seed):
         net = init_net([2, 4, 3], "identity", seed=seed)
-        scaled = net.copy()
+        scaled = init_net([2, 4, 3], "identity", seed=seed)
         for k in range(len(scaled.weights)):
             scaled.weights[k] = alpha * scaled.weights[k]
         n_layers = len(net.weights)
@@ -178,21 +178,29 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         net = init_net([2, 2], seed=0)
         params = net.parameters()
+        before = [p.copy() for p in params]
         state = AdamState.for_parameters(params)
-        new = adam_step(params, [np.zeros_like(p) for p in params], state)
+        adam_step(params, [np.zeros_like(p) for p in params], state)
         assert state.step == 1
-        for p, q in zip(params, new):
+        for p, q in zip(params, before):
             assert np.array_equal(p, q)
+
+    def test_steps_the_net_in_place(self):
+        net = init_net([2, 3, 1], seed=4)
+        params = net.parameters()
+        state = AdamState.for_parameters(params, lr=0.1)
+        adam_step(params, [np.ones_like(p) for p in params], state)
+        assert np.allclose(net.weights[0], init_net([2, 3, 1], seed=4).weights[0] - 0.1)
 
     def test_descends_quadratic_scalar(self):
         w = [np.array([1.0])]
         state = AdamState.for_parameters(w, lr=0.1)
-        w = adam_step(w, [2.0 * w[0]], state)
+        adam_step(w, [2.0 * w[0]], state)
         assert w[0][0] < 1.0
 
     def test_converges_on_quadratic(self):
         w = [np.array([3.0, -2.0])]
         state = AdamState.for_parameters(w, lr=0.05)
         for _ in range(500):
-            w = adam_step(w, [2.0 * w[0]], state)
+            adam_step(w, [2.0 * w[0]], state)
         assert float(np.sum(w[0] ** 2)) < 1e-6

@@ -30,7 +30,6 @@ class TakeMessage:
     """Update (x, m) -> m; turns the recursion into plain neighbor averaging."""
 
     is_neighbor_projection = False
-    trainable = False
     net = None
 
     def __init__(self, width):
