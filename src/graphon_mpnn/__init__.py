@@ -27,7 +27,7 @@ from .linkpred import (
     run_table,
     train_link_model,
 )
-from .mpnn import Mpnn, NeighborProjection, NetMessage, NetUpdate, RatioUpdate, graphsage_mpnn
+from .mpnn import Mpnn, NeighborProjection, NetFunction, RatioUpdate, graphsage_mpnn
 from .nn import AdamState, FeedForwardNet, adam_step, init_net, lipschitz_upper_bound
 from .node_mpnn import cmpnn_node_sbm, gmpnn_node
 from .pair_mpnn import cmpnn_pair_sbm, fixed_psi_mpnn, gmpnn_pair

@@ -33,6 +33,9 @@ log = logging.getLogger(__name__)
 
 SWEEP_MODES = ("node_mean", "node_sum", "pair_fixed", "pair_net")
 
+#: The fewest distinct sizes a log-log slope is fitted to.
+MIN_FIT_SIZES = 3
+
 #: ``delta_pair`` gathers row strips of about this many entries (8 MiB).
 _STRIP_ENTRIES = 1 << 20
 
@@ -152,7 +155,7 @@ def loglog_slope(records) -> SlopeFit:
     """Least squares on (ln n, ln median delta per n).
 
     Records with non-positive delta are excluded with a warning; at least
-    three distinct n must remain.
+    MIN_FIT_SIZES distinct n must remain.
     """
     by_n = {}
     for rec in records:
@@ -161,8 +164,9 @@ def loglog_slope(records) -> SlopeFit:
                         rec.n, rec.seed)
             continue
         by_n.setdefault(rec.n, []).append(rec.delta)
-    if len(by_n) < 3:
-        raise PreconditionError("need at least 3 distinct n with positive deltas")
+    if len(by_n) < MIN_FIT_SIZES:
+        raise PreconditionError(
+            f"need at least {MIN_FIT_SIZES} distinct n with positive deltas")
     ns = sorted(by_n)
     medians = [float(np.median(by_n[n])) for n in ns]
     x = np.log(np.array(ns, dtype=float))

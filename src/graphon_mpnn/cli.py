@@ -52,16 +52,19 @@ def cmd_sample(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg, text = parse_converge_config(args.config)
+    if len(set(cfg.n_list)) < analysis.MIN_FIT_SIZES:
+        raise PreconditionError(f"[converge] n_list: the slope fit needs at least "
+                                f"{analysis.MIN_FIT_SIZES} distinct n, got {cfg.n_list}")
     jobs = args.jobs if args.jobs else cfg.jobs
     records = analysis.convergence_sweep(cfg.spec, cfg.mpnn, cfg.mode, cfg.n_list,
                                          cfg.seeds, p=cfg.p, jobs=jobs)
+    fit = analysis.loglog_slope(records)
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = [[r.mode, r.n, r.seed, format_float(r.delta), format_float(r.bound)]
             for r in records]
     write_csv(os.path.join(cfg.out_dir, "deltas.csv"),
               ["mode", "n", "seed", "delta", "bound"], rows)
 
-    fit = analysis.loglog_slope(records)
     with_bounds = [r for r in records if r.bound is not None]
     validity = (
         float(np.mean([r.delta <= r.bound for r in with_bounds]))

@@ -1,8 +1,9 @@
 """Run configuration: flat key-value files with section headers.
 
 One file drives one subcommand. The [sbm] section either points at a model
-file (``spec = path``) or inlines the model (r, block_mass, S, B). Arrays
-are comma lists. Seeds are always explicit; nothing defaults to the clock.
+file (``spec = path``) or inlines the model's keys (r, block_mass, S, B),
+read as a model file's are. Seeds are always explicit; nothing defaults to
+the clock.
 Each key is read once, with its range checked; a key no reader uses and a
 section other than [sbm], the subcommand's own and [output] are config
 errors. The sweep configs carry the network their keys describe.
@@ -22,7 +23,7 @@ from .errors import ConfigError
 from .linkpred import METHODS, SCENARIOS, RunTableConfig
 from .mpnn import Mpnn, graphsage_mpnn
 from .pair_mpnn import fixed_psi_mpnn, learnable_psi_mpnn
-from .sbm import SbmSpec, read_spec_file
+from .sbm import SbmSpec, _read_model, read_spec_file
 
 _REQUIRED = object()
 
@@ -64,11 +65,10 @@ class _Section:
 
 
 def _ints(text: str) -> tuple:
-    return tuple(int(v) for v in text.replace(",", " ").split())
-
-
-def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+    values = tuple(int(v) for v in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("needs at least one integer")
+    return values
 
 
 def _probability(text: str) -> float:
@@ -101,25 +101,19 @@ def _names(known):
 
 
 def load_sbm_section(parser: configparser.ConfigParser, base_dir: str) -> SbmSpec:
+    """The model of the [sbm] section: the model file that ``spec`` names,
+    or else the section's own keys, read as a model file's are."""
     if not parser.has_section("sbm"):
         raise ConfigError("config needs an [sbm] section")
     sec = _Section(parser, "sbm")
     path = sec.get("spec", str, None)
-    if path is not None:
-        path = os.path.join(base_dir, path)
-        sec.close()
-        if not os.path.exists(path):
-            raise ConfigError(f"sbm spec file not found: {path}")
-        return read_spec_file(path)
-    r = sec.get("r", low=1)
-    block_mass, S, B = (np.array(sec.get(key, _floats))
-                        for key in ("block_mass", "S", "B"))
+    if path is None:
+        return _read_model(parser.items("sbm"), "[sbm]")
     sec.close()
-    try:
-        S, B = S.reshape(r, r), B.reshape(r, -1)
-    except ValueError as exc:
-        raise ConfigError(f"inline [sbm] section: {exc}") from exc
-    return SbmSpec(block_mass=block_mass, S=S, B=B)
+    path = os.path.join(base_dir, path)
+    if not os.path.exists(path):
+        raise ConfigError(f"sbm spec file not found: {path}")
+    return read_spec_file(path)
 
 
 def _open(path, command: str) -> tuple:

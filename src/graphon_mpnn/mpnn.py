@@ -76,14 +76,13 @@ class RatioUpdate:
         return 0.0
 
 
-class NetMessage:
-    """Message function backed by a net on the concatenated pair [x, y]."""
+class NetFunction:
+    """Message or update function backed by a net on the concatenated pair:
+    [x, y] for a message, [x, m] for an update."""
 
     is_neighbor_projection = False
 
     def __init__(self, net: FeedForwardNet):
-        if net.width_in % 2 != 0:
-            raise ValueError("message net input width must be even (pair input)")
         self.net = net
         self.width_in = net.width_in
         self.width_out = net.width_out
@@ -98,35 +97,12 @@ class NetMessage:
         return self.net.formal_bias()
 
 
-class NetUpdate:
-    """Update function backed by a net on the concatenated [x, m]."""
-
-    is_neighbor_projection = False
-
-    def __init__(self, net: FeedForwardNet):
-        self.net = net
-        self.width_in = net.width_in
-        self.width_out = net.width_out
-
-    def __call__(self, x, m):
-        return self.net.forward(np.concatenate([x, m], axis=-1))
-
-    def lipschitz(self) -> float:
-        return lipschitz_upper_bound(self.net)
-
-    def formal_bias(self) -> float:
-        return self.net.formal_bias()
-
-
 def update_rows(update, x, m, record: bool):
     """One layer's update on the rows of ``x`` and ``m``, and with
-    ``record`` the update net's forward cache (else None)."""
-    if update.net is None:
-        return update(x, m), None
-    u = np.concatenate([x, m], axis=-1)
+    ``record`` (only for a net update) the net's forward cache (else None)."""
     if record:
-        return update.net.forward_cache(u)
-    return update.net.forward(u), None
+        return update.net.forward_cache(np.concatenate([x, m], axis=-1))
+    return update(x, m), None
 
 
 @dataclass(frozen=True)
@@ -202,7 +178,7 @@ def graphsage_mpnn(feature_dims, update_hidden=10, seed=0,
         f_in, f_out = feature_dims[t], feature_dims[t + 1]
         net = init_net([2 * f_in, update_hidden, f_out], "tanh",
                        seed=seed, tag=f"init/update{t}")
-        layers.append((NeighborProjection(f_in), NetUpdate(net)))
+        layers.append((NeighborProjection(f_in), NetFunction(net)))
     return Mpnn(layers=tuple(layers), aggregation=aggregation)
 
 

@@ -28,7 +28,7 @@ from .errors import NumericalError, PreconditionError
 from .mpnn import (
     Mpnn,
     NeighborProjection,
-    NetUpdate,
+    NetFunction,
     RatioUpdate,
     Tape,
     require_tape,
@@ -77,7 +77,7 @@ def learnable_psi_mpnn(T: int, hidden: int = 5, seed=0) -> Mpnn:
     for t in range(T):
         net = init_net([2, hidden, hidden, 1], "tanh", seed=seed,
                        tag=f"init/pair-update{t}")
-        layers.append((NeighborProjection(1), NetUpdate(net)))
+        layers.append((NeighborProjection(1), NetFunction(net)))
     return Mpnn(layers=tuple(layers))
 
 

@@ -109,13 +109,14 @@ def validate_sbm(spec: SbmSpec) -> ValidationReport:
     """
     violations = []
     bm, S = spec.block_mass, spec.S
-    if np.any(bm <= 0):
+    # written so that a NaN entry fails every comparison it is in
+    if not np.all(bm > 0):
         violations.append("block_mass entries must be strictly positive")
-    if abs(bm.sum() - 1.0) > 1e-12:
-        violations.append(f"block_mass must sum to 1 (got {bm.sum()!r})")
+    if not abs(bm.sum() - 1.0) <= 1e-12:
+        violations.append(f"block_mass must sum to 1 (got {float(bm.sum())!r})")
     if not np.array_equal(S, S.T):
         violations.append("S must be symmetric")
-    if np.any(S < 0.0) or np.any(S > 1.0):
+    if not np.all((S >= 0.0) & (S <= 1.0)):
         violations.append("S entries must lie in [0, 1]")
     if np.any(~np.isfinite(spec.B)):
         violations.append("B entries must be finite")
@@ -280,53 +281,73 @@ def graph_stats(graph: SampledGraph) -> GraphStats:
 
 # --- flat key-value serialization -------------------------------------------
 
-def _format_row_major(a: np.ndarray) -> str:
-    return "[" + ", ".join(repr(float(v)) for v in np.asarray(a).reshape(-1)) + "]"
-
-
 def write_spec_file(spec: SbmSpec, path) -> None:
-    lines = [
-        f"r = {spec.r}",
-        f"block_mass = {_format_row_major(spec.block_mass)}",
-        f"S = {_format_row_major(spec.S)}",
-        f"B = {_format_row_major(spec.B)}",
-        "",
-    ]
+    """Write ``spec`` as a model file: r, then each list row-major in brackets."""
+    lists = {"block_mass": spec.block_mass, "S": spec.S, "B": spec.B}
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+        fh.write(f"r = {spec.r}\n")
+        for key, a in lists.items():
+            fh.write(f"{key} = [{', '.join(repr(float(v)) for v in a.reshape(-1))}]\n")
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    text = text.strip().lstrip("[").rstrip("]")
-    parts = [p for p in text.replace(",", " ").split() if p]
-    return np.array([float(p) for p in parts])
+#: The model keys by their lower-case form: keys match in lower case, as in configs.
+_MODEL_KEYS = {"r": "r", "block_mass": "block_mass", "s": "S", "b": "B"}
+
+
+def _read_model(entries, source) -> SbmSpec:
+    """The model of ``entries``, (key, value text) pairs from ``source`` (a
+    file path or ``[sbm]``), which every error names with the key. Each of
+    the four keys comes once; a list holds numbers separated by commas
+    and/or spaces, in brackets or bare; S and B are row-major."""
+    values = {}
+    for key, text in entries:
+        name = _MODEL_KEYS.get(key.lower())
+        if name is None or name in values:
+            raise SpecValidationError(
+                f"{source}: {'repeated' if name else 'unknown'} key '{key}'; a model "
+                f"has each of the keys {', '.join(_MODEL_KEYS.values())} once")
+        values[name] = text.strip()
+    missing = [name for name in _MODEL_KEYS.values() if name not in values]
+    if missing:
+        raise SpecValidationError(f"{source}: missing keys: {', '.join(missing)}")
+    r = int(values["r"]) if values["r"].isdecimal() else 0
+    if r < 1:
+        raise SpecValidationError(f"{source}: r must be an integer >= 1, got {values['r']!r}")
+    lists = []
+    for key in ("block_mass", "S", "B"):
+        text = values[key]
+        body = text[1:-1] if text.startswith("[") and text.endswith("]") else text
+        try:
+            lists.append(np.array([float(v) for v in body.replace(",", " ").split()]))
+        except ValueError:
+            raise SpecValidationError(f"{source}: {key}: expected numbers, got {text!r}") from None
+    block_mass, S, B = lists
+    for key, a, ok, rule in (("block_mass", block_mass, block_mass.size == r, "r"),
+                             ("S", S, S.size == r * r, "r * r"),
+                             ("B", B, B.size > 0 and B.size % r == 0,
+                              "a non-zero multiple of r")):
+        if not ok:
+            raise SpecValidationError(
+                f"{source}: {key} must have {rule} entries (r = {r}), got {a.size}")
+    return SbmSpec(block_mass=block_mass, S=S.reshape(r, r), B=B.reshape(r, -1))
 
 
 def read_spec_file(path) -> SbmSpec:
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SpecValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    missing = {"r", "block_mass", "S", "B"} - set(values)
-    if missing:
-        raise SpecValidationError(f"{path}: missing keys: {sorted(missing)}")
-    r = int(values["r"])
-    block_mass = _parse_floats(values["block_mass"])
-    S = _parse_floats(values["S"])
-    B = _parse_floats(values["B"])
-    if block_mass.shape[0] != r:
-        raise SpecValidationError(f"{path}: block_mass must have {r} entries")
-    if S.shape[0] != r * r:
-        raise SpecValidationError(f"{path}: S must have {r * r} entries (row-major)")
-    if B.shape[0] % r != 0:
-        raise SpecValidationError(f"{path}: B length must be a multiple of {r}")
-    return SbmSpec(block_mass=block_mass, S=S.reshape(r, r), B=B.reshape(r, -1))
+    """The model in the file at ``path``: ``key = value`` lines; blank
+    lines and ``#`` comments, full-line or trailing, are skipped."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecValidationError(f"cannot read model file {path}: {exc}") from exc
+    entries = []
+    for lineno, raw in enumerate(lines, 1):
+        key, eq, text = raw.split("#", 1)[0].partition("=")
+        if eq:
+            entries.append((key.strip(), text))
+        elif key.strip():
+            raise SpecValidationError(f"{path}:{lineno}: expected 'key = value'")
+    return _read_model(entries, path)
 
 
 def write_edge_list(graph: SampledGraph, edges_path, blocks_path=None) -> None:

@@ -22,7 +22,7 @@ from graphon_mpnn import (
     run_table,
     sample_graph,
 )
-from graphon_mpnn.mpnn import Mpnn, NetMessage, NetUpdate, graphsage_mpnn
+from graphon_mpnn.mpnn import Mpnn, NetFunction, graphsage_mpnn
 from graphon_mpnn.nn import init_net
 from graphon_mpnn.pair_mpnn import fixed_psi_mpnn, learnable_psi_mpnn
 from graphon_mpnn.linkpred import node_link_model, pair_link_model
@@ -89,10 +89,10 @@ class TestCriterion2:
                 f = 1
                 for t in range(T):
                     h, f_next = 2, 2
-                    msg = NetMessage(init_net([2 * f, 4, h], "tanh", seed=seed,
-                                              tag=f"am{k}/{t}"))
-                    upd = NetUpdate(init_net([f + h, 4, f_next], "tanh",
-                                             seed=seed, tag=f"au{k}/{t}"))
+                    msg = NetFunction(init_net([2 * f, 4, h], "tanh", seed=seed,
+                                               tag=f"am{k}/{t}"))
+                    upd = NetFunction(init_net([f + h, 4, f_next], "tanh",
+                                               seed=seed, tag=f"au{k}/{t}"))
                     layers.append((msg, upd))
                     f = f_next
                 mpnn = Mpnn(layers=tuple(layers), aggregation=agg)
@@ -105,10 +105,10 @@ class TestCriterion2:
                 else:
                     layers = []
                     for t in range(T):
-                        msg = NetMessage(init_net([2, 3, 1], "tanh", seed=seed,
-                                                  tag=f"pm{k}/{t}"))
-                        upd = NetUpdate(init_net([2, 3, 1], "tanh", seed=seed,
-                                                 tag=f"pu{k}/{t}"))
+                        msg = NetFunction(init_net([2, 3, 1], "tanh", seed=seed,
+                                                   tag=f"pm{k}/{t}"))
+                        upd = NetFunction(init_net([2, 3, 1], "tanh", seed=seed,
+                                                   tag=f"pu{k}/{t}"))
                         layers.append((msg, upd))
                     mpnn = Mpnn(layers=tuple(layers))
                 got = gmpnn_pair(g, stats, mpnn)

@@ -22,7 +22,7 @@ from graphon_mpnn import (
 )
 from graphon_mpnn import analysis
 from graphon_mpnn.analysis import default_probability_budget
-from graphon_mpnn.mpnn import Mpnn, NeighborProjection, NetMessage, NetUpdate, graphsage_mpnn
+from graphon_mpnn.mpnn import Mpnn, NeighborProjection, NetFunction, graphsage_mpnn
 from graphon_mpnn.nn import FeedForwardNet
 from graphon_mpnn.pair_mpnn import fixed_psi_mpnn
 from graphon_mpnn.rng import stream
@@ -204,7 +204,7 @@ class TestBoundConstants:
         msg_net.biases[0] = np.array([0.7])
         upd_net = FeedForwardNet([2, 1])
         upd_net.weights[0] = np.array([[0.5, 0.5]])
-        mpnn = Mpnn(layers=((NetMessage(msg_net), NetUpdate(upd_net)),))
+        mpnn = Mpnn(layers=((NetFunction(msg_net), NetFunction(upd_net)),))
         report = bound_constants(mpnn, 1.0, spec, p=0.01, mode="node_mean", n=64)
         assert report.c_scale == 0.0  # message Lipschitz constant is 0
         coef = 4 * math.sqrt(2) / 0.25 + 2 * math.sqrt(2) / 0.5

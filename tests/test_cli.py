@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphon_mpnn import config
+from graphon_mpnn import cli, config
 from graphon_mpnn.pair_mpnn import learnable_psi_mpnn
-from graphon_mpnn.sbm import write_spec_file
+from graphon_mpnn.sbm import read_spec_file, write_spec_file
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "scripts" / "configs"
@@ -141,6 +141,22 @@ class TestConverge:
         summary = json.loads((out / "slope_summary.jsonl").read_text())
         assert summary["bound_validity_frequency"] is None
 
+    @pytest.mark.parametrize("n_list", ["32, 64", "32, 64, 64, 32"])
+    def test_fewer_than_three_sizes_stop_before_the_sweep(self, tmp_path, model_file,
+                                                          n_list):
+        cfg = tmp_path / "conv.cfg"
+        out = tmp_path / "conv_out"
+        cfg.write_text(
+            f"[sbm]\nspec = {model_file}\n"
+            f"[converge]\nmode = node_mean\nn_list = {n_list}\nseeds = 0\n"
+            f"[output]\ndir = {out}\n"
+        )
+        proc = run_cli("converge", str(cfg))
+        assert proc.returncode == 3, proc.stderr
+        assert "n_list" in proc.stderr and "at least 3 distinct n" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestStability:
     @staticmethod
@@ -266,6 +282,18 @@ class TestOutOfRangeCounts:
                             f"[sbm]\nspec = {model_file}\n[{command}]\n{section}",
                             f"{key} must be >=")
 
+    @pytest.mark.parametrize("command, section, key", [
+        ("converge", "mode = node_mean\nn_list =\nseeds = 0\n", "n_list"),
+        ("converge", "mode = node_mean\nn_list = 32, 64, 128\nseeds =\n", "seeds"),
+        ("stability", "n_list =\nseeds = 0\n", "n_list"),
+        ("stability", "n_list = 64\nseeds = ,\n", "seeds"),
+        ("table", TABLE_KEYS + "runs = 1\nk_list =\n", "k_list"),
+    ])
+    def test_empty_list(self, tmp_path, model_file, command, section, key):
+        assert_config_error(tmp_path, command,
+                            f"[sbm]\nspec = {model_file}\n[{command}]\n{section}",
+                            f"[{command}] {key}: needs at least one integer")
+
     @pytest.mark.parametrize("value", ["0", "-1", "1", "1.5", "nan"])
     def test_probability_outside_the_unit_interval(self, tmp_path, model_file, value):
         assert_config_error(tmp_path, "converge",
@@ -379,6 +407,124 @@ class TestShippedConfigs:
             golden = REPO / "out" / "sample_example" / name
             assert (tmp_path / "out" / "sample_example" / name).read_bytes() == \
                 golden.read_bytes(), name
+
+
+MODEL = {"r": "2", "block_mass": "[0.5, 0.5]", "S": "[0.5, 0.1, 0.1, 0.5]",
+         "B": "[1, 1]"}
+
+
+def model_text(changes=(), drop=(), extra=()):
+    """``key = value`` lines of MODEL with ``changes`` applied, the keys in
+    ``drop`` left out and the (key, value) pairs of ``extra`` appended."""
+    model = {**MODEL, **dict(changes)}
+    lines = [(k, v) for k, v in model.items() if k not in drop] + list(extra)
+    return "".join(f"{k} = {v}\n" for k, v in lines)
+
+
+def sample_config(tmp_path, sbm_body):
+    """A sample config with ``sbm_body`` as its [sbm] section, and its
+    output directory."""
+    cfg = tmp_path / "sample.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(f"[sbm]\n{sbm_body}[sample]\nn = 30\nseed = 2\n"
+                   f"[output]\ndir = {out}\n")
+    return cfg, out
+
+
+class TestModelReader:
+    """Model files and inline [sbm] sections go through one reader: each
+    violation exits 3 naming the source and the key, before any output."""
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(model_text({"r": "two"}), "r must be an integer >= 1, got 'two'",
+                     id="r-word"),
+        pytest.param(model_text({"r": "0"}), "r must be an integer >= 1, got '0'",
+                     id="r-zero"),
+        pytest.param(model_text({"r": "2.0"}), "r must be an integer >= 1, got '2.0'",
+                     id="r-float"),
+        pytest.param(model_text({"S": "[0.5, 0.1, 0.1, x]"}), "S: expected numbers",
+                     id="S-entry"),
+        pytest.param(model_text({"block_mass": "[0.4, 0.3, 0.3]"}),
+                     "block_mass must have r entries (r = 2), got 3", id="block_mass-length"),
+        pytest.param(model_text({"S": "[0.5, 0.1, 0.1]"}),
+                     "S must have r * r entries (r = 2), got 3", id="S-length"),
+        pytest.param(model_text({"B": "[1, 1, 1]"}),
+                     "B must have a non-zero multiple of r entries (r = 2), got 3",
+                     id="B-length"),
+        pytest.param(model_text({"B": "[]"}),
+                     "B must have a non-zero multiple of r entries (r = 2), got 0",
+                     id="B-empty"),
+        pytest.param(model_text(extra=[("Bx", "3")]), "unknown key 'bx'", id="unknown-key"),
+        pytest.param(model_text(drop=["B"]), "missing keys: B", id="missing-key"),
+    ])
+    def test_violation_exits_3_from_either_source(self, tmp_path, capsys, text, message):
+        # in process: an exception the CLI does not map to an exit code fails the test
+        path = tmp_path / "bad.sbm"
+        path.write_text(text)
+        assert cli.main(["validate-spec", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message.lower() in err.lower()
+
+        cfg, out = sample_config(tmp_path, text)
+        assert cli.main(["sample", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "[sbm]: " in err and message.lower() in err.lower()
+        assert not out.exists()
+
+    def test_repeated_key(self, tmp_path, capsys):
+        text = model_text(extra=[("S", MODEL["S"])])
+        path = tmp_path / "bad.sbm"
+        path.write_text(text)
+        assert cli.main(["validate-spec", str(path)]) == 3
+        assert f"{path}: repeated key 'S'" in capsys.readouterr().err
+        # the config parser rejects a repeated key in any section first
+        cfg, out = sample_config(tmp_path, text)
+        assert cli.main(["sample", str(cfg)]) == 2
+        assert "option 's' in section 'sbm' already exists" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_or_unreadable_model_file(self, tmp_path):
+        for path in (tmp_path / "missing.sbm", tmp_path):
+            proc = run_cli("validate-spec", str(path))
+            assert proc.returncode == 3, proc.stderr
+            assert f"cannot read model file {path}" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_bracketed_and_bare_lists_agree(self, tmp_path):
+        bare = {k: v.strip("[]") for k, v in MODEL.items()}
+        spaced = {k: v.replace(",", " ") for k, v in MODEL.items()}
+        specs = []
+        for i, model in enumerate((MODEL, bare, spaced)):
+            text = model_text(model)
+            path = tmp_path / f"model{i}.sbm"
+            path.write_text("# a comment line\n" + text.replace("\n", "  # note\n", 1))
+            specs.append(read_spec_file(path))
+            cfg, _ = sample_config(tmp_path, text)
+            specs.append(config.parse_sample_config(cfg)[0].spec)
+        for spec in specs[1:]:
+            for name in ("block_mass", "S", "B"):
+                np.testing.assert_array_equal(getattr(spec, name),
+                                              getattr(specs[0], name))
+
+    @pytest.mark.parametrize("path", sorted([*REPO.glob("scripts/models/*.sbm"),
+                                             *REPO.glob("perfbench/models/*.sbm")]),
+                             ids=lambda p: str(p.relative_to(REPO)))
+    def test_shipped_model_reads_as_an_inline_section(self, tmp_path, path,
+                                                      convergence_spec, linkpred_spec):
+        from_file = read_spec_file(path)
+        cfg, _ = sample_config(tmp_path, path.read_text())
+        inline = config.parse_sample_config(cfg)[0].spec
+        want = {"convergence.sbm": convergence_spec, "linkpred.sbm": linkpred_spec}[path.name]
+        for spec in (from_file, inline):
+            for name in ("block_mass", "S", "B"):
+                np.testing.assert_array_equal(getattr(spec, name), getattr(want, name))
+
+    def test_written_model_format(self, tmp_path, linkpred_spec):
+        path = tmp_path / "model.sbm"
+        write_spec_file(linkpred_spec, path)
+        assert path.read_text() == (
+            "r = 3\nblock_mass = [0.45, 0.1, 0.45]\n"
+            "S = [0.6, 0.05, 0.02, 0.05, 0.6, 0.05, 0.02, 0.05, 0.6]\nB = [1.0, 1.0, 1.0]\n")
 
 
 class TestInlineModel:

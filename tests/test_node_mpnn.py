@@ -15,8 +15,7 @@ from graphon_mpnn import (
 from graphon_mpnn.mpnn import (
     Mpnn,
     NeighborProjection,
-    NetMessage,
-    NetUpdate,
+    NetFunction,
     graphsage_mpnn,
 )
 from graphon_mpnn.analysis import delta_node
@@ -55,7 +54,7 @@ def random_net_mpnn(feature_dims, message_dims, hidden=6, seed=0,
         msg = init_net([2 * f_in, hidden, h], "tanh", seed=seed, tag=f"init/msg{t}")
         upd = init_net([f_in + h, hidden, f_out], "tanh", seed=seed,
                        tag=f"init/upd{t}")
-        layers.append((NetMessage(msg), NetUpdate(upd)))
+        layers.append((NetFunction(msg), NetFunction(upd)))
     return Mpnn(layers=tuple(layers), aggregation=aggregation)
 
 
@@ -104,7 +103,7 @@ class TestDiscrete:
         stats = graph_stats(g)
         net = init_net([2, 4, 1], "tanh", seed=5)
         mpnn = Mpnn(
-            layers=((NeighborProjection(1), NetUpdate(net)),),
+            layers=((NeighborProjection(1), NetFunction(net)),),
             aggregation="n_normalized_sum",
         )
         out = gmpnn_node(g, stats, mpnn)
@@ -243,7 +242,7 @@ class TestContinuous:
     def test_single_block_scalar_recursion(self):
         spec = SbmSpec(block_mass=[1.0], S=[[0.4]], B=[[2.0]])
         net = init_net([2, 4, 1], "tanh", seed=9)
-        mpnn = Mpnn(layers=((NeighborProjection(1), NetUpdate(net)),) * 3)
+        mpnn = Mpnn(layers=((NeighborProjection(1), NetFunction(net)),) * 3)
         out = cmpnn_node_sbm(spec, mpnn)
         # scalar recursion: message average over the single block is the
         # block value itself in mean mode

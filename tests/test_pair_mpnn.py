@@ -10,7 +10,7 @@ from graphon_mpnn import (
     graph_stats,
     sample_graph,
 )
-from graphon_mpnn.mpnn import EPS_DIV, Mpnn, NeighborProjection, NetMessage, NetUpdate, RatioUpdate
+from graphon_mpnn.mpnn import EPS_DIV, Mpnn, NeighborProjection, NetFunction, RatioUpdate
 from graphon_mpnn import pair_mpnn
 from graphon_mpnn.analysis import delta_pair
 from graphon_mpnn.nn import init_net
@@ -68,10 +68,10 @@ class TestDiscrete:
         for seed in range(2):
             g = sample_graph(spec, 5, seed=seed)
             stats = graph_stats(g)
-            msg = NetMessage(init_net([2, 4, 2], "tanh", seed=seed, tag="m"))
-            upd = NetUpdate(init_net([3, 4, 1], "tanh", seed=seed, tag="u"))
-            msg2 = NetMessage(init_net([2, 3, 1], "tanh", seed=seed, tag="m2"))
-            upd2 = NetUpdate(init_net([2, 3, 1], "tanh", seed=seed, tag="u2"))
+            msg = NetFunction(init_net([2, 4, 2], "tanh", seed=seed, tag="m"))
+            upd = NetFunction(init_net([3, 4, 1], "tanh", seed=seed, tag="u"))
+            msg2 = NetFunction(init_net([2, 3, 1], "tanh", seed=seed, tag="m2"))
+            upd2 = NetFunction(init_net([2, 3, 1], "tanh", seed=seed, tag="u2"))
             mpnn = Mpnn(layers=((msg, upd), (msg2, upd2)))
             out = gmpnn_pair(g, stats, mpnn)
             expected = pair_mpnn_oracle(g.adjacency, list(mpnn.layers))

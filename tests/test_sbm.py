@@ -69,6 +69,16 @@ class TestValidation:
         assert "symmetric" in text
         assert "[0, 1]" in text
 
+    def test_nan_entries_are_violations(self):
+        spec = SbmSpec(block_mass=[np.nan, np.nan], S=[[0.5, np.nan], [np.nan, 0.5]],
+                       B=np.ones((2, 1)))
+        text = " ".join(validate_sbm(spec).violations)
+        assert "strictly positive" in text
+        assert "sum to 1" in text
+        assert "[0, 1]" in text
+        with pytest.raises(SpecValidationError):
+            spec.require_valid()
+
     def test_disjoint_blocks_fail_pairwise_use(self):
         spec = SbmSpec(block_mass=[0.5, 0.5], S=np.eye(2), B=np.ones((2, 1)))
         report = validate_sbm(spec)
