@@ -15,6 +15,7 @@ biases of the message/update functions.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -107,7 +108,7 @@ def _sweep_one(args):
     stats = graph_stats(graph)
     if mode in ("node_mean", "node_sum"):
         agg = NEIGHBOR_AVERAGE if mode == "node_mean" else N_NORMALIZED_SUM
-        net = mpnn.with_aggregation(agg)
+        net = dataclasses.replace(mpnn, aggregation=agg)
         discrete = gmpnn_node(graph, stats, net, init="degree")
         block = cmpnn_node_sbm(spec, net, init="degree")
         delta = delta_node(discrete, block, graph.block_of)
@@ -147,7 +148,6 @@ class SlopeFit:
     slope: float
     intercept: float
     r_squared: float
-    n_values: tuple
     medians: tuple
 
 
@@ -177,7 +177,7 @@ def loglog_slope(records) -> SlopeFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return SlopeFit(slope=float(slope), intercept=float(intercept), r_squared=r2,
-                    n_values=tuple(ns), medians=tuple(medians))
+                    medians=tuple(medians))
 
 
 # --- bound constants ------------------------------------------------------------

@@ -226,7 +226,7 @@ def node_link_model(feature_dims=(8, 8), update_hidden=10,
     dims = [1, *feature_dims]
     mpnn = graphsage_mpnn(dims, update_hidden=update_hidden, seed=seed,
                           aggregation=NEIGHBOR_AVERAGE)
-    head = init_net([2 * dims[-1], *head_hidden, 1], "tanh", seed=seed,
+    head = init_net([2 * dims[-1], *head_hidden, 1], seed=seed,
                     output_activation="sigmoid", tag="init/head")
     return LinkModel(kind="node", mpnn=mpnn, head=head)
 
@@ -238,7 +238,7 @@ def pair_link_model(T: int = 2, learn_update: bool = False, update_hidden=5,
         mpnn = learnable_psi_mpnn(T, hidden=update_hidden, seed=seed)
     else:
         mpnn = fixed_psi_mpnn(T)
-    head = init_net([1, *head_hidden, 1], "tanh", seed=seed,
+    head = init_net([1, *head_hidden, 1], seed=seed,
                     output_activation="sigmoid", tag="init/head")
     return LinkModel(kind="pair", mpnn=mpnn, head=head)
 

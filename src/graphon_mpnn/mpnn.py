@@ -9,7 +9,6 @@ last axis is the feature width.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -161,9 +160,6 @@ class Mpnn:
         return [part.net for layer in self.layers for part in layer
                 if part.net is not None]
 
-    def with_aggregation(self, aggregation: str) -> "Mpnn":
-        return dataclasses.replace(self, aggregation=aggregation)
-
 
 def graphsage_mpnn(feature_dims, update_hidden=10, seed=0,
                    aggregation=NEIGHBOR_AVERAGE) -> Mpnn:
@@ -176,8 +172,8 @@ def graphsage_mpnn(feature_dims, update_hidden=10, seed=0,
     layers = []
     for t in range(len(feature_dims) - 1):
         f_in, f_out = feature_dims[t], feature_dims[t + 1]
-        net = init_net([2 * f_in, update_hidden, f_out], "tanh",
-                       seed=seed, tag=f"init/update{t}")
+        net = init_net([2 * f_in, update_hidden, f_out], seed=seed,
+                       tag=f"init/update{t}")
         layers.append((NeighborProjection(f_in), NetFunction(net)))
     return Mpnn(layers=tuple(layers), aggregation=aggregation)
 

@@ -20,19 +20,6 @@ def _tanh_grad(h):
     return np.subtract(1.0, d, out=d)
 
 
-# activation -> (function applied in place on a fresh pre-activation z,
-# derivative written in terms of the output h = act(z), which the forward
-# cache keeps)
-_ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda h: (h > 0.0).astype(float)),
-    "tanh": (lambda z: np.tanh(z, out=z), _tanh_grad),
-    "identity": (lambda z: z, lambda h: np.ones_like(h)),
-}
-
-# Lipschitz constant of each activation under the sup norm.
-_ACT_LIPSCHITZ = {"relu": 1.0, "tanh": 1.0, "identity": 1.0, "sigmoid": 0.25}
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)
     pos = z >= 0
@@ -43,7 +30,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class FeedForwardNet:
-    """MLP with one activation on hidden layers and identity/sigmoid output.
+    """MLP with tanh hidden layers and an identity or sigmoid output.
 
     Parameters are ``weights[k]`` of shape (dims[k+1], dims[k]) and
     ``biases[k]`` of shape (dims[k+1],), all zero at construction.
@@ -51,15 +38,12 @@ class FeedForwardNet:
     <grad_out, forward(x)>.
     """
 
-    def __init__(self, dims, activation="tanh", output_activation="identity"):
+    def __init__(self, dims, output_activation="identity"):
         if not dims or len(dims) < 2:
             raise ValueError("dims must list at least input and output widths")
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
         if output_activation not in ("identity", "sigmoid"):
             raise ValueError(f"unknown output activation {output_activation!r}")
         self.dims = [int(d) for d in dims]
-        self.activation = activation
         self.output_activation = output_activation
         self.weights = [np.zeros((o, i)) for i, o in zip(self.dims, self.dims[1:])]
         self.biases = [np.zeros(o) for o in self.dims[1:]]
@@ -92,13 +76,12 @@ class FeedForwardNet:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.width_in:
             raise ValueError(f"input width {x.shape[-1]} != {self.width_in}")
-        act, _ = _ACTIVATIONS[self.activation]
         h = x
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w.T
             z += b
-            h = z if k == last else act(z)
+            h = z if k == last else np.tanh(z, out=z)
         if self.output_activation == "sigmoid":
             h = sigmoid(h)
         return h
@@ -107,20 +90,19 @@ class FeedForwardNet:
         """Forward pass retaining what backward() reads.
 
         The cache is (inputs, logits, out): each layer's input (x, then the
-        hidden activations), the last layer's pre-activation output and the
-        net's output.
+        tanh outputs of the hidden layers), the last layer's output before
+        the output nonlinearity and the net's output.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.width_in:
             raise ValueError(f"input width {x.shape[-1]} != {self.width_in}")
-        act, _ = _ACTIVATIONS[self.activation]
         inputs = [x]
         h = x
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w.T
             z += b
-            h = z if k == last else act(z)
+            h = z if k == last else np.tanh(z, out=z)
             if k != last:
                 inputs.append(h)
         out = sigmoid(h) if self.output_activation == "sigmoid" else h
@@ -139,13 +121,12 @@ class FeedForwardNet:
         return self._backward_from_logits(cache, delta)
 
     def backward_from_logits(self, cache, grad_logits: np.ndarray):
-        """Like backward() but the gradient is taken at the pre-activation
-        output (the logits), bypassing the output nonlinearity."""
+        """Like backward() but the gradient is taken at the logits, the last
+        layer's output before the output nonlinearity."""
         return self._backward_from_logits(cache, np.asarray(grad_logits, dtype=float))
 
     def _backward_from_logits(self, cache, delta):
         inputs = cache[0]
-        _, dact = _ACTIVATIONS[self.activation]
         grads = [None] * (2 * len(self.weights))
         for k in range(len(self.weights) - 1, -1, -1):
             h_in = inputs[k]
@@ -155,18 +136,18 @@ class FeedForwardNet:
             grads[2 * k + 1] = flat_delta.sum(axis=0)
             delta = delta @ self.weights[k]
             if k > 0:
-                delta *= dact(inputs[k])
+                delta *= _tanh_grad(inputs[k])
         return grads, delta
 
 
-def init_net(dims, activation="tanh", seed=0, output_activation="identity",
+def init_net(dims, seed=0, output_activation="identity",
              tag="init") -> FeedForwardNet:
     """Random net with weights and biases ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
 
     Deterministic in ``(seed, tag)``; distinct tags give independent nets
     from one seed.
     """
-    net = FeedForwardNet(dims, activation, output_activation)
+    net = FeedForwardNet(dims, output_activation)
     rng = stream(seed, tag)
     for k, (i, o) in enumerate(zip(net.dims, net.dims[1:])):
         bound = 1.0 / np.sqrt(i)
@@ -176,20 +157,18 @@ def init_net(dims, activation="tanh", seed=0, output_activation="identity",
 
 
 def lipschitz_upper_bound(net: FeedForwardNet) -> float:
-    """Product of per-layer sup-operator norms times activation constants.
+    """Product of per-layer sup-operator norms, times 1/4 for a sigmoid output.
 
     The sup-operator norm of a weight matrix is its maximum absolute row
-    sum; the product is a valid upper bound on the net's Lipschitz constant
-    under the sup norm.
+    sum; tanh is 1-Lipschitz and the sigmoid 1/4-Lipschitz, so the product
+    is a valid upper bound on the net's Lipschitz constant under the sup
+    norm.
     """
     bound = 1.0
-    n_layers = len(net.weights)
-    for k, w in enumerate(net.weights):
+    for w in net.weights:
         bound *= float(np.max(np.sum(np.abs(w), axis=1)))
-        act = net.activation if k < n_layers - 1 else (
-            net.output_activation if net.output_activation != "identity" else "identity"
-        )
-        bound *= _ACT_LIPSCHITZ[act]
+    if net.output_activation == "sigmoid":
+        bound *= 0.25
     return bound
 
 

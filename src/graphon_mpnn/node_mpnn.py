@@ -28,18 +28,13 @@ _CHUNK_ROWS = 128
 
 
 def _resolve_node_init(graph: SampledGraph, stats: GraphStats, init) -> np.ndarray:
+    """The start features: the block signal for None, the one-column
+    size-normalized degrees for "degree"."""
     if init is None:
         return np.asarray(graph.node_features, dtype=float)
-    if isinstance(init, str):
-        if init == "degree":
-            return stats.degrees.reshape(-1, 1).copy()
-        raise ValueError(f"unknown init {init!r}")
-    init = np.asarray(init, dtype=float)
-    if init.ndim == 1:
-        init = init.reshape(-1, 1)
-    if init.shape[0] != graph.n:
-        raise ValueError(f"init must have {graph.n} rows")
-    return init
+    if isinstance(init, str) and init == "degree":
+        return stats.degrees.reshape(-1, 1).copy()
+    raise ValueError(f"unknown init {init!r}")
 
 
 def _message_sum(adjacency, features, message, row_weights):
@@ -149,9 +144,9 @@ def gmpnn_node(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn,
                init=None) -> np.ndarray:
     """The (n, F) features of the discrete node recursion on a sampled graph.
 
-    ``init`` is the initial feature matrix: None for the graph's block
-    signal, "degree" for size-normalized degrees, or an explicit (n, F0)
-    array. In mean mode, isolated nodes receive a zero message (logged).
+    ``init`` picks the start features: None for the graph's block signal,
+    "degree" for the size-normalized degrees. In mean mode, isolated nodes
+    receive a zero message (logged).
     """
     values, _ = NodeGraph(graph, stats, init).forward(mpnn)
     return values
@@ -176,20 +171,15 @@ def cmpnn_node_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
     B_a <- upd(B_a, g_a)
 
     ``init`` defaults to the spec's block signal; pass "degree" for the
-    per-block expected degree, or an explicit (r, F0) array. Returns the
-    (r, F) block values, or with ``return_layers`` the list of them for
-    the start and after every layer.
+    per-block expected degree. Returns the (r, F) block values, or with
+    ``return_layers`` the list of them for the start and after every layer.
     """
     if init is None:
         f = np.asarray(spec.B, dtype=float).copy()
     elif isinstance(init, str) and init == "degree":
         f = graphon_degree(spec).reshape(-1, 1)
     else:
-        f = np.asarray(init, dtype=float)
-        if f.ndim == 1:
-            f = f.reshape(-1, 1)
-    if f.shape[0] != spec.r:
-        raise ValueError(f"init must have {spec.r} rows")
+        raise ValueError(f"unknown init {init!r}")
     if f.shape[1] != mpnn.feature_dims[0]:
         raise ValueError(
             f"init width {f.shape[1]} != network input width {mpnn.feature_dims[0]}"

@@ -75,7 +75,7 @@ def learnable_psi_mpnn(T: int, hidden: int = 5, seed=0) -> Mpnn:
         raise PreconditionError("need at least one layer")
     layers = []
     for t in range(T):
-        net = init_net([2, hidden, hidden, 1], "tanh", seed=seed,
+        net = init_net([2, hidden, hidden, 1], seed=seed,
                        tag=f"init/pair-update{t}")
         layers.append((NeighborProjection(1), NetFunction(net)))
     return Mpnn(layers=tuple(layers))

@@ -62,10 +62,6 @@ class SbmSpec:
         return self.block_mass.shape[0]
 
     @property
-    def F0(self) -> int:
-        return self.B.shape[1]
-
-    @property
     def boundaries(self) -> np.ndarray:
         """Interval right endpoints t_1..t_r with t_r = cumulative mass."""
         return np.cumsum(self.block_mass)
@@ -350,13 +346,12 @@ def read_spec_file(path) -> SbmSpec:
     return _read_model(entries, path)
 
 
-def write_edge_list(graph: SampledGraph, edges_path, blocks_path=None) -> None:
+def write_edge_list(graph: SampledGraph, edges_path, blocks_path) -> None:
     """Dump edges as '<i> <j>' per line (0-indexed) plus a block column file."""
     edges = graph.edge_list()
     with open(edges_path, "w") as fh:
         for i, j in edges:
             fh.write(f"{i} {j}\n")
-    if blocks_path is not None:
-        with open(blocks_path, "w") as fh:
-            for b in graph.block_of:
-                fh.write(f"{b}\n")
+    with open(blocks_path, "w") as fh:
+        for b in graph.block_of:
+            fh.write(f"{b}\n")

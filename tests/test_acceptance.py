@@ -89,10 +89,10 @@ class TestCriterion2:
                 f = 1
                 for t in range(T):
                     h, f_next = 2, 2
-                    msg = NetFunction(init_net([2 * f, 4, h], "tanh", seed=seed,
+                    msg = NetFunction(init_net([2 * f, 4, h], seed=seed,
                                                tag=f"am{k}/{t}"))
-                    upd = NetFunction(init_net([f + h, 4, f_next], "tanh",
-                                               seed=seed, tag=f"au{k}/{t}"))
+                    upd = NetFunction(init_net([f + h, 4, f_next], seed=seed,
+                                               tag=f"au{k}/{t}"))
                     layers.append((msg, upd))
                     f = f_next
                 mpnn = Mpnn(layers=tuple(layers), aggregation=agg)
@@ -105,9 +105,9 @@ class TestCriterion2:
                 else:
                     layers = []
                     for t in range(T):
-                        msg = NetFunction(init_net([2, 3, 1], "tanh", seed=seed,
+                        msg = NetFunction(init_net([2, 3, 1], seed=seed,
                                                    tag=f"pm{k}/{t}"))
-                        upd = NetFunction(init_net([2, 3, 1], "tanh", seed=seed,
+                        upd = NetFunction(init_net([2, 3, 1], seed=seed,
                                                    tag=f"pu{k}/{t}"))
                         layers.append((msg, upd))
                     mpnn = Mpnn(layers=tuple(layers))
@@ -210,10 +210,12 @@ class TestCriterion6:
 class TestCriterion7:
     def test_desk_scale_table(self, linkpred_spec):
         t0 = time.time()
+        # two workers: the table does not depend on jobs
+        # (tests/test_cli.py::TestTable::test_worker_pool_matches_serial)
         cfg = RunTableConfig(
             spec=linkpred_spec, n_train=500, n_test_ood=2000, runs=10, seed=0,
             methods=("node", "pair_fixed", "pair_learn", "oracle"),
-            epochs_head=200, epochs_end_to_end=150,
+            epochs_head=200, epochs_end_to_end=150, jobs=2,
         )
         report = run_table(cfg)
         elapsed = time.time() - t0

@@ -231,6 +231,27 @@ class TestTable:
             assert "config error" in proc.stderr and bad in proc.stderr
             assert not out.exists()
 
+    def test_worker_pool_matches_serial(self, tmp_path, model_file):
+        outputs = []
+        for jobs in (1, 2):
+            cfg = tmp_path / f"jobs{jobs}.cfg"
+            out = tmp_path / f"jobs{jobs}_out"
+            cfg.write_text(
+                f"[sbm]\nspec = {model_file}\n[table]\nn_train = 150\n"
+                f"n_test_ood = 300\nruns = 2\nseed = 0\nk_list = 1, 10\n"
+                f"methods = node, pair_fixed, pair_learn, oracle\n"
+                f"epochs_head = 3\nepochs_end_to_end = 3\n[output]\ndir = {out}\n"
+            )
+            proc = run_cli("--jobs", str(jobs), "table", str(cfg))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in ("table.csv", "table.txt")])
+        assert outputs[0] == outputs[1]
+        rows = outputs[0][0].decode().splitlines()
+        assert {row.split(",")[1] for row in rows[1:]} == {
+            "node", "pair_fixed", "pair_learn", "oracle"}
+        assert all(row.endswith(",2") for row in rows[1:])
+
 
 def assert_config_error(tmp_path, command, body, message, output=""):
     """A config of ``body`` and an [output] section (``dir`` plus

@@ -51,8 +51,8 @@ def random_net_mpnn(feature_dims, message_dims, hidden=6, seed=0,
     layers = []
     for t in range(len(feature_dims) - 1):
         f_in, f_out, h = feature_dims[t], feature_dims[t + 1], message_dims[t]
-        msg = init_net([2 * f_in, hidden, h], "tanh", seed=seed, tag=f"init/msg{t}")
-        upd = init_net([f_in + h, hidden, f_out], "tanh", seed=seed,
+        msg = init_net([2 * f_in, hidden, h], seed=seed, tag=f"init/msg{t}")
+        upd = init_net([f_in + h, hidden, f_out], seed=seed,
                        tag=f"init/upd{t}")
         layers.append((NetFunction(msg), NetFunction(upd)))
     return Mpnn(layers=tuple(layers), aggregation=aggregation)
@@ -101,7 +101,7 @@ class TestDiscrete:
         g = sample_graph(spec, 6, seed=0)
         g = g.with_adjacency(np.zeros((6, 6)))
         stats = graph_stats(g)
-        net = init_net([2, 4, 1], "tanh", seed=5)
+        net = init_net([2, 4, 1], seed=5)
         mpnn = Mpnn(
             layers=((NeighborProjection(1), NetFunction(net)),),
             aggregation="n_normalized_sum",
@@ -173,6 +173,14 @@ class TestDiscrete:
         with pytest.raises(ValueError):
             gmpnn_node(g, stats, mpnn, init="degree")
 
+    @pytest.mark.parametrize("init", ["degrees", np.ones((10, 1))])
+    def test_start_is_block_signal_or_degree(self, convergence_spec, init):
+        g = sample_graph(convergence_spec, 10, seed=0)
+        with pytest.raises(ValueError, match="unknown init"):
+            gmpnn_node(g, graph_stats(g), averaging_mpnn(), init=init)
+        with pytest.raises(ValueError, match="unknown init"):
+            cmpnn_node_sbm(convergence_spec, averaging_mpnn(), init=init)
+
 
 def queried_pairs(n, count, seed):
     """Random pairs in both orders, plus a diagonal pair and a repeat."""
@@ -241,7 +249,7 @@ class TestContinuous:
 
     def test_single_block_scalar_recursion(self):
         spec = SbmSpec(block_mass=[1.0], S=[[0.4]], B=[[2.0]])
-        net = init_net([2, 4, 1], "tanh", seed=9)
+        net = init_net([2, 4, 1], seed=9)
         mpnn = Mpnn(layers=((NeighborProjection(1), NetFunction(net)),) * 3)
         out = cmpnn_node_sbm(spec, mpnn)
         # scalar recursion: message average over the single block is the

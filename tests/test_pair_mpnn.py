@@ -36,12 +36,16 @@ class TestFixedVariant:
         assert psi(np.array([1.0]), np.array([0.0]))[0] == pytest.approx(1.0 / EPS_DIV)
 
     def test_first_layer_closed_form(self, convergence_spec):
+        # From the all-ones start the first layer is the Sorensen-Dice index
+        # of the two neighborhoods, 2 CN_ij / (D_i + D_j) in integer counts;
+        # a pair without common neighbors reads 2 / (D_i + D_j).
         g = sample_graph(convergence_spec, 60, seed=3)
-        stats = graph_stats(g)
-        out = gmpnn_pair(g, stats, fixed_psi_mpnn(1))
-        d = stats.degrees
-        expected = 2.0 * stats.common_neighbors / (d[:, None] + d[None, :])
-        np.testing.assert_allclose(out[:, :, 0], expected, atol=1e-13)
+        out = gmpnn_pair(g, graph_stats(g), fixed_psi_mpnn(1))
+        a = g.adjacency.astype(np.int64)
+        cn = a @ a
+        deg = a.sum(axis=1)
+        expected = 2.0 * np.maximum(cn, 1) / (deg[:, None] + deg[None, :])
+        np.testing.assert_allclose(out[:, :, 0], expected, rtol=1e-15, atol=0)
 
     def test_complete_graph_value(self):
         spec = SbmSpec(block_mass=[1.0], S=[[1.0]], B=[[1.0]])
@@ -68,10 +72,10 @@ class TestDiscrete:
         for seed in range(2):
             g = sample_graph(spec, 5, seed=seed)
             stats = graph_stats(g)
-            msg = NetFunction(init_net([2, 4, 2], "tanh", seed=seed, tag="m"))
-            upd = NetFunction(init_net([3, 4, 1], "tanh", seed=seed, tag="u"))
-            msg2 = NetFunction(init_net([2, 3, 1], "tanh", seed=seed, tag="m2"))
-            upd2 = NetFunction(init_net([2, 3, 1], "tanh", seed=seed, tag="u2"))
+            msg = NetFunction(init_net([2, 4, 2], seed=seed, tag="m"))
+            upd = NetFunction(init_net([3, 4, 1], seed=seed, tag="u"))
+            msg2 = NetFunction(init_net([2, 3, 1], seed=seed, tag="m2"))
+            upd2 = NetFunction(init_net([2, 3, 1], seed=seed, tag="u2"))
             mpnn = Mpnn(layers=((msg, upd), (msg2, upd2)))
             out = gmpnn_pair(g, stats, mpnn)
             expected = pair_mpnn_oracle(g.adjacency, list(mpnn.layers))
