@@ -148,7 +148,6 @@ class SlopeFit:
     slope: float
     intercept: float
     r_squared: float
-    medians: tuple
 
 
 def loglog_slope(records) -> SlopeFit:
@@ -176,8 +175,7 @@ def loglog_slope(records) -> SlopeFit:
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return SlopeFit(slope=float(slope), intercept=float(intercept), r_squared=r2,
-                    medians=tuple(medians))
+    return SlopeFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
 
 
 # --- bound constants ------------------------------------------------------------

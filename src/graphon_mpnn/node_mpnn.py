@@ -126,14 +126,14 @@ class NodeGraph:
         """
         widths = mpnn.feature_dims
         weights = self.row_weights(mpnn.aggregation)
+        nodes = np.concatenate([pairs[:, 0], pairs[:, 1]])
 
         def pull(t, d):
             if t == mpnn.depth:
                 width = widths[-1]
-                delta = np.zeros((self.n, width))
-                np.add.at(delta, pairs[:, 0], d[:, :width])
-                np.add.at(delta, pairs[:, 1], d[:, width:])
-                return delta
+                ends = np.concatenate([d[:, :width], d[:, width:]])
+                return np.stack([np.bincount(nodes, weights=ends[:, k], minlength=self.n)
+                                 for k in range(width)], axis=-1)
             d_f, d_m = d[:, :widths[t]], d[:, widths[t]:]
             return d_f + self.adjacency @ (d_m * weights[:, None])
 

@@ -12,7 +12,9 @@ products per feature channel, the fast path that makes n = 8192 feasible.
 Pair features are exactly symmetric, which ``PairGraph.forward`` uses
 three ways: one product A F per channel gives both F A and A F; update nets
 run on the i <= j rows only; and from the all-ones start the first message
-needs no product. Callers that read only some pairs get the last layer at
+needs no product. That message depends on a pair only through two integer
+counts, so the first update net runs once per distinct pair of counts.
+Callers that read only some pairs get the last layer at
 those pairs alone, and the ``Tape`` it records backpropagates through
 the pass. The continuous recursion collapses to r x r block-pair
 states.
@@ -116,7 +118,7 @@ class PairGraph:
 
     What every pass reads of the graph is computed once and shared: the
     message weights, the integer degrees, the mask of the i <= j entries
-    and layer 0's update input. ``forward`` serves every caller: the dense
+    and layer 0's count classes. ``forward`` serves every caller: the dense
     sweeps (through ``gmpnn_pair``), scoring at queried pairs, and
     training, frozen or by backprop through the tape it records.
     """
@@ -124,8 +126,8 @@ class PairGraph:
     def __init__(self, graph: SampledGraph, stats: GraphStats):
         self.n = graph.n
         self.adjacency = graph.adjacency
+        self.common_neighbors = stats.common_neighbors
         self.weights = pair_message_weights(stats)
-        self._first_inputs = {}  # start width -> layer 0's update input
 
     @cached_property
     def degree_counts(self) -> np.ndarray:
@@ -147,14 +149,33 @@ class PairGraph:
         out *= self.weights
         return out
 
-    def first_update_input(self, width: int) -> np.ndarray:
-        """Layer 0's update input [ones, m] on the i <= j rows for a
-        width-``width`` start; the same in every pass, so built once."""
-        if width not in self._first_inputs:
-            m = self.first_messages(np.empty((self.n, self.n)))[self.upper][:, None]
-            ones = np.ones((m.shape[0], width))
-            self._first_inputs[width] = np.concatenate([ones] + [m] * width, axis=-1)
-        return self._first_inputs[width]
+    @cached_property
+    def first_classes(self) -> tuple:
+        """Layer 0's count classes: ``(messages, inv)``.
+
+        With W_ij = 1/(2 CN_ij), the first message depends on a pair only
+        through the integers (D_i + D_j, CN_ij), CN read as 1 where it is 0
+        (the 1/n fallback of the common-neighbor fraction). Pairs with equal
+        counts form one class and share one update input, bit for bit.
+        ``messages`` holds each class's message, ordered by its counts, and
+        the symmetric n x n ``inv`` holds each pair's class.
+        """
+        n = self.n
+        d = self.degree_counts.astype(np.intp)
+        d -= d.min()
+        cn = np.rint(self.common_neighbors * n).astype(np.intp)
+        cn -= cn.min()
+        key = np.add.outer(d, d)
+        key *= cn.max() + 1
+        key += cn
+        del cn
+        # a counting pass over the integer keys, where np.unique would sort
+        present = np.bincount(key.ravel()) > 0
+        inv = (np.cumsum(present) - 1)[key]
+        del key
+        messages = np.empty(np.count_nonzero(present))
+        messages[inv] = self.first_messages(np.empty((n, n)))
+        return messages, inv
 
     def mirror(self, upper_rows: np.ndarray) -> np.ndarray:
         """Dense symmetric (n, n, F) tensor from its i <= j rows."""
@@ -236,7 +257,8 @@ class PairGraph:
         (n, n, F) tensor. With ``pairs`` (k x 2), the last layer is
         evaluated at those pairs only and values is (k, F). Pair features
         are exactly symmetric: update nets run on the i <= j rows and are
-        mirrored; closed-form updates run elementwise on the dense tensor.
+        mirrored, or in layer 0 on one row per count class and gathered;
+        closed-form updates run elementwise on the dense tensor.
         With ``record``, ``pairs`` is required and tape is the ``Tape`` to
         backpropagate through; otherwise tape is None.
         """
@@ -261,13 +283,17 @@ class PairGraph:
                 return out, tape
             if update.net is None:
                 f = update(f, self.dense_messages(f, message, first))
+            elif first and message.is_neighbor_projection:
+                messages, inv = self.first_classes
+                width = f.shape[2]
+                x = np.ones((len(messages), width))
+                m = np.repeat(messages[:, None], width, axis=1)
+                out, cache = update_rows(update, x, m, record)
+                caches.append(cache)
+                f = out[inv]
             else:
-                if first and message.is_neighbor_projection:
-                    u = self.first_update_input(f.shape[2])
-                    x, m = u[:, :f.shape[2]], u[:, f.shape[2]:]
-                else:
-                    m = self.dense_messages(f, message, first)
-                    x, m = f[self.upper], m[self.upper]
+                m = self.dense_messages(f, message, first)
+                x, m = f[self.upper], m[self.upper]
                 out, cache = update_rows(update, x, m, record)
                 caches.append(cache)
                 f = self.mirror(out)
@@ -281,7 +307,8 @@ class PairGraph:
         t, the message gradients at its rows (the queried pairs for the
         last layer, the i <= j rows under it) are scattered to an n x n
         matrix G; with S = G + G^T the gradient of the dense features
-        below is A S, and each i <= j row collects d_ij + d_ji.
+        below is A S. Each i <= j row collects d_ij + d_ji, and each of
+        layer 0's count classes the sum over its pairs.
         """
         widths = mpnn.feature_dims
 
@@ -290,13 +317,18 @@ class PairGraph:
                 return np.asarray(d, dtype=float)
             rows = pairs if t == mpnn.depth - 1 else None
             width = widths[t]
-            delta = np.empty((self.n * (self.n + 1) // 2, width))
+            delta = []
             for k in range(width):
                 g = self.scatter(d[:, width + k], rows) * self.weights
                 dense = self.adjacency @ (g + g.T)
                 dense += self.scatter(d[:, k], rows)
-                delta[:, k] = self.fold(dense)
-            return delta
+                if t == 1:
+                    messages, inv = self.first_classes
+                    delta.append(np.bincount(inv.ravel(), weights=dense.ravel(),
+                                             minlength=len(messages)))
+                else:
+                    delta.append(self.fold(dense))
+            return np.stack(delta, axis=-1)
 
         return pull
 

@@ -107,6 +107,46 @@ def pair_mpnn_oracle(adjacency, layers, width0=1):
     return f
 
 
+def pair_update_rows_oracle(adjacency, nets, pairs, d_values):
+    """Pairwise recursion with neighbor-projection messages and width-1
+    update nets from the all-ones start, every layer's net run on all
+    i <= j rows as one batch in row-major order.
+
+    Returns the dense last layer and the parameter gradients, one list per
+    net, of <d_values, last layer at ``pairs``>.
+    """
+    a = np.asarray(adjacency, dtype=float)
+    n = a.shape[0]
+    counts = a @ a
+    w = 1.0 / (2.0 * n * np.where(counts > 0, counts / n, 1.0 / n))
+    rows = np.triu_indices(n)
+    f = np.ones((n, n))
+    caches = []
+    for net in nets:
+        y = a @ f
+        m = (y + y.T) * w
+        out, cache = net.forward_cache(np.stack([f[rows], m[rows]], axis=1))
+        caches.append(cache)
+        f = np.empty((n, n))
+        f[rows] = out[:, 0]
+        f.T[rows] = out[:, 0]
+    grads = [None] * len(nets)
+    g = np.zeros((n, n))
+    np.add.at(g, (pairs[:, 0], pairs[:, 1]), d_values[:, 0])
+    for t in range(len(nets) - 1, -1, -1):
+        # row (i, j) feeds f_ij and f_ji: its gradient is g_ij + g_ji, g_ii
+        d_rows = (g + g.T)[rows]
+        d_rows[rows[0] == rows[1]] /= 2.0
+        grads[t], d_in = nets[t].backward(caches[t], d_rows[:, None])
+        d_f = np.zeros((n, n))
+        d_f[rows] = d_in[:, 0]
+        d_m = np.zeros((n, n))
+        d_m[rows] = d_in[:, 1] * w[rows]
+        # m = (A f + (A f)^T) w, so f collects A (d_m + d_m^T)
+        g = d_f + a @ (d_m + d_m.T)
+    return f, grads
+
+
 def finite_difference_gradients(loss_fn, params, h=1e-5):
     """Central differences of a scalar loss w.r.t. a list of arrays."""
     grads = []

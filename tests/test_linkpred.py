@@ -16,6 +16,7 @@ from graphon_mpnn.linkpred import (
     TAU,
     LinkDataset,
     _backbone_graph,
+    _bce_loss_and_grad,
     _loss_and_grads,
     build_training_split,
     model_scores,
@@ -24,7 +25,7 @@ from graphon_mpnn.linkpred import (
 from graphon_mpnn.rng import child_seed, stream
 from graphon_mpnn.sbm import graph_stats
 
-from oracles import finite_difference_gradients, max_relative_error
+from oracles import finite_difference_gradients, max_relative_error, pair_update_rows_oracle
 
 
 def tiny_dataset(spec, n, seed, n_pos=6, n_neg=6):
@@ -190,6 +191,24 @@ class TestEndToEndGradients:
 
         numeric = finite_difference_gradients(loss, params)
         assert max_relative_error(grads, numeric) < 1e-4
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_pair_backbone_gradients_match_per_row_reference(self, linkpred_spec, T):
+        ds = tiny_dataset(linkpred_spec, 60, seed=4)
+        model = pair_link_model(T=T, learn_update=True, update_hidden=3,
+                                head_hidden=(4,), seed=2)
+        backbone = _backbone_graph(model, ds.observed, graph_stats(ds.observed))
+        pairs = np.concatenate([ds.positives["train"], ds.negatives["train"]])
+        labels = np.concatenate([np.ones(6), np.zeros(6)])
+        _, grads, head_in = _loss_and_grads(model, backbone, pairs, labels)
+        _, cache = model.head.forward_cache(head_in)
+        _, d_logits = _bce_loss_and_grad(cache[1].reshape(-1), labels)
+        head_grads, d_head_in = model.head.backward_from_logits(
+            cache, d_logits.reshape(-1, 1))
+        _, net_grads = pair_update_rows_oracle(
+            ds.observed.adjacency, model.mpnn.trainable_nets(), pairs, d_head_in)
+        expected = list(head_grads) + [g for layer in net_grads for g in layer]
+        assert max_relative_error(grads, expected) < 1e-12
 
     def test_pair_backbone_gradients(self, linkpred_spec):
         ds = tiny_dataset(linkpred_spec, 12, seed=3)

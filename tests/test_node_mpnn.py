@@ -227,6 +227,19 @@ class TestNodeEngine:
         numeric = finite_difference_gradients(loss, params)
         assert max_relative_error(analytic, numeric) < 1e-6
 
+    def test_endpoint_pull_equals_add_at(self, convergence_spec):
+        # the pull at the returned values sums each endpoint's gradient onto
+        # its node in pair order, first endpoints then second ones
+        g = sample_graph(convergence_spec, 30, seed=1)
+        ng = NodeGraph(g, graph_stats(g), init="degree")
+        mpnn = graphsage_mpnn([1, 3, 3], seed=0)
+        pairs = np.concatenate([queried_pairs(30, 60, seed=2), [[5, 5], [5, 5]]])
+        d = np.random.default_rng(3).normal(size=(len(pairs), 6))
+        expected = np.zeros((30, 3))
+        np.add.at(expected, pairs[:, 0], d[:, :3])
+        np.add.at(expected, pairs[:, 1], d[:, 3:])
+        assert np.array_equal(ng._pull(mpnn, pairs)(mpnn.depth, d), expected)
+
     def test_record_needs_pairs_and_update_nets(self, convergence_spec):
         g = sample_graph(convergence_spec, 20, seed=0)
         ng = NodeGraph(g, graph_stats(g))

@@ -16,7 +16,12 @@ from graphon_mpnn.analysis import delta_pair
 from graphon_mpnn.nn import init_net
 from graphon_mpnn.pair_mpnn import PairGraph, learnable_psi_mpnn
 
-from oracles import finite_difference_gradients, max_relative_error, pair_mpnn_oracle
+from oracles import (
+    finite_difference_gradients,
+    max_relative_error,
+    pair_mpnn_oracle,
+    pair_update_rows_oracle,
+)
 
 
 class ProjectionWithoutFastPath(NeighborProjection):
@@ -165,6 +170,43 @@ class TestPairEngine:
             pg.forward(learnable_psi_mpnn(2), record=True)
         with pytest.raises(PreconditionError):
             pg.forward(fixed_psi_mpnn(2), np.array([[0, 1]]), record=True)
+
+
+class TestFirstLayerClasses:
+    """Layer 0's update net runs once per (D_i + D_j, CN_ij) class."""
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_dense_pass_equals_per_row_reference(self, convergence_spec, T):
+        g = sample_graph(convergence_spec, 90, seed=5)
+        mpnn = learnable_psi_mpnn(T, hidden=4, seed=T)
+        dense = gmpnn_pair(g, graph_stats(g), mpnn)
+        no_pairs = np.zeros((0, 2), dtype=int)
+        expected, _ = pair_update_rows_oracle(g.adjacency, mpnn.trainable_nets(),
+                                              no_pairs, np.zeros((0, 1)))
+        assert np.array_equal(dense[:, :, 0], expected)
+
+    def test_one_class_per_distinct_counts(self, convergence_spec):
+        n = 60
+        g = sample_graph(convergence_spec, n, seed=3)
+        messages, inv = PairGraph(g, graph_stats(g)).first_classes
+        a = g.adjacency.astype(np.int64)
+        cn, deg = a @ a, a.sum(axis=1)
+        # the 1/n fallback reads CN = 0 as 1: those pairs share the class
+        # of their degree sum with CN = 1, message (D_i + D_j) / 2
+        keys = {(deg[i] + deg[j], max(cn[i, j], 1))
+                for i in range(n) for j in range(i, n)}
+        assert len(messages) == len(keys)
+        assert np.array_equal(inv, inv.T)
+        zero = cn == 0
+        one = cn == 1
+        assert zero.any() and one.any()
+        s = deg[:, None] + deg[None, :]
+        shared = [s_ for s_ in np.unique(s[zero]) if s_ in s[one]]
+        assert shared
+        for s_ in shared:
+            assert np.unique(inv[(zero | one) & (s == s_)]).size == 1
+        np.testing.assert_allclose(1.0 / messages[inv[zero]], 2.0 / s[zero],
+                                   rtol=1e-15, atol=0)
 
 
 class TestContinuous:
