@@ -25,7 +25,7 @@ import numpy as np
 from .errors import PreconditionError
 from .mpnn import NEIGHBOR_AVERAGE, N_NORMALIZED_SUM, Mpnn
 from .node_mpnn import cmpnn_node_sbm, gmpnn_node
-from .pair_mpnn import cmpnn_pair_sbm, gmpnn_pair
+from .pair_mpnn import _require_size, cmpnn_pair_sbm, gmpnn_pair
 from .rng import stream
 from .sbm import SampledGraph, SbmSpec, graph_stats, graphon_degree, graphon_common_neighbors, sample_graph
 from .util import parallel_map
@@ -132,12 +132,15 @@ def convergence_sweep(spec: SbmSpec, mpnn: Mpnn, mode: str, n_list, seeds,
 
     Matched initializations per mode: node modes start from size-normalized
     degrees (discrete) and per-block expected degrees (continuous); pair
-    modes start from all ones on both sides. Fully deterministic in
-    (spec, mpnn, mode, n_list, seeds).
+    modes start from all ones on both sides, every n checked against the
+    pair cap first. Fully deterministic in (spec, mpnn, mode, n_list, seeds).
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}")
-    spec.require_valid(pairwise=mode.startswith("pair"))
+    pairwise = mode.startswith("pair")
+    spec.require_valid(pairwise=pairwise)
+    for n in n_list if pairwise else ():
+        _require_size(int(n), mpnn)
     tasks = [(spec, mpnn, mode, int(n), int(seed), p)
              for n in n_list for seed in seeds]
     return parallel_map(_sweep_one, tasks, jobs=jobs)

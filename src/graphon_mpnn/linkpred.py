@@ -139,6 +139,9 @@ def build_training_split(spec: SbmSpec, n_tr: int, seed: int) -> tuple:
     n_train = int(math.floor(0.8 * n_hidden))
     n_val = int(math.floor(0.1 * n_hidden))
     n_test = n_hidden - n_train - n_val
+    if min(n_train, n_val, n_test) == 0:
+        raise PreconditionError(f"the training graph (n = {n_tr}) hides {n_hidden} edge(s), "
+                                "too few for non-empty train, validation and test positives")
 
     neg_rng = stream(seed, "negatives")
     negs = sample_across_block_nonedges(graph_tr, iso_pairs,

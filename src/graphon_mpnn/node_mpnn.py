@@ -27,13 +27,13 @@ log = logging.getLogger(__name__)
 _CHUNK_ROWS = 128
 
 
-def _resolve_node_init(graph: SampledGraph, stats: GraphStats, init) -> np.ndarray:
+def _resolve_node_init(graph: SampledGraph, degrees: np.ndarray, init) -> np.ndarray:
     """The start features: the block signal for None, the one-column
-    size-normalized degrees for "degree"."""
+    size-normalized ``degrees`` for "degree"."""
     if init is None:
         return np.asarray(graph.node_features, dtype=float)
     if isinstance(init, str) and init == "degree":
-        return stats.degrees.reshape(-1, 1).copy()
+        return degrees.reshape(-1, 1)
     raise ValueError(f"unknown init {init!r}")
 
 
@@ -67,8 +67,8 @@ class NodeGraph:
     def __init__(self, graph: SampledGraph, stats: GraphStats, init=None):
         self.n = graph.n
         self.adjacency = graph.adjacency
-        self.degrees = stats.degrees
-        self.start = _resolve_node_init(graph, stats, init)
+        self.degrees = stats.degree_counts / self.n  # d_i, bitwise A.mean(1)
+        self.start = _resolve_node_init(graph, self.degrees, init)
         self._weights = {}  # aggregation -> row weights
 
     def row_weights(self, aggregation: str) -> np.ndarray:

@@ -37,12 +37,7 @@ from .mpnn import (
     update_rows,
 )
 from .nn import init_net
-from .sbm import (
-    GraphStats,
-    SampledGraph,
-    SbmSpec,
-    graphon_common_neighbors,
-)
+from .sbm import GraphStats, SampledGraph, SbmSpec, graphon_common_neighbors
 
 #: Dense pair tensors are capped to protect memory; the fully symbolic
 #: variant affords a larger cap because it never materializes per-pair
@@ -84,8 +79,16 @@ def learnable_psi_mpnn(T: int, hidden: int = 5, seed=0) -> Mpnn:
 
 
 def pair_message_weights(stats: GraphStats) -> np.ndarray:
-    """Normalization weights 1 / (2n c_ij), with the 1/n fallback in c."""
-    return 1.0 / (2.0 * stats.n * stats.common_neighbors)
+    """Weights 1 / (2n c_ij) of the common-neighbor fraction c_ij = CN_ij / n,
+    read as 1/n where CN_ij = 0: the one place this fallback is applied."""
+    # The order stays 1 / (2n (CN / n)): the shorter 1 / (2 CN) differs in the
+    # last bit for 1,774,783 of the (n <= 8192, 0 <= CN <= n) combinations,
+    # first at n = 22, CN = 15, and would move every pair output's bytes.
+    counts, n = stats.common_neighbors, stats.n
+    w = np.divide(counts, n, dtype=np.float64)
+    w[counts == 0] = 1.0 / n
+    w *= 2.0 * n
+    return np.divide(1.0, w, out=w)
 
 
 def _general_pair_messages(adjacency, f, message, weights):
@@ -116,23 +119,18 @@ def _require_finite(values) -> None:
 class PairGraph:
     """One graph as the pairwise recursion reads it, and the recursion on it.
 
-    What every pass reads of the graph is computed once and shared: the
-    message weights, the integer degrees, the mask of the i <= j entries
-    and layer 0's count classes. ``forward`` serves every caller: the dense
-    sweeps (through ``gmpnn_pair``), scoring at queried pairs, and
-    training, frozen or by backprop through the tape it records.
+    What every pass reads of the graph is computed once from the counts in
+    ``stats`` and shared: the message weights, the mask of the i <= j
+    entries and layer 0's count classes. ``forward`` serves every caller:
+    the dense sweeps (through ``gmpnn_pair``), scoring at queried pairs,
+    and training, frozen or by backprop through the tape it records.
     """
 
     def __init__(self, graph: SampledGraph, stats: GraphStats):
         self.n = graph.n
         self.adjacency = graph.adjacency
-        self.common_neighbors = stats.common_neighbors
+        self.stats = stats
         self.weights = pair_message_weights(stats)
-
-    @cached_property
-    def degree_counts(self) -> np.ndarray:
-        """A @ ones: integer neighbor counts, exact in float64."""
-        return self.adjacency.sum(axis=1)
 
     @cached_property
     def upper(self) -> np.ndarray:
@@ -145,7 +143,7 @@ class PairGraph:
         From the all-ones start, A @ F is D_i in row i, so the first
         message needs no matrix product.
         """
-        np.add.outer(self.degree_counts, self.degree_counts, out=out)
+        np.add.outer(self.stats.degree_counts, self.stats.degree_counts, out=out)
         out *= self.weights
         return out
 
@@ -154,16 +152,17 @@ class PairGraph:
         """Layer 0's count classes: ``(messages, inv)``.
 
         With W_ij = 1/(2 CN_ij), the first message depends on a pair only
-        through the integers (D_i + D_j, CN_ij), CN read as 1 where it is 0
-        (the 1/n fallback of the common-neighbor fraction). Pairs with equal
-        counts form one class and share one update input, bit for bit.
+        through the integers (D_i + D_j, max(CN_ij, 1)), CN = 0 read as 1 by
+        the fallback of ``pair_message_weights``. Pairs with equal counts
+        form one class and share one update input, bit for bit.
         ``messages`` holds each class's message, ordered by its counts, and
         the symmetric n x n ``inv`` holds each pair's class.
         """
         n = self.n
-        d = self.degree_counts.astype(np.intp)
+        d = self.stats.degree_counts.astype(np.intp)
         d -= d.min()
-        cn = np.rint(self.common_neighbors * n).astype(np.intp)
+        cn = self.stats.common_neighbors.astype(np.intp)
+        np.maximum(cn, 1, out=cn)
         cn -= cn.min()
         key = np.add.outer(d, d)
         key *= cn.max() + 1
@@ -234,7 +233,7 @@ class PairGraph:
             return _general_pair_messages(self.adjacency, f, message, self.weights)[i, j]
         w = self.weights[i, j]
         if first:
-            d = self.degree_counts
+            d = self.stats.degree_counts
             return np.repeat(((d[i] + d[j]) * w)[:, None], f.shape[2], axis=1)
         a = self.adjacency
         m = np.empty((len(pairs), f.shape[2]))

@@ -239,35 +239,30 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
 
 
 class GraphStats:
-    """Size-normalized degrees and the common-neighbor fraction matrix.
+    """The exact neighbor and common-neighbor counts of one graph.
 
-    ``degrees[i] = (1/n) sum_j A_ij`` exactly. ``common_neighbors[i, j] =
-    (1/n) sum_z A_iz A_jz`` with entries that would be zero replaced by
-    ``1/n`` so pairwise aggregation never divides by zero. The matrix is
-    computed lazily (it is an n x n product) and cached.
+    ``degree_counts[i] = sum_j A_ij`` in float64. ``common_neighbors[i, j]
+    = sum_z A_iz A_jz``, zero included, is computed lazily (it is an n x n
+    product) and cached. Each engine derives its own normalization from
+    these counts.
 
-    The counts are taken in float32 as ``A Aᵀ`` (equal to ``A A`` for the
-    symmetric 0/1 adjacency), which BLAS runs as a symmetric rank-k
-    update. They are exact while n < 2**24: every partial sum is an integer
-    no larger than n. Each count is cast to float64 before the division by
-    n, so the fractions are the correctly rounded float64 quotients.
+    The common-neighbor counts are taken in float32 as ``A Aᵀ`` (equal to
+    ``A A`` for the symmetric 0/1 adjacency), which BLAS runs as a
+    symmetric rank-k update. They are exact while n < 2**24: every partial
+    sum is an integer no larger than n.
     """
 
     def __init__(self, graph: SampledGraph):
         self._graph = graph
         self.n = graph.n
-        self.degrees = _freeze(graph.adjacency.mean(axis=1))
+        self.degree_counts = _freeze(graph.adjacency.sum(axis=1))
         self._common = None
 
     @property
     def common_neighbors(self) -> np.ndarray:
         if self._common is None:
             a32 = self._graph.adjacency.astype(np.float32)
-            counts = a32 @ a32.T
-            del a32
-            c = np.divide(counts, self.n, dtype=np.float64)
-            c[c == 0.0] = 1.0 / self.n
-            self._common = _freeze(c)
+            self._common = _freeze(a32 @ a32.T)
         return self._common
 
 

@@ -24,7 +24,7 @@ from graphon_mpnn import analysis
 from graphon_mpnn.analysis import default_probability_budget
 from graphon_mpnn.mpnn import Mpnn, NeighborProjection, NetFunction, graphsage_mpnn
 from graphon_mpnn.nn import FeedForwardNet
-from graphon_mpnn.pair_mpnn import fixed_psi_mpnn
+from graphon_mpnn.pair_mpnn import fixed_psi_mpnn, learnable_psi_mpnn
 from graphon_mpnn.rng import stream
 
 from test_node_mpnn import TakeMessage
@@ -275,6 +275,16 @@ class TestConvergenceSweep:
         a = convergence_sweep(convergence_spec, mpnn, "node_sum", [64], [3])
         b = convergence_sweep(convergence_spec, mpnn, "node_sum", [64], [3])
         assert a == b
+
+    @pytest.mark.parametrize("mode, n", [("pair_net", 5000), ("pair_fixed", 9000)])
+    def test_over_cap_size_fails_before_sampling(self, convergence_spec, monkeypatch,
+                                                 mode, n):
+        sampled = []
+        monkeypatch.setattr(analysis, "sample_graph", lambda *args: sampled.append(args))
+        mpnn = learnable_psi_mpnn(2) if mode == "pair_net" else fixed_psi_mpnn(2)
+        with pytest.raises(PreconditionError, match=f"got n = {n}"):
+            convergence_sweep(convergence_spec, mpnn, mode, [64, 128, 2048, n], [0])
+        assert sampled == []
 
     def test_worker_pool_matches_serial(self, convergence_spec):
         mpnn = graphsage_mpnn([1, 4, 4], seed=1)

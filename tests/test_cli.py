@@ -231,6 +231,22 @@ class TestTable:
             assert "config error" in proc.stderr and bad in proc.stderr
             assert not out.exists()
 
+    @pytest.mark.parametrize("n_train, hidden", [(6, 0), (12, 1), (20, 4)])
+    def test_too_few_hidden_edges_is_a_precondition_error(self, tmp_path, model_file,
+                                                         n_train, hidden):
+        # 0, 1 and 4 hidden edges leave the train, validation and test
+        # positives or the validation positives empty
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(
+            f"[sbm]\nspec = {model_file}\n[table]\nn_train = {n_train}\n"
+            f"n_test_ood = 40\nruns = 1\nseed = 0\nk_list = 1\nepochs_head = 2\n"
+            f"epochs_end_to_end = 2\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        proc = run_cli("table", str(cfg))
+        assert proc.returncode == 3, proc.stderr
+        assert f"hides {hidden} edge(s)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_worker_pool_matches_serial(self, tmp_path, model_file):
         outputs = []
         for jobs in (1, 2):

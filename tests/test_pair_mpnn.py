@@ -139,9 +139,10 @@ class TestPairEngine:
 
     def test_first_message_is_the_degree_product_exactly(self, convergence_spec):
         g = sample_graph(convergence_spec, 200, seed=6)
-        pg = PairGraph(g, graph_stats(g))
+        stats = graph_stats(g)
+        pg = PairGraph(g, stats)
         y = g.adjacency @ np.ones((200, 200))
-        assert np.array_equal(pg.degree_counts, g.adjacency @ np.ones(200))
+        assert np.array_equal(stats.degree_counts, g.adjacency @ np.ones(200))
         assert np.array_equal(pg.first_messages(np.empty((200, 200))),
                               (y + y.T) * pg.weights)
 

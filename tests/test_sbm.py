@@ -12,6 +12,7 @@ from graphon_mpnn import (
     sample_graph,
     validate_sbm,
 )
+from graphon_mpnn.pair_mpnn import pair_message_weights
 from graphon_mpnn.rng import stream
 from graphon_mpnn.sbm import read_spec_file, write_edge_list, write_spec_file
 
@@ -196,39 +197,55 @@ class TestIsomorphicBlocks:
 
 
 class TestGraphStats:
+    """GraphStats holds exact counts; pair_message_weights derives 1/(2n c)
+    from them with the 1/n fallback where a pair shares no neighbor."""
+
     def test_path_graph(self):
         g = graph_from_adjacency([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         stats = graph_stats(g)
-        np.testing.assert_allclose(stats.degrees, [1 / 3, 2 / 3, 1 / 3])
-        assert stats.common_neighbors[0, 2] == pytest.approx(1 / 3)
+        assert np.array_equal(stats.degree_counts, [1.0, 2.0, 1.0])
+        assert stats.common_neighbors[0, 2] == 1.0
+        w = pair_message_weights(stats)
+        assert w[0, 2] == pytest.approx(1 / (2 * 3 * (1 / 3)))
+        # nodes 0 and 1 share no neighbor: c falls back to 1/n
+        assert stats.common_neighbors[0, 1] == 0.0
+        assert w[0, 1] == 1.0 / (2.0 * 3 * (1 / 3))
 
     def test_empty_graph_fallback(self):
         g = graph_from_adjacency(np.zeros((5, 5)))
         stats = graph_stats(g)
-        assert np.all(stats.degrees == 0.0)
-        assert np.all(stats.common_neighbors == 1 / 5)
+        assert np.all(stats.degree_counts == 0.0)
+        assert np.all(stats.common_neighbors == 0.0)
+        assert np.all(pair_message_weights(stats) == 1.0 / (2.0 * 5 * (1 / 5)))
 
     def test_complete_graph(self):
         adj = np.ones((4, 4)) - np.eye(4)
         stats = graph_stats(graph_from_adjacency(adj))
-        np.testing.assert_allclose(stats.degrees, 3 / 4)
+        assert np.all(stats.degree_counts == 3.0)
         off = ~np.eye(4, dtype=bool)
-        np.testing.assert_allclose(stats.common_neighbors[off], 2 / 4)
-
+        assert np.all(stats.common_neighbors[off] == 2.0)
+        np.testing.assert_allclose(pair_message_weights(stats)[off],
+                                   1 / (2 * 4 * (2 / 4)))
 
     @pytest.mark.parametrize("n", [3, 129, 300])
     def test_common_neighbors_are_exact_counts(self, convergence_spec, n):
         g = sample_graph(convergence_spec, n, seed=2)
-        c = graph_stats(g).common_neighbors
-        a = g.adjacency
-        dense = (a @ a) / n
-        dense[dense == 0.0] = 1.0 / n
-        assert np.array_equal(c, dense)
-        counts = a.astype(np.int64) @ a.astype(np.int64)
-        from_counts = counts / n
-        from_counts[counts == 0] = 1.0 / n
-        assert np.array_equal(c, from_counts)
-        assert c.dtype == np.float64
+        stats = graph_stats(g)
+        c = stats.common_neighbors
+        a = g.adjacency.astype(np.int64)
+        assert c.dtype == np.float32
+        assert not c.flags.writeable
+        assert np.array_equal(c, a @ a)
+        assert np.array_equal(stats.degree_counts, a.sum(axis=1))
+        assert stats.degree_counts.dtype == np.float64
+
+    @pytest.mark.parametrize("n", [3, 129, 300])
+    def test_pair_message_weights_in_fraction_order(self, convergence_spec, n):
+        g = sample_graph(convergence_spec, n, seed=2)
+        a = g.adjacency.astype(np.int64)
+        cn = a @ a
+        expected = 1 / (2.0 * n * np.where(cn > 0, cn / n, 1 / n))
+        assert np.array_equal(pair_message_weights(graph_stats(g)), expected)
 
 
 class TestSerialization:
