@@ -99,6 +99,9 @@ def cmd_stability(args) -> int:
     iso = isomorphic_block_pairs(cfg.spec)
     if not iso:
         raise PreconditionError("the model has no matched block pair")
+    r = cfg.spec.r
+    if len(iso) == r * (r - 1) // 2:  # before any graph is sampled
+        raise PreconditionError("the model has no unmatched block pair")
     jobs = args.jobs if args.jobs else cfg.jobs
     points = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
     tasks = [(cfg.spec, cfg.mpnn, iso, n, seed, cfg.sample_budget) for n, seed in points]

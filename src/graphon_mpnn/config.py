@@ -240,7 +240,7 @@ def parse_table_config(path) -> tuple:
         n_train=sec.get("n_train"),
         n_test_ood=sec.get("n_test_ood"),
         runs=sec.get("runs", low=1),
-        seed=sec.get("seed"),
+        seed=sec.get("seed", low=0),
         methods=sec.get("methods", _names(METHODS), METHODS),
         scenarios=sec.get("scenarios", _names(SCENARIOS), SCENARIOS),
         epochs_head=sec.get("epochs_head", int, 200, low=0),

@@ -10,14 +10,14 @@ nodes, normalized by the common-neighbor fraction c(i, j):
 For the neighbor-projection message this reduces to adjacency matrix
 products per feature channel, the fast path that makes n = 8192 feasible.
 Pair features are exactly symmetric, which ``PairGraph.forward`` uses
-three ways: one product A F per channel gives both F A and A F; update nets
-run on the i <= j rows only; and from the all-ones start the first message
-needs no product. That message depends on a pair only through two integer
-counts, so the first update net runs once per distinct pair of counts.
-Callers that read only some pairs get the last layer at
-those pairs alone, and the ``Tape`` it records backpropagates through
-the pass. The continuous recursion collapses to r x r block-pair
-states.
+three ways: one product A F per channel gives both F A and A F; from the
+all-ones start the first message needs no product; and each update net
+runs on fewer rows than n^2. A symmetric map ``inv`` sends every pair to
+its row: its i <= j pair, or in layer 0, whose message depends on a pair
+only through two integer counts, its class of equal counts.
+Callers that read only some pairs get the last layer at those pairs
+alone, and the ``Tape`` it records backpropagates through the pass. The
+continuous recursion collapses to r x r block-pair states.
 """
 
 from __future__ import annotations
@@ -120,8 +120,9 @@ class PairGraph:
     """One graph as the pairwise recursion reads it, and the recursion on it.
 
     What every pass reads of the graph is computed once from the counts in
-    ``stats`` and shared: the message weights, the mask of the i <= j
-    entries and layer 0's count classes. ``forward`` serves every caller:
+    ``stats`` and shared: the message weights and layer 0's count classes.
+    Each update net runs on its layer's rows, and ``row_inv`` maps every
+    pair to its row. ``forward`` serves every caller:
     the dense sweeps (through ``gmpnn_pair``), scoring at queried pairs,
     and training, frozen or by backprop through the tape it records.
     """
@@ -131,11 +132,6 @@ class PairGraph:
         self.adjacency = graph.adjacency
         self.stats = stats
         self.weights = pair_message_weights(stats)
-
-    @cached_property
-    def upper(self) -> np.ndarray:
-        """Boolean mask of the i <= j entries, the rows update nets run on."""
-        return np.triu(np.ones((self.n, self.n), dtype=bool))
 
     def first_messages(self, out: np.ndarray) -> np.ndarray:
         """Writes layer 0's message (D_i + D_j) W_ij into ``out`` (n x n).
@@ -176,30 +172,34 @@ class PairGraph:
         messages[inv] = self.first_messages(np.empty((n, n)))
         return messages, inv
 
-    def mirror(self, upper_rows: np.ndarray) -> np.ndarray:
-        """Dense symmetric (n, n, F) tensor from its i <= j rows."""
-        u = np.zeros((self.n, self.n, upper_rows.shape[-1]))
-        u[self.upper] = upper_rows
-        return np.where(self.upper[:, :, None], u, u.transpose(1, 0, 2))
+    def upper_rows(self) -> np.ndarray:
+        """Flat indices i n + j of the i <= j pairs, row-major: the rows of
+        every update net but layer 0's classes."""
+        i, j = np.triu_indices(self.n)
+        return i * self.n + j
 
-    def scatter(self, values: np.ndarray, pairs=None) -> np.ndarray:
-        """Dense n x n matrix holding ``values`` at the i <= j rows, or
-        summed at ``pairs`` when given."""
-        n = self.n
-        if pairs is None:
-            out = np.zeros((n, n))
-            out[self.upper] = values
-            return out
-        flat = pairs[:, 0] * n + pairs[:, 1]
-        return np.bincount(flat, weights=values, minlength=n * n).reshape(n, n)
+    def row_inv(self, t: int, message) -> np.ndarray:
+        """The symmetric n x n map from each pair to its row in layer t:
+        its count class in layer 0, else its i <= j row (int32, built per
+        call so that none is alive while an update net runs)."""
+        if t == 0 and message.is_neighbor_projection:
+            return self.first_classes[1]
+        i, j = np.triu_indices(self.n)
+        inv = np.empty((self.n, self.n), dtype=np.int32)
+        inv[i, j] = inv[j, i] = np.arange(len(i), dtype=np.int32)
+        return inv
 
-    def fold(self, grad: np.ndarray) -> np.ndarray:
-        """Gradient with respect to the i <= j rows of a mirrored tensor
-        from the gradient ``grad`` (n x n) of its dense form: d_ij + d_ji
-        off the diagonal, d_ii on it."""
-        total = grad + grad.T
-        np.fill_diagonal(total, grad.diagonal())
-        return total[self.upper]
+    def row_inputs(self, f, t: int, message):
+        """Layer t's update input ``(x, m)`` at its rows: the count classes
+        from all ones, or the i <= j rows of ``f`` and its messages."""
+        width = f.shape[2]
+        if t == 0 and message.is_neighbor_projection:
+            messages = self.first_classes[0]
+            return (np.ones((len(messages), width)),
+                    np.repeat(messages[:, None], width, axis=1))
+        m = self.dense_messages(f, message, t == 0)
+        rows = self.upper_rows()
+        return f.reshape(-1, width)[rows], m.reshape(-1, m.shape[2])[rows]
 
     def dense_messages(self, f, message, first: bool):
         """One layer's messages on the dense symmetric features ``f``.
@@ -255,8 +255,9 @@ class PairGraph:
         Returns ``(values, tape)``. Without ``pairs``, values is the dense
         (n, n, F) tensor. With ``pairs`` (k x 2), the last layer is
         evaluated at those pairs only and values is (k, F). Pair features
-        are exactly symmetric: update nets run on the i <= j rows and are
-        mirrored, or in layer 0 on one row per count class and gathered;
+        are exactly symmetric: an update net below the queried layer runs
+        on its layer's rows (one per count class in layer 0, one per i <= j
+        pair after) and the dense features are gathered as ``out[inv]``;
         closed-form updates run elementwise on the dense tensor.
         With ``record``, ``pairs`` is required and tape is the ``Tape`` to
         backpropagate through; otherwise tape is None.
@@ -282,20 +283,11 @@ class PairGraph:
                 return out, tape
             if update.net is None:
                 f = update(f, self.dense_messages(f, message, first))
-            elif first and message.is_neighbor_projection:
-                messages, inv = self.first_classes
-                width = f.shape[2]
-                x = np.ones((len(messages), width))
-                m = np.repeat(messages[:, None], width, axis=1)
-                out, cache = update_rows(update, x, m, record)
-                caches.append(cache)
-                f = out[inv]
             else:
-                m = self.dense_messages(f, message, first)
-                x, m = f[self.upper], m[self.upper]
+                x, m = self.row_inputs(f, t, message)
                 out, cache = update_rows(update, x, m, record)
                 caches.append(cache)
-                f = self.mirror(out)
+                f = out[self.row_inv(t, message)]
             _require_finite(f)
         return f, None
 
@@ -303,30 +295,31 @@ class PairGraph:
         """The tape's pull for a pass queried at ``pairs``.
 
         The last layer's output rows are the returned values. Below layer
-        t, the message gradients at its rows (the queried pairs for the
-        last layer, the i <= j rows under it) are scattered to an n x n
-        matrix G; with S = G + G^T the gradient of the dense features
-        below is A S. Each i <= j row collects d_ij + d_ji, and each of
-        layer 0's count classes the sum over its pairs.
+        t, one bincount over the flat indices of its rows (the queried
+        pairs for the last layer, the i <= j pairs under it) scatters the
+        message gradients to an n x n matrix G; with S = G + G^T the
+        gradient of the dense features below is A S. A second bincount
+        over the layer below's ``inv`` sums that gradient onto its rows:
+        d_ij + d_ji for an i <= j row, the sum over its pairs for a count
+        class.
         """
-        widths = mpnn.feature_dims
+        n, widths = self.n, mpnn.feature_dims
+        queried = pairs[:, 0] * n + pairs[:, 1]
 
         def pull(t, d):
             if t == mpnn.depth:
                 return np.asarray(d, dtype=float)
-            rows = pairs if t == mpnn.depth - 1 else None
+            flat = queried if t == mpnn.depth - 1 else self.upper_rows()
+            inv = self.row_inv(t - 1, mpnn.layers[t - 1][0]).ravel()
             width = widths[t]
             delta = []
             for k in range(width):
-                g = self.scatter(d[:, width + k], rows) * self.weights
+                g = np.bincount(flat, weights=d[:, width + k], minlength=n * n)
+                g = g.reshape(n, n) * self.weights
                 dense = self.adjacency @ (g + g.T)
-                dense += self.scatter(d[:, k], rows)
-                if t == 1:
-                    messages, inv = self.first_classes
-                    delta.append(np.bincount(inv.ravel(), weights=dense.ravel(),
-                                             minlength=len(messages)))
-                else:
-                    delta.append(self.fold(dense))
+                dense += np.bincount(flat, weights=d[:, k],
+                                     minlength=n * n).reshape(n, n)
+                delta.append(np.bincount(inv, weights=dense.ravel()))
             return np.stack(delta, axis=-1)
 
         return pull

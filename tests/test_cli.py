@@ -212,6 +212,19 @@ class TestStability:
         assert cli.main(["--jobs", "0", "stability", str(cfg)]) == 0
         assert seen == [2, 1, 2]
 
+    def test_no_unmatched_block_pair_fails_before_sampling(self, tmp_path, capsys,
+                                                            monkeypatch):
+        model = tmp_path / "matched.sbm"
+        model.write_text("r = 2\nblock_mass = [0.5, 0.5]\n"
+                         "S = [0.6, 0.1, 0.1, 0.6]\nB = [1.0, 1.0]\n")
+        sampled = []
+        monkeypatch.setattr(cli, "sample_graph", lambda *args: sampled.append(args))
+        cfg, out = self._config(tmp_path, model)
+        assert cli.main(["stability", str(cfg)]) == 3
+        assert "no unmatched block pair" in capsys.readouterr().err
+        assert sampled == []
+        assert not out.exists()
+
 
 class TestTable:
     def test_unknown_method_or_scenario_is_a_config_error(self, tmp_path, model_file):
@@ -302,6 +315,7 @@ class TestOutOfRangeCounts:
         ("converge", "mode = node_mean\nn_list = 32, 64, 128\nseeds = -1\n", "seeds"),
         ("stability", "n_list = 64\nseeds = 0, -1\n", "seeds"),
         ("sample", "n = 10\nseed = -1\n", "seed"),
+        ("table", TABLE_KEYS.replace("seed = 0", "seed = -1") + "runs = 1\n", "seed"),
         *(("converge", f"{NODE_SWEEP}{key} = {value}\n", key)
           for key, value in NET_KEYS + (("jobs", 0),)),
         ("converge", "mode = pair_fixed\nn_list = 32\nseeds = 0\nlayers = 0\n",

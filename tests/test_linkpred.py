@@ -192,7 +192,7 @@ class TestEndToEndGradients:
         numeric = finite_difference_gradients(loss, params)
         assert max_relative_error(grads, numeric) < 1e-4
 
-    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("T", [1, 2, 3, 4])
     def test_pair_backbone_gradients_match_per_row_reference(self, linkpred_spec, T):
         ds = tiny_dataset(linkpred_spec, 60, seed=4)
         model = pair_link_model(T=T, learn_update=True, update_hidden=3,

@@ -97,7 +97,7 @@ class TestDiscrete:
     def test_symmetry_exact_every_layer(self, convergence_spec):
         g = sample_graph(convergence_spec, 40, seed=7)
         stats = graph_stats(g)
-        for T in (1, 2, 3):
+        for T in (1, 2, 3, 4):
             for mpnn in (learnable_psi_mpnn(T, hidden=4, seed=11), fixed_psi_mpnn(T)):
                 f = gmpnn_pair(g, stats, mpnn)
                 assert np.array_equal(f, np.swapaxes(f, 0, 1))
@@ -176,7 +176,7 @@ class TestPairEngine:
 class TestFirstLayerClasses:
     """Layer 0's update net runs once per (D_i + D_j, CN_ij) class."""
 
-    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("T", [1, 2, 3, 4])
     def test_dense_pass_equals_per_row_reference(self, convergence_spec, T):
         g = sample_graph(convergence_spec, 90, seed=5)
         mpnn = learnable_psi_mpnn(T, hidden=4, seed=T)
