@@ -28,7 +28,7 @@ from .errors import NumericalError, PreconditionError
 from .mpnn import NEIGHBOR_AVERAGE, Mpnn, graphsage_mpnn
 from .nn import AdamState, FeedForwardNet, adam_step, init_net, sigmoid
 from .node_mpnn import NodeGraph
-from .pair_mpnn import PairGraph, fixed_psi_mpnn, learnable_psi_mpnn
+from .pair_mpnn import PairGraph, _require_size, fixed_psi_mpnn, learnable_psi_mpnn
 from .rng import child_seed, stream
 from .sbm import (
     SampledGraph,
@@ -563,8 +563,21 @@ def _run_one(args) -> dict:
 
 
 def run_table(config: RunTableConfig) -> EvalReport:
-    """Execute the full protocol over independent runs and aggregate."""
+    """Execute the full protocol over independent runs and aggregate.
+
+    Every graph size a pair method runs on is checked against its cap
+    before any run samples a graph.
+    """
     config.spec.require_valid(pairwise=True)
+    sizes = [config.n_train]
+    if "inductive_ood" in config.scenarios:
+        sizes.append(config.n_test_ood)
+    for method, backbone in (("pair_fixed", fixed_psi_mpnn),
+                             ("pair_learn", learnable_psi_mpnn)):
+        if method in config.methods:
+            mpnn = backbone(config.pair_layers)
+            for n in sizes:
+                _require_size(n, mpnn)
     tasks = [(config, child_seed(config.seed, f"run/{r}"))
              for r in range(config.runs)]
     per_run = parallel_map(_run_one, tasks, jobs=config.jobs)

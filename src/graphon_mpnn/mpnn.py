@@ -63,10 +63,12 @@ class RatioUpdate:
         self.width_in = 2 * int(width)
         self.width_out = int(width)
 
-    def __call__(self, x, m):
-        x = np.asarray(x, dtype=float)
-        m = np.asarray(m, dtype=float)
-        return x / np.maximum(m, EPS_DIV)
+    def __call__(self, x, m, out=None):
+        """x / max(m, EPS_DIV). With ``out``, ``m`` is a float array whose
+        values the caller no longer needs: the guard is applied to it in
+        place and the quotient lands in ``out``, which may be ``x`` or ``m``."""
+        guarded = np.maximum(m, EPS_DIV, out=None if out is None else m)
+        return np.divide(x, guarded, out=out)
 
     def lipschitz(self):
         return None

@@ -51,6 +51,10 @@ N_MAX_SYMBOLIC = 8192
 _ROW_DOT_COST = 150
 _ROW_DOT_CHUNK = 256
 
+#: Edge of the square tiles ``_symmetrize`` works in: its one temporary is
+#: 32 KiB, and a tile and its mirror stay in cache together.
+_TILE = 64
+
 
 def fixed_psi_mpnn(T: int) -> Mpnn:
     """The closed-form variant: message (x, y) -> y, update (x, m) -> x/m.
@@ -105,6 +109,24 @@ def _general_pair_messages(adjacency, f, message, weights):
     return m
 
 
+def _symmetrize(m, weights):
+    """Writes (m + m^T) * weights into the square matrix ``m`` in place.
+
+    Entry (i, j) becomes m_ij + m_ji and (j, i) becomes m_ji + m_ij, the
+    same float since IEEE addition commutes, so one tile-sized sum serves a
+    tile and its mirror: bitwise ``(m + m.T) * weights``.
+    """
+    n = m.shape[0]
+    for lo in range(0, n, _TILE):
+        rows = slice(lo, lo + _TILE)
+        for lo2 in range(lo, n, _TILE):
+            cols = slice(lo2, lo2 + _TILE)
+            s = m[rows, cols] + m[cols, rows].T
+            if lo2 > lo:
+                np.multiply(s.T, weights[cols, rows], out=m[cols, rows])
+            np.multiply(s, weights[rows, cols], out=m[rows, cols])
+
+
 def _require_size(n: int, mpnn: Mpnn) -> None:
     cap = N_MAX_SYMBOLIC if mpnn.all_symbolic else N_MAX_GENERAL
     if n > cap:
@@ -152,7 +174,7 @@ class PairGraph:
         the fallback of ``pair_message_weights``. Pairs with equal counts
         form one class and share one update input, bit for bit.
         ``messages`` holds each class's message, ordered by its counts, and
-        the symmetric n x n ``inv`` holds each pair's class.
+        the symmetric n x n int32 ``inv`` holds each pair's class.
         """
         n = self.n
         d = self.stats.degree_counts.astype(np.intp)
@@ -166,7 +188,7 @@ class PairGraph:
         del cn
         # a counting pass over the integer keys, where np.unique would sort
         present = np.bincount(key.ravel()) > 0
-        inv = (np.cumsum(present) - 1)[key]
+        inv = (np.cumsum(present) - 1).astype(np.int32)[key]
         del key
         messages = np.empty(np.count_nonzero(present))
         messages[inv] = self.first_messages(np.empty((n, n)))
@@ -189,40 +211,45 @@ class PairGraph:
         inv[i, j] = inv[j, i] = np.arange(len(i), dtype=np.int32)
         return inv
 
-    def row_inputs(self, f, t: int, message):
-        """Layer t's update input ``(x, m)`` at its rows: the count classes
-        from all ones, or the i <= j rows of ``f`` and its messages."""
-        width = f.shape[2]
-        if t == 0 and message.is_neighbor_projection:
-            messages = self.first_classes[0]
+    def row_inputs(self, f, message):
+        """A layer's update input ``(x, m)`` at its rows: the count classes
+        from all ones (``f`` is None), or the i <= j rows of ``f`` and of its
+        messages."""
+        if f is None:
+            messages, width = self.first_classes[0], message.width_out
             return (np.ones((len(messages), width)),
                     np.repeat(messages[:, None], width, axis=1))
-        m = self.dense_messages(f, message, t == 0)
+        m = self.dense_messages(f, message)
         rows = self.upper_rows()
-        return f.reshape(-1, width)[rows], m.reshape(-1, m.shape[2])[rows]
+        return f.reshape(-1, f.shape[2])[rows], m.reshape(-1, m.shape[2])[rows]
 
-    def dense_messages(self, f, message, first: bool):
-        """One layer's messages on the dense symmetric features ``f``.
+    def dense_messages(self, f, message, out=None):
+        """One layer's messages on the dense symmetric features ``f``, or on
+        the all-ones start when ``f`` is None; written into ``out`` when it
+        is an array of their shape.
 
         For the neighbor projection and symmetric F and A, F A = (A F)^T,
-        so each channel costs one product: Y = A F_k, m_k = (Y + Y^T) W.
+        so each channel costs one product, written straight into its
+        message slice and symmetrized there: m_k = (A F_k + (A F_k)^T) W.
+        From all ones the product is the degree D_i in row i, so layer 0
+        needs none (``first_messages``).
         """
         if not message.is_neighbor_projection:
             return _general_pair_messages(self.adjacency, f, message, self.weights)
-        m = np.empty_like(f)
-        for k in range(f.shape[2]):
+        shape = (self.n, self.n, message.width_out)
+        m = out if out is not None and out.shape == shape else np.empty(shape)
+        for k in range(m.shape[2]):
             mk = m[:, :, k]
-            if first:
+            if f is None:
                 self.first_messages(out=mk)
                 continue
-            y = self.adjacency @ f[:, :, k]
-            np.add(y, y.T, out=mk)
-            mk *= self.weights
+            np.matmul(self.adjacency, f[:, :, k], out=mk)
+            _symmetrize(mk, self.weights)
         return m
 
-    def queried_messages(self, f, message, pairs, first: bool):
+    def queried_messages(self, f, message, pairs):
         """The messages at ``pairs`` only: W_ij (A_i . F_j + A_j . F_i) per
-        channel, O(n) per pair.
+        channel, O(n) per pair; from all ones when ``f`` is None.
 
         A row dot streams two gathered rows, which costs about as much as
         150 flops of the blocked product A F; for more pairs than n^2 / 150
@@ -232,9 +259,9 @@ class PairGraph:
         if not message.is_neighbor_projection:
             return _general_pair_messages(self.adjacency, f, message, self.weights)[i, j]
         w = self.weights[i, j]
-        if first:
+        if f is None:
             d = self.stats.degree_counts
-            return np.repeat(((d[i] + d[j]) * w)[:, None], f.shape[2], axis=1)
+            return np.repeat(((d[i] + d[j]) * w)[:, None], message.width_out, axis=1)
         a = self.adjacency
         m = np.empty((len(pairs), f.shape[2]))
         for k in range(f.shape[2]):
@@ -261,6 +288,15 @@ class PairGraph:
         closed-form updates run elementwise on the dense tensor.
         With ``record``, ``pairs`` is required and tape is the ``Tape`` to
         backpropagate through; otherwise tape is None.
+
+        The dense layers hold one feature buffer ``f`` and one message
+        buffer ``m`` for the whole pass. When layer 0's message is the
+        neighbor projection, which reads no features, the all-ones start
+        is never built (``f`` is None). The ratio update writes
+        f / max(m, EPS_DIV) back into ``f``; in layer 0 it writes
+        1 / max(m, EPS_DIV) into ``m``, which becomes ``f``. An update net
+        reads only its gathered rows, so both buffers are released while it
+        runs, and ``out[inv]`` becomes the new ``f``.
         """
         n = self.n
         _require_size(n, mpnn)
@@ -268,24 +304,31 @@ class PairGraph:
             require_tape(mpnn, pairs, "pair")
         if pairs is not None:
             pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-        f = np.ones((n, n, mpnn.feature_dims[0]))
+        width = mpnn.feature_dims[0]
+        f = None if mpnn.layers[0][0].is_neighbor_projection else np.ones((n, n, width))
+        m = None
         caches = []
         last = mpnn.depth - 1
         for t, (message, update) in enumerate(mpnn.layers):
-            first = t == 0
             if pairs is not None and t == last:
-                x = f[pairs[:, 0], pairs[:, 1]]
-                m = self.queried_messages(f, message, pairs, first)
-                out, cache = update_rows(update, x, m, record)
+                x = (np.ones((len(pairs), width)) if f is None
+                     else f[pairs[:, 0], pairs[:, 1]])
+                out, cache = update_rows(update, x,
+                                         self.queried_messages(f, message, pairs), record)
                 caches.append(cache)
                 _require_finite(out)
                 tape = Tape(mpnn, caches, self._pull(mpnn, pairs)) if record else None
                 return out, tape
             if update.net is None:
-                f = update(f, self.dense_messages(f, message, first))
+                m = self.dense_messages(f, message, m)
+                if f is None:
+                    f, m = update(1.0, m, out=m), None
+                else:
+                    f = update(f, m, out=f)
             else:
-                x, m = self.row_inputs(f, t, message)
-                out, cache = update_rows(update, x, m, record)
+                x, rows_m = self.row_inputs(f, message)
+                f = m = None  # only the gathered rows are alive while the net runs
+                out, cache = update_rows(update, x, rows_m, record)
                 caches.append(cache)
                 f = out[self.row_inv(t, message)]
             _require_finite(f)

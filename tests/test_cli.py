@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphon_mpnn import cli, config
+from graphon_mpnn import cli, config, linkpred
 from graphon_mpnn.pair_mpnn import learnable_psi_mpnn
 from graphon_mpnn.sbm import read_spec_file, write_spec_file
 
@@ -243,6 +243,47 @@ class TestTable:
             assert proc.returncode == 2, proc.stderr
             assert "config error" in proc.stderr and bad in proc.stderr
             assert not out.exists()
+
+    @pytest.mark.parametrize("methods, scenarios, n_train, n_test_ood", [
+        ("pair_learn", "inductive_ood", 150, 4200),
+        ("oracle, pair_fixed", "transductive, inductive_ood", 150, 8200),
+        ("pair_learn", "transductive", 4200, 150),
+    ])
+    def test_pair_cap_fails_before_sampling(self, tmp_path, model_file, capsys,
+                                            monkeypatch, methods, scenarios,
+                                            n_train, n_test_ood):
+        # pair_learn is capped at n <= 4096, the symbolic pair_fixed at 8192
+        sampled = []
+        monkeypatch.setattr(linkpred, "sample_graph", lambda *args: sampled.append(args))
+        cfg = tmp_path / "cap.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"[sbm]\nspec = {model_file}\n[table]\nn_train = {n_train}\n"
+            f"n_test_ood = {n_test_ood}\nruns = 1\nseed = 0\nmethods = {methods}\n"
+            f"scenarios = {scenarios}\n[output]\ndir = {out}\n"
+        )
+        assert cli.main(["table", str(cfg)]) == 3
+        assert "pair recursion capped" in capsys.readouterr().err
+        assert sampled == []
+        assert not out.exists()
+
+    def test_ood_size_is_not_checked_without_the_ood_scenario(self, tmp_path,
+                                                              model_file, monkeypatch):
+        class Sampled(Exception):
+            pass
+
+        def sample_graph(*args):
+            raise Sampled
+
+        monkeypatch.setattr(linkpred, "sample_graph", sample_graph)
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(
+            f"[sbm]\nspec = {model_file}\n[table]\nn_train = 150\n"
+            f"n_test_ood = 4200\nruns = 1\nseed = 0\nmethods = pair_learn\n"
+            f"scenarios = transductive\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        with pytest.raises(Sampled):
+            cli.main(["table", str(cfg)])
 
     @pytest.mark.parametrize("n_train, hidden", [(6, 0), (12, 1), (20, 4)])
     def test_too_few_hidden_edges_is_a_precondition_error(self, tmp_path, model_file,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,19 @@ class TestFixedVariant:
         psi = RatioUpdate(1)
         assert psi(np.array([3.0]), np.array([2.0]))[0] == pytest.approx(1.5)
         assert psi(np.array([1.0]), np.array([0.0]))[0] == pytest.approx(1.0 / EPS_DIV)
+
+    def test_ratio_update_in_place_is_the_same_formula(self):
+        # the dense pass writes the quotient into f, or in layer 0 into m
+        rng = np.random.default_rng(0)
+        x, m = rng.normal(size=(2, 7, 7, 1))
+        m[0, 0, 0] = 0.0
+        expected = x / np.maximum(m, EPS_DIV)
+        assert np.array_equal(RatioUpdate(1)(x, m), expected)
+        out = RatioUpdate(1)(x, m.copy(), out=x)
+        assert out is x and np.array_equal(x, expected)
+        first = np.ones_like(m) / np.maximum(m, EPS_DIV)
+        out = RatioUpdate(1)(1.0, m, out=m)
+        assert out is m and np.array_equal(m, first)
 
     def test_first_layer_closed_form(self, convergence_spec):
         # From the all-ones start the first layer is the Sorensen-Dice index
@@ -208,6 +223,55 @@ class TestFirstLayerClasses:
             assert np.unique(inv[(zero | one) & (s == s_)]).size == 1
         np.testing.assert_allclose(1.0 / messages[inv[zero]], 2.0 / s[zero],
                                    rtol=1e-15, atol=0)
+
+
+def reference_fixed_pass(adjacency, weights, T):
+    """The fixed variant's dense pass as separate array operations: all
+    ones, then per layer Y = A F, m = (Y + Y^T) W, F <- F / max(m, EPS_DIV)."""
+    f = np.ones(adjacency.shape)
+    for _ in range(T):
+        y = adjacency @ f
+        m = np.add(y, y.T) * weights
+        f = f / np.maximum(m, EPS_DIV)
+    return f
+
+
+class TestDenseBuffers:
+    """The dense pass works in two reused n x n buffers, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, pair_mpnn._TILE - 1, pair_mpnn._TILE,
+                                   pair_mpnn._TILE + 1, 2 * pair_mpnn._TILE + 3])
+    def test_tiled_symmetrization_is_y_plus_its_transpose(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.normal(size=(n, n))
+        w = rng.random(size=(n, n))
+        for weights, expected in ((np.ones((n, n)), y + y.T), (w, (y + y.T) * w)):
+            m = y.copy()
+            pair_mpnn._symmetrize(m, weights)
+            assert np.array_equal(m, expected)
+
+    @pytest.mark.parametrize("n", [150, 2 * pair_mpnn._TILE + 3])
+    def test_fixed_pass_equals_separate_operations(self, convergence_spec, n):
+        g = sample_graph(convergence_spec, n, seed=3)
+        stats = graph_stats(g)
+        weights = pair_mpnn.pair_message_weights(stats)
+        for T in (1, 2, 3, 4):
+            dense = gmpnn_pair(g, stats, fixed_psi_mpnn(T))
+            assert np.array_equal(dense[:, :, 0], reference_fixed_pass(g.adjacency, weights, T))
+
+    def test_fixed_pass_working_set(self, convergence_spec):
+        # W, f and m: 3 n^2 floats, plus tile-sized temporaries
+        n = 512
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        stats.common_neighbors  # computed lazily; not part of the pass
+        tracemalloc.start()
+        try:
+            gmpnn_pair(g, stats, fixed_psi_mpnn(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * n * n * 8
 
 
 class TestContinuous:
