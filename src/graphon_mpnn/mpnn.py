@@ -98,12 +98,16 @@ class NetFunction:
         return self.net.formal_bias()
 
 
-def update_rows(update, x, m, record: bool):
-    """One layer's update on the rows of ``x`` and ``m``, and with
-    ``record`` (only for a net update) the net's forward cache (else None)."""
+def update_rows(update, u, record: bool):
+    """One layer's update on the rows of ``u``, its input [x, m] joined in
+    one array, and with ``record`` (only for a net update) the net's
+    forward cache (else None). A net reads ``u`` as it is; the closed-form
+    update reads x and m as the two halves of its width."""
+    if update.net is None:
+        return update(u[:, :update.width_out], u[:, update.width_out:]), None
     if record:
-        return update.net.forward_cache(np.concatenate([x, m], axis=-1))
-    return update(x, m), None
+        return update.net.forward_cache(u)
+    return update.net.forward(u), None
 
 
 @dataclass(frozen=True)

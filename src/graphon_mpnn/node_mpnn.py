@@ -37,21 +37,22 @@ def _resolve_node_init(graph: SampledGraph, degrees: np.ndarray, init) -> np.nda
     raise ValueError(f"unknown init {init!r}")
 
 
-def _message_sum(adjacency, features, message, row_weights):
-    """sum_j A_ij w_i msg(f_i, f_j) for all i, streamed over row chunks."""
+def _message_sum(adjacency, features, message, row_weights, out):
+    """Writes sum_j A_ij w_i msg(f_i, f_j) for all i into ``out`` (n, H),
+    streamed over row chunks."""
     n = adjacency.shape[0]
     if message.is_neighbor_projection:
-        return (adjacency @ features) * row_weights[:, None]
-    out = np.empty((n, message.width_out))
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        xi = np.broadcast_to(
-            features[start:stop, None, :], (stop - start, n, features.shape[1])
-        )
-        xj = np.broadcast_to(features[None, :, :], (stop - start, n, features.shape[1]))
-        msgs = message(xi, xj)
-        out[start:stop] = np.einsum("ij,ijh->ih", adjacency[start:stop], msgs)
-    return out * row_weights[:, None]
+        np.matmul(adjacency, features, out=out)
+    else:
+        for start in range(0, n, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, n)
+            xi = np.broadcast_to(
+                features[start:stop, None, :], (stop - start, n, features.shape[1])
+            )
+            xj = np.broadcast_to(features[None, :, :], (stop - start, n, features.shape[1]))
+            msgs = message(xi, xj)
+            out[start:stop] = np.einsum("ij,ijh->ih", adjacency[start:stop], msgs)
+    out *= row_weights[:, None]
 
 
 class NodeGraph:
@@ -107,8 +108,11 @@ class NodeGraph:
         weights = self.row_weights(mpnn.aggregation)
         caches = []
         for message, update in mpnn.layers:
-            m = _message_sum(self.adjacency, f, message, weights)
-            f, cache = update_rows(update, f, m, record)
+            width = f.shape[1]
+            u = np.empty((self.n, width + message.width_out))  # [x, m]
+            u[:, :width] = f
+            _message_sum(self.adjacency, f, message, weights, out=u[:, width:])
+            f, cache = update_rows(update, u, record)
             caches.append(cache)
             if not np.all(np.isfinite(f)):
                 raise NumericalError("non-finite node features during message passing")

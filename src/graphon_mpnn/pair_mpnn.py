@@ -16,8 +16,12 @@ runs on fewer rows than n^2. A symmetric map ``inv`` sends every pair to
 its row: its i <= j pair, or in layer 0, whose message depends on a pair
 only through two integer counts, its class of equal counts.
 Callers that read only some pairs get the last layer at those pairs
-alone, and the ``Tape`` it records backpropagates through the pass. The
-continuous recursion collapses to r x r block-pair states.
+alone, and the ``Tape`` it records backpropagates through the pass. At
+queried pairs the last layer's message is linear in the rows of the
+layer below, so it reads them through a sparse map fixed for the graph
+and the pairs, E = sum over the pairs of (D_i + D_j) entries, and its
+pull is that map's transpose: a two-layer pass then does no n x n work.
+The continuous recursion collapses to r x r block-pair states.
 """
 
 from __future__ import annotations
@@ -45,11 +49,21 @@ from .sbm import GraphStats, SampledGraph, SbmSpec, graphon_common_neighbors
 N_MAX_GENERAL = 4096
 N_MAX_SYMBOLIC = 8192
 
-#: The queried last layer takes row dots below n^2 / _ROW_DOT_COST pairs
-#: (see _queried_messages), gathered in chunks of _ROW_DOT_CHUNK pairs to
-#: keep the temporaries small.
-_ROW_DOT_COST = 150
-_ROW_DOT_CHUNK = 256
+#: A queried last layer reads the layer below through a ``_QueryMap`` when
+#: its E = sum over the pairs of (D_i + D_j) entries are at most c n^2;
+#: past that, one product A F per channel and a gather cost less. A
+#: recorded pass keeps its map for every training epoch at the same pairs:
+#: c = _MAP_C, under the measured crossover of a forward and backward
+#: pass (12 n^2 at n = 500, 18 n^2 at n = 1000, one BLAS thread). An
+#: unrecorded pass builds its map for one use: c = _MAP_C_ONCE, where
+#: building the map and reading it cost one product (measured 1 n^2 at
+#: n = 500 and 1.3 n^2 at n = 1000).
+_MAP_C = 8
+_MAP_C_ONCE = 1
+
+#: Entries a map gathers at once: each block's widened indices and its
+#: buffer take 256 KiB apiece and stay in cache.
+_MAP_BLOCK = 1 << 15
 
 #: Edge of the square tiles ``_symmetrize`` works in: its one temporary is
 #: 32 KiB, and a tile and its mirror stay in cache together.
@@ -138,11 +152,145 @@ def _require_finite(values) -> None:
         raise NumericalError("non-finite pair features during message passing")
 
 
+def _stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in [0, n_keys),
+    by 16-bit digits, least significant first: numpy radix-sorts 16-bit
+    integers in O(len) but merge-sorts wider ones."""
+    order = None
+    for shift in range(0, max(n_keys - 1, 1).bit_length(), 16):
+        digit = ((keys if order is None else keys[order]) >> shift).astype(np.uint16)
+        step = np.argsort(digit, kind="stable")  # the cast above keeps the low bits
+        order = step if order is None else order[step]
+    return order
+
+
+def _blocks(starts: np.ndarray, total: int) -> np.ndarray:
+    """Cuts of the segments beginning at ``starts`` (ascending; the last
+    ends at ``total``) into blocks of about _MAP_BLOCK entries, each cut at
+    a segment's start; a segment longer than a block is a block alone."""
+    cuts = np.concatenate([[0], np.searchsorted(starts, np.arange(_MAP_BLOCK, total, _MAP_BLOCK)),
+                           [len(starts)]])
+    return cuts[np.diff(cuts, prepend=-1) > 0]
+
+
+class _SegmentSum:
+    """Sums of ``src[idx[e]]`` over the segments of ``idx`` that begin at
+    ``starts``, gathered block by block into one reused buffer whose last
+    row stays zero, so that a block's trailing empty segment reads 0.
+    ``idx`` is int32; each block's indices widen to intp as it is read."""
+
+    def __init__(self, idx: np.ndarray, starts: np.ndarray):
+        self.idx, self.starts = idx, starts
+        self.cuts = _blocks(starts, len(idx))
+        bounds = np.append(starts, len(idx))[self.cuts]
+        self.size = int(np.max(np.diff(bounds), initial=0)) + 1
+        self._buf = None
+
+    def __call__(self, src: np.ndarray, out: np.ndarray) -> None:
+        """Writes each segment's sum of rows of ``src`` into ``out``; an
+        empty segment reads the next segment's first entry, as reduceat
+        does, and its caller sets it."""
+        width = src.shape[1]
+        if self._buf is None or self._buf.shape[1] != width:
+            self._buf = np.zeros((self.size, width))
+        starts, cuts = self.starts, self.cuts
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            lo = starts[a]
+            hi = starts[b] if b < len(starts) else len(self.idx)
+            block = self._buf[: hi - lo + 1]
+            np.take(src, self.idx[lo:hi], axis=0, out=block[:-1], mode="clip")
+            block[-1] = 0.0
+            np.add.reduceat(block, starts[a:b] - lo, axis=0, out=out[a:b])
+
+
+class _QueryMap:
+    """The last layer's messages at k queried pairs as a sparse map from
+    the rows of the layer below, fixed for one graph and one set of pairs.
+
+    Per channel, m_ij = W_ij (sum_{z in N(i)} src[key(j, z)]
+    + sum_{z in N(j)} src[key(i, z)]), where ``src`` holds the rows of the
+    layer below and key(a, z) is its row map ``inv[a, z]``, or the flat
+    index a n + z of the dense features when ``inv`` is None. The E
+    entries form one segment per pair: the smaller endpoint's neighbors
+    first, each list ascending, so that (i, j) and (j, i) add in one order
+    and stay bitwise symmetric. ``own`` holds each pair's own row, its
+    update input x. The map keeps 4 bytes per entry, and 4 more once a
+    backward pass has built its transpose.
+    """
+
+    def __init__(self, graph: "PairGraph", pairs, inv, kind: str):
+        n = graph.n
+        self.kind, self.pairs = kind, pairs.copy()
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        degree = np.diff(graph.neighbors[0])
+        self.lengths = degree[lo] + degree[hi]
+        starts = np.cumsum(self.lengths) - self.lengths
+        flat = None if inv is None else inv.ravel()
+        idx = np.empty(int(self.lengths.sum()), dtype=np.int32)
+        cuts = _blocks(starts, len(idx))
+        for a, b in zip(cuts[:-1], cuts[1:]):  # so that the intp keys stay block-sized
+            keys = graph.neighbor_keys(lo[a:b], hi[a:b])
+            idx[starts[a] : starts[a] + len(keys)] = keys if flat is None else flat[keys]
+        own = lo * n + hi
+        self.own = own if flat is None else flat[own].astype(np.intp)
+        self.empty = np.flatnonzero(self.lengths == 0)
+        self.w = graph.weights[lo, hi]
+        self._sums = _SegmentSum(idx, starts)
+
+    def messages(self, src, out) -> None:
+        """Writes the messages at the pairs, read from the rows ``src``,
+        into ``out`` (k, width)."""
+        self._sums(src, out)
+        out[self.empty] = 0.0
+        out *= self.w[:, None]
+
+    @cached_property
+    def _transpose(self) -> tuple:
+        """The entries in source-row order, as a ``_SegmentSum`` over each
+        entry's pair with one segment per present row, and those rows.
+
+        A counting sort: each row's run starts at its count's offset, and
+        the entries are placed block by block, stably sorted within a
+        block, so that no temporary outgrows a block.
+        """
+        idx = self._sums.idx
+        pairs = np.repeat(np.arange(len(self.lengths), dtype=np.int32), self.lengths)
+        counts = np.bincount(idx)
+        fill = np.cumsum(counts) - counts  # each row's next free slot
+        pair_of = np.empty_like(pairs)
+        for lo in range(0, len(idx), _MAP_BLOCK):
+            keys = idx[lo : lo + _MAP_BLOCK]
+            order = _stable_order(keys, len(counts))
+            keys = keys[order]
+            first = np.flatnonzero(np.diff(keys, prepend=-1))
+            run = np.diff(first, append=len(keys))
+            rank = np.arange(len(keys)) - np.repeat(first, run)
+            pair_of[fill[keys] + rank] = pairs[lo : lo + _MAP_BLOCK][order]
+            fill[keys[first]] += run
+        present = np.flatnonzero(counts)  # each run now ends at its fill
+        return _SegmentSum(pair_of, fill[present] - counts[present]), present
+
+    def pull(self, d_x, d_m, n_rows: int) -> np.ndarray:
+        """The gradient at the ``n_rows`` source rows of <d_x, x> + <d_m, m>:
+        d_m W gathered in source-row order and summed per row, plus d_x at
+        each pair's own row."""
+        sums, present = self._transpose
+        g = d_m * self.w[:, None]
+        per_row = np.empty((len(present), g.shape[1]))
+        sums(g, per_row)
+        d = np.zeros((n_rows, g.shape[1]))
+        d[present] = per_row
+        np.add.at(d, self.own, d_x)
+        return d
+
+
 class PairGraph:
     """One graph as the pairwise recursion reads it, and the recursion on it.
 
     What every pass reads of the graph is computed once from the counts in
-    ``stats`` and shared: the message weights and layer 0's count classes.
+    ``stats`` and shared: the message weights, layer 0's count classes,
+    the neighbor lists and the map of the last pass queried at pairs.
     Each update net runs on its layer's rows, and ``row_inv`` maps every
     pair to its row. ``forward`` serves every caller:
     the dense sweeps (through ``gmpnn_pair``), scoring at queried pairs,
@@ -154,6 +302,7 @@ class PairGraph:
         self.adjacency = graph.adjacency
         self.stats = stats
         self.weights = pair_message_weights(stats)
+        self._map = None
 
     def first_messages(self, out: np.ndarray) -> np.ndarray:
         """Writes layer 0's message (D_i + D_j) W_ij into ``out`` (n x n).
@@ -194,34 +343,73 @@ class PairGraph:
         messages[inv] = self.first_messages(np.empty((n, n)))
         return messages, inv
 
+    @cached_property
+    def neighbors(self) -> tuple:
+        """The neighbor lists as ``(indptr, indices)``: node i's neighbors,
+        ascending, are ``indices[indptr[i]:indptr[i + 1]]``."""
+        rows, cols = np.nonzero(self.adjacency)
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return indptr, cols
+
+    def neighbor_keys(self, lo, hi) -> np.ndarray:
+        """For each pair (lo, hi), the flat indices a n + z of its message's
+        terms: z over N(lo) with a = hi, then z over N(hi) with a = lo,
+        each neighbor list ascending."""
+        indptr, neighbors = self.neighbors
+        owner = np.stack([lo, hi], axis=1).ravel()  # each pair's two halves
+        lengths = np.diff(indptr)[owner]
+        ends = np.cumsum(lengths)
+        pos = np.arange(ends[-1] if len(ends) else 0)
+        pos += np.repeat(indptr[owner] - (ends - lengths), lengths)
+        keys = np.repeat(np.stack([hi, lo], axis=1).ravel(), lengths)
+        keys *= self.n
+        keys += neighbors[pos]
+        return keys
+
     def upper_rows(self) -> np.ndarray:
         """Flat indices i n + j of the i <= j pairs, row-major: the rows of
         every update net but layer 0's classes."""
         i, j = np.triu_indices(self.n)
         return i * self.n + j
 
+    @staticmethod
+    def _row_kind(t: int, message) -> str:
+        return "classes" if t == 0 and message.is_neighbor_projection else "upper"
+
     def row_inv(self, t: int, message) -> np.ndarray:
         """The symmetric n x n map from each pair to its row in layer t:
         its count class in layer 0, else its i <= j row (int32, built per
         call so that none is alive while an update net runs)."""
-        if t == 0 and message.is_neighbor_projection:
+        if self._row_kind(t, message) == "classes":
             return self.first_classes[1]
         i, j = np.triu_indices(self.n)
         inv = np.empty((self.n, self.n), dtype=np.int32)
         inv[i, j] = inv[j, i] = np.arange(len(i), dtype=np.int32)
         return inv
 
-    def row_inputs(self, f, message):
-        """A layer's update input ``(x, m)`` at its rows: the count classes
-        from all ones (``f`` is None), or the i <= j rows of ``f`` and of its
-        messages."""
+    def row_inputs(self, f, message, m=None) -> np.ndarray:
+        """A layer's update input [x, m] at its rows, joined in one array:
+        the count classes from all ones (``f`` is None), or the i <= j rows
+        of ``f`` and of its messages, gathered row strip by row strip. The
+        dense messages are written into ``m`` when it is an array of their
+        shape."""
         if f is None:
             messages, width = self.first_classes[0], message.width_out
-            return (np.ones((len(messages), width)),
-                    np.repeat(messages[:, None], width, axis=1))
-        m = self.dense_messages(f, message)
-        rows = self.upper_rows()
-        return f.reshape(-1, f.shape[2])[rows], m.reshape(-1, m.shape[2])[rows]
+            u = np.empty((len(messages), 2 * width))
+            u[:, :width] = 1.0
+            u[:, width:] = messages[:, None]
+            return u
+        m = self.dense_messages(f, message, m)
+        n, width = self.n, f.shape[2]
+        u = np.empty((n * (n + 1) // 2, width + m.shape[2]))
+        lo = 0
+        for i in range(n):  # row i holds the pairs (i, i), ..., (i, n - 1)
+            hi = lo + n - i
+            u[lo:hi, :width] = f[i, i:]
+            u[lo:hi, width:] = m[i, i:]
+            lo = hi
+        return u
 
     def dense_messages(self, f, message, out=None):
         """One layer's messages on the dense symmetric features ``f``, or on
@@ -248,13 +436,9 @@ class PairGraph:
         return m
 
     def queried_messages(self, f, message, pairs):
-        """The messages at ``pairs`` only: W_ij (A_i . F_j + A_j . F_i) per
-        channel, O(n) per pair; from all ones when ``f`` is None.
-
-        A row dot streams two gathered rows, which costs about as much as
-        150 flops of the blocked product A F; for more pairs than n^2 / 150
-        that one product is cheaper, and its entries are gathered instead.
-        """
+        """The messages at ``pairs`` where no map serves: from all ones
+        (``f`` is None) (D_i + D_j) W_ij, else one product A F_k per channel
+        on the dense features and a gather, (A F_k)_ij + (A F_k)_ji."""
         i, j = pairs[:, 0], pairs[:, 1]
         if not message.is_neighbor_projection:
             return _general_pair_messages(self.adjacency, f, message, self.weights)[i, j]
@@ -262,19 +446,33 @@ class PairGraph:
         if f is None:
             d = self.stats.degree_counts
             return np.repeat(((d[i] + d[j]) * w)[:, None], message.width_out, axis=1)
-        a = self.adjacency
         m = np.empty((len(pairs), f.shape[2]))
         for k in range(f.shape[2]):
-            fk = f[:, :, k]
-            if len(pairs) * _ROW_DOT_COST >= self.n ** 2:
-                y = a @ fk
-                m[:, k] = y[i, j] + y[j, i]
-                continue
-            for lo in range(0, len(pairs), _ROW_DOT_CHUNK):
-                ic, jc = i[lo : lo + _ROW_DOT_CHUNK], j[lo : lo + _ROW_DOT_CHUNK]
-                m[lo : lo + _ROW_DOT_CHUNK, k] = (np.einsum("pz,pz->p", a[ic], fk[jc])
-                                                  + np.einsum("pz,pz->p", a[jc], fk[ic]))
+            y = self.adjacency @ f[:, :, k]
+            m[:, k] = y[i, j] + y[j, i]
         return m * w[:, None]
+
+    def _query_map(self, mpnn: Mpnn, pairs, record: bool) -> "_QueryMap | None":
+        """The map of a pass of ``mpnn`` queried at ``pairs``, or None where
+        the dense product serves: for one layer, a message other than the
+        neighbor projection, or more than _MAP_C n^2 entries (_MAP_C_ONCE
+        n^2 for a pass that is not recorded). Its source is the rows of
+        the layer below, or its dense features below a closed-form update.
+        The last map built is kept and serves every pass at the same pairs
+        from the same kind of source."""
+        last = mpnn.depth - 1
+        entries = self.stats.degree_counts[pairs].sum()
+        if (last == 0 or not mpnn.layers[last][0].is_neighbor_projection
+                or entries > (_MAP_C if record else _MAP_C_ONCE) * self.n ** 2):
+            return None
+        message, update = mpnn.layers[last - 1]
+        kind = "dense" if update.net is None else self._row_kind(last - 1, message)
+        kept = self._map
+        if kept is None or kept.kind != kind or not np.array_equal(kept.pairs, pairs):
+            self._map = None  # release the old map before building the new
+            inv = None if update.net is None else self.row_inv(last - 1, message)
+            self._map = _QueryMap(self, pairs, inv, kind)
+        return self._map
 
     def forward(self, mpnn: Mpnn, pairs=None, record: bool = False):
         """Run the discrete pairwise recursion from the all-ones start.
@@ -282,12 +480,20 @@ class PairGraph:
         Returns ``(values, tape)``. Without ``pairs``, values is the dense
         (n, n, F) tensor. With ``pairs`` (k x 2), the last layer is
         evaluated at those pairs only and values is (k, F). Pair features
-        are exactly symmetric: an update net below the queried layer runs
-        on its layer's rows (one per count class in layer 0, one per i <= j
-        pair after) and the dense features are gathered as ``out[inv]``;
-        closed-form updates run elementwise on the dense tensor.
+        are exactly symmetric: an update net runs on its layer's rows (one
+        per count class in layer 0, one per i <= j pair after), and the
+        dense features are gathered as ``out[inv]``; closed-form updates
+        run elementwise on the dense tensor.
         With ``record``, ``pairs`` is required and tape is the ``Tape`` to
         backpropagate through; otherwise tape is None.
+
+        A queried last layer reads the layer below through the map of
+        ``_query_map`` where one serves: E gathered rows and one segmented
+        sum, O(E) for E = sum over the pairs of (D_i + D_j). The rows of a
+        net below it are then never expanded to ``out[inv]``, so a
+        two-layer pass at queried pairs does no n x n work once layer 0's
+        classes and the map are built. Otherwise one product A F per
+        channel serves, and its entries at the pairs are gathered.
 
         The dense layers hold one feature buffer ``f`` and one message
         buffer ``m`` for the whole pass. When layer 0's message is the
@@ -295,30 +501,40 @@ class PairGraph:
         is never built (``f`` is None). The ratio update writes
         f / max(m, EPS_DIV) back into ``f``; in layer 0 it writes
         1 / max(m, EPS_DIV) into ``m``, which becomes ``f``. An update net
-        reads only its gathered rows, so both buffers are released while it
-        runs, and ``out[inv]`` becomes the new ``f``.
+        reads only its joined rows [x, m], so both buffers are released
+        while it runs, and ``out[inv]`` becomes the new ``f``.
         """
         n = self.n
         _require_size(n, mpnn)
         if record:
             require_tape(mpnn, pairs, "pair")
+        qmap = None
         if pairs is not None:
             pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-        width = mpnn.feature_dims[0]
-        f = None if mpnn.layers[0][0].is_neighbor_projection else np.ones((n, n, width))
+            qmap = self._query_map(mpnn, pairs, record)
+        widths = mpnn.feature_dims
+        f = None if mpnn.layers[0][0].is_neighbor_projection else np.ones((n, n, widths[0]))
         m = None
         caches = []
         last = mpnn.depth - 1
         for t, (message, update) in enumerate(mpnn.layers):
+            width = widths[t]
             if pairs is not None and t == last:
-                x = (np.ones((len(pairs), width)) if f is None
-                     else f[pairs[:, 0], pairs[:, 1]])
-                out, cache = update_rows(update, x,
-                                         self.queried_messages(f, message, pairs), record)
+                u = np.empty((len(pairs), width + message.width_out))
+                if qmap is not None:
+                    src = f.reshape(-1, width)
+                    u[:, :width] = src[qmap.own]
+                    qmap.messages(src, out=u[:, width:])
+                else:
+                    u[:, :width] = 1.0 if f is None else f[pairs[:, 0], pairs[:, 1]]
+                    u[:, width:] = self.queried_messages(f, message, pairs)
+                out, cache = update_rows(update, u, record)
                 caches.append(cache)
                 _require_finite(out)
-                tape = Tape(mpnn, caches, self._pull(mpnn, pairs)) if record else None
-                return out, tape
+                if not record:
+                    return out, None
+                n_rows = len(src) if qmap is not None else None
+                return out, Tape(mpnn, caches, self._pull(mpnn, pairs, qmap, n_rows))
             if update.net is None:
                 m = self.dense_messages(f, message, m)
                 if f is None:
@@ -326,25 +542,29 @@ class PairGraph:
                 else:
                     f = update(f, m, out=f)
             else:
-                x, rows_m = self.row_inputs(f, message)
-                f = m = None  # only the gathered rows are alive while the net runs
-                out, cache = update_rows(update, x, rows_m, record)
+                u = self.row_inputs(f, message, m)
+                f = m = None  # only the joined rows are alive while the net runs
+                out, cache = update_rows(update, u, record)
+                del u
                 caches.append(cache)
-                f = out[self.row_inv(t, message)]
+                # the map below a queried layer reads these rows as they are
+                f = out if qmap is not None and t == last - 1 else out[self.row_inv(t, message)]
             _require_finite(f)
         return f, None
 
-    def _pull(self, mpnn: Mpnn, pairs: np.ndarray):
+    def _pull(self, mpnn: Mpnn, pairs: np.ndarray, qmap, n_rows):
         """The tape's pull for a pass queried at ``pairs``.
 
-        The last layer's output rows are the returned values. Below layer
-        t, one bincount over the flat indices of its rows (the queried
-        pairs for the last layer, the i <= j pairs under it) scatters the
-        message gradients to an n x n matrix G; with S = G + G^T the
-        gradient of the dense features below is A S. A second bincount
-        over the layer below's ``inv`` sums that gradient onto its rows:
-        d_ij + d_ji for an i <= j row, the sum over its pairs for a count
-        class.
+        The last layer's output rows are the returned values. Where the
+        pass took the map ``qmap``, the last layer's pull is its transpose
+        onto the ``n_rows`` rows below (``_QueryMap.pull``): O(E), and no
+        n x n array. Every other layer's pull is dense: one bincount over
+        the flat indices of its rows (the queried pairs for the last layer,
+        the i <= j pairs under it) scatters the message gradients to an
+        n x n matrix G; with S = G + G^T the gradient of the dense features
+        below is A S. A second bincount over the layer below's ``inv`` sums
+        that gradient onto its rows: d_ij + d_ji for an i <= j row, the sum
+        over its pairs for a count class.
         """
         n, widths = self.n, mpnn.feature_dims
         queried = pairs[:, 0] * n + pairs[:, 1]
@@ -352,9 +572,11 @@ class PairGraph:
         def pull(t, d):
             if t == mpnn.depth:
                 return np.asarray(d, dtype=float)
+            width = widths[t]
+            if qmap is not None and t == mpnn.depth - 1:
+                return qmap.pull(d[:, :width], d[:, width:], n_rows)
             flat = queried if t == mpnn.depth - 1 else self.upper_rows()
             inv = self.row_inv(t - 1, mpnn.layers[t - 1][0]).ravel()
-            width = widths[t]
             delta = []
             for k in range(width):
                 g = np.bincount(flat, weights=d[:, width + k], minlength=n * n)

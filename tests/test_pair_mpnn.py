@@ -135,8 +135,11 @@ def queried_pairs(n, count, seed):
 
 
 class TestPairEngine:
-    # at n = 120, 40 pairs take row dots and 300 pairs one product A F
-    @pytest.mark.parametrize("count", [40, 300])
+    # at n = 120, an unrecorded pass takes the neighbor map for 40 pairs,
+    # whose sums add in another order than the product A F; 300 and 4000
+    # pairs pass its crossover and take that product, which matches the
+    # dense pass bitwise
+    @pytest.mark.parametrize("count", [40, 300, 4000])
     @pytest.mark.parametrize("T", [1, 2, 3])
     @pytest.mark.parametrize("learn", [False, True])
     def test_queried_pairs_match_dense(self, convergence_spec, T, learn, count):
@@ -145,11 +148,32 @@ class TestPairEngine:
         mpnn = learnable_psi_mpnn(T, hidden=4, seed=5) if learn else fixed_psi_mpnn(T)
         dense = gmpnn_pair(g, stats, mpnn)
         pairs = queried_pairs(120, count, seed=T)
-        queried, tape = PairGraph(g, stats).forward(mpnn, pairs)
+        pg = PairGraph(g, stats)
+        queried, tape = pg.forward(mpnn, pairs)
         assert tape is None
         expected = dense[pairs[:, 0], pairs[:, 1]]
         np.testing.assert_allclose(queried, expected, rtol=1e-12, atol=0.0)
-        if count == 300:
+        assert (pg._map is not None) == (T > 1 and count == 40)
+        if count > 40:
+            assert np.array_equal(queried, expected)
+
+    # a recorded pass keeps its map for every epoch, so it takes the map up
+    # to a larger crossover: 300 pairs take it, 4000 take the product
+    @pytest.mark.parametrize("count", [300, 4000])
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_recorded_pairs_match_dense(self, convergence_spec, T, count):
+        g = sample_graph(convergence_spec, 120, seed=4)
+        stats = graph_stats(g)
+        mpnn = learnable_psi_mpnn(T, hidden=4, seed=5)
+        pairs = queried_pairs(120, count, seed=T)
+        pg = PairGraph(g, stats)
+        queried, _ = pg.forward(mpnn, pairs, record=True)
+        expected = gmpnn_pair(g, stats, mpnn)[pairs[:, 0], pairs[:, 1]]
+        np.testing.assert_allclose(queried, expected, rtol=1e-12, atol=0.0)
+        entries = stats.degree_counts[pairs].sum()
+        assert (entries > pair_mpnn._MAP_C * 120 ** 2) == (count == 4000)
+        assert (pg._map is not None) == (count == 300)
+        if count == 4000:
             assert np.array_equal(queried, expected)
 
     def test_first_message_is_the_degree_product_exactly(self, convergence_spec):
@@ -186,6 +210,160 @@ class TestPairEngine:
             pg.forward(learnable_psi_mpnn(2), record=True)
         with pytest.raises(PreconditionError):
             pg.forward(fixed_psi_mpnn(2), np.array([[0, 1]]), record=True)
+
+
+def isolate(graph, nodes):
+    """The graph with every edge at ``nodes`` removed."""
+    a = graph.adjacency.copy()
+    a[nodes, :] = 0.0
+    a[:, nodes] = 0.0
+    return graph.with_adjacency(a)
+
+
+def map_pairs(n, count, seed):
+    """``count`` random pairs, a diagonal pair, repeats in both orders, and
+    pairs at the isolated nodes 0 and 1: one endpoint, both endpoints
+    (mid-list and last, where reduceat would read the next entry or run
+    past the end)."""
+    pairs = np.random.default_rng(seed).integers(2, n, size=(count, 2))
+    half = count // 2
+    return np.vstack([pairs[:half], [[0, 5], [6, 1], [0, 1], [1, 1]], pairs[half:],
+                      [[4, 4]], pairs[:2], pairs[:3, ::-1], [[1, 0]]])
+
+
+class TestQueryMap:
+    """A queried last layer reads the layer below through a neighbor map."""
+
+    @pytest.mark.parametrize("T", [2, 3])
+    @pytest.mark.parametrize("learn", [False, True])
+    def test_map_matches_dense_and_oracle(self, convergence_spec, T, learn):
+        g = isolate(sample_graph(convergence_spec, 24, seed=1), [0, 1])
+        stats = graph_stats(g)
+        mpnn = learnable_psi_mpnn(T, hidden=3, seed=T) if learn else fixed_psi_mpnn(T)
+        pairs = map_pairs(24, 6, seed=T)
+        pg = PairGraph(g, stats)
+        queried, _ = pg.forward(mpnn, pairs)
+        assert pg._map is not None and len(pg._map.empty) == 3
+        dense = gmpnn_pair(g, stats, mpnn)[pairs[:, 0], pairs[:, 1]]
+        oracle = pair_mpnn_oracle(g.adjacency, list(mpnn.layers))[pairs[:, 0], pairs[:, 1]]
+        np.testing.assert_allclose(queried, dense, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(queried, oracle, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_map_values_are_symmetric_exactly(self, convergence_spec, T):
+        g = sample_graph(convergence_spec, 60, seed=2)
+        pairs = queried_pairs(60, 50, seed=0)
+        mpnn = learnable_psi_mpnn(T, hidden=4, seed=1)
+        pg = PairGraph(g, graph_stats(g))
+        values, _ = pg.forward(mpnn, np.vstack([pairs, pairs[:, ::-1]]), record=True)
+        assert pg._map is not None
+        assert np.array_equal(values[:len(pairs)], values[len(pairs):])
+
+    def test_empty_segments_read_zero(self, convergence_spec):
+        # both endpoints isolated: the message is 0, and the layer-1 net
+        # sees [x, 0] whatever reduceat read at the segment's start
+        g = isolate(sample_graph(convergence_spec, 30, seed=3), [0, 1])
+        pg = PairGraph(g, graph_stats(g))
+        mpnn = learnable_psi_mpnn(2, hidden=3, seed=0)
+        pairs = np.array([[2, 3], [0, 1], [4, 5], [1, 1], [0, 0]])
+        pg.forward(mpnn, pairs)
+        src = np.random.default_rng(0).normal(size=(len(pg.first_classes[0]), 1))
+        out = np.full((len(pairs), 1), np.nan)
+        pg._map.messages(src, out)
+        assert np.array_equal(out[[1, 3, 4], 0], np.zeros(3))
+        assert np.all(out[[0, 2], 0] != 0.0)
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_gradients_match_per_row_reference(self, convergence_spec, T):
+        g = isolate(sample_graph(convergence_spec, 40, seed=5), [0, 1])
+        pg = PairGraph(g, graph_stats(g))
+        mpnn = learnable_psi_mpnn(T, hidden=3, seed=T)
+        pairs = map_pairs(40, 20, seed=T)
+        d_out = np.random.default_rng(2).normal(size=(len(pairs), 1))
+        values, tape = pg.forward(mpnn, pairs, record=True)
+        analytic = [g_ for layer in tape.backward(d_out) for g_ in layer]
+        dense, expected = pair_update_rows_oracle(g.adjacency, mpnn.trainable_nets(),
+                                                  pairs, d_out)
+        np.testing.assert_allclose(values[:, 0], dense[pairs[:, 0], pairs[:, 1]],
+                                   rtol=1e-12, atol=0.0)
+        assert max_relative_error(analytic, [g_ for layer in expected for g_ in layer]) < 1e-12
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_gradients_match_finite_differences(self, convergence_spec, T):
+        g = isolate(sample_graph(convergence_spec, 14, seed=2), [0, 1])
+        pg = PairGraph(g, graph_stats(g))
+        mpnn = learnable_psi_mpnn(T, hidden=3, seed=T)
+        pairs = map_pairs(14, 20, seed=0)
+        d_out = np.random.default_rng(1).normal(size=(len(pairs), 1))
+        _, tape = pg.forward(mpnn, pairs, record=True)
+        analytic = [g_ for layer in tape.backward(d_out) for g_ in layer]
+        params = [p for net in mpnn.trainable_nets() for p in net.parameters()]
+
+        def loss():
+            values, _ = pg.forward(mpnn, pairs)
+            return float(np.sum(values * d_out))
+
+        numeric = finite_difference_gradients(loss, params)
+        assert max_relative_error(analytic, numeric) < 1e-6
+
+    def test_map_is_kept_for_the_same_pairs(self, convergence_spec):
+        g = sample_graph(convergence_spec, 50, seed=0)
+        pg = PairGraph(g, graph_stats(g))
+        mpnn = learnable_psi_mpnn(2, hidden=3, seed=0)
+        pairs = queried_pairs(50, 30, seed=1)
+        pg.forward(mpnn, pairs)
+        kept = pg._map
+        pg.forward(mpnn, pairs.copy(), record=True)
+        assert pg._map is kept
+        pg.forward(mpnn, pairs[:-1])
+        assert pg._map is not kept and len(pg._map.pairs) == len(pairs) - 1
+        pg.forward(fixed_psi_mpnn(2), pairs[:-1])  # the dense features are its source
+        assert pg._map.kind == "dense"
+
+    def test_stable_order_is_argsort(self):
+        rng = np.random.default_rng(0)
+        for n_keys in (1, 2, 300, 1 << 16, (1 << 16) + 1, 200_000):
+            keys = rng.integers(0, n_keys, size=5000).astype(np.int32)
+            assert np.array_equal(pair_mpnn._stable_order(keys, n_keys),
+                                  np.argsort(keys, kind="stable"))
+
+    def test_blocks_cut_at_segment_starts(self, monkeypatch):
+        monkeypatch.setattr(pair_mpnn, "_MAP_BLOCK", 10)
+        # a segment longer than two blocks is one block alone
+        starts = np.array([0, 0, 3, 12, 12, 40])
+        assert pair_mpnn._blocks(starts, 45).tolist() == [0, 3, 5, 6]
+        assert pair_mpnn._blocks(np.zeros(0, dtype=np.intp), 0).tolist() == [0]
+        rng = np.random.default_rng(1)
+        idx = rng.integers(0, 50, size=45).astype(np.int32)
+        src = rng.normal(size=(50, 2))
+        out = np.empty((len(starts), 2))
+        pair_mpnn._SegmentSum(idx, starts)(src, out)
+        bounds = np.append(starts, 45)
+        for s in (1, 2, 4, 5):  # 0 and 3 are empty
+            np.testing.assert_allclose(out[s], src[idx[bounds[s]:bounds[s + 1]]].sum(axis=0),
+                                       rtol=1e-13)
+
+    def test_training_epoch_allocates_no_n_by_n_array(self, convergence_spec):
+        # after the first pass has built the classes, the map and its
+        # transpose, a recorded T = 2 pass and its backward at queried
+        # pairs stay below one n x n float array
+        n = 500
+        g = sample_graph(convergence_spec, n, seed=0)
+        pg = PairGraph(g, graph_stats(g))
+        mpnn = learnable_psi_mpnn(2, hidden=5, seed=0)
+        pairs = queried_pairs(n, 6000, seed=0)
+        assert pg.stats.degree_counts[pairs].sum() > 2 * n * n  # past the old n^2 / 150 rule
+        d_out = np.random.default_rng(0).normal(size=(len(pairs), 1))
+        values, tape = pg.forward(mpnn, pairs, record=True)
+        tape.backward(d_out)
+        tracemalloc.start()
+        try:
+            values, tape = pg.forward(mpnn, pairs, record=True)
+            tape.backward(d_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 class TestFirstLayerClasses:
@@ -272,6 +450,22 @@ class TestDenseBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= 3.25 * n * n * 8
+
+    def test_pair_net_pass_working_set(self, convergence_spec):
+        # the update input [x, m] is gathered once into one (n^2 / 2, 2)
+        # array: 13.07 n^2 floats at n = 512, where a concatenation of the
+        # gathered x and m rows peaked at 14.07
+        n = 512
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        stats.common_neighbors  # computed lazily; not part of the pass
+        tracemalloc.start()
+        try:
+            gmpnn_pair(g, stats, learnable_psi_mpnn(3, hidden=10, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13.25 * n * n * 8
 
 
 class TestContinuous:
