@@ -43,10 +43,10 @@ def cmd_sample(args) -> int:
     cfg, text = parse_sample_config(args.config)
     graph = sample_graph(cfg.spec, cfg.n, cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_edge_list(graph, os.path.join(cfg.out_dir, "edges.txt"),
-                    os.path.join(cfg.out_dir, "blocks.txt"))
+    count = write_edge_list(graph, os.path.join(cfg.out_dir, "edges.txt"),
+                            os.path.join(cfg.out_dir, "blocks.txt"))
     write_manifest(cfg.out_dir, text, {"subcommand": "sample"})
-    print(f"wrote {cfg.out_dir}/edges.txt ({len(graph.edge_list())} edges)")
+    print(f"wrote {cfg.out_dir}/edges.txt ({count} edges)")
     return 0
 
 

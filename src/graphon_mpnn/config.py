@@ -193,7 +193,7 @@ class StabilityConfig:
 
 def parse_sample_config(path) -> tuple:
     sec, spec, out_dir, text = _open(path, "sample")
-    cfg = SampleConfig(spec=spec, n=sec.get("n"), seed=sec.get("seed", low=0),
+    cfg = SampleConfig(spec=spec, n=sec.get("n", low=2), seed=sec.get("seed", low=0),
                        out_dir=out_dir)
     sec.close()
     return cfg, text
@@ -205,7 +205,7 @@ def parse_converge_config(path) -> tuple:
     cfg = ConvergeConfig(
         spec=spec,
         mode=mode,
-        n_list=sec.get("n_list", _ints),
+        n_list=sec.get("n_list", _ints, low=2),
         seeds=sec.get("seeds", _ints, low=0),
         out_dir=out_dir,
         mpnn=_sweep_net(sec, mode),
@@ -221,7 +221,7 @@ def parse_stability_config(path) -> tuple:
     sec, spec, out_dir, text = _open(path, "stability")
     cfg = StabilityConfig(
         spec=spec,
-        n_list=sec.get("n_list", _ints),
+        n_list=sec.get("n_list", _ints, low=2),
         seeds=sec.get("seeds", _ints, low=0),
         out_dir=out_dir,
         mpnn=_sweep_net(sec),
@@ -237,8 +237,8 @@ def parse_table_config(path) -> tuple:
     sec, spec, out_dir, text = _open(path, "table")
     cfg = RunTableConfig(
         spec=spec,
-        n_train=sec.get("n_train"),
-        n_test_ood=sec.get("n_test_ood"),
+        n_train=sec.get("n_train", low=2),
+        n_test_ood=sec.get("n_test_ood", low=2),
         runs=sec.get("runs", low=1),
         seed=sec.get("seed", low=0),
         methods=sec.get("methods", _names(METHODS), METHODS),

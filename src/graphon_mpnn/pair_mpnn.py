@@ -65,8 +65,9 @@ _MAP_C_ONCE = 1
 #: buffer take 256 KiB apiece and stay in cache.
 _MAP_BLOCK = 1 << 15
 
-#: Edge of the square tiles ``_symmetrize`` works in: its one temporary is
-#: 32 KiB, and a tile and its mirror stay in cache together.
+#: Edge of the square tiles ``_symmetrize`` works in: its sum and the
+#: tile's weights are 32 KiB each, and a tile and its mirror stay in cache
+#: together. ``PairWeights.scale`` forms W in strips of as many rows.
 _TILE = 64
 
 
@@ -96,17 +97,47 @@ def learnable_psi_mpnn(T: int, hidden: int = 5, seed=0) -> Mpnn:
     return Mpnn(layers=tuple(layers))
 
 
-def pair_message_weights(stats: GraphStats) -> np.ndarray:
-    """Weights 1 / (2n c_ij) of the common-neighbor fraction c_ij = CN_ij / n,
-    read as 1/n where CN_ij = 0: the one place this fallback is applied."""
-    # The order stays 1 / (2n (CN / n)): the shorter 1 / (2 CN) differs in the
-    # last bit for 1,774,783 of the (n <= 8192, 0 <= CN <= n) combinations,
-    # first at n = 22, CN = 15, and would move every pair output's bytes.
-    counts, n = stats.common_neighbors, stats.n
-    w = np.divide(counts, n, dtype=np.float64)
-    w[counts == 0] = 1.0 / n
-    w *= 2.0 * n
-    return np.divide(1.0, w, out=w)
+class PairWeights:
+    """The message weights W_ij = 1 / (2n c_ij) of the common-neighbor
+    fraction c_ij = CN_ij / n, as a function of the float32 counts: W is
+    formed where it is read and no n x n array of it is held.
+
+    ``weights[index]`` is W at ``counts[index]`` for any numpy index of the
+    n x n counts: a tile, a row strip, a row or pairs. ``of`` forms W from
+    given counts, and is the one place the fallback is applied: CN_ij = 0
+    is read as 1, so that c_ij = 1/n.
+    """
+
+    def __init__(self, counts: np.ndarray, n: int):
+        self.counts, self.n = counts, n
+
+    def __getitem__(self, index) -> np.ndarray:
+        return self.of(self.counts[index])
+
+    def of(self, counts) -> np.ndarray:
+        # The order stays 1 / (2n (CN / n)): the shorter 1 / (2 CN) differs in
+        # the last bit for 1,774,783 of the (n <= 8192, 0 <= CN <= n)
+        # combinations, first at n = 22, CN = 15, and would move every pair
+        # output's bytes. Reading CN = 0 as 1 gives c = 1.0 / n exactly.
+        n = self.n
+        w = np.maximum(counts, 1, out=np.empty(np.shape(counts)))
+        w /= n
+        w *= 2.0 * n
+        return np.divide(1.0, w, out=w)
+
+    def scale(self, x: np.ndarray) -> np.ndarray:
+        """Multiplies the n x n ``x`` by W in place, row strip by row strip."""
+        for lo in range(0, self.n, _TILE):
+            rows = slice(lo, lo + _TILE)
+            x[rows] *= self[rows]
+        return x
+
+
+def pair_message_weights(stats: GraphStats) -> PairWeights:
+    """The message weights of the graph that ``stats`` counts, as a
+    function of its float32 common-neighbor counts (``PairWeights``): it
+    reads ``stats.common_neighbors`` once and allocates no n x n array."""
+    return PairWeights(stats.common_neighbors, stats.n)
 
 
 def _general_pair_messages(adjacency, f, message, weights):
@@ -124,11 +155,13 @@ def _general_pair_messages(adjacency, f, message, weights):
 
 
 def _symmetrize(m, weights):
-    """Writes (m + m^T) * weights into the square matrix ``m`` in place.
+    """Writes (m + m^T) W into the square matrix ``m`` in place, with W read
+    tile by tile from ``weights`` (a ``PairWeights`` or an array).
 
     Entry (i, j) becomes m_ij + m_ji and (j, i) becomes m_ji + m_ij, the
     same float since IEEE addition commutes, so one tile-sized sum serves a
-    tile and its mirror: bitwise ``(m + m.T) * weights``.
+    tile and its mirror; W is symmetric, so the mirror tile reads the
+    tile's weights transposed: bitwise ``(m + m.T) * W``.
     """
     n = m.shape[0]
     for lo in range(0, n, _TILE):
@@ -136,9 +169,10 @@ def _symmetrize(m, weights):
         for lo2 in range(lo, n, _TILE):
             cols = slice(lo2, lo2 + _TILE)
             s = m[rows, cols] + m[cols, rows].T
+            w = weights[rows, cols]
             if lo2 > lo:
-                np.multiply(s.T, weights[cols, rows], out=m[cols, rows])
-            np.multiply(s, weights[rows, cols], out=m[rows, cols])
+                np.multiply(s.T, w.T, out=m[cols, rows])
+            np.multiply(s, w, out=m[rows, cols])
 
 
 def _require_size(n: int, mpnn: Mpnn) -> None:
@@ -289,8 +323,10 @@ class PairGraph:
     """One graph as the pairwise recursion reads it, and the recursion on it.
 
     What every pass reads of the graph is computed once from the counts in
-    ``stats`` and shared: the message weights, layer 0's count classes,
-    the neighbor lists and the map of the last pass queried at pairs.
+    ``stats`` and shared: layer 0's count classes, the neighbor lists and
+    the map of the last pass queried at pairs. The message weights are no
+    array: ``weights`` forms them from the float32 counts at each tile,
+    row strip, row or set of pairs a pass reads.
     Each update net runs on its layer's rows, and ``row_inv`` maps every
     pair to its row. ``forward`` serves every caller:
     the dense sweeps (through ``gmpnn_pair``), scoring at queried pairs,
@@ -305,14 +341,14 @@ class PairGraph:
         self._map = None
 
     def first_messages(self, out: np.ndarray) -> np.ndarray:
-        """Writes layer 0's message (D_i + D_j) W_ij into ``out`` (n x n).
+        """Writes layer 0's message (D_i + D_j) W_ij into ``out`` (n x n),
+        with W formed row strip by row strip.
 
         From the all-ones start, A @ F is D_i in row i, so the first
         message needs no matrix product.
         """
         np.add.outer(self.stats.degree_counts, self.stats.degree_counts, out=out)
-        out *= self.weights
-        return out
+        return self.weights.scale(out)
 
     @cached_property
     def first_classes(self) -> tuple:
@@ -320,28 +356,31 @@ class PairGraph:
 
         With W_ij = 1/(2 CN_ij), the first message depends on a pair only
         through the integers (D_i + D_j, max(CN_ij, 1)), CN = 0 read as 1 by
-        the fallback of ``pair_message_weights``. Pairs with equal counts
-        form one class and share one update input, bit for bit.
-        ``messages`` holds each class's message, ordered by its counts, and
-        the symmetric n x n int32 ``inv`` holds each pair's class.
+        the fallback of ``PairWeights``. Pairs with equal counts form one
+        class and share one update input, bit for bit. ``messages`` holds
+        each class's message (D_i + D_j) W_ij, formed from the class's own
+        two counts and ordered by them, and the symmetric n x n int32
+        ``inv`` holds each pair's class.
         """
-        n = self.n
         d = self.stats.degree_counts.astype(np.intp)
-        d -= d.min()
-        cn = self.stats.common_neighbors.astype(np.intp)
+        d_min = d.min()
+        d -= d_min
+        cn = self.weights.counts.astype(np.intp)
         np.maximum(cn, 1, out=cn)
-        cn -= cn.min()
+        cn_min = cn.min()
+        cn -= cn_min
+        base = cn.max() + 1
         key = np.add.outer(d, d)
-        key *= cn.max() + 1
+        key *= base
         key += cn
         del cn
         # a counting pass over the integer keys, where np.unique would sort
         present = np.bincount(key.ravel()) > 0
         inv = (np.cumsum(present) - 1).astype(np.int32)[key]
         del key
-        messages = np.empty(np.count_nonzero(present))
-        messages[inv] = self.first_messages(np.empty((n, n)))
-        return messages, inv
+        keys = np.flatnonzero(present)
+        degree_sums = (keys // base + 2 * d_min).astype(np.float64)
+        return degree_sums * self.weights.of(keys % base + cn_min), inv
 
     @cached_property
     def neighbors(self) -> tuple:
@@ -580,7 +619,7 @@ class PairGraph:
             delta = []
             for k in range(width):
                 g = np.bincount(flat, weights=d[:, width + k], minlength=n * n)
-                g = g.reshape(n, n) * self.weights
+                g = self.weights.scale(g.reshape(n, n))
                 dense = self.adjacency @ (g + g.T)
                 dense += np.bincount(flat, weights=d[:, k],
                                      minlength=n * n).reshape(n, n)

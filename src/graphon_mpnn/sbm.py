@@ -184,14 +184,20 @@ class SampledGraph:
         return dataclasses.replace(self, adjacency=adjacency)
 
     def edge_list(self) -> np.ndarray:
-        """(m, 2) array of undirected edges i < j."""
-        iu, ju = np.triu_indices(self.n, k=1)
-        mask = self.adjacency[iu, ju] > 0
-        return np.column_stack([iu[mask], ju[mask]])
+        """(m, 2) array of undirected edges i < j, row-major: each row
+        strip's edges right of the diagonal, so that no temporary outgrows
+        a strip."""
+        strips = []
+        for lo in range(0, self.n, _MIRROR_ROWS):
+            i, j = np.nonzero(self.adjacency[lo : lo + _MIRROR_ROWS, lo:] > 0)
+            upper = j > i
+            strips.append(np.column_stack([i[upper], j[upper]]) + lo)
+        return np.concatenate(strips)
 
 
-#: Rows per tile of the sampler's mirror copy: a 128-row strip of the upper
-#: triangle is copied into the lower one while it is still in cache.
+#: Rows per strip of the sampler's mirror copy and of ``edge_list``: a
+#: 128-row strip of the upper triangle is copied into the lower one while
+#: it is still in cache.
 _MIRROR_ROWS = 128
 
 
@@ -341,8 +347,9 @@ def read_spec_file(path) -> SbmSpec:
     return _read_model(entries, path)
 
 
-def write_edge_list(graph: SampledGraph, edges_path, blocks_path) -> None:
-    """Dump edges as '<i> <j>' per line (0-indexed) plus a block column file."""
+def write_edge_list(graph: SampledGraph, edges_path, blocks_path) -> int:
+    """Dump edges as '<i> <j>' per line (0-indexed) plus a block column
+    file; returns the number of edges."""
     edges = graph.edge_list()
     with open(edges_path, "w") as fh:
         for i, j in edges:
@@ -350,3 +357,4 @@ def write_edge_list(graph: SampledGraph, edges_path, blocks_path) -> None:
     with open(blocks_path, "w") as fh:
         for b in graph.block_of:
             fh.write(f"{b}\n")
+    return len(edges)

@@ -107,6 +107,15 @@ def pair_mpnn_oracle(adjacency, layers, width0=1):
     return f
 
 
+def message_weights_oracle(adjacency):
+    """The pair message weights 1 / (2n c) as one n x n array, from integer
+    counts: c = CN / n, or 1 / n where CN = 0."""
+    a = np.asarray(adjacency).astype(np.int64)
+    n = a.shape[0]
+    counts = a @ a
+    return 1.0 / (2.0 * n * np.where(counts > 0, counts / n, 1.0 / n))
+
+
 def pair_update_rows_oracle(adjacency, nets, pairs, d_values):
     """Pairwise recursion with neighbor-projection messages and width-1
     update nets from the all-ones start, every layer's net run on all
@@ -117,8 +126,7 @@ def pair_update_rows_oracle(adjacency, nets, pairs, d_values):
     """
     a = np.asarray(adjacency, dtype=float)
     n = a.shape[0]
-    counts = a @ a
-    w = 1.0 / (2.0 * n * np.where(counts > 0, counts / n, 1.0 / n))
+    w = message_weights_oracle(a)
     rows = np.triu_indices(n)
     f = np.ones((n, n))
     caches = []

@@ -96,8 +96,8 @@ class TestSample:
             f"[output]\ndir = {tmp_path / 'out'}\n"
         )
         proc = run_cli("sample", str(cfg))
-        assert proc.returncode == 3
-        assert "precondition" in proc.stderr
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "n must be >= 2" in proc.stderr
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "broken.cfg"
@@ -356,6 +356,14 @@ class TestOutOfRangeCounts:
         ("converge", "mode = node_mean\nn_list = 32, 64, 128\nseeds = -1\n", "seeds"),
         ("stability", "n_list = 64\nseeds = 0, -1\n", "seeds"),
         ("sample", "n = 10\nseed = -1\n", "seed"),
+        # graph sizes below 2 are caught before any graph is sampled
+        ("sample", "n = 1\nseed = 0\n", "n"),
+        ("converge", "mode = pair_fixed\nn_list = 300, 400, 1\nseeds = 0\n", "n_list"),
+        ("stability", "n_list = 64, 1\nseeds = 0\n", "n_list"),
+        ("table", TABLE_KEYS.replace("n_train = 150", "n_train = 1") + "runs = 1\n",
+         "n_train"),
+        ("table", TABLE_KEYS.replace("n_test_ood = 300", "n_test_ood = 1") + "runs = 1\n",
+         "n_test_ood"),
         ("table", TABLE_KEYS.replace("seed = 0", "seed = -1") + "runs = 1\n", "seed"),
         *(("converge", f"{NODE_SWEEP}{key} = {value}\n", key)
           for key, value in NET_KEYS + (("jobs", 0),)),

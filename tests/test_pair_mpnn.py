@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from graphon_mpnn.pair_mpnn import PairGraph, learnable_psi_mpnn
 from oracles import (
     finite_difference_gradients,
     max_relative_error,
+    message_weights_oracle,
     pair_mpnn_oracle,
     pair_update_rows_oracle,
 )
@@ -183,7 +185,7 @@ class TestPairEngine:
         y = g.adjacency @ np.ones((200, 200))
         assert np.array_equal(stats.degree_counts, g.adjacency @ np.ones(200))
         assert np.array_equal(pg.first_messages(np.empty((200, 200))),
-                              (y + y.T) * pg.weights)
+                              (y + y.T) * message_weights_oracle(g.adjacency))
 
     @pytest.mark.parametrize("T", [1, 2, 3])
     def test_tape_gradients_match_finite_differences(self, convergence_spec, T):
@@ -218,6 +220,13 @@ def isolate(graph, nodes):
     a[nodes, :] = 0.0
     a[:, nodes] = 0.0
     return graph.with_adjacency(a)
+
+
+def graph_with_isolated_node(spec, n):
+    """An n-node graph of ``spec`` whose node 0 has no edge, so that its
+    pairs share no neighbor; n = 1 keeps node 0 of a two-node graph."""
+    g = isolate(sample_graph(spec, max(n, 2), seed=2), [0])
+    return g if n > 1 else dataclasses.replace(g, n=1, adjacency=g.adjacency[:1, :1])
 
 
 def map_pairs(n, count, seed):
@@ -419,26 +428,68 @@ class TestDenseBuffers:
 
     @pytest.mark.parametrize("n", [1, 2, pair_mpnn._TILE - 1, pair_mpnn._TILE,
                                    pair_mpnn._TILE + 1, 2 * pair_mpnn._TILE + 3])
-    def test_tiled_symmetrization_is_y_plus_its_transpose(self, n):
+    def test_tiled_symmetrization_is_y_plus_its_transpose(self, convergence_spec, n):
+        # the weights are formed per tile from the counts, and the mirror
+        # tile reads them transposed: bitwise the full-array formula, the
+        # 1/n fallback of the isolated node 0 included
         rng = np.random.default_rng(n)
         y = rng.normal(size=(n, n))
-        w = rng.random(size=(n, n))
-        for weights, expected in ((np.ones((n, n)), y + y.T), (w, (y + y.T) * w)):
+        g = graph_with_isolated_node(convergence_spec, n)
+        weights = pair_mpnn.pair_message_weights(graph_stats(g))
+        full = message_weights_oracle(g.adjacency)
+        assert (weights.counts == 0).any()
+        for w, expected in ((np.ones((n, n)), y + y.T), (weights, (y + y.T) * full)):
             m = y.copy()
-            pair_mpnn._symmetrize(m, weights)
+            pair_mpnn._symmetrize(m, w)
             assert np.array_equal(m, expected)
+
+    @pytest.mark.parametrize("n", [1, pair_mpnn._TILE - 1, pair_mpnn._TILE,
+                                   pair_mpnn._TILE + 1, 2 * pair_mpnn._TILE + 3])
+    def test_first_messages_by_strips_are_the_full_formula(self, convergence_spec, n):
+        g = graph_with_isolated_node(convergence_spec, n)
+        pg = PairGraph(g, graph_stats(g))
+        d = g.adjacency.sum(axis=1)
+        expected = np.add.outer(d, d) * message_weights_oracle(g.adjacency)
+        assert np.array_equal(pg.first_messages(np.empty((n, n))), expected)
+        messages, inv = pg.first_classes
+        assert np.array_equal(messages[inv], expected)
+
+    def test_building_a_pair_graph_allocates_no_n_by_n_array(self, convergence_spec):
+        n = 512
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        stats.common_neighbors  # computed lazily; not part of the build
+        tracemalloc.start()
+        try:
+            pg = PairGraph(g, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n * n * 8
+        # nor does it keep one after dense, queried and recorded passes
+        mpnn = learnable_psi_mpnn(2, hidden=3, seed=0)
+        pg.forward(mpnn)
+        pairs = queried_pairs(n, 300, seed=0)
+        pg.forward(mpnn, pairs, record=True)[1].backward(np.ones((len(pairs), 1)))
+        held = [v for value in vars(pg).values()
+                for v in (value if isinstance(value, tuple) else (value,))]
+        held += list(vars(pg.weights).values())
+        assert pg._map is not None and "first_classes" in vars(pg)
+        assert not [v for v in held if isinstance(v, np.ndarray) and v.dtype == np.float64
+                    and v.size >= n * n and v is not g.adjacency]
 
     @pytest.mark.parametrize("n", [150, 2 * pair_mpnn._TILE + 3])
     def test_fixed_pass_equals_separate_operations(self, convergence_spec, n):
         g = sample_graph(convergence_spec, n, seed=3)
         stats = graph_stats(g)
-        weights = pair_mpnn.pair_message_weights(stats)
+        weights = message_weights_oracle(g.adjacency)
         for T in (1, 2, 3, 4):
             dense = gmpnn_pair(g, stats, fixed_psi_mpnn(T))
             assert np.array_equal(dense[:, :, 0], reference_fixed_pass(g.adjacency, weights, T))
 
     def test_fixed_pass_working_set(self, convergence_spec):
-        # W, f and m: 3 n^2 floats, plus tile-sized temporaries
+        # f and m: 2 n^2 floats, plus tile-sized temporaries; W is formed
+        # per tile from the counts (3.13 n^2 floats while W was an array)
         n = 512
         g = sample_graph(convergence_spec, n, seed=0)
         stats = graph_stats(g)
@@ -449,12 +500,13 @@ class TestDenseBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * n * n * 8
+        assert peak <= 2.25 * n * n * 8
 
     def test_pair_net_pass_working_set(self, convergence_spec):
         # the update input [x, m] is gathered once into one (n^2 / 2, 2)
-        # array: 13.07 n^2 floats at n = 512, where a concatenation of the
-        # gathered x and m rows peaked at 14.07
+        # array and W is no array: 12.07 n^2 floats at n = 512, where a
+        # held W read 13.07 and a concatenation of the gathered x and m
+        # rows 14.07
         n = 512
         g = sample_graph(convergence_spec, n, seed=0)
         stats = graph_stats(g)
@@ -465,7 +517,7 @@ class TestDenseBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 13.25 * n * n * 8
+        assert peak <= 12.25 * n * n * 8
 
 
 class TestContinuous:

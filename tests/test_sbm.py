@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,11 +14,11 @@ from graphon_mpnn import (
     sample_graph,
     validate_sbm,
 )
-from graphon_mpnn.pair_mpnn import pair_message_weights
+from graphon_mpnn.pair_mpnn import _TILE as TILE, pair_message_weights
 from graphon_mpnn.rng import stream
 from graphon_mpnn.sbm import read_spec_file, write_edge_list, write_spec_file
 
-from oracles import common_neighbors_oracle, sample_graph_oracle
+from oracles import common_neighbors_oracle, message_weights_oracle, sample_graph_oracle
 
 
 def graph_from_adjacency(adj):
@@ -32,6 +34,14 @@ def graph_from_adjacency(adj):
         node_features=_freeze(np.ones((n, 1))),
         seed=0,
     )
+
+
+def graph_with_isolated_node(spec, n):
+    """An n-node graph of ``spec`` whose node 0 has no edge, so that its
+    pairs share no neighbor."""
+    adj = sample_graph(spec, n, seed=2).adjacency.copy() if n > 1 else np.zeros((1, 1))
+    adj[0, :] = adj[:, 0] = 0.0
+    return graph_from_adjacency(adj)
 
 
 class TestValidation:
@@ -216,7 +226,7 @@ class TestGraphStats:
         stats = graph_stats(g)
         assert np.all(stats.degree_counts == 0.0)
         assert np.all(stats.common_neighbors == 0.0)
-        assert np.all(pair_message_weights(stats) == 1.0 / (2.0 * 5 * (1 / 5)))
+        assert np.all(pair_message_weights(stats)[...] == 1.0 / (2.0 * 5 * (1 / 5)))
 
     def test_complete_graph(self):
         adj = np.ones((4, 4)) - np.eye(4)
@@ -239,13 +249,32 @@ class TestGraphStats:
         assert np.array_equal(stats.degree_counts, a.sum(axis=1))
         assert stats.degree_counts.dtype == np.float64
 
-    @pytest.mark.parametrize("n", [3, 129, 300])
+    @pytest.mark.parametrize("n", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3])
     def test_pair_message_weights_in_fraction_order(self, convergence_spec, n):
-        g = sample_graph(convergence_spec, n, seed=2)
-        a = g.adjacency.astype(np.int64)
-        cn = a @ a
-        expected = 1 / (2.0 * n * np.where(cn > 0, cn / n, 1 / n))
-        assert np.array_equal(pair_message_weights(graph_stats(g)), expected)
+        # W is formed from the float32 counts where it is read: at tiles,
+        # row strips, rows and pairs it equals the full-array formula
+        # bitwise, the 1/n fallback included (node 0 is isolated)
+        g = graph_with_isolated_node(convergence_spec, n)
+        expected = message_weights_oracle(g.adjacency)
+        w = pair_message_weights(graph_stats(g))
+        assert (w.counts == 0).any()
+        assert np.array_equal(w[...], expected)
+        for lo in range(0, n, TILE):
+            rows = slice(lo, lo + TILE)
+            assert np.array_equal(w[rows], expected[rows])
+            for lo2 in range(0, n, TILE):
+                cols = slice(lo2, lo2 + TILE)
+                assert np.array_equal(w[rows, cols], expected[rows, cols])
+        for i in range(n):
+            assert np.array_equal(w[i], expected[i])
+        pairs = np.random.default_rng(n).integers(0, n, size=(500, 2))
+        pairs[:n, 0] = pairs[:n, 1] = 0  # pairs of the isolated node
+        assert np.array_equal(w[pairs[:, 0], pairs[:, 1]], expected[pairs[:, 0], pairs[:, 1]])
+        x = np.random.default_rng(0).normal(size=(n, n))
+        assert np.array_equal(w.scale(x.copy()), x * expected)
+        counts = np.arange(n + 1)
+        assert np.array_equal(w.of(counts),
+                              1 / (2.0 * n * np.where(counts > 0, counts / n, 1 / n)))
 
 
 class TestSerialization:
@@ -263,10 +292,32 @@ class TestSerialization:
         with pytest.raises(SpecValidationError):
             read_spec_file(path)
 
+    @pytest.mark.parametrize("n", [2, 3, 129, 300])
+    def test_edge_list_is_the_upper_triangle_row_major(self, convergence_spec, n):
+        g = sample_graph(convergence_spec, n, seed=4)
+        iu, ju = np.triu_indices(n, k=1)
+        upper = g.adjacency[iu, ju] > 0
+        edges = g.edge_list()
+        assert edges.dtype == np.intp
+        assert np.array_equal(edges, np.column_stack([iu[upper], ju[upper]]))
+        assert g.with_adjacency(np.zeros((n, n))).edge_list().shape == (0, 2)
+
+    def test_edge_list_builds_no_pair_index_arrays(self, convergence_spec):
+        # row strips: the result and its strips, where the n^2 / 2
+        # triu_indices pair and mask peaked at 6 times the result
+        g = sample_graph(convergence_spec, 600, seed=0)
+        tracemalloc.start()
+        try:
+            edges = g.edge_list()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * edges.nbytes
+
     def test_edge_list_format(self, tmp_path):
         g = graph_from_adjacency([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         edges = tmp_path / "edges.txt"
         blocks = tmp_path / "blocks.txt"
-        write_edge_list(g, edges, blocks)
+        assert write_edge_list(g, edges, blocks) == 2
         assert edges.read_text() == "0 1\n1 2\n"
         assert blocks.read_text() == "0\n0\n0\n"
