@@ -73,18 +73,7 @@ class FeedForwardNet:
     # -- forward / backward ----------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.width_in:
-            raise ValueError(f"input width {x.shape[-1]} != {self.width_in}")
-        h = x
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T
-            z += b
-            h = z if k == last else np.tanh(z, out=z)
-        if self.output_activation == "sigmoid":
-            h = sigmoid(h)
-        return h
+        return self._forward(x)[0]
 
     def forward_cache(self, x: np.ndarray):
         """Forward pass retaining what backward() reads.
@@ -93,20 +82,26 @@ class FeedForwardNet:
         tanh outputs of the hidden layers), the last layer's output before
         the output nonlinearity and the net's output.
         """
+        inputs = []
+        out, logits = self._forward(x, inputs)
+        return out, (inputs, logits, out)
+
+    def _forward(self, x, inputs=None):
+        """The net's output and logits; each layer's input is appended to
+        the list ``inputs`` when one is given."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.width_in:
             raise ValueError(f"input width {x.shape[-1]} != {self.width_in}")
-        inputs = [x]
         h = x
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if inputs is not None:
+                inputs.append(h)
             z = h @ w.T
             z += b
             h = z if k == last else np.tanh(z, out=z)
-            if k != last:
-                inputs.append(h)
         out = sigmoid(h) if self.output_activation == "sigmoid" else h
-        return out, (inputs, h, out)
+        return out, h
 
     def backward(self, cache, grad_out: np.ndarray):
         """Gradients of <grad_out, forward(x)> w.r.t. parameters and input.

@@ -12,15 +12,17 @@ products per feature channel, the fast path that makes n = 8192 feasible.
 Pair features are exactly symmetric, which ``PairGraph.forward`` uses
 three ways: one product A F per channel gives both F A and A F; from the
 all-ones start the first message needs no product; and each update net
-runs on fewer rows than n^2. A symmetric map ``inv`` sends every pair to
-its row: its i <= j pair, or in layer 0, whose message depends on a pair
-only through two integer counts, its class of equal counts.
+runs on fewer rows than n^2. Every dense message, layer 0's included,
+comes from ``PairGraph.dense_messages``. A symmetric map ``inv`` sends
+every pair to its row: its i <= j pair, or in layer 0, its class of equal
+counts, since its message depends on a pair only through two integers.
 Callers that read only some pairs get the last layer at those pairs
 alone, and the ``Tape`` it records backpropagates through the pass. At
 queried pairs the last layer's message is linear in the rows of the
 layer below, so it reads them through a sparse map fixed for the graph
 and the pairs, E = sum over the pairs of (D_i + D_j) entries, and its
 pull is that map's transpose: a two-layer pass then does no n x n work.
+Where no map serves, the dense last layer is read at the pairs.
 The continuous recursion collapses to r x r block-pair states.
 """
 
@@ -65,9 +67,11 @@ _MAP_C_ONCE = 1
 #: buffer take 256 KiB apiece and stay in cache.
 _MAP_BLOCK = 1 << 15
 
-#: Edge of the square tiles ``_symmetrize`` works in: its sum and the
-#: tile's weights are 32 KiB each, and a tile and its mirror stay in cache
-#: together. ``PairWeights.scale`` forms W in strips of as many rows.
+#: Edge of the square tiles ``_symmetrize`` works in, for every dense
+#: message: its sum and the tile's weights are 32 KiB each, and a tile and
+#: its mirror stay in cache together. ``PairWeights.scale`` (the dense
+#: pull) forms W, and ``PairGraph.first_classes`` its keys, in strips of as
+#: many rows.
 _TILE = 64
 
 
@@ -340,16 +344,6 @@ class PairGraph:
         self.weights = pair_message_weights(stats)
         self._map = None
 
-    def first_messages(self, out: np.ndarray) -> np.ndarray:
-        """Writes layer 0's message (D_i + D_j) W_ij into ``out`` (n x n),
-        with W formed row strip by row strip.
-
-        From the all-ones start, A @ F is D_i in row i, so the first
-        message needs no matrix product.
-        """
-        np.add.outer(self.stats.degree_counts, self.stats.degree_counts, out=out)
-        return self.weights.scale(out)
-
     @cached_property
     def first_classes(self) -> tuple:
         """Layer 0's count classes: ``(messages, inv)``.
@@ -361,23 +355,34 @@ class PairGraph:
         each class's message (D_i + D_j) W_ij, formed from the class's own
         two counts and ordered by them, and the symmetric n x n int32
         ``inv`` holds each pair's class.
+
+        The keys are formed per row strip, twice, and no n x n key array is
+        held: once to mark them in a bool table over their range (a counting
+        pass, where np.unique would sort), once to write each strip's
+        classes, its keys' running index in that table.
         """
+        n, counts = self.n, self.weights.counts
         d = self.stats.degree_counts.astype(np.intp)
         d_min = d.min()
         d -= d_min
-        cn = self.weights.counts.astype(np.intp)
-        np.maximum(cn, 1, out=cn)
-        cn_min = cn.min()
-        cn -= cn_min
-        base = cn.max() + 1
-        key = np.add.outer(d, d)
-        key *= base
-        key += cn
-        del cn
-        # a counting pass over the integer keys, where np.unique would sort
-        present = np.bincount(key.ravel()) > 0
-        inv = (np.cumsum(present) - 1).astype(np.int32)[key]
-        del key
+        cn_min = max(int(counts.min()), 1)
+        base = max(int(counts.max()), 1) - cn_min + 1
+
+        def keys_of(rows):
+            key = np.add.outer(d[rows], d)
+            key *= base
+            key += np.maximum(counts[rows], 1).astype(np.intp)
+            key -= cn_min
+            return key
+
+        strips = [slice(lo, lo + _TILE) for lo in range(0, n, _TILE)]
+        present = np.zeros((2 * d.max() + 1) * base, dtype=bool)
+        for rows in strips:
+            present[keys_of(rows)] = True
+        index = np.cumsum(present, dtype=np.int32) - 1
+        inv = np.empty((n, n), dtype=np.int32)
+        for rows in strips:
+            inv[rows] = index[keys_of(rows)]
         keys = np.flatnonzero(present)
         degree_sums = (keys // base + 2 * d_min).astype(np.float64)
         return degree_sums * self.weights.of(keys % base + cn_min), inv
@@ -453,13 +458,15 @@ class PairGraph:
     def dense_messages(self, f, message, out=None):
         """One layer's messages on the dense symmetric features ``f``, or on
         the all-ones start when ``f`` is None; written into ``out`` when it
-        is an array of their shape.
+        is an array of their shape. Every dense message of a pass comes
+        from here, a queried last layer's without a map included.
 
         For the neighbor projection and symmetric F and A, F A = (A F)^T,
-        so each channel costs one product, written straight into its
-        message slice and symmetrized there: m_k = (A F_k + (A F_k)^T) W.
-        From all ones the product is the degree D_i in row i, so layer 0
-        needs none (``first_messages``).
+        so each channel costs one product Y = A F_k, written straight into
+        its message slice and symmetrized there tile by tile:
+        m_k = (Y + Y^T) W. From all ones Y is the degree D_i in row i and
+        needs no product; D_i + D_j is an exact integer, so layer 0's
+        message is bitwise (D_i + D_j) W_ij.
         """
         if not message.is_neighbor_projection:
             return _general_pair_messages(self.adjacency, f, message, self.weights)
@@ -468,32 +475,15 @@ class PairGraph:
         for k in range(m.shape[2]):
             mk = m[:, :, k]
             if f is None:
-                self.first_messages(out=mk)
-                continue
-            np.matmul(self.adjacency, f[:, :, k], out=mk)
+                mk[...] = self.stats.degree_counts[:, None]
+            else:
+                np.matmul(self.adjacency, f[:, :, k], out=mk)
             _symmetrize(mk, self.weights)
         return m
 
-    def queried_messages(self, f, message, pairs):
-        """The messages at ``pairs`` where no map serves: from all ones
-        (``f`` is None) (D_i + D_j) W_ij, else one product A F_k per channel
-        on the dense features and a gather, (A F_k)_ij + (A F_k)_ji."""
-        i, j = pairs[:, 0], pairs[:, 1]
-        if not message.is_neighbor_projection:
-            return _general_pair_messages(self.adjacency, f, message, self.weights)[i, j]
-        w = self.weights[i, j]
-        if f is None:
-            d = self.stats.degree_counts
-            return np.repeat(((d[i] + d[j]) * w)[:, None], message.width_out, axis=1)
-        m = np.empty((len(pairs), f.shape[2]))
-        for k in range(f.shape[2]):
-            y = self.adjacency @ f[:, :, k]
-            m[:, k] = y[i, j] + y[j, i]
-        return m * w[:, None]
-
     def _query_map(self, mpnn: Mpnn, pairs, record: bool) -> "_QueryMap | None":
         """The map of a pass of ``mpnn`` queried at ``pairs``, or None where
-        the dense product serves: for one layer, a message other than the
+        the dense messages serve: for one layer, a message other than the
         neighbor projection, or more than _MAP_C n^2 entries (_MAP_C_ONCE
         n^2 for a pass that is not recorded). Its source is the rows of
         the layer below, or its dense features below a closed-form update.
@@ -531,8 +521,9 @@ class PairGraph:
         sum, O(E) for E = sum over the pairs of (D_i + D_j). The rows of a
         net below it are then never expanded to ``out[inv]``, so a
         two-layer pass at queried pairs does no n x n work once layer 0's
-        classes and the map are built. Otherwise one product A F per
-        channel serves, and its entries at the pairs are gathered.
+        classes and the map are built. Otherwise the last layer's dense
+        messages (``dense_messages``, in the pass's buffer ``m``) are read
+        at the pairs.
 
         The dense layers hold one feature buffer ``f`` and one message
         buffer ``m`` for the whole pass. When layer 0's message is the
@@ -565,8 +556,10 @@ class PairGraph:
                     u[:, :width] = src[qmap.own]
                     qmap.messages(src, out=u[:, width:])
                 else:
-                    u[:, :width] = 1.0 if f is None else f[pairs[:, 0], pairs[:, 1]]
-                    u[:, width:] = self.queried_messages(f, message, pairs)
+                    i, j = pairs[:, 0], pairs[:, 1]
+                    m = self.dense_messages(f, message, m)
+                    u[:, :width] = 1.0 if f is None else f[i, j]
+                    u[:, width:] = m[i, j]
                 out, cache = update_rows(update, u, record)
                 caches.append(cache)
                 _require_finite(out)

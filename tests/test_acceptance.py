@@ -7,7 +7,6 @@ lines. Every tolerance is pinned here; nothing is deferred to calibration.
 import time
 
 import numpy as np
-import pytest
 
 from graphon_mpnn import (
     RunTableConfig,

@@ -137,10 +137,10 @@ def queried_pairs(n, count, seed):
 
 
 class TestPairEngine:
-    # at n = 120, an unrecorded pass takes the neighbor map for 40 pairs,
-    # whose sums add in another order than the product A F; 300 and 4000
-    # pairs pass its crossover and take that product, which matches the
-    # dense pass bitwise
+    # at n = 120, an unrecorded pass with T > 1 takes the neighbor map for
+    # 40 pairs, whose sums add in another order than the product A F; 300
+    # and 4000 pairs pass its crossover, and T = 1 takes no map: those read
+    # the dense last layer at the pairs, bitwise the dense pass
     @pytest.mark.parametrize("count", [40, 300, 4000])
     @pytest.mark.parametrize("T", [1, 2, 3])
     @pytest.mark.parametrize("learn", [False, True])
@@ -156,8 +156,29 @@ class TestPairEngine:
         expected = dense[pairs[:, 0], pairs[:, 1]]
         np.testing.assert_allclose(queried, expected, rtol=1e-12, atol=0.0)
         assert (pg._map is not None) == (T > 1 and count == 40)
-        if count > 40:
+        if pg._map is None:
             assert np.array_equal(queried, expected)
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_queried_general_messages_match_dense(self, T):
+        # a message net takes no map: the queried pass reads the dense last
+        # layer at the pairs
+        spec = SbmSpec(block_mass=[0.6, 0.4], S=[[0.8, 0.3], [0.3, 0.7]],
+                       B=np.ones((2, 1)))
+        g = sample_graph(spec, 12, seed=T)
+        stats = graph_stats(g)
+        layers = [(NetFunction(init_net([2, 4, 2], seed=T, tag="m")),
+                   NetFunction(init_net([3, 4, 1], seed=T, tag="u")))]
+        if T == 2:
+            layers.append((NetFunction(init_net([2, 3, 1], seed=T, tag="m2")),
+                           NetFunction(init_net([2, 3, 1], seed=T, tag="u2"))))
+        mpnn = Mpnn(layers=tuple(layers))
+        pairs = queried_pairs(12, 30, seed=T)
+        pg = PairGraph(g, stats)
+        queried, _ = pg.forward(mpnn, pairs)
+        assert pg._map is None
+        dense = gmpnn_pair(g, stats, mpnn)
+        assert np.array_equal(queried, dense[pairs[:, 0], pairs[:, 1]])
 
     # a recorded pass keeps its map for every epoch, so it takes the map up
     # to a larger crossover: 300 pairs take it, 4000 take the product
@@ -184,8 +205,8 @@ class TestPairEngine:
         pg = PairGraph(g, stats)
         y = g.adjacency @ np.ones((200, 200))
         assert np.array_equal(stats.degree_counts, g.adjacency @ np.ones(200))
-        assert np.array_equal(pg.first_messages(np.empty((200, 200))),
-                              (y + y.T) * message_weights_oracle(g.adjacency))
+        first = pg.dense_messages(None, NeighborProjection(1))[:, :, 0]
+        assert np.array_equal(first, (y + y.T) * message_weights_oracle(g.adjacency))
 
     @pytest.mark.parametrize("T", [1, 2, 3])
     def test_tape_gradients_match_finite_differences(self, convergence_spec, T):
@@ -450,7 +471,8 @@ class TestDenseBuffers:
         pg = PairGraph(g, graph_stats(g))
         d = g.adjacency.sum(axis=1)
         expected = np.add.outer(d, d) * message_weights_oracle(g.adjacency)
-        assert np.array_equal(pg.first_messages(np.empty((n, n))), expected)
+        first = pg.dense_messages(None, NeighborProjection(1))[:, :, 0]
+        assert np.array_equal(first, expected)
         messages, inv = pg.first_classes
         assert np.array_equal(messages[inv], expected)
 
@@ -477,6 +499,23 @@ class TestDenseBuffers:
         assert pg._map is not None and "first_classes" in vars(pg)
         assert not [v for v in held if isinstance(v, np.ndarray) and v.dtype == np.float64
                     and v.size >= n * n and v is not g.adjacency]
+
+    def test_first_classes_hold_no_n_by_n_key_array(self, convergence_spec):
+        # the keys are formed per row strip: beyond the int32 inv (0.5 n^2
+        # floats) only strips and a table over the key range are alive,
+        # 0.74 n^2 floats at n = 1024, where two intp n x n arrays read 2.0
+        n = 1024
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        stats.common_neighbors  # computed lazily; not part of the build
+        pg = PairGraph(g, stats)
+        tracemalloc.start()
+        try:
+            pg.first_classes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * n * n * 8
 
     @pytest.mark.parametrize("n", [150, 2 * pair_mpnn._TILE + 3])
     def test_fixed_pass_equals_separate_operations(self, convergence_spec, n):
