@@ -132,15 +132,16 @@ def convergence_sweep(spec: SbmSpec, mpnn: Mpnn, mode: str, n_list, seeds,
 
     Matched initializations per mode: node modes start from size-normalized
     degrees (discrete) and per-block expected degrees (continuous); pair
-    modes start from all ones on both sides, every n checked against the
-    pair cap first. Fully deterministic in (spec, mpnn, mode, n_list, seeds).
+    modes start from all ones on both sides, the largest n checked against
+    the pair cap first. Fully deterministic in (spec, mpnn, mode, n_list,
+    seeds).
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}")
     pairwise = mode.startswith("pair")
     spec.require_valid(pairwise=pairwise)
-    for n in n_list if pairwise else ():
-        _require_size(int(n), mpnn)
+    if pairwise:
+        _require_size(max(map(int, n_list), default=0), mpnn)
     tasks = [(spec, mpnn, mode, int(n), int(seed), p)
              for n in n_list for seed in seeds]
     return parallel_map(_sweep_one, tasks, jobs=jobs)

@@ -55,7 +55,7 @@ def cmd_converge(args) -> int:
     if len(set(cfg.n_list)) < analysis.MIN_FIT_SIZES:
         raise PreconditionError(f"[converge] n_list: the slope fit needs at least "
                                 f"{analysis.MIN_FIT_SIZES} distinct n, got {cfg.n_list}")
-    jobs = args.jobs if args.jobs else cfg.jobs
+    jobs = args.jobs or cfg.jobs
     records = analysis.convergence_sweep(cfg.spec, cfg.mpnn, cfg.mode, cfg.n_list,
                                          cfg.seeds, p=cfg.p, jobs=jobs)
     fit = analysis.loglog_slope(records)
@@ -102,7 +102,7 @@ def cmd_stability(args) -> int:
     r = cfg.spec.r
     if len(iso) == r * (r - 1) // 2:  # before any graph is sampled
         raise PreconditionError("the model has no unmatched block pair")
-    jobs = args.jobs if args.jobs else cfg.jobs
+    jobs = args.jobs or cfg.jobs
     points = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
     tasks = [(cfg.spec, cfg.mpnn, iso, n, seed, cfg.sample_budget) for n, seed in points]
     results = parallel_map(_stability_point, tasks, jobs=jobs)
@@ -130,8 +130,7 @@ def cmd_stability(args) -> int:
 
 def cmd_table(args) -> int:
     cfg, out_dir, text = parse_table_config(args.config)
-    if args.jobs:
-        cfg = dataclasses.replace(cfg, jobs=args.jobs)
+    cfg = dataclasses.replace(cfg, jobs=args.jobs or cfg.jobs)
     report = linkpred.run_table(cfg)
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "table.csv"),

@@ -176,8 +176,8 @@ class ConvergeConfig:
     seeds: tuple
     out_dir: str
     mpnn: Mpnn
-    p: float | None = None
-    jobs: int = 1
+    p: float | None
+    jobs: int
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,8 @@ class StabilityConfig:
     seeds: tuple
     out_dir: str
     mpnn: Mpnn
-    sample_budget: int = 2000
-    jobs: int = 1
+    sample_budget: int
+    jobs: int
 
 
 def parse_sample_config(path) -> tuple:

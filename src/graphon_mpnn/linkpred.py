@@ -504,33 +504,17 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _train_models_for_run(config: RunTableConfig, train_ds: LinkDataset,
-                          run_seed: int, stats) -> dict:
-    models = {}
-    if "node" in config.methods:
-        model = node_link_model(seed=child_seed(run_seed, "model/node"))
-        models["node"], _ = train_link_model(
-            model, train_ds, epochs=config.epochs_end_to_end, lr=config.lr,
-            stats=stats,
-        )
-    if "pair_fixed" in config.methods:
-        model = pair_link_model(
-            T=config.pair_layers, learn_update=False,
-            seed=child_seed(run_seed, "model/pair-fixed"),
-        )
-        models["pair_fixed"], _ = train_link_model(
-            model, train_ds, epochs=config.epochs_head, lr=config.lr, stats=stats
-        )
-    if "pair_learn" in config.methods:
-        model = pair_link_model(
-            T=config.pair_layers, learn_update=True,
-            seed=child_seed(run_seed, "model/pair-learn"),
-        )
-        models["pair_learn"], _ = train_link_model(
-            model, train_ds, epochs=config.epochs_end_to_end, lr=config.lr,
-            stats=stats,
-        )
-    return models
+def _untrained_model(method: str, config: RunTableConfig, run_seed: int):
+    """The model that ``method`` trains in the run of ``run_seed``, before
+    training, or None for the oracle, which trains none."""
+    if method == "oracle":
+        return None
+    if method == "node":
+        return node_link_model(seed=child_seed(run_seed, "model/node"))
+    learn = method == "pair_learn"
+    return pair_link_model(T=config.pair_layers, learn_update=learn,
+                           seed=child_seed(run_seed, "model/pair-learn" if learn
+                                           else "model/pair-fixed"))
 
 
 def _run_one(args) -> dict:
@@ -539,7 +523,13 @@ def _run_one(args) -> dict:
     training = build_training_split(spec, config.n_train, run_seed)
     train_ds = training[0]
     train_stats = graph_stats(train_ds.observed)
-    models = _train_models_for_run(config, train_ds, run_seed, train_stats)
+    models = {}
+    for method in dict.fromkeys(config.methods):  # a repeated name trains once
+        model = _untrained_model(method, config, run_seed)
+        if model is not None:  # a frozen backbone trains its head alone
+            epochs = config.epochs_end_to_end if model.backbone_trainable else config.epochs_head
+            models[method], _ = train_link_model(model, train_ds, epochs=epochs,
+                                                 lr=config.lr, stats=train_stats)
 
     out = {}
     for scenario in config.scenarios:
@@ -565,19 +555,18 @@ def _run_one(args) -> dict:
 def run_table(config: RunTableConfig) -> EvalReport:
     """Execute the full protocol over independent runs and aggregate.
 
-    Every graph size a pair method runs on is checked against its cap
-    before any run samples a graph.
+    Each run trains the models of ``config.methods`` in their order; every
+    model has a seed of its own, so the order changes no result. The
+    largest graph a pair model runs on is checked against its cap before
+    any run samples a graph.
     """
     config.spec.require_valid(pairwise=True)
-    sizes = [config.n_train]
-    if "inductive_ood" in config.scenarios:
-        sizes.append(config.n_test_ood)
-    for method, backbone in (("pair_fixed", fixed_psi_mpnn),
-                             ("pair_learn", learnable_psi_mpnn)):
-        if method in config.methods:
-            mpnn = backbone(config.pair_layers)
-            for n in sizes:
-                _require_size(n, mpnn)
+    n_max = max(config.n_train,
+                config.n_test_ood if "inductive_ood" in config.scenarios else 0)
+    for method in config.methods:
+        model = _untrained_model(method, config, config.seed)
+        if model is not None and model.kind == "pair":
+            _require_size(n_max, model.mpnn)
     tasks = [(config, child_seed(config.seed, f"run/{r}"))
              for r in range(config.runs)]
     per_run = parallel_map(_run_one, tasks, jobs=config.jobs)

@@ -68,10 +68,9 @@ _MAP_C_ONCE = 1
 _MAP_BLOCK = 1 << 15
 
 #: Edge of the square tiles ``_symmetrize`` works in, for every dense
-#: message: its sum and the tile's weights are 32 KiB each, and a tile and
-#: its mirror stay in cache together. ``PairWeights.scale`` (the dense
-#: pull) forms W, and ``PairGraph.first_classes`` its keys, in strips of as
-#: many rows.
+#: message and every dense pull: its sum and the tile's weights are 32 KiB
+#: each, and a tile and its mirror stay in cache together.
+#: ``PairGraph.first_classes`` forms its keys in strips of as many rows.
 _TILE = 64
 
 
@@ -128,13 +127,6 @@ class PairWeights:
         w /= n
         w *= 2.0 * n
         return np.divide(1.0, w, out=w)
-
-    def scale(self, x: np.ndarray) -> np.ndarray:
-        """Multiplies the n x n ``x`` by W in place, row strip by row strip."""
-        for lo in range(0, self.n, _TILE):
-            rows = slice(lo, lo + _TILE)
-            x[rows] *= self[rows]
-        return x
 
 
 def pair_message_weights(stats: GraphStats) -> PairWeights:
@@ -593,10 +585,12 @@ class PairGraph:
         n x n array. Every other layer's pull is dense: one bincount over
         the flat indices of its rows (the queried pairs for the last layer,
         the i <= j pairs under it) scatters the message gradients to an
-        n x n matrix G; with S = G + G^T the gradient of the dense features
-        below is A S. A second bincount over the layer below's ``inv`` sums
-        that gradient onto its rows: d_ij + d_ji for an i <= j row, the sum
-        over its pairs for a count class.
+        n x n matrix G. The message (Y + Y^T) W of Y = A F pulls back to
+        A ((G + G^T) W): ``_symmetrize`` weights G in place, as it does
+        every forward message, and one product with A follows. A second
+        bincount over the layer below's ``inv`` sums that gradient onto its
+        rows: d_ij + d_ji for an i <= j row, the sum over its pairs for a
+        count class.
         """
         n, widths = self.n, mpnn.feature_dims
         queried = pairs[:, 0] * n + pairs[:, 1]
@@ -611,9 +605,9 @@ class PairGraph:
             inv = self.row_inv(t - 1, mpnn.layers[t - 1][0]).ravel()
             delta = []
             for k in range(width):
-                g = np.bincount(flat, weights=d[:, width + k], minlength=n * n)
-                g = self.weights.scale(g.reshape(n, n))
-                dense = self.adjacency @ (g + g.T)
+                g = np.bincount(flat, weights=d[:, width + k], minlength=n * n).reshape(n, n)
+                _symmetrize(g, self.weights)
+                dense = self.adjacency @ g
                 dense += np.bincount(flat, weights=d[:, k],
                                      minlength=n * n).reshape(n, n)
                 delta.append(np.bincount(inv, weights=dense.ravel()))
@@ -625,7 +619,6 @@ class PairGraph:
 def gmpnn_pair(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn) -> np.ndarray:
     """The dense (n, n, F) features of the discrete pairwise recursion from
     the all-ones initialization."""
-    _require_size(graph.n, mpnn)  # before the n x n work of PairGraph
     values, _ = PairGraph(graph, stats).forward(mpnn)
     return values
 

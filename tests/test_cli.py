@@ -322,6 +322,46 @@ class TestTable:
             "node", "pair_fixed", "pair_learn", "oracle"}
         assert all(row.endswith(",2") for row in rows[1:])
 
+    def test_method_order_changes_no_output(self, tmp_path, model_file):
+        # each run trains its models in the order of `methods`, each from
+        # a seed of its own
+        outputs = []
+        for name, methods in (("forward", "pair_fixed, node, oracle"),
+                              ("reversed", "oracle, node, pair_fixed")):
+            cfg = tmp_path / f"{name}.cfg"
+            out = tmp_path / f"{name}_out"
+            cfg.write_text(
+                f"[sbm]\nspec = {model_file}\n[table]\nn_train = 150\n"
+                f"n_test_ood = 300\nruns = 1\nseed = 0\nk_list = 1, 10\n"
+                f"methods = {methods}\nepochs_head = 4\nepochs_end_to_end = 3\n"
+                f"[output]\ndir = {out}\n"
+            )
+            proc = run_cli("table", str(cfg))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in ("table.csv", "table.txt")])
+        assert outputs[0] == outputs[1]
+        rows = outputs[0][0].decode().splitlines()
+        assert {row.split(",")[1] for row in rows[1:]} == {"node", "pair_fixed", "oracle"}
+
+    def test_jobs_key_reaches_the_worker_pool(self, tmp_path, model_file, monkeypatch):
+        from graphon_mpnn import util
+
+        seen = []
+
+        def recording_map(fn, tasks, jobs=1):
+            seen.append(jobs)
+            return util.parallel_map(fn, tasks, jobs=1)
+
+        monkeypatch.setattr(linkpred, "parallel_map", recording_map)
+        cfg = tmp_path / "jobs.cfg"
+        cfg.write_text(f"[sbm]\nspec = {model_file}\n[table]\n{TABLE_KEYS}runs = 1\n"
+                       f"k_list = 1\njobs = 2\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert cli.main(["table", str(cfg)]) == 0
+        assert cli.main(["--jobs", "1", "table", str(cfg)]) == 0
+        assert cli.main(["--jobs", "0", "table", str(cfg)]) == 0
+        assert seen == [2, 1, 2]
+
 
 def assert_config_error(tmp_path, command, body, message, output=""):
     """A config of ``body`` and an [output] section (``dir`` plus

@@ -181,7 +181,8 @@ class TestPairEngine:
         assert np.array_equal(queried, dense[pairs[:, 0], pairs[:, 1]])
 
     # a recorded pass keeps its map for every epoch, so it takes the map up
-    # to a larger crossover: 300 pairs take it, 4000 take the product
+    # to a larger crossover: 300 pairs take it, 4000 take the product, and
+    # the pull of that last layer is the dense one, on pairs in both orders
     @pytest.mark.parametrize("count", [300, 4000])
     @pytest.mark.parametrize("T", [2, 3])
     def test_recorded_pairs_match_dense(self, convergence_spec, T, count):
@@ -190,7 +191,7 @@ class TestPairEngine:
         mpnn = learnable_psi_mpnn(T, hidden=4, seed=5)
         pairs = queried_pairs(120, count, seed=T)
         pg = PairGraph(g, stats)
-        queried, _ = pg.forward(mpnn, pairs, record=True)
+        queried, tape = pg.forward(mpnn, pairs, record=True)
         expected = gmpnn_pair(g, stats, mpnn)[pairs[:, 0], pairs[:, 1]]
         np.testing.assert_allclose(queried, expected, rtol=1e-12, atol=0.0)
         entries = stats.degree_counts[pairs].sum()
@@ -198,6 +199,10 @@ class TestPairEngine:
         assert (pg._map is not None) == (count == 300)
         if count == 4000:
             assert np.array_equal(queried, expected)
+        d_out = np.random.default_rng(6).normal(size=(len(pairs), 1))
+        analytic = [g_ for layer in tape.backward(d_out) for g_ in layer]
+        _, oracle = pair_update_rows_oracle(g.adjacency, mpnn.trainable_nets(), pairs, d_out)
+        assert max_relative_error(analytic, [g_ for layer in oracle for g_ in layer]) < 1e-12
 
     def test_first_message_is_the_degree_product_exactly(self, convergence_spec):
         g = sample_graph(convergence_spec, 200, seed=6)

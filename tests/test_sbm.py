@@ -270,8 +270,6 @@ class TestGraphStats:
         pairs = np.random.default_rng(n).integers(0, n, size=(500, 2))
         pairs[:n, 0] = pairs[:n, 1] = 0  # pairs of the isolated node
         assert np.array_equal(w[pairs[:, 0], pairs[:, 1]], expected[pairs[:, 0], pairs[:, 1]])
-        x = np.random.default_rng(0).normal(size=(n, n))
-        assert np.array_equal(w.scale(x.copy()), x * expected)
         counts = np.arange(n + 1)
         assert np.array_equal(w.of(counts),
                               1 / (2.0 * n * np.where(counts > 0, counts / n, 1 / n)))
