@@ -100,6 +100,7 @@ class ConvergenceRecord:
     seed: int
     delta: float
     bound: float | None = None
+    n_condition_ok: bool | None = None  # the bound's premise on n, where a bound exists
 
 
 def _sweep_one(args):
@@ -118,12 +119,12 @@ def _sweep_one(args):
         block = cmpnn_pair_sbm(spec, mpnn)
         delta = delta_pair(discrete, block, graph.block_of)
         f_inf = 1.0
-    bound = None
-    if mode != "pair_fixed":
-        bound_mode = mode if mode.startswith("node") else "pair"
-        report = bound_constants(mpnn, f_inf, spec, p=p, mode=bound_mode, n=n)
-        bound = report.bound_value
-    return ConvergenceRecord(mode=mode, n=n, seed=seed, delta=delta, bound=bound)
+    if mode == "pair_fixed":
+        return ConvergenceRecord(mode=mode, n=n, seed=seed, delta=delta)
+    bound_mode = mode if mode.startswith("node") else "pair"
+    report = bound_constants(mpnn, f_inf, spec, p=p, mode=bound_mode, n=n)
+    return ConvergenceRecord(mode=mode, n=n, seed=seed, delta=delta,
+                             bound=report.bound_value, n_condition_ok=report.n_condition_ok)
 
 
 def convergence_sweep(spec: SbmSpec, mpnn: Mpnn, mode: str, n_list, seeds,

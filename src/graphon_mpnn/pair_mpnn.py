@@ -21,7 +21,8 @@ alone, and the ``Tape`` it records backpropagates through the pass. At
 queried pairs the last layer's message is linear in the rows of the
 layer below, so it reads them through a sparse map fixed for the graph
 and the pairs, E = sum over the pairs of (D_i + D_j) entries, and its
-pull is that map's transpose: a two-layer pass then does no n x n work.
+pull is that map's transpose, read from the same index array with nothing
+sorted: a two-layer pass then does no n x n work.
 Where no map serves, the dense last layer is read at the pairs.
 The continuous recursion collapses to r x r block-pair states.
 """
@@ -63,8 +64,9 @@ N_MAX_SYMBOLIC = 8192
 _MAP_C = 8
 _MAP_C_ONCE = 1
 
-#: Entries a map gathers at once: each block's widened indices and its
-#: buffer take 256 KiB apiece and stay in cache.
+#: Entries a map reads at once, in either direction: a block's intp
+#: indices, its gathered rows and its pulled gradients take 256 KiB
+#: apiece per channel and stay in cache.
 _MAP_BLOCK = 1 << 15
 
 #: Edge of the square tiles ``_symmetrize`` works in, for every dense
@@ -182,18 +184,6 @@ def _require_finite(values) -> None:
         raise NumericalError("non-finite pair features during message passing")
 
 
-def _stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for integer keys in [0, n_keys),
-    by 16-bit digits, least significant first: numpy radix-sorts 16-bit
-    integers in O(len) but merge-sorts wider ones."""
-    order = None
-    for shift in range(0, max(n_keys - 1, 1).bit_length(), 16):
-        digit = ((keys if order is None else keys[order]) >> shift).astype(np.uint16)
-        step = np.argsort(digit, kind="stable")  # the cast above keeps the low bits
-        order = step if order is None else order[step]
-    return order
-
-
 def _blocks(starts: np.ndarray, total: int) -> np.ndarray:
     """Cuts of the segments beginning at ``starts`` (ascending; the last
     ends at ``total``) into blocks of about _MAP_BLOCK entries, each cut at
@@ -203,49 +193,20 @@ def _blocks(starts: np.ndarray, total: int) -> np.ndarray:
     return cuts[np.diff(cuts, prepend=-1) > 0]
 
 
-class _SegmentSum:
-    """Sums of ``src[idx[e]]`` over the segments of ``idx`` that begin at
-    ``starts``, gathered block by block into one reused buffer whose last
-    row stays zero, so that a block's trailing empty segment reads 0.
-    ``idx`` is int32; each block's indices widen to intp as it is read."""
-
-    def __init__(self, idx: np.ndarray, starts: np.ndarray):
-        self.idx, self.starts = idx, starts
-        self.cuts = _blocks(starts, len(idx))
-        bounds = np.append(starts, len(idx))[self.cuts]
-        self.size = int(np.max(np.diff(bounds), initial=0)) + 1
-        self._buf = None
-
-    def __call__(self, src: np.ndarray, out: np.ndarray) -> None:
-        """Writes each segment's sum of rows of ``src`` into ``out``; an
-        empty segment reads the next segment's first entry, as reduceat
-        does, and its caller sets it."""
-        width = src.shape[1]
-        if self._buf is None or self._buf.shape[1] != width:
-            self._buf = np.zeros((self.size, width))
-        starts, cuts = self.starts, self.cuts
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            lo = starts[a]
-            hi = starts[b] if b < len(starts) else len(self.idx)
-            block = self._buf[: hi - lo + 1]
-            np.take(src, self.idx[lo:hi], axis=0, out=block[:-1], mode="clip")
-            block[-1] = 0.0
-            np.add.reduceat(block, starts[a:b] - lo, axis=0, out=out[a:b])
-
-
 class _QueryMap:
     """The last layer's messages at k queried pairs as a sparse map from
     the rows of the layer below, fixed for one graph and one set of pairs.
 
     Per channel, m_ij = W_ij (sum_{z in N(i)} src[key(j, z)]
-    + sum_{z in N(j)} src[key(i, z)]), where ``src`` holds the rows of the
-    layer below and key(a, z) is its row map ``inv[a, z]``, or the flat
-    index a n + z of the dense features when ``inv`` is None. The E
-    entries form one segment per pair: the smaller endpoint's neighbors
-    first, each list ascending, so that (i, j) and (j, i) add in one order
-    and stay bitwise symmetric. ``own`` holds each pair's own row, its
-    update input x. The map keeps 4 bytes per entry, and 4 more once a
-    backward pass has built its transpose.
+    + sum_{z in N(j)} src[key(i, z)]), where ``src`` holds the ``n_rows``
+    rows of the layer below and key(a, z) is its row map ``inv[a, z]``, or
+    the flat index a n + z of the dense features when ``inv`` is None. The
+    E entries of ``idx`` form one segment per pair, ``lengths[p]`` long from
+    ``starts[p]``: the smaller endpoint's neighbors first, each list
+    ascending, so that (i, j) and (j, i) add in one order and stay bitwise
+    symmetric. ``own`` holds each pair's own row, its update input x. Both
+    directions read ``idx`` in the blocks of ``_blocks``; it keeps 8 bytes
+    per entry.
     """
 
     def __init__(self, graph: "PairGraph", pairs, inv, kind: str):
@@ -255,62 +216,55 @@ class _QueryMap:
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
         degree = np.diff(graph.neighbors[0])
         self.lengths = degree[lo] + degree[hi]
-        starts = np.cumsum(self.lengths) - self.lengths
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.n_rows = n * n if inv is None else int(inv.max()) + 1
         flat = None if inv is None else inv.ravel()
-        idx = np.empty(int(self.lengths.sum()), dtype=np.int32)
-        cuts = _blocks(starts, len(idx))
-        for a, b in zip(cuts[:-1], cuts[1:]):  # so that the intp keys stay block-sized
+        self.idx = np.empty(int(self.lengths.sum()), dtype=np.intp)
+        self.cuts = _blocks(self.starts, len(self.idx))
+        for a, b, first, last in self._spans():  # so that the intp keys stay block-sized
             keys = graph.neighbor_keys(lo[a:b], hi[a:b])
-            idx[starts[a] : starts[a] + len(keys)] = keys if flat is None else flat[keys]
+            self.idx[first:last] = keys if flat is None else flat[keys]
         own = lo * n + hi
         self.own = own if flat is None else flat[own].astype(np.intp)
-        self.empty = np.flatnonzero(self.lengths == 0)
         self.w = graph.weights[lo, hi]
-        self._sums = _SegmentSum(idx, starts)
+        self._buf = None
+
+    def _spans(self):
+        """Each block's pairs [a, b) and its entries [lo, hi)."""
+        starts, cuts = self.starts, self.cuts
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            yield a, b, starts[a], starts[b] if b < len(starts) else len(self.idx)
 
     def messages(self, src, out) -> None:
         """Writes the messages at the pairs, read from the rows ``src``,
-        into ``out`` (k, width)."""
-        self._sums(src, out)
-        out[self.empty] = 0.0
+        into ``out`` (k, width): each block's rows are gathered into one
+        reused buffer whose last row stays zero and summed per segment. A
+        block's trailing empty segment reads that zero; an empty segment
+        elsewhere reads the next segment's first entry, as reduceat does,
+        and is set to 0."""
+        width = src.shape[1]
+        if self._buf is None or self._buf.shape[1] != width:
+            size = max((hi - lo for _, _, lo, hi in self._spans()), default=0)
+            self._buf = np.zeros((size + 1, width))
+        for a, b, lo, hi in self._spans():
+            block = self._buf[: hi - lo + 1]
+            np.take(src, self.idx[lo:hi], axis=0, out=block[:-1], mode="clip")
+            block[-1] = 0.0
+            np.add.reduceat(block, self.starts[a:b] - lo, axis=0, out=out[a:b])
+        out[self.lengths == 0] = 0.0
         out *= self.w[:, None]
 
-    @cached_property
-    def _transpose(self) -> tuple:
-        """The entries in source-row order, as a ``_SegmentSum`` over each
-        entry's pair with one segment per present row, and those rows.
-
-        A counting sort: each row's run starts at its count's offset, and
-        the entries are placed block by block, stably sorted within a
-        block, so that no temporary outgrows a block.
-        """
-        idx = self._sums.idx
-        pairs = np.repeat(np.arange(len(self.lengths), dtype=np.int32), self.lengths)
-        counts = np.bincount(idx)
-        fill = np.cumsum(counts) - counts  # each row's next free slot
-        pair_of = np.empty_like(pairs)
-        for lo in range(0, len(idx), _MAP_BLOCK):
-            keys = idx[lo : lo + _MAP_BLOCK]
-            order = _stable_order(keys, len(counts))
-            keys = keys[order]
-            first = np.flatnonzero(np.diff(keys, prepend=-1))
-            run = np.diff(first, append=len(keys))
-            rank = np.arange(len(keys)) - np.repeat(first, run)
-            pair_of[fill[keys] + rank] = pairs[lo : lo + _MAP_BLOCK][order]
-            fill[keys[first]] += run
-        present = np.flatnonzero(counts)  # each run now ends at its fill
-        return _SegmentSum(pair_of, fill[present] - counts[present]), present
-
-    def pull(self, d_x, d_m, n_rows: int) -> np.ndarray:
-        """The gradient at the ``n_rows`` source rows of <d_x, x> + <d_m, m>:
-        d_m W gathered in source-row order and summed per row, plus d_x at
-        each pair's own row."""
-        sums, present = self._transpose
+    def pull(self, d_x, d_m) -> np.ndarray:
+        """The gradient at the source rows of <d_x, x> + <d_m, m>: per
+        block, each pair's d_m W repeated over its entries and added onto
+        their rows by ``np.add.at``, in entry order; then d_x at each
+        pair's own row. Nothing is sorted."""
         g = d_m * self.w[:, None]
-        per_row = np.empty((len(present), g.shape[1]))
-        sums(g, per_row)
-        d = np.zeros((n_rows, g.shape[1]))
-        d[present] = per_row
+        d = np.zeros((self.n_rows, g.shape[1]))
+        for k in range(g.shape[1]):
+            dk = d[:, k]
+            for a, b, lo, hi in self._spans():
+                np.add.at(dk, self.idx[lo:hi], np.repeat(g[a:b, k], self.lengths[a:b]))
         np.add.at(d, self.own, d_x)
         return d
 
@@ -557,8 +511,7 @@ class PairGraph:
                 _require_finite(out)
                 if not record:
                     return out, None
-                n_rows = len(src) if qmap is not None else None
-                return out, Tape(mpnn, caches, self._pull(mpnn, pairs, qmap, n_rows))
+                return out, Tape(mpnn, caches, self._pull(mpnn, pairs, qmap))
             if update.net is None:
                 m = self.dense_messages(f, message, m)
                 if f is None:
@@ -576,13 +529,13 @@ class PairGraph:
             _require_finite(f)
         return f, None
 
-    def _pull(self, mpnn: Mpnn, pairs: np.ndarray, qmap, n_rows):
+    def _pull(self, mpnn: Mpnn, pairs: np.ndarray, qmap):
         """The tape's pull for a pass queried at ``pairs``.
 
         The last layer's output rows are the returned values. Where the
         pass took the map ``qmap``, the last layer's pull is its transpose
-        onto the ``n_rows`` rows below (``_QueryMap.pull``): O(E), and no
-        n x n array. Every other layer's pull is dense: one bincount over
+        onto the rows below (``_QueryMap.pull``): O(E), and no n x n
+        array. Every other layer's pull is dense: one bincount over
         the flat indices of its rows (the queried pairs for the last layer,
         the i <= j pairs under it) scatters the message gradients to an
         n x n matrix G. The message (Y + Y^T) W of Y = A F pulls back to
@@ -600,7 +553,7 @@ class PairGraph:
                 return np.asarray(d, dtype=float)
             width = widths[t]
             if qmap is not None and t == mpnn.depth - 1:
-                return qmap.pull(d[:, :width], d[:, width:], n_rows)
+                return qmap.pull(d[:, :width], d[:, width:])
             flat = queried if t == mpnn.depth - 1 else self.upper_rows()
             inv = self.row_inv(t - 1, mpnn.layers[t - 1][0]).ravel()
             delta = []

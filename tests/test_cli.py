@@ -107,12 +107,15 @@ class TestSample:
 
 
 class TestConverge:
-    def test_summary_and_csv(self, tmp_path, model_file):
+    # the mean-aggregation bound's n-condition fails at these sizes, so no
+    # validity share is shown; the sum bound's holds at every n
+    @pytest.mark.parametrize("mode, n_condition", [("node_mean", 0.0), ("node_sum", 1.0)])
+    def test_summary_and_csv(self, tmp_path, model_file, mode, n_condition):
         cfg = tmp_path / "conv.cfg"
         out = tmp_path / "conv_out"
         cfg.write_text(
             f"[sbm]\nspec = {model_file}\n"
-            "[converge]\nmode = node_mean\nn_list = 32, 64, 128\n"
+            f"[converge]\nmode = {mode}\nn_list = 32, 64, 128\n"
             "seeds = 0, 1\nfeature_dim = 4\n"
             f"[output]\ndir = {out}\n"
         )
@@ -122,9 +125,12 @@ class TestConverge:
         assert lines[0] == "mode,n,seed,delta,bound"
         assert len(lines) == 1 + 3 * 2
         summary = json.loads((out / "slope_summary.jsonl").read_text())
-        assert summary["mode"] == "node_mean"
+        assert summary["mode"] == mode
         assert "slope" in summary and "r_squared" in summary
-        assert summary["bound_validity_frequency"] == 1.0
+        assert summary["n_condition_frequency"] == n_condition
+        rows = [line.split(",") for line in lines[1:]]
+        validity = float(np.mean([float(delta) <= float(bound) for *_, delta, bound in rows]))
+        assert summary["bound_validity_frequency"] == (validity if n_condition else None)
 
     def test_fixed_pair_mode_empty_bound_column(self, tmp_path, model_file):
         cfg = tmp_path / "conv.cfg"
@@ -140,6 +146,7 @@ class TestConverge:
         assert all(row.endswith(",") for row in rows)
         summary = json.loads((out / "slope_summary.jsonl").read_text())
         assert summary["bound_validity_frequency"] is None
+        assert summary["n_condition_frequency"] is None
 
     @pytest.mark.parametrize("n_list", ["32, 64", "32, 64, 64, 32"])
     def test_fewer_than_three_sizes_stop_before_the_sweep(self, tmp_path, model_file,
