@@ -27,7 +27,7 @@ from .mpnn import NEIGHBOR_AVERAGE, N_NORMALIZED_SUM, Mpnn
 from .node_mpnn import cmpnn_node_sbm, gmpnn_node
 from .pair_mpnn import _require_size, cmpnn_pair_sbm, gmpnn_pair
 from .rng import stream
-from .sbm import SampledGraph, SbmSpec, graph_stats, graphon_degree, graphon_common_neighbors, sample_graph
+from .sbm import BlockPairPool, SampledGraph, SbmSpec, graph_stats, graphon_degree, graphon_common_neighbors, sample_graph
 from .util import parallel_map
 
 log = logging.getLogger(__name__)
@@ -146,6 +146,20 @@ def convergence_sweep(spec: SbmSpec, mpnn: Mpnn, mode: str, n_list, seeds,
     tasks = [(spec, mpnn, mode, int(n), int(seed), p)
              for n in n_list for seed in seeds]
     return parallel_map(_sweep_one, tasks, jobs=jobs)
+
+
+def bound_shares(records) -> tuple:
+    """(validity, n-condition) shares of the records that carry a bound.
+
+    The validity share is that of delta <= bound among the records whose
+    n-condition holds, the premise under which the bound is claimed. The
+    n-condition share is that of the records whose n-condition holds.
+    Either is None when it is a share of no record.
+    """
+    with_bounds = [r for r in records if r.bound is not None]
+    valid = [r for r in with_bounds if r.n_condition_ok]
+    return (float(np.mean([r.delta <= r.bound for r in valid])) if valid else None,
+            float(np.mean([r.n_condition_ok for r in with_bounds])) if with_bounds else None)
 
 
 @dataclass(frozen=True)
@@ -334,41 +348,16 @@ class IsoGapStats:
         return float(np.median(self.gaps_non_iso))
 
 
-def _category_pools(graph: SampledGraph, iso_pairs, r: int):
-    iso_set = {tuple(sorted(p)) for p in iso_pairs}
-    nodes_by_block = [np.flatnonzero(graph.block_of == a) for a in range(r)]
-    iso_pool, non_iso_pool = [], []
-    for a in range(r):
-        for b in range(a + 1, r):
-            entry = (nodes_by_block[a], nodes_by_block[b])
-            if (a, b) in iso_set:
-                iso_pool.append(entry)
-            else:
-                non_iso_pool.append(entry)
-    return iso_pool, non_iso_pool
-
-
 def _sample_gaps(emb_values, pool, budget, rng):
-    """Gaps at ``budget`` distinct pairs drawn from ``pool`` (all of them when
-    the budget covers it). Flat index k of block pair (ia, jb) is the pair
-    (ia[k // len(jb)], jb[k % len(jb)]); pools are numbered in order."""
-    rows = np.array([len(ia) for ia, _ in pool])
-    cols = np.array([len(jb) for _, jb in pool])
-    sizes = rows * cols
-    total = int(sizes.sum())
-    if total == 0:
+    """Gaps at ``budget`` distinct pairs of the ``BlockPairPool`` ``pool``,
+    drawn as sorted flat indices (all of them when the budget covers it)."""
+    if pool.size == 0:
         raise PreconditionError("no node pairs available in this category")
-    if budget >= total:
-        flat = np.arange(total)
+    if budget >= pool.size:
+        flat = np.arange(pool.size)
     else:
-        flat = np.sort(rng.choice(total, size=budget, replace=False))
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    which = np.searchsorted(offsets, flat, side="right") - 1
-    local = flat - offsets[which]
-    row_start = np.concatenate([[0], np.cumsum(rows)])[which]
-    col_start = np.concatenate([[0], np.cumsum(cols)])[which]
-    i = np.concatenate([ia for ia, _ in pool])[row_start + local // cols[which]]
-    j = np.concatenate([jb for _, jb in pool])[col_start + local % cols[which]]
+        flat = np.sort(rng.choice(pool.size, size=budget, replace=False))
+    i, j = pool.pairs(flat)
     return np.max(np.abs(emb_values[i] - emb_values[j]), axis=1)
 
 
@@ -378,16 +367,21 @@ def iso_gap_stats(values: np.ndarray, graph: SampledGraph, iso_pairs,
     and outside matched-block pairs.
 
     "iso" pairs take one endpoint from each block of a matched pair;
-    "non-iso" pairs span two distinct blocks that are not matched. When the
+    "non-iso" pairs span two distinct blocks that are not matched. Each
+    category is one ``BlockPairPool`` over its block pairs (a, b), a < b,
+    in increasing order, whatever the order of ``iso_pairs``. When the
     budget covers a category's full pool the enumeration is exhaustive.
     """
     if not iso_pairs:
         raise PreconditionError("the model has no matched block pair")
     r = int(graph.block_of.max()) + 1
-    iso_pool, non_iso_pool = _category_pools(graph, iso_pairs, r)
-    if not non_iso_pool:
+    matched = {tuple(sorted(p)) for p in iso_pairs}
+    upper = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    unmatched = [p for p in upper if p not in matched]
+    if not unmatched:
         raise PreconditionError("the model has no unmatched block pair")
     rng = stream(seed, "iso-gaps")
-    gaps_iso = _sample_gaps(values, iso_pool, sample_budget, rng)
-    gaps_non_iso = _sample_gaps(values, non_iso_pool, sample_budget, rng)
+    gaps_iso = _sample_gaps(values, BlockPairPool(graph, [p for p in upper if p in matched]),
+                            sample_budget, rng)
+    gaps_non_iso = _sample_gaps(values, BlockPairPool(graph, unmatched), sample_budget, rng)
     return IsoGapStats(gaps_iso=gaps_iso, gaps_non_iso=gaps_non_iso)

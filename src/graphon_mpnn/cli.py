@@ -14,8 +14,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, linkpred
 from .config import (
     parse_converge_config,
@@ -65,18 +63,14 @@ def cmd_converge(args) -> int:
     write_csv(os.path.join(cfg.out_dir, "deltas.csv"),
               ["mode", "n", "seed", "delta", "bound"], rows)
 
-    # the bound is read only where its n-condition holds
-    with_bounds = [r for r in records if r.bound is not None]
-    valid = [r for r in with_bounds if r.n_condition_ok]
+    validity, n_condition = analysis.bound_shares(records)
     summary = {
         "mode": cfg.mode,
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
-        "bound_validity_frequency": (float(np.mean([r.delta <= r.bound for r in valid]))
-                                     if valid else None),
-        "n_condition_frequency": (float(np.mean([r.n_condition_ok for r in with_bounds]))
-                                  if with_bounds else None),
+        "bound_validity_frequency": validity,
+        "n_condition_frequency": n_condition,
     }
     with open(os.path.join(cfg.out_dir, "slope_summary.jsonl"), "w") as fh:
         fh.write(json.dumps(summary, sort_keys=True) + "\n")

@@ -31,6 +31,7 @@ from .node_mpnn import NodeGraph
 from .pair_mpnn import PairGraph, _require_size, fixed_psi_mpnn, learnable_psi_mpnn
 from .rng import child_seed, stream
 from .sbm import (
+    BlockPairPool,
     SampledGraph,
     SbmSpec,
     graph_stats,
@@ -76,29 +77,18 @@ def sample_across_block_nonedges(graph: SampledGraph, iso_pairs, count: int,
     """Uniform sample, without replacement, of non-edges whose endpoints lie
     in two distinct matched blocks. Fails if the pool is too small.
 
-    Each pair comes back as ``(i, j)`` with ``i < j``, the convention of
+    Each draw from ``rng`` is one index into the ``BlockPairPool`` of
+    ``iso_pairs``; repeats and edges are skipped. The pairs come back in
+    the order drawn, each as ``(i, j)`` with ``i < j``, the convention of
     ``SampledGraph.edge_list``, whichever matched block either node is in.
     """
     if not iso_pairs:
         raise PreconditionError("negative sampling needs a matched block pair")
-    nodes_by_block = {}
-    pools = []
-    pool_edges = 0
-    for a, b in iso_pairs:
-        for blk in (a, b):
-            if blk not in nodes_by_block:
-                nodes_by_block[blk] = np.flatnonzero(graph.block_of == blk)
-        ia, jb = nodes_by_block[a], nodes_by_block[b]
-        pools.append((ia, jb))
-        pool_edges += int(graph.adjacency[np.ix_(ia, jb)].sum())
-    sizes = [len(ia) * len(jb) for ia, jb in pools]
-    total = int(sum(sizes))
-    if total - pool_edges < count:
-        raise PreconditionError(
-            f"across-block non-edge pool has {total - pool_edges} pairs, "
-            f"need {count}"
-        )
-    offsets = np.cumsum([0] + sizes)
+    pool = BlockPairPool(graph, iso_pairs)
+    free = np.concatenate([graph.adjacency[np.ix_(ia, jb)].ravel() == 0
+                           for ia, jb in pool.blocks])
+    if free.sum() < count:
+        raise PreconditionError(f"across-block non-edge pool has {free.sum()} pairs, need {count}")
     chosen = []
     seen = set()
     attempts = 0
@@ -107,19 +97,14 @@ def sample_across_block_nonedges(graph: SampledGraph, iso_pairs, count: int,
         attempts += 1
         if attempts > max_attempts:
             raise PreconditionError("negative sampling stalled; pool too dense")
-        idx = int(rng.integers(total))
+        idx = int(rng.integers(pool.size))
         if idx in seen:
             continue
         seen.add(idx)
-        which = int(np.searchsorted(offsets, idx, side="right") - 1)
-        local = idx - offsets[which]
-        ia, jb = pools[which]
-        i = int(ia[local // len(jb)])
-        j = int(jb[local % len(jb)])
-        if graph.adjacency[i, j] > 0:
-            continue
-        chosen.append((min(i, j), max(i, j)))
-    return np.array(chosen, dtype=int)
+        if free[idx]:
+            chosen.append(idx)
+    i, j = pool.pairs(chosen)
+    return np.column_stack([np.minimum(i, j), np.maximum(i, j)])
 
 
 def build_training_split(spec: SbmSpec, n_tr: int, seed: int) -> tuple:
@@ -521,6 +506,12 @@ def _run_one(args) -> dict:
     config, run_seed = args
     spec = config.spec
     training = build_training_split(spec, config.n_train, run_seed)
+    # every scenario scores as many negatives as the transductive test
+    # split, so a K that evaluate() would refuse is refused before training
+    n_negatives = len(training[1].negatives["test"])
+    for k in config.k_list:
+        if k > n_negatives:
+            raise PreconditionError(f"hits@{k} needs at least {k} negatives")
     train_ds = training[0]
     train_stats = graph_stats(train_ds.observed)
     models = {}

@@ -276,6 +276,30 @@ def graph_stats(graph: SampledGraph) -> GraphStats:
     return GraphStats(graph)
 
 
+class BlockPairPool:
+    """The node pairs (i in a, j in b) of several block pairs (a, b), under
+    one flat numbering of ``size`` indices: block pairs in the given order,
+    p's from ``offsets[p]`` on, and p's pair k is ``(ia[k // len(jb)],
+    jb[k % len(jb)])``, where ``blocks[p] = (ia, jb)`` lists the nodes of a
+    and of b in increasing order."""
+
+    def __init__(self, graph: SampledGraph, block_pairs):
+        self.blocks = [(np.flatnonzero(graph.block_of == a), np.flatnonzero(graph.block_of == b))
+                       for a, b in block_pairs]
+        self.offsets = np.cumsum([0] + [len(ia) * len(jb) for ia, jb in self.blocks])
+        self.size = int(self.offsets[-1])
+
+    def pairs(self, flat) -> tuple:
+        """The node pairs at the flat indices ``flat``, as two arrays (i, j)."""
+        flat = np.asarray(flat, dtype=np.intp)
+        i, j = np.empty_like(flat), np.empty_like(flat)
+        for (ia, jb), lo, hi in zip(self.blocks, self.offsets, self.offsets[1:]):
+            at = (flat >= lo) & (flat < hi)
+            row, col = np.divmod(flat[at] - lo, len(jb))
+            i[at], j[at] = ia[row], jb[col]
+        return i, j
+
+
 # --- flat key-value serialization -------------------------------------------
 
 def write_spec_file(spec: SbmSpec, path) -> None:

@@ -46,6 +46,32 @@ def sample_graph_oracle(block_mass, S, n, position_rng, edge_rng):
     return np.array(block_of), adj
 
 
+def across_block_nonedges_oracle(block_of, adjacency, iso_pairs, count, rng):
+    """Negatives by a plain loop over one listed pool.
+
+    The pool lists, per block pair (a, b) in the given order, every pair
+    (i, j) with i in a and j in b, i-major. Each draw is one index into
+    the whole list; repeated indices and edges are skipped. Returns the
+    first ``count`` accepted pairs as (min, max) rows.
+    """
+    pool = []
+    for a, b in iso_pairs:
+        for i in range(len(block_of)):
+            for j in range(len(block_of)):
+                if block_of[i] == a and block_of[j] == b:
+                    pool.append((i, j))
+    chosen, seen = [], set()
+    while len(chosen) < count:
+        k = int(rng.integers(len(pool)))
+        if k in seen:
+            continue
+        seen.add(k)
+        i, j = pool[k]
+        if adjacency[i][j] == 0:
+            chosen.append((min(i, j), max(i, j)))
+    return np.array(chosen)
+
+
 def node_mpnn_oracle(adjacency, features, layers, aggregation):
     """Node recursion by nested loops; layers are (message, update) callables
     taking and returning 1-d vectors."""

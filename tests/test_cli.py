@@ -308,6 +308,25 @@ class TestTable:
         assert f"hides {hidden} edge(s)" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("n_train, k", [(120, 50), (250, 100)])
+    def test_too_few_negatives_fails_before_training(self, tmp_path, model_file, capsys,
+                                                     monkeypatch, n_train, k):
+        # every scenario scores as many negatives as the transductive test
+        # split, so the default k_list is checked against it before training
+        def train_link_model(*args, **kwargs):
+            raise AssertionError("a model trained")
+
+        monkeypatch.setattr(linkpred, "train_link_model", train_link_model)
+        cfg = tmp_path / "k.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"[sbm]\nspec = {model_file}\n[table]\nn_train = {n_train}\n"
+            f"n_test_ood = 300\nruns = 1\nseed = 0\n[output]\ndir = {out}\n"
+        )
+        assert cli.main(["table", str(cfg)]) == 3
+        assert f"hits@{k} needs at least {k} negatives" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_worker_pool_matches_serial(self, tmp_path, model_file):
         outputs = []
         for jobs in (1, 2):

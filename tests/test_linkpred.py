@@ -23,9 +23,14 @@ from graphon_mpnn.linkpred import (
     sample_across_block_nonedges,
 )
 from graphon_mpnn.rng import child_seed, stream
-from graphon_mpnn.sbm import graph_stats
+from graphon_mpnn.sbm import graph_stats, isomorphic_block_pairs
 
-from oracles import finite_difference_gradients, max_relative_error, pair_update_rows_oracle
+from oracles import (
+    across_block_nonedges_oracle,
+    finite_difference_gradients,
+    max_relative_error,
+    pair_update_rows_oracle,
+)
 
 
 def tiny_dataset(spec, n, seed, n_pos=6, n_neg=6):
@@ -129,6 +134,29 @@ class TestBuildScenario:
                                       b[1].negatives["test"])
         np.testing.assert_array_equal(a[1].observed.adjacency,
                                       b[1].observed.adjacency)
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_negatives_match_the_loop_reference(self, linkpred_spec, seed):
+        # pins the draw order: one index per draw into the matched pool,
+        # listed i-major per block pair, from the seed's "negatives" stream
+        train_ds, test_ds = build_training_split(linkpred_spec, 150, seed)
+        full = sample_graph(linkpred_spec, 150, child_seed(seed, "train-graph"))
+        got = np.concatenate([train_ds.negatives["train"], train_ds.negatives["val"],
+                              test_ds.negatives["test"]])
+        want = across_block_nonedges_oracle(full.block_of, full.adjacency,
+                                            isomorphic_block_pairs(linkpred_spec),
+                                            len(got), stream(seed, "negatives"))
+        assert np.array_equal(got, want)
+
+    def test_ood_negatives_match_the_loop_reference(self, linkpred_spec):
+        _, test_ds = build_scenario(linkpred_spec, 150, 300, seed=3,
+                                    scenario="inductive_ood")
+        full = sample_graph(linkpred_spec, 300, child_seed(3, "test-graph/inductive_ood"))
+        got = test_ds.negatives["test"]
+        want = across_block_nonedges_oracle(full.block_of, full.adjacency,
+                                            isomorphic_block_pairs(linkpred_spec),
+                                            len(got), stream(3, "negatives/inductive_ood"))
+        assert np.array_equal(got, want)
 
     def test_shared_training_split_across_scenarios(self, linkpred_spec):
         tr_a, _ = build_scenario(linkpred_spec, 100, 100, seed=6,

@@ -16,7 +16,7 @@ from graphon_mpnn import (
 )
 from graphon_mpnn.pair_mpnn import _TILE as TILE, pair_message_weights
 from graphon_mpnn.rng import stream
-from graphon_mpnn.sbm import read_spec_file, write_edge_list, write_spec_file
+from graphon_mpnn.sbm import BlockPairPool, read_spec_file, write_edge_list, write_spec_file
 
 from oracles import common_neighbors_oracle, message_weights_oracle, sample_graph_oracle
 
@@ -204,6 +204,28 @@ class TestIsomorphicBlocks:
             block_mass=[0.5, 0.5], S=[[0.6, 0.1], [0.1, 0.6]], B=[[1.0], [2.0]]
         )
         assert isomorphic_block_pairs(spec) == []
+
+
+class TestBlockPairPool:
+    def test_numbering_is_i_major_in_the_given_order(self, convergence_spec):
+        g = sample_graph(convergence_spec, 40, seed=2)
+        block_pairs = [(2, 0), (1, 1), (0, 1)]
+        listed = [(i, j) for a, b in block_pairs
+                  for i in range(g.n) if g.block_of[i] == a
+                  for j in range(g.n) if g.block_of[j] == b]
+        pool = BlockPairPool(g, block_pairs)
+        assert pool.size == len(listed)
+        i, j = pool.pairs(np.arange(pool.size))
+        assert list(zip(i.tolist(), j.tolist())) == listed
+        flat = np.random.default_rng(0).permutation(pool.size)[:25]
+        i, j = pool.pairs(flat)
+        assert list(zip(i.tolist(), j.tolist())) == [listed[k] for k in flat]
+
+    def test_empty_block_takes_no_index(self):
+        pool = BlockPairPool(graph_from_adjacency(np.zeros((4, 4))), [(0, 1), (0, 0)])
+        assert pool.size == 16 and pool.offsets.tolist() == [0, 0, 16]
+        i, j = pool.pairs([0, 6, 15])
+        assert i.tolist() == [0, 1, 3] and j.tolist() == [0, 2, 3]
 
 
 class TestGraphStats:
