@@ -258,19 +258,21 @@ def bound_constants(mpnn: Mpnn, f_inf_norm: float, spec: SbmSpec,
         bias_msg.append(message.formal_bias())
         bias_upd.append(update.formal_bias())
 
+    # The mode's normalization, with its norm growth per layer, the
+    # contraction's message weight and the shared deviation coefficient.
     w_sup = spec.w_sup
-    if mode == "node_mean":
-        denom = float(graphon_degree(spec).min())
-    elif mode == "pair":
-        denom = float(graphon_common_neighbors(spec).min())
+    if mode == "node_sum":
+        denom, growth, k2, coef = None, w_sup, 2.0, 2.0 * math.sqrt(2.0)
     else:
-        denom = None
-    if mode != "node_sum" and (denom is None or denom <= 0.0):
-        raise PreconditionError("degree/common-neighbor minimum must be positive")
+        minimum = graphon_degree if mode == "node_mean" else graphon_common_neighbors
+        denom = float(minimum(spec).min())
+        if denom <= 0.0:
+            raise PreconditionError("degree/common-neighbor minimum must be positive")
+        growth, k2 = w_sup / denom, 8.0 / denom ** 2
+        coef = 4.0 * math.sqrt(2.0) / denom ** 2 + 2.0 * math.sqrt(2.0) / denom
 
     # Per-layer norm growth of the continuous recursion:
     #   ||f^(l)|| <= b1[l] + b2[l] ||f||.
-    growth = w_sup / denom if mode != "node_sum" else w_sup
     b1, b2 = [], []
     b1_cur, b2_cur = 0.0, 1.0
     for lm, lu, bm, bu in zip(l_msg, l_upd, bias_msg, bias_upd):
@@ -280,19 +282,9 @@ def bound_constants(mpnn: Mpnn, f_inf_norm: float, spec: SbmSpec,
         b1.append(b1_cur)
         b2.append(b2_cur)
 
-    # Contraction factor K per layer and the shared deviation coefficient.
-    contraction = []
-    for lm, lu in zip(l_msg, l_upd):
-        if mode == "node_sum":
-            contraction.append(math.sqrt(lu ** 2 + 2.0 * lm ** 2 * lu ** 2))
-        else:
-            contraction.append(
-                math.sqrt(lu ** 2 + (8.0 / denom ** 2) * lm ** 2 * lu ** 2)
-            )
-    if mode == "node_sum":
-        coef = 2.0 * math.sqrt(2.0)
-    else:
-        coef = 4.0 * math.sqrt(2.0) / denom ** 2 + 2.0 * math.sqrt(2.0) / denom
+    # Contraction factor K per layer.
+    contraction = [math.sqrt(lu ** 2 + k2 * lm ** 2 * lu ** 2)
+                   for lm, lu in zip(l_msg, l_upd)]
 
     c_offset = 0.0
     c_scale = 0.0
@@ -314,10 +306,8 @@ def bound_constants(mpnn: Mpnn, f_inf_norm: float, spec: SbmSpec,
         for l in range(mpnn.depth)
     )
 
-    if mode == "node_sum":
-        n_condition_ok = True
-    else:
-        n_condition_ok = math.sqrt(n) / math.sqrt(log_term) >= 4.0 * math.sqrt(2.0) / denom
+    n_condition_ok = (denom is None
+                      or math.sqrt(n) / math.sqrt(log_term) >= 4.0 * math.sqrt(2.0) / denom)
 
     return BoundReport(
         mode=mode, n=int(n), p=float(p), f_inf_norm=float(f_inf_norm),

@@ -43,7 +43,7 @@ def cmd_sample(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     count = write_edge_list(graph, os.path.join(cfg.out_dir, "edges.txt"),
                             os.path.join(cfg.out_dir, "blocks.txt"))
-    write_manifest(cfg.out_dir, text, {"subcommand": "sample"})
+    write_manifest(cfg.out_dir, text, cfg.spec, {"subcommand": "sample"})
     print(f"wrote {cfg.out_dir}/edges.txt ({count} edges)")
     return 0
 
@@ -74,7 +74,7 @@ def cmd_converge(args) -> int:
     }
     with open(os.path.join(cfg.out_dir, "slope_summary.jsonl"), "w") as fh:
         fh.write(json.dumps(summary, sort_keys=True) + "\n")
-    write_manifest(cfg.out_dir, text, {"subcommand": "converge"})
+    write_manifest(cfg.out_dir, text, cfg.spec, {"subcommand": "converge"})
     print(f"mode={cfg.mode} slope={fit.slope:.4f} r2={fit.r_squared:.4f}")
     return 0
 
@@ -118,7 +118,7 @@ def cmd_stability(args) -> int:
               ["n", "seed", "kind", "gap"], gap_rows)
     write_csv(os.path.join(cfg.out_dir, "gap_medians.csv"),
               ["n", "seed", "median_iso", "median_non_iso"], summary_rows)
-    write_manifest(cfg.out_dir, text, {"subcommand": "stability"})
+    write_manifest(cfg.out_dir, text, cfg.spec, {"subcommand": "stability"})
     print(f"wrote {cfg.out_dir}/gaps.csv ({len(gap_rows)} rows)")
     return 0
 
@@ -134,7 +134,7 @@ def cmd_table(args) -> int:
     table_text = report.format_table()
     with open(os.path.join(out_dir, "table.txt"), "w") as fh:
         fh.write(table_text + "\n")
-    write_manifest(out_dir, text, {"subcommand": "table"})
+    write_manifest(out_dir, text, cfg.spec, {"subcommand": "table"})
     print(table_text)
     return 0
 

@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .linkpred import METHODS, SCENARIOS, RunTableConfig
 from .mpnn import Mpnn, graphsage_mpnn
 from .pair_mpnn import fixed_psi_mpnn, learnable_psi_mpnn
-from .sbm import SbmSpec, _read_model, read_spec_file
+from .sbm import SbmSpec, _model_text, _read_model, read_spec_file
 
 _REQUIRED = object()
 
@@ -116,13 +116,7 @@ def load_sbm_section(parser: configparser.ConfigParser, base_dir: str) -> SbmSpe
     return read_spec_file(path)
 
 
-def _open(path, command: str) -> tuple:
-    """(the [command] section, the model, the output directory, the config
-    text) of the config file at ``path``."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        text = fh.read()
+def _parse(text: str) -> configparser.ConfigParser:
     # values are literal: a '%' in a path is not an interpolation
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None)
@@ -130,6 +124,17 @@ def _open(path, command: str) -> tuple:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    return parser
+
+
+def _open(path, command: str) -> tuple:
+    """(the [command] section, the model, the output directory, the config
+    text) of the config file at ``path``."""
+    if not os.path.exists(path):
+        raise ConfigError(f"config file not found: {path}")
+    with open(path) as fh:
+        text = fh.read()
+    parser = _parse(text)
     for name in parser.sections():
         if name not in ("sbm", command, "output"):
             raise ConfigError(f"unknown section [{name}]; a {command} config "
@@ -254,11 +259,15 @@ def parse_table_config(path) -> tuple:
     return cfg, out_dir, text
 
 
-def write_manifest(out_dir: str, config_text: str, extra: dict | None = None) -> str:
-    """Write a manifest that reproduces the run: versions + the full config.
+def write_manifest(out_dir: str, config_text: str, spec: SbmSpec,
+                   extra: dict | None = None) -> str:
+    """Write a manifest that reproduces the run: versions, the hash of the
+    config as given, and the config with its model ``spec`` inline.
 
     The manifest doubles as a config file (the header lines are comments),
-    so re-running the subcommand on it regenerates identical outputs.
+    so re-running the subcommand on it regenerates identical outputs. Its
+    [sbm] section holds the model's keys as a model file writes them, since
+    a ``spec`` path would resolve against the manifest's directory.
     """
     os.makedirs(out_dir, exist_ok=True)
     digest = hashlib.sha256(config_text.encode("utf-8")).hexdigest()
@@ -269,7 +278,10 @@ def write_manifest(out_dir: str, config_text: str, extra: dict | None = None) ->
     ]
     for key, val in (extra or {}).items():
         header.append(f"# {key} {val}")
+    parser = _parse(config_text)
+    parser.remove_section("sbm")
     path = os.path.join(out_dir, "manifest.txt")
     with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n" + config_text)
+        fh.write("\n".join(header) + "\n[sbm]\n" + _model_text(spec) + "\n")
+        parser.write(fh)
     return path

@@ -184,6 +184,17 @@ def graphsage_mpnn(feature_dims, update_hidden=10, seed=0,
     return Mpnn(layers=tuple(layers), aggregation=aggregation)
 
 
+def block_recursion(mpnn: Mpnn, f: np.ndarray, messages: Callable, return_layers: bool):
+    """The layer loop of a continuous recursion over block states ``f``: each
+    layer sets f <- update(f, messages(f, message)). Returns the last states,
+    or with ``return_layers`` the start and every layer's states."""
+    trace = [f.copy()]
+    for message, update in mpnn.layers:
+        f = update(f, messages(f, message))
+        trace.append(f.copy())
+    return trace if return_layers else trace[-1]
+
+
 def require_tape(mpnn: Mpnn, pairs, engine: str) -> None:
     """Raise unless a pass of ``mpnn`` at ``pairs`` can be recorded for
     backprop: the tape needs queried pairs, neighbor-projection messages

@@ -19,7 +19,7 @@ import logging
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .mpnn import NEIGHBOR_AVERAGE, Mpnn, Tape, require_tape, update_rows
+from .mpnn import NEIGHBOR_AVERAGE, Mpnn, Tape, block_recursion, require_tape, update_rows
 from .sbm import GraphStats, SampledGraph, SbmSpec, graphon_degree
 
 log = logging.getLogger(__name__)
@@ -27,14 +27,22 @@ log = logging.getLogger(__name__)
 _CHUNK_ROWS = 128
 
 
-def _resolve_node_init(graph: SampledGraph, degrees: np.ndarray, init) -> np.ndarray:
-    """The start features: the block signal for None, the one-column
+def _node_start(init, signal, degrees: np.ndarray) -> np.ndarray:
+    """The start features: the block ``signal`` for None, the one-column
     size-normalized ``degrees`` for "degree"."""
     if init is None:
-        return np.asarray(graph.node_features, dtype=float)
+        return np.asarray(signal, dtype=float)
     if isinstance(init, str) and init == "degree":
         return degrees.reshape(-1, 1)
     raise ValueError(f"unknown init {init!r}")
+
+
+def _require_width(f: np.ndarray, mpnn: Mpnn) -> None:
+    """Raise unless the start features are as wide as the network's input."""
+    if f.shape[1] != mpnn.feature_dims[0]:
+        raise ValueError(
+            f"init width {f.shape[1]} != network input width {mpnn.feature_dims[0]}"
+        )
 
 
 def _message_sum(adjacency, features, message, row_weights, out):
@@ -69,7 +77,7 @@ class NodeGraph:
         self.n = graph.n
         self.adjacency = graph.adjacency
         self.degrees = stats.degree_counts / self.n  # d_i, bitwise A.mean(1)
-        self.start = _resolve_node_init(graph, self.degrees, init)
+        self.start = _node_start(init, graph.node_features, self.degrees)
         self._weights = {}  # aggregation -> row weights
 
     def row_weights(self, aggregation: str) -> np.ndarray:
@@ -101,10 +109,7 @@ class NodeGraph:
         if record:
             require_tape(mpnn, pairs, "node")
         f = self.start
-        if f.shape[1] != mpnn.feature_dims[0]:
-            raise ValueError(
-                f"init width {f.shape[1]} != network input width {mpnn.feature_dims[0]}"
-            )
+        _require_width(f, mpnn)
         weights = self.row_weights(mpnn.aggregation)
         caches = []
         for message, update in mpnn.layers:
@@ -156,16 +161,6 @@ def gmpnn_node(graph: SampledGraph, stats: GraphStats, mpnn: Mpnn,
     return values
 
 
-def _block_messages(spec: SbmSpec, features: np.ndarray, message) -> np.ndarray:
-    """sum_b pi_b S_ab msg(B_a, B_b) for every block a."""
-    r, f_width = features.shape
-    xa = np.broadcast_to(features[:, None, :], (r, r, f_width))
-    xb = np.broadcast_to(features[None, :, :], (r, r, f_width))
-    msgs = message(xa, xb)
-    w = spec.S * spec.block_mass[None, :]
-    return np.einsum("ab,abh->ah", w, msgs)
-
-
 def cmpnn_node_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
                    return_layers: bool = False):
     """Exact continuous node recursion, one state vector per block.
@@ -178,32 +173,19 @@ def cmpnn_node_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
     per-block expected degree. Returns the (r, F) block values, or with
     ``return_layers`` the list of them for the start and after every layer.
     """
-    if init is None:
-        f = np.asarray(spec.B, dtype=float).copy()
-    elif isinstance(init, str) and init == "degree":
-        f = graphon_degree(spec).reshape(-1, 1)
-    else:
-        raise ValueError(f"unknown init {init!r}")
-    if f.shape[1] != mpnn.feature_dims[0]:
-        raise ValueError(
-            f"init width {f.shape[1]} != network input width {mpnn.feature_dims[0]}"
-        )
-
+    d = graphon_degree(spec)
+    f = _node_start(init, spec.B, d)
+    _require_width(f, mpnn)
     mean_mode = mpnn.aggregation == NEIGHBOR_AVERAGE
-    if mean_mode:
-        d = graphon_degree(spec)
-        if d.min() <= 0.0:
-            raise PreconditionError(
-                "mean aggregation undefined: a block has zero expected degree"
-            )
+    if mean_mode and d.min() <= 0.0:
+        raise PreconditionError("mean aggregation undefined: a block has zero expected degree")
+    w = spec.S * spec.block_mass[None, :]
 
-    trace = [f.copy()]
-    for message, update in mpnn.layers:
-        g = _block_messages(spec, f, message)
-        if mean_mode:
-            g = g / d[:, None]
-        f = update(f, g)
-        trace.append(f.copy())
-    if return_layers:
-        return trace
-    return trace[-1]
+    def messages(f, message):
+        r, width = f.shape
+        xa = np.broadcast_to(f[:, None, :], (r, r, width))
+        xb = np.broadcast_to(f[None, :, :], (r, r, width))
+        g = np.einsum("ab,abh->ah", w, message(xa, xb))
+        return g / d[:, None] if mean_mode else g
+
+    return block_recursion(mpnn, f, messages, return_layers)

@@ -40,6 +40,7 @@ from .mpnn import (
     NetFunction,
     RatioUpdate,
     Tape,
+    block_recursion,
     require_tape,
     update_rows,
 )
@@ -604,21 +605,17 @@ def cmpnn_pair_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
             f = f[:, :, None]
         if f.shape[:2] != (r, r) or f.shape[2] != width0:
             raise ValueError(f"init must be ({r}, {r}, {width0})")
-        f = f.copy()
-
+        f = f.copy()  # C order, whatever the layout of ``init``
     pi = spec.block_mass
-    trace = [f.copy()]
-    for message, update in mpnn.layers:
-        fab = np.broadcast_to(f[:, :, None, :], (r, r, r, f.shape[2]))
-        fac = np.broadcast_to(f[:, None, :, :], (r, r, r, f.shape[2]))
-        fbc = np.broadcast_to(f[None, :, :, :], (r, r, r, f.shape[2]))
-        own = message(fab, fac)   # msg(F_ab, F_ac), indexed [a, b, c]
-        other = message(fab, fbc)  # msg(F_ab, F_bc)
+
+    def messages(f, message):
+        shape = (r, r, r, f.shape[2])
+        fab = np.broadcast_to(f[:, :, None, :], shape)
+        own = message(fab, np.broadcast_to(f[:, None, :, :], shape))  # msg(F_ab, F_ac)
+        other = message(fab, np.broadcast_to(f[None, :, :, :], shape))  # msg(F_ab, F_bc)
         g = np.einsum("c,bc,abch->abh", pi, spec.S, own)
         g += np.einsum("c,ac,abch->abh", pi, spec.S, other)
         g /= 2.0 * c[:, :, None]
-        f = update(f, g)
-        trace.append(f.copy())
-    if return_layers:
-        return trace
-    return trace[-1]
+        return g
+
+    return block_recursion(mpnn, f, messages, return_layers)

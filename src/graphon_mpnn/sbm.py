@@ -75,8 +75,6 @@ class SbmSpec:
         report = validate_sbm(self)
         if not report.ok:
             raise SpecValidationError("; ".join(report.violations))
-        if report.d_min <= 0.0:
-            raise SpecValidationError("zero minimum block degree")
         if pairwise and report.d_cmin <= 0.0:
             raise SpecValidationError(
                 "zero minimum common-neighbor fraction; pairwise recursion undefined"
@@ -100,8 +98,8 @@ def validate_sbm(spec: SbmSpec) -> ValidationReport:
     """Check model invariants and compute the exact degree minima.
 
     Violations are collected (not raised) so a caller can report all of
-    them at once. ``node_use_ok`` requires d_min > 0 (mean aggregation
-    divides by the block degree), ``pair_use_ok`` requires d_cmin > 0.
+    them at once. A zero minimum block degree is one: mean aggregation
+    divides by the block degree. ``pair_use_ok`` also requires d_cmin > 0.
     """
     violations = []
     bm, S = spec.block_mass, spec.S
@@ -121,6 +119,8 @@ def validate_sbm(spec: SbmSpec) -> ValidationReport:
     c = graphon_common_neighbors(spec)
     d_min = float(d.min())
     d_cmin = float(c.min())
+    if d_min <= 0.0:
+        violations.append("zero minimum block degree")
     return ValidationReport(
         d_min=d_min,
         d_cmin=d_cmin,
@@ -302,13 +302,19 @@ class BlockPairPool:
 
 # --- flat key-value serialization -------------------------------------------
 
-def write_spec_file(spec: SbmSpec, path) -> None:
-    """Write ``spec`` as a model file: r, then each list row-major in brackets."""
+def _model_text(spec: SbmSpec) -> str:
+    """``spec`` as a model file holds it: r, then each list row-major in
+    brackets. Each float's repr reads back exactly."""
     lists = {"block_mass": spec.block_mass, "S": spec.S, "B": spec.B}
+    return f"r = {spec.r}\n" + "".join(
+        f"{key} = [{', '.join(repr(float(v)) for v in a.reshape(-1))}]\n"
+        for key, a in lists.items())
+
+
+def write_spec_file(spec: SbmSpec, path) -> None:
+    """Write ``spec`` as a model file."""
     with open(path, "w") as fh:
-        fh.write(f"r = {spec.r}\n")
-        for key, a in lists.items():
-            fh.write(f"{key} = [{', '.join(repr(float(v)) for v in a.reshape(-1))}]\n")
+        fh.write(_model_text(spec))
 
 
 #: The model keys by their lower-case form: keys match in lower case, as in configs.

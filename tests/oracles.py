@@ -133,6 +133,49 @@ def pair_mpnn_oracle(adjacency, layers, width0=1):
     return f
 
 
+def cmpnn_node_oracle(block_mass, S, start, layers, aggregation):
+    """Continuous node recursion by loops over blocks, from the (r, F)
+    ``start``: g_a = sum_b pi_b S_ab msg(B_a, B_b), divided by the block
+    degree in mean mode. Returns the states at the start and after every
+    layer."""
+    r = len(block_mass)
+    f = [np.array(start[a], dtype=float) for a in range(r)]
+    degree = [sum(block_mass[b] * S[a][b] for b in range(r)) for a in range(r)]
+    trace = [np.stack(f)]
+    for message, update in layers:
+        g = []
+        for a in range(r):
+            acc = 0.0
+            for b in range(r):
+                acc = acc + block_mass[b] * S[a][b] * np.asarray(message(f[a], f[b]))
+            g.append(acc / degree[a] if aggregation == "neighbor_average" else acc)
+        f = [np.asarray(update(f[a], g[a]), dtype=float) for a in range(r)]
+        trace.append(np.stack(f))
+    return trace
+
+
+def cmpnn_pair_oracle(block_mass, S, start, layers):
+    """Continuous pair recursion by loops over blocks, from the (r, r, F)
+    ``start``: g_ab = sum_c pi_c [S_bc msg(F_ab, F_ac) + S_ac msg(F_ab, F_bc)]
+    / (2 c_ab). Returns the states at the start and after every layer."""
+    r = len(block_mass)
+    c = common_neighbors_oracle(block_mass, S)
+    f = {(a, b): np.array(start[a][b], dtype=float) for a in range(r) for b in range(r)}
+    trace = [np.array([[f[a, b] for b in range(r)] for a in range(r)])]
+    for message, update in layers:
+        nxt = {}
+        for a in range(r):
+            for b in range(r):
+                acc = 0.0
+                for z in range(r):
+                    acc = acc + block_mass[z] * S[b][z] * np.asarray(message(f[a, b], f[a, z]))
+                    acc = acc + block_mass[z] * S[a][z] * np.asarray(message(f[a, b], f[b, z]))
+                nxt[a, b] = np.asarray(update(f[a, b], acc / (2.0 * c[a, b])), dtype=float)
+        f = nxt
+        trace.append(np.array([[f[a, b] for b in range(r)] for a in range(r)]))
+    return trace
+
+
 def message_weights_oracle(adjacency):
     """The pair message weights 1 / (2n c) as one n x n array, from integer
     counts: c = CN / n, or 1 / n where CN = 0."""

@@ -199,6 +199,27 @@ class TestBoundConstants:
         assert report.bound_value == pytest.approx(expected)
         assert report.contraction == (pytest.approx(math.sqrt(33.0)),)
 
+    def test_hand_substitution_node_sum(self):
+        spec = SbmSpec(block_mass=[1.0], S=[[0.5]], B=[[1.0]])
+        report = bound_constants(identity_layer_mpnn(), f_inf_norm=2.0,
+                                 spec=spec, p=0.01, mode="node_sum", n=100)
+        # no normalization: growth = w_sup = 0.5, so b1 = 0, b2 = 1.5;
+        # K = sqrt(lu^2 + 2 lm^2 lu^2) and the coefficient is 2 sqrt(2)
+        assert report.b1 == (0.0,)
+        assert report.b2 == (1.5,)
+        assert report.contraction == (math.sqrt(3.0),)
+        coef = 2 * math.sqrt(2)
+        assert report.c_offset == 0.0
+        assert report.c_scale == pytest.approx(coef * 1.5)
+        expected = (coef * 1.5 * 2.0) * math.sqrt(math.log(200 / 0.01)) / 10.0
+        assert report.bound_value == pytest.approx(expected)
+        # the n-condition holds at every n, where node_mean's fails at small n
+        for n in (2, 100):
+            assert bound_constants(identity_layer_mpnn(), 2.0, spec, p=0.01,
+                                   mode="node_sum", n=n).n_condition_ok is True
+        assert not bound_constants(identity_layer_mpnn(), 2.0, spec, p=0.01,
+                                   mode="node_mean", n=2).n_condition_ok
+
     def test_zero_weight_message_net_leaves_bias_only(self):
         spec = SbmSpec(block_mass=[1.0], S=[[0.5]], B=[[1.0]])
         msg_net = FeedForwardNet([2, 1])

@@ -48,6 +48,15 @@ class TestValidateSpec:
         assert proc.returncode == 3
         assert "violation" in proc.stdout
 
+    def test_zero_degree_block_is_a_violation(self, tmp_path):
+        # every subcommand refuses this model, so its validation fails too
+        path = tmp_path / "isolated.sbm"
+        path.write_text("r = 2\nblock_mass = [0.5, 0.5]\nS = [0.5, 0, 0, 0]\nB = [1, 1]\n")
+        proc = run_cli("validate-spec", str(path))
+        assert proc.returncode == 3
+        assert "node_use_ok = False" in proc.stdout
+        assert "violation: zero minimum block degree" in proc.stdout
+
 
 class TestSample:
     def test_outputs_and_manifest(self, tmp_path, model_file):
@@ -566,13 +575,17 @@ class TestShippedConfigs:
         assert_same_net(cfg.mpnn, learnable_psi_mpnn(2, hidden=10, seed=0))
 
     def test_golden_sample(self, tmp_path):
-        # the output directory resolves against the working directory
-        proc = run_cli("sample", str(CONFIGS / "sample_example.cfg"), cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        for name in ("edges.txt", "blocks.txt"):
-            golden = REPO / "out" / "sample_example" / name
-            assert (tmp_path / "out" / "sample_example" / name).read_bytes() == \
-                golden.read_bytes(), name
+        # the output directory resolves against the working directory; the
+        # run's manifest and the committed one, run as configs from there,
+        # write the same bytes
+        golden = REPO / "out" / "sample_example"
+        out = tmp_path / "out" / "sample_example"
+        for cfg in (CONFIGS / "sample_example.cfg", out / "manifest.txt",
+                    golden / "manifest.txt"):
+            proc = run_cli("sample", str(cfg), cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            for name in ("edges.txt", "blocks.txt"):
+                assert (out / name).read_bytes() == (golden / name).read_bytes(), (cfg, name)
 
 
 MODEL = {"r": "2", "block_mass": "[0.5, 0.5]", "S": "[0.5, 0.1, 0.1, 0.5]",

@@ -22,7 +22,12 @@ from graphon_mpnn.analysis import delta_node
 from graphon_mpnn.nn import init_net
 from graphon_mpnn.node_mpnn import NodeGraph
 
-from oracles import finite_difference_gradients, max_relative_error, node_mpnn_oracle
+from oracles import (
+    cmpnn_node_oracle,
+    finite_difference_gradients,
+    max_relative_error,
+    node_mpnn_oracle,
+)
 
 
 class TakeMessage:
@@ -273,6 +278,20 @@ class TestContinuous:
         for _ in range(3):
             f = float(net.forward(np.array([f, f]))[0])
         assert out[0, 0] == pytest.approx(f, abs=1e-14)
+
+    @pytest.mark.parametrize("aggregation", ["neighbor_average", "n_normalized_sum"])
+    def test_matches_block_loop_oracle_with_nets(self, aggregation):
+        # distinct blocks and message nets that read both arguments, every layer
+        spec = SbmSpec(block_mass=[0.5, 0.3, 0.2],
+                       S=[[0.6, 0.2, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.4]],
+                       B=[[1.0], [-0.5], [2.0]])
+        mpnn = random_net_mpnn([1, 2, 3], [2, 3], seed=4, aggregation=aggregation)
+        trace = cmpnn_node_sbm(spec, mpnn, return_layers=True)
+        expected = cmpnn_node_oracle(spec.block_mass, spec.S, spec.B,
+                                     layer_callables(mpnn), aggregation)
+        assert len(trace) == len(expected) == 3
+        for got, want in zip(trace, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_interchangeable_blocks_stay_equal(self, convergence_spec):
         mpnn = graphsage_mpnn([1, 5, 5], seed=21)

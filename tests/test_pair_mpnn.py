@@ -20,6 +20,7 @@ from graphon_mpnn.nn import init_net
 from graphon_mpnn.pair_mpnn import PairGraph, learnable_psi_mpnn
 
 from oracles import (
+    cmpnn_pair_oracle,
     finite_difference_gradients,
     max_relative_error,
     message_weights_oracle,
@@ -567,6 +568,26 @@ class TestContinuous:
                                return_layers=True)
         for layer in trace:
             assert np.max(np.abs(layer[:, :, 0] - convergence_spec.S)) < 1e-12
+
+    def test_matches_block_loop_oracle_with_nets(self, convergence_spec):
+        # msg(x, y) != msg(y, x): the oracle tells msg(F_ab, F_ac) from
+        # msg(F_ac, F_ac), every layer; widths 1 -> 2 -> 3 from the S start
+        layers = []
+        for t, (f_in, h, f_out) in enumerate(((1, 2, 2), (2, 3, 3))):
+            msg = NetFunction(init_net([2 * f_in, 4, h], seed=8, tag=f"m{t}"))
+            upd = NetFunction(init_net([f_in + h, 4, f_out], seed=8, tag=f"u{t}"))
+            layers.append((msg, upd))
+        x, y = np.array([0.3, -0.2]), np.array([0.7, 0.1])
+        assert not np.allclose(layers[1][0](x, y), layers[1][0](y, x))
+        for aggregation in ("neighbor_average", "n_normalized_sum"):
+            mpnn = Mpnn(layers=tuple(layers), aggregation=aggregation)
+            trace = cmpnn_pair_sbm(convergence_spec, mpnn, init=convergence_spec.S,
+                                   return_layers=True)
+            expected = cmpnn_pair_oracle(convergence_spec.block_mass, convergence_spec.S,
+                                         convergence_spec.S[:, :, None], layers)
+            assert len(trace) == len(expected) == 3
+            for got, want in zip(trace, expected):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_single_block_reaches_edge_probability_in_one_step(self):
         p = 0.37
