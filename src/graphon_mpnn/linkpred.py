@@ -67,8 +67,8 @@ def _hide_edges(graph: SampledGraph, fraction: float, rng) -> tuple:
     order = rng.permutation(m)
     hidden = edges[order[:n_hide]]
     adj = graph.adjacency.copy()
-    adj[hidden[:, 0], hidden[:, 1]] = 0.0
-    adj[hidden[:, 1], hidden[:, 0]] = 0.0
+    adj[hidden[:, 0], hidden[:, 1]] = False
+    adj[hidden[:, 1], hidden[:, 0]] = False
     return graph.with_adjacency(adj), hidden
 
 
@@ -85,7 +85,7 @@ def sample_across_block_nonedges(graph: SampledGraph, iso_pairs, count: int,
     if not iso_pairs:
         raise PreconditionError("negative sampling needs a matched block pair")
     pool = BlockPairPool(graph, iso_pairs)
-    free = np.concatenate([graph.adjacency[np.ix_(ia, jb)].ravel() == 0
+    free = np.concatenate([~graph.adjacency[np.ix_(ia, jb)].ravel()
                            for ia, jb in pool.blocks])
     if free.sum() < count:
         raise PreconditionError(f"across-block non-edge pool has {free.sum()} pairs, need {count}")

@@ -45,12 +45,13 @@ def _require_width(f: np.ndarray, mpnn: Mpnn) -> None:
         )
 
 
-def _message_sum(adjacency, features, message, row_weights, out):
-    """Writes sum_j A_ij w_i msg(f_i, f_j) for all i into ``out`` (n, H),
-    streamed over row chunks."""
+def _message_sum(stats, adjacency, features, message, row_weights, out):
+    """Writes sum_j A_ij w_i msg(f_i, f_j) for all i into ``out`` (n, H):
+    ``stats.product`` for the neighbor projection, else streamed over row
+    chunks of the bool ``adjacency``."""
     n = adjacency.shape[0]
     if message.is_neighbor_projection:
-        np.matmul(adjacency, features, out=out)
+        stats.product(features, out=out)
     else:
         for start in range(0, n, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, n)
@@ -67,7 +68,10 @@ class NodeGraph:
     """One graph as the node recursion reads it, and the recursion on it.
 
     The start features and the row weights of each aggregation are
-    resolved once and shared by every pass. ``forward`` serves every
+    resolved once and shared by every pass. Every product with the
+    adjacency, the neighbor projection's messages and the pull's
+    A (d_m w), is ``stats.product``; other messages read the bool
+    adjacency row chunk by row chunk. ``forward`` serves every
     caller: the sweeps and stability runs (through ``gmpnn_node``),
     scoring at queried pairs, and training by backprop through the tape it
     records.
@@ -76,6 +80,7 @@ class NodeGraph:
     def __init__(self, graph: SampledGraph, stats: GraphStats, init=None):
         self.n = graph.n
         self.adjacency = graph.adjacency
+        self.stats = stats
         self.degrees = stats.degree_counts / self.n  # d_i, bitwise A.mean(1)
         self.start = _node_start(init, graph.node_features, self.degrees)
         self._weights = {}  # aggregation -> row weights
@@ -116,7 +121,7 @@ class NodeGraph:
             width = f.shape[1]
             u = np.empty((self.n, width + message.width_out))  # [x, m]
             u[:, :width] = f
-            _message_sum(self.adjacency, f, message, weights, out=u[:, width:])
+            _message_sum(self.stats, self.adjacency, f, message, weights, out=u[:, width:])
             f, cache = update_rows(update, u, record)
             caches.append(cache)
             if not np.all(np.isfinite(f)):
@@ -144,7 +149,7 @@ class NodeGraph:
                 return np.stack([np.bincount(nodes, weights=ends[:, k], minlength=self.n)
                                  for k in range(width)], axis=-1)
             d_f, d_m = d[:, :widths[t]], d[:, widths[t]:]
-            return d_f + self.adjacency @ (d_m * weights[:, None])
+            return d_f + self.stats.product(d_m * weights[:, None])
 
         return pull
 

@@ -8,7 +8,9 @@ nodes, normalized by the common-neighbor fraction c(i, j):
     f_ij <- upd(f_ij, m_ij)
 
 For the neighbor-projection message this reduces to adjacency matrix
-products per feature channel, the fast path that makes n = 8192 feasible.
+products per feature channel, the fast path that makes n = 8192 feasible;
+every product is ``GraphStats.product``, which widens the bool adjacency
+one row strip at a time.
 Pair features are exactly symmetric, which ``PairGraph.forward`` uses
 three ways: one product A F per channel gives both F A and A F; from the
 all-ones start the first message needs no product; and each update net
@@ -277,7 +279,9 @@ class PairGraph:
     ``stats`` and shared: layer 0's count classes, the neighbor lists and
     the map of the last pass queried at pairs. The message weights are no
     array: ``weights`` forms them from the float32 counts at each tile,
-    row strip, row or set of pairs a pass reads.
+    row strip, row or set of pairs a pass reads. Every product with the
+    adjacency is ``stats.product``; the neighbor lists and the messages
+    other than the neighbor projection read the bool adjacency itself.
     Each update net runs on its layer's rows, and ``row_inv`` maps every
     pair to its row. ``forward`` serves every caller:
     the dense sweeps (through ``gmpnn_pair``), scoring at queried pairs,
@@ -409,8 +413,9 @@ class PairGraph:
         from here, a queried last layer's without a map included.
 
         For the neighbor projection and symmetric F and A, F A = (A F)^T,
-        so each channel costs one product Y = A F_k, written straight into
-        its message slice and symmetrized there tile by tile:
+        so each channel costs one product Y = A F_k (``stats.product``),
+        written straight into its message slice and symmetrized there tile
+        by tile:
         m_k = (Y + Y^T) W. From all ones Y is the degree D_i in row i and
         needs no product; D_i + D_j is an exact integer, so layer 0's
         message is bitwise (D_i + D_j) W_ij.
@@ -424,7 +429,7 @@ class PairGraph:
             if f is None:
                 mk[...] = self.stats.degree_counts[:, None]
             else:
-                np.matmul(self.adjacency, f[:, :, k], out=mk)
+                self.stats.product(f[:, :, k], out=mk)
             _symmetrize(mk, self.weights)
         return m
 
@@ -541,7 +546,7 @@ class PairGraph:
         the i <= j pairs under it) scatters the message gradients to an
         n x n matrix G. The message (Y + Y^T) W of Y = A F pulls back to
         A ((G + G^T) W): ``_symmetrize`` weights G in place, as it does
-        every forward message, and one product with A follows. A second
+        every forward message, and one ``stats.product`` follows. A second
         bincount over the layer below's ``inv`` sums that gradient onto its
         rows: d_ij + d_ji for an i <= j row, the sum over its pairs for a
         count class.
@@ -561,7 +566,7 @@ class PairGraph:
             for k in range(width):
                 g = np.bincount(flat, weights=d[:, width + k], minlength=n * n).reshape(n, n)
                 _symmetrize(g, self.weights)
-                dense = self.adjacency @ g
+                dense = self.stats.product(g)
                 dense += np.bincount(flat, weights=d[:, k],
                                      minlength=n * n).reshape(n, n)
                 delta.append(np.bincount(inv, weights=dense.ravel()))
@@ -603,7 +608,7 @@ def cmpnn_pair_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
         f = np.asarray(init, dtype=float)
         if f.ndim == 2:
             f = f[:, :, None]
-        if f.shape[:2] != (r, r) or f.shape[2] != width0:
+        if f.shape != (r, r, width0):
             raise ValueError(f"init must be ({r}, {r}, {width0})")
         f = f.copy()  # C order, whatever the layout of ``init``
     pi = spec.block_mass

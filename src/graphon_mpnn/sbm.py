@@ -169,7 +169,12 @@ def isomorphic_block_pairs(spec: SbmSpec) -> list:
 
 @dataclass(frozen=True)
 class SampledGraph:
-    """One graph drawn from an SbmSpec. Arrays are read-only after sampling."""
+    """One graph drawn from an SbmSpec. Arrays are read-only after sampling.
+
+    ``adjacency`` is the symmetric 0/1 matrix as an n x n bool array, one
+    byte per node pair; ``GraphStats.product`` is the one place that reads
+    it as float64.
+    """
 
     n: int
     positions: np.ndarray
@@ -178,10 +183,24 @@ class SampledGraph:
     node_features: np.ndarray
     seed: int
 
-    def with_adjacency(self, adjacency: np.ndarray) -> "SampledGraph":
-        """Copy of this graph with edges replaced (e.g. after hiding some)."""
-        adjacency = _freeze(np.asarray(adjacency, dtype=float))
-        return dataclasses.replace(self, adjacency=adjacency)
+    def with_adjacency(self, adjacency) -> "SampledGraph":
+        """Copy of this graph with edges replaced (e.g. after hiding some).
+
+        ``adjacency`` may have any dtype, but must be an n x n symmetric
+        0/1 matrix with a zero diagonal (else ValueError); it is stored as
+        a bool copy.
+        """
+        a = np.asarray(adjacency)
+        if a.shape != (self.n, self.n):
+            raise ValueError(f"adjacency must be ({self.n}, {self.n}), got {a.shape}")
+        if a.dtype != bool and not np.all((a == 0) | (a == 1)):
+            raise ValueError("adjacency entries must be 0 or 1")
+        a = a.astype(bool)
+        if a.diagonal().any():
+            raise ValueError("adjacency must have a zero diagonal")
+        if not np.array_equal(a, a.T):
+            raise ValueError("adjacency must be symmetric")
+        return dataclasses.replace(self, adjacency=_freeze(a))
 
     def edge_list(self) -> np.ndarray:
         """(m, 2) array of undirected edges i < j, row-major: each row
@@ -189,15 +208,15 @@ class SampledGraph:
         a strip."""
         strips = []
         for lo in range(0, self.n, _MIRROR_ROWS):
-            i, j = np.nonzero(self.adjacency[lo : lo + _MIRROR_ROWS, lo:] > 0)
+            i, j = np.nonzero(self.adjacency[lo : lo + _MIRROR_ROWS, lo:])
             upper = j > i
             strips.append(np.column_stack([i[upper], j[upper]]) + lo)
         return np.concatenate(strips)
 
 
-#: Rows per strip of the sampler's mirror copy and of ``edge_list``: a
-#: 128-row strip of the upper triangle is copied into the lower one while
-#: it is still in cache.
+#: Rows per strip of the sampler and of ``edge_list``: the sampler draws a
+#: 128-row strip of the upper triangle into one reused bool buffer and
+#: copies it, and its transpose, into the adjacency while it is in cache.
 _MIRROR_ROWS = 128
 
 
@@ -209,6 +228,8 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
     (spec, n, seed). Each unordered pair {i, j} with i < j receives a
     single coin mirrored to both adjacency entries; the diagonal stays 0.
     Rows are drawn in order, row i taking its n - 1 - i coins for j > i.
+    The adjacency is bool: the sampler's working set is the n^2 bytes of
+    the result and one strip of 128 rows.
     """
     if n < 2:
         raise PreconditionError(f"need n >= 2, got {n}")
@@ -218,20 +239,28 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
 
     # thresholds[a, j] is the edge probability between block a and node j.
     thresholds = spec.S[:, block_of]
-    adj = np.zeros((n, n), dtype=float)
+    adj = np.empty((n, n), dtype=bool)
+    buffer = np.empty((_MIRROR_ROWS, n), dtype=bool)
+    above = np.triu(np.ones((_MIRROR_ROWS, _MIRROR_ROWS), dtype=bool), 1)
     edges_rng = stream(seed, "edges")
     for i0 in range(0, n, _MIRROR_ROWS):
         i1 = min(i0 + _MIRROR_ROWS, n)
+        h = i1 - i0
+        strip = buffer[:h, : n - i0]  # rows i0..i1, columns i0..n
         for i in range(i0, min(i1, n - 1)):
             z = edges_rng.random(n - 1 - i)
-            np.less(z, thresholds[block_of[i], i + 1 :], out=adj[i, i + 1 :])
-        # The strip's rows are complete: mirror it in place. The diagonal
-        # tile adds its transpose to its all-zero lower half; the part right
-        # of the tile is copied into the columns below it, which later rows
-        # never write. Only the tile needs a temporary, never an n x n one.
-        tile = adj[i0:i1, i0:i1]
-        tile += tile.T
-        adj[i1:, i0:i1] = adj[i0:i1, i1:].T
+            np.less(z, thresholds[block_of[i], i + 1 :], out=strip[i - i0, i - i0 + 1 :])
+        # The strip's rows are complete right of the diagonal. Its diagonal
+        # tile keeps its upper half and mirrors it into the lower one; the
+        # strip is copied into its rows from column i0 on, and its part
+        # right of the tile, transposed, into the columns below the tile,
+        # which later strips never write. Columns left of i0 came from
+        # earlier strips.
+        tile = strip[:, :h]
+        tile &= above[:h, :h]
+        tile |= tile.T
+        adj[i0:i1, i0:] = strip
+        adj[i1:, i0:i1] = strip[:, h:].T
 
     features = spec.B[block_of]
     return SampledGraph(
@@ -244,25 +273,47 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
     )
 
 
-class GraphStats:
-    """The exact neighbor and common-neighbor counts of one graph.
+#: Entries of the float64 row strip ``GraphStats.product`` widens the bool
+#: adjacency into: 2**21, 16 MiB, so 1048 rows at n = 2000, 512 at
+#: n = 4096 and 256 at n = 8192, and a graph of up to 1448 nodes fits in
+#: one strip, which is widened once. Twice that covered n = 2000 whole and
+#: raised the peak memory of a link-prediction table run at n = 2000 by 6%;
+#: strips of 256 rows make the n^3 product at n = 8192 about 20% slower
+#: than the whole matrix, where 512 rows cost 3 to 8%.
+_STRIP_ENTRIES = 1 << 21
 
-    ``degree_counts[i] = sum_j A_ij`` in float64. ``common_neighbors[i, j]
-    = sum_z A_iz A_jz``, zero included, is computed lazily (it is an n x n
-    product) and cached. Each engine derives its own normalization from
-    these counts.
+
+class GraphStats:
+    """The exact neighbor and common-neighbor counts of one graph, and its
+    adjacency products.
+
+    ``degree_counts[i] = sum_j A_ij`` in float64, counted exactly.
+    ``common_neighbors[i, j] = sum_z A_iz A_jz``, zero included, is computed
+    lazily (it is an n x n product) and cached. Each engine derives its own
+    normalization from these counts.
 
     The common-neighbor counts are taken in float32 as ``A Aᵀ`` (equal to
     ``A A`` for the symmetric 0/1 adjacency), which BLAS runs as a
     symmetric rank-k update. They are exact while n < 2**24: every partial
     sum is an integer no larger than n.
+
+    ``product(x)`` is every ``A @ x`` of the engines. The bool adjacency is
+    widened to float64 one row strip of ``_STRIP_ENTRIES`` entries at a
+    time, into one buffer the stats own, and the strip last widened is
+    kept: a graph that fits in one strip is widened once, here, and each
+    product is then one whole-matrix BLAS call.
     """
 
     def __init__(self, graph: SampledGraph):
         self._graph = graph
-        self.n = graph.n
-        self.degree_counts = _freeze(graph.adjacency.sum(axis=1))
+        self.n = n = graph.n
+        self.degree_counts = _freeze(np.count_nonzero(graph.adjacency, axis=1).astype(float))
         self._common = None
+        self._rows = max(1, min(n, _STRIP_ENTRIES // n))
+        self._strip = None
+        self._strip_start = None
+        if self._rows == n:
+            self._widened(0)
 
     @property
     def common_neighbors(self) -> np.ndarray:
@@ -270,6 +321,30 @@ class GraphStats:
             a32 = self._graph.adjacency.astype(np.float32)
             self._common = _freeze(a32 @ a32.T)
         return self._common
+
+    def _widened(self, start: int) -> np.ndarray:
+        """Rows ``start`` on of the adjacency, one strip's worth, as float64
+        in the strip buffer."""
+        rows = self._graph.adjacency[start : start + self._rows]
+        if self._strip is None:
+            self._strip = np.empty((self._rows, self.n))
+        strip = self._strip[: len(rows)]
+        if self._strip_start != start:
+            np.copyto(strip, rows)
+            self._strip_start = start
+        return strip
+
+    def product(self, x, out=None) -> np.ndarray:
+        """``A @ x`` for a float64 (n, k) ``x``, written into ``out`` when
+        given, one row strip at a time. Where one strip covers the graph it
+        is the whole-matrix product. Else a strip's rows may differ from it
+        at rounding level, at sizes where BLAS takes other edge kernels for
+        the strip than for the whole matrix."""
+        if out is None:
+            out = np.empty((self.n, x.shape[1]))
+        for start in range(0, self.n, self._rows):
+            np.matmul(self._widened(start), x, out=out[start : start + self._rows])
+        return out
 
 
 def graph_stats(graph: SampledGraph) -> GraphStats:

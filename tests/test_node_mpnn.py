@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,22 @@ class TestNodeEngine:
         np.add.at(expected, pairs[:, 0], d[:, :3])
         np.add.at(expected, pairs[:, 1], d[:, 3:])
         assert np.array_equal(ng._pull(mpnn, pairs)(mpnn.depth, d), expected)
+
+    def test_pass_holds_no_float64_adjacency(self, convergence_spec):
+        # the products widen the bool adjacency one row strip at a time:
+        # the 1024-row strip (0.5 n^2 floats) and the features read
+        # 0.52 n^2 floats at n = 2048, where a float64 copy of A is n^2
+        n = 2048
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        mpnn = graphsage_mpnn([1, 8, 8], update_hidden=10, seed=0)
+        tracemalloc.start()
+        try:
+            gmpnn_node(g, stats, mpnn, init="degree")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * n * n * 8
 
     def test_record_needs_pairs_and_update_nets(self, convergence_spec):
         g = sample_graph(convergence_spec, 20, seed=0)

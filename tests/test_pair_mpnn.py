@@ -599,6 +599,11 @@ class TestContinuous:
         out = cmpnn_pair_sbm(convergence_spec, fixed_psi_mpnn(50))
         assert np.max(np.abs(out[:, :, 0] - convergence_spec.S)) < 1e-6
 
+    @pytest.mark.parametrize("shape", [(3, 3, 1, 2), (3, 3, 2), (3, 2), (3,)])
+    def test_init_of_another_shape_is_rejected(self, convergence_spec, shape):
+        with pytest.raises(ValueError, match=r"init must be \(3, 3, 1\)"):
+            cmpnn_pair_sbm(convergence_spec, fixed_psi_mpnn(1), init=np.ones(shape))
+
     def test_zero_common_neighbors_is_hard_error(self):
         spec = SbmSpec(block_mass=[0.5, 0.5], S=np.eye(2), B=np.ones((2, 1)))
         with pytest.raises(PreconditionError):

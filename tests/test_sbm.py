@@ -16,13 +16,19 @@ from graphon_mpnn import (
 )
 from graphon_mpnn.pair_mpnn import _TILE as TILE, pair_message_weights
 from graphon_mpnn.rng import stream
-from graphon_mpnn.sbm import BlockPairPool, read_spec_file, write_edge_list, write_spec_file
+from graphon_mpnn.sbm import (
+    _STRIP_ENTRIES,
+    BlockPairPool,
+    read_spec_file,
+    write_edge_list,
+    write_spec_file,
+)
 
 from oracles import common_neighbors_oracle, message_weights_oracle, sample_graph_oracle
 
 
 def graph_from_adjacency(adj):
-    adj = np.asarray(adj, dtype=float)
+    adj = np.asarray(adj, dtype=bool)
     n = adj.shape[0]
     from graphon_mpnn.sbm import SampledGraph, _freeze
 
@@ -178,6 +184,24 @@ class TestSampling:
                 assert np.array_equal(g.adjacency, g.adjacency.T)
                 assert np.all(np.diag(g.adjacency) == 0.0)
 
+    def test_adjacency_is_one_byte_per_pair(self, convergence_spec):
+        g = sample_graph(convergence_spec, 300, seed=0)
+        assert g.adjacency.dtype == bool and not g.adjacency.flags.writeable
+
+    def test_working_set_is_the_bool_adjacency_and_one_strip(self, convergence_spec):
+        # the n^2 bytes of the result, a 128-row bool strip and row-sized
+        # temporaries: 1.23 n^2 bytes at n = 1024, where the float64
+        # sampler held 8 n^2
+        n = 1024
+        sample_graph(convergence_spec, 16, seed=0)  # first-call imports
+        tracemalloc.start()
+        try:
+            sample_graph(convergence_spec, n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n
+
     def test_rejects_tiny_n(self, convergence_spec):
         from graphon_mpnn import PreconditionError
 
@@ -226,6 +250,88 @@ class TestBlockPairPool:
         assert pool.size == 16 and pool.offsets.tolist() == [0, 0, 16]
         i, j = pool.pairs([0, 6, 15])
         assert i.tolist() == [0, 1, 3] and j.tolist() == [0, 2, 3]
+
+
+class TestWithAdjacency:
+    """with_adjacency stores a bool copy of a symmetric 0/1 matrix with a
+    zero diagonal and rejects any other matrix."""
+
+    def test_stores_a_bool_copy(self, convergence_spec):
+        g = sample_graph(convergence_spec, 20, seed=1)
+        a = g.adjacency.astype(float)
+        a[0, :] = a[:, 0] = 0.0
+        h = g.with_adjacency(a)
+        assert h.adjacency.dtype == bool and not h.adjacency.flags.writeable
+        assert np.array_equal(h.adjacency, a)
+        a[1, 2] = a[2, 1] = 1.0 - a[1, 2]  # the caller's array stays its own
+        assert not np.array_equal(h.adjacency, a)
+
+    @pytest.mark.parametrize("name", ["weights", "nan", "asymmetric", "diagonal",
+                                      "not square", "other size", "three axes"])
+    def test_rejects(self, convergence_spec, name):
+        g = sample_graph(convergence_spec, 20, seed=1)
+        a = g.adjacency.astype(float)
+        if name == "weights":
+            a[a == 1.0] = 0.5
+        elif name == "nan":
+            a[0, 1] = a[1, 0] = np.nan
+        elif name == "asymmetric":
+            a[0, 1], a[1, 0] = 1.0, 0.0
+        elif name == "diagonal":
+            a[3, 3] = 1.0
+        elif name == "not square":
+            a = a[:, :19]
+        elif name == "other size":
+            a = np.zeros((21, 21))
+        else:
+            a = a[:, :, None]
+        with pytest.raises(ValueError):
+            g.with_adjacency(a)
+
+
+class TestProduct:
+    """GraphStats.product widens the bool adjacency strip by strip; it is
+    the whole-matrix product bit for bit where one strip covers the graph
+    and at every size a benchmark workload runs, and within rounding
+    elsewhere."""
+
+    @staticmethod
+    def products(convergence_spec, n, width):
+        g = sample_graph(convergence_spec, n, seed=0)
+        x = np.random.default_rng(width).standard_normal((n, width))
+        return graph_stats(g).product(x), g.adjacency.astype(float) @ x
+
+    @pytest.mark.parametrize("n", [131, 500, 1024])
+    def test_one_strip_is_the_whole_matrix(self, convergence_spec, n):
+        assert n * n <= _STRIP_ENTRIES
+        for width in (1, 8):
+            got, want = self.products(convergence_spec, n, width)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, width", [(2000, 1), (2000, 8), (4096, 1), (4096, 8),
+                                          (2048, 2048)])
+    def test_strips_at_workload_sizes_are_bitwise(self, convergence_spec, n, width):
+        assert n * n > _STRIP_ENTRIES
+        got, want = self.products(convergence_spec, n, width)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1449, 3000])
+    def test_strips_elsewhere_agree_to_rounding(self, convergence_spec, n):
+        assert n * n > _STRIP_ENTRIES
+        for width in (1, 8):
+            got, want = self.products(convergence_spec, n, width)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_writes_into_strided_out(self, convergence_spec):
+        n = 1500
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        x = np.random.default_rng(0).standard_normal((n, 3))
+        want = stats.product(x)
+        out = np.full((n, 5), np.nan)
+        stats.product(x, out=out[:, 1:4])  # strided columns, as the engines write
+        assert np.array_equal(out[:, 1:4], want)
+        assert np.isnan(out[:, [0, 4]]).all()
 
 
 class TestGraphStats:
