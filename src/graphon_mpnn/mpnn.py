@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError
 from .nn import FeedForwardNet, init_net, lipschitz_upper_bound
 
 NEIGHBOR_AVERAGE = "neighbor_average"
@@ -205,6 +205,17 @@ def require_tape(mpnn: Mpnn, pairs, engine: str) -> None:
             f"backprop through the {engine} recursion needs queried pairs, "
             "neighbor-projection messages and net updates"
         )
+
+
+def require_finite(values: np.ndarray, engine: str) -> None:
+    """Raise NumericalError unless every entry of ``values`` is finite.
+
+    NaN propagates through ``min`` and ``max``, and an infinity of either
+    sign is one of them, so the two reductions accept exactly the arrays
+    that ``np.all(np.isfinite(values))`` accepts, with no mask as large as
+    ``values``. An empty array passes."""
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise NumericalError(f"non-finite {engine} features during message passing")
 
 
 @dataclass(frozen=True)

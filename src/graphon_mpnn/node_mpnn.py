@@ -18,8 +18,9 @@ import logging
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError
-from .mpnn import NEIGHBOR_AVERAGE, Mpnn, Tape, block_recursion, require_tape, update_rows
+from .errors import PreconditionError
+from .mpnn import (NEIGHBOR_AVERAGE, Mpnn, Tape, block_recursion, require_finite, require_tape,
+                   update_rows)
 from .sbm import GraphStats, SampledGraph, SbmSpec, graphon_degree
 
 log = logging.getLogger(__name__)
@@ -124,8 +125,7 @@ class NodeGraph:
             _message_sum(self.stats, self.adjacency, f, message, weights, out=u[:, width:])
             f, cache = update_rows(update, u, record)
             caches.append(cache)
-            if not np.all(np.isfinite(f)):
-                raise NumericalError("non-finite node features during message passing")
+            require_finite(f, "node")
         if pairs is None:
             return f, None
         pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)

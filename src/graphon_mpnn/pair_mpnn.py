@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError
+from .errors import PreconditionError
 from .mpnn import (
     Mpnn,
     NeighborProjection,
@@ -43,6 +43,7 @@ from .mpnn import (
     RatioUpdate,
     Tape,
     block_recursion,
+    require_finite,
     require_tape,
     update_rows,
 )
@@ -107,8 +108,9 @@ def learnable_psi_mpnn(T: int, hidden: int = 5, seed=0) -> Mpnn:
 
 class PairWeights:
     """The message weights W_ij = 1 / (2n c_ij) of the common-neighbor
-    fraction c_ij = CN_ij / n, as a function of the float32 counts: W is
-    formed where it is read and no n x n array of it is held.
+    fraction c_ij = CN_ij / n, as a function of the integer counts that
+    ``GraphStats`` holds (two bytes per pair): W is formed in float64 where
+    it is read and no n x n array of it is held.
 
     ``weights[index]`` is W at ``counts[index]`` for any numpy index of the
     n x n counts: a tile, a row strip, a row or pairs. ``of`` forms W from
@@ -136,7 +138,7 @@ class PairWeights:
 
 def pair_message_weights(stats: GraphStats) -> PairWeights:
     """The message weights of the graph that ``stats`` counts, as a
-    function of its float32 common-neighbor counts (``PairWeights``): it
+    function of its integer common-neighbor counts (``PairWeights``): it
     reads ``stats.common_neighbors`` once and allocates no n x n array."""
     return PairWeights(stats.common_neighbors, stats.n)
 
@@ -180,11 +182,6 @@ def _require_size(n: int, mpnn: Mpnn) -> None:
     cap = N_MAX_SYMBOLIC if mpnn.all_symbolic else N_MAX_GENERAL
     if n > cap:
         raise PreconditionError(f"pair recursion capped at n <= {cap}, got n = {n}")
-
-
-def _require_finite(values) -> None:
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("non-finite pair features during message passing")
 
 
 def _blocks(starts: np.ndarray, total: int) -> np.ndarray:
@@ -278,7 +275,7 @@ class PairGraph:
     What every pass reads of the graph is computed once from the counts in
     ``stats`` and shared: layer 0's count classes, the neighbor lists and
     the map of the last pass queried at pairs. The message weights are no
-    array: ``weights`` forms them from the float32 counts at each tile,
+    array: ``weights`` forms them from the integer counts at each tile,
     row strip, row or set of pairs a pass reads. Every product with the
     adjacency is ``stats.product``; the neighbor lists and the messages
     other than the neighbor projection read the bool adjacency itself.
@@ -341,11 +338,18 @@ class PairGraph:
     @cached_property
     def neighbors(self) -> tuple:
         """The neighbor lists as ``(indptr, indices)``: node i's neighbors,
-        ascending, are ``indices[indptr[i]:indptr[i + 1]]``."""
-        rows, cols = np.nonzero(self.adjacency)
-        indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        return indptr, cols
+        ascending, are ``indices[indptr[i]:indptr[i + 1]]``. ``indptr`` is
+        the running sum of the degree counts, and the int32 ``indices`` are
+        filled one strip of _TILE rows at a time, so that no index array of
+        every edge is formed."""
+        n = self.n
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(self.stats.degree_counts.astype(np.intp), out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        for lo in range(0, n, _TILE):
+            hi = min(lo + _TILE, n)
+            indices[indptr[lo] : indptr[hi]] = np.nonzero(self.adjacency[lo:hi])[1]
+        return indptr, indices
 
     def neighbor_keys(self, lo, hi) -> np.ndarray:
         """For each pair (lo, hi), the flat indices a n + z of its message's
@@ -437,21 +441,28 @@ class PairGraph:
         """The map of a pass of ``mpnn`` queried at ``pairs``, or None where
         the dense messages serve: for one layer, a message other than the
         neighbor projection, or more than _MAP_C n^2 entries (_MAP_C_ONCE
-        n^2 for a pass that is not recorded). Its source is the rows of
-        the layer below, or its dense features below a closed-form update.
-        The last map built is kept and serves every pass at the same pairs
-        from the same kind of source."""
+        n^2 for a pass that is not recorded).
+
+        Its source, its ``kind``, is the rows of the layer below: layer 0's
+        count classes when that layer is layer 0 with the neighbor
+        projection, whatever its update, closed form included; else the
+        i <= j rows of a net, or the dense features of a closed-form
+        update. The last map built is kept and serves every pass at the
+        same pairs from the same kind of source, so the learnable and the
+        fixed two-layer pass share one."""
         last = mpnn.depth - 1
         entries = self.stats.degree_counts[pairs].sum()
         if (last == 0 or not mpnn.layers[last][0].is_neighbor_projection
                 or entries > (_MAP_C if record else _MAP_C_ONCE) * self.n ** 2):
             return None
         message, update = mpnn.layers[last - 1]
-        kind = "dense" if update.net is None else self._row_kind(last - 1, message)
+        kind = self._row_kind(last - 1, message)
+        if kind == "upper" and update.net is None:
+            kind = "dense"
         kept = self._map
         if kept is None or kept.kind != kind or not np.array_equal(kept.pairs, pairs):
             self._map = None  # release the old map before building the new
-            inv = None if update.net is None else self.row_inv(last - 1, message)
+            inv = None if kind == "dense" else self.row_inv(last - 1, message)
             self._map = _QueryMap(self, pairs, inv, kind)
         return self._map
 
@@ -464,18 +475,20 @@ class PairGraph:
         are exactly symmetric: an update net runs on its layer's rows (one
         per count class in layer 0, one per i <= j pair after), and the
         dense features are gathered as ``out[inv]``; closed-form updates
-        run elementwise on the dense tensor.
+        run elementwise on the dense tensor, but for layer 0 under a map
+        of kind "classes", which runs on the class rows as a net does.
         With ``record``, ``pairs`` is required and tape is the ``Tape`` to
         backpropagate through; otherwise tape is None.
 
         A queried last layer reads the layer below through the map of
         ``_query_map`` where one serves: E gathered rows and one segmented
-        sum, O(E) for E = sum over the pairs of (D_i + D_j). The rows of a
-        net below it are then never expanded to ``out[inv]``, so a
-        two-layer pass at queried pairs does no n x n work once layer 0's
-        classes and the map are built. Otherwise the last layer's dense
-        messages (``dense_messages``, in the pass's buffer ``m``) are read
-        at the pairs.
+        sum, O(E) for E = sum over the pairs of (D_i + D_j). The rows
+        below it, a net's or layer 0's count classes, are then never
+        expanded to ``out[inv]``, so a two-layer pass at queried pairs,
+        learnable or fixed, holds no n x n float array and does no n x n
+        work once layer 0's classes and the map are built. Otherwise the
+        last layer's dense messages (``dense_messages``, in the pass's
+        buffer ``m``) are read at the pairs.
 
         The dense layers hold one feature buffer ``f`` and one message
         buffer ``m`` for the whole pass. When layer 0's message is the
@@ -514,11 +527,12 @@ class PairGraph:
                     u[:, width:] = m[i, j]
                 out, cache = update_rows(update, u, record)
                 caches.append(cache)
-                _require_finite(out)
+                require_finite(out, "pair")
                 if not record:
                     return out, None
                 return out, Tape(mpnn, caches, self._pull(mpnn, pairs, qmap))
-            if update.net is None:
+            below = qmap is not None and t == last - 1  # the map reads this layer's rows
+            if update.net is None and not (below and qmap.kind == "classes"):
                 m = self.dense_messages(f, message, m)
                 if f is None:
                     f, m = update(1.0, m, out=m), None
@@ -526,13 +540,12 @@ class PairGraph:
                     f = update(f, m, out=f)
             else:
                 u = self.row_inputs(f, message, m)
-                f = m = None  # only the joined rows are alive while the net runs
+                f = m = None  # only the joined rows are alive while the update runs
                 out, cache = update_rows(update, u, record)
                 del u
                 caches.append(cache)
-                # the map below a queried layer reads these rows as they are
-                f = out if qmap is not None and t == last - 1 else out[self.row_inv(t, message)]
-            _require_finite(f)
+                f = out if below else out[self.row_inv(t, message)]
+            require_finite(f, "pair")
         return f, None
 
     def _pull(self, mpnn: Mpnn, pairs: np.ndarray, qmap):

@@ -237,18 +237,23 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
     positions = stream(seed, "positions").random(n)
     block_of = np.searchsorted(spec.boundaries[:-1], positions, side="right")
 
-    # thresholds[a, j] is the edge probability between block a and node j.
-    thresholds = spec.S[:, block_of]
+    # thresholds[a, j] is the edge probability between block a and node j,
+    # on the integer scale of the coins: ``Generator.random`` is the raw
+    # word's top 53 bits times 2**-53, and for such a v and p in [0, 1],
+    # v 2**-53 < p exactly when v < ceil(p 2**53), so comparing the words
+    # draws the same coins bit for bit.
+    thresholds = np.ceil(spec.S * 2.0 ** 53).astype(np.uint64)[:, block_of]
     adj = np.empty((n, n), dtype=bool)
     buffer = np.empty((_MIRROR_ROWS, n), dtype=bool)
     above = np.triu(np.ones((_MIRROR_ROWS, _MIRROR_ROWS), dtype=bool), 1)
-    edges_rng = stream(seed, "edges")
+    words = stream(seed, "edges").bit_generator
     for i0 in range(0, n, _MIRROR_ROWS):
         i1 = min(i0 + _MIRROR_ROWS, n)
         h = i1 - i0
         strip = buffer[:h, : n - i0]  # rows i0..i1, columns i0..n
         for i in range(i0, min(i1, n - 1)):
-            z = edges_rng.random(n - 1 - i)
+            z = words.random_raw(n - 1 - i)
+            z >>= 11
             np.less(z, thresholds[block_of[i], i + 1 :], out=strip[i - i0, i - i0 + 1 :])
         # The strip's rows are complete right of the diagonal. Its diagonal
         # tile keeps its upper half and mirrors it into the lower one; the
@@ -295,7 +300,9 @@ class GraphStats:
     The common-neighbor counts are taken in float32 as ``A Aᵀ`` (equal to
     ``A A`` for the symmetric 0/1 adjacency), which BLAS runs as a
     symmetric rank-k update. They are exact while n < 2**24: every partial
-    sum is an integer no larger than n.
+    sum is an integer no larger than n. They are held as ``uint16``, two
+    bytes per node pair (``uint32`` past n = 65535, where a count may not
+    fit), and the float32 product is freed once converted.
 
     ``product(x)`` is every ``A @ x`` of the engines. The bool adjacency is
     widened to float64 one row strip of ``_STRIP_ENTRIES`` entries at a
@@ -319,7 +326,10 @@ class GraphStats:
     def common_neighbors(self) -> np.ndarray:
         if self._common is None:
             a32 = self._graph.adjacency.astype(np.float32)
-            self._common = _freeze(a32 @ a32.T)
+            counts = a32 @ a32.T
+            del a32
+            dtype = np.uint16 if self.n <= np.iinfo(np.uint16).max else np.uint32
+            self._common = _freeze(counts.astype(dtype))
         return self._common
 
     def _widened(self, start: int) -> np.ndarray:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 
 def parallel_map(fn, tasks, jobs: int = 1) -> list:
     """Map preserving task order; jobs <= 1 runs in-process.
@@ -14,6 +12,10 @@ def parallel_map(fn, tasks, jobs: int = 1) -> list:
     tasks = list(tasks)
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: the pool's module takes about 20 ms to import, which
+    # a run without workers would pay at start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphon_mpnn import (
+    NumericalError,
     PreconditionError,
     SbmSpec,
     cmpnn_node_sbm,
@@ -213,6 +214,18 @@ class TestNodeEngine:
         recorded, tape = ng.forward(mpnn, pairs, record=True)
         assert tape is not None
         np.testing.assert_array_equal(recorded, expected)
+
+    @pytest.mark.parametrize("queried", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_raise(self, convergence_spec, bad, queried):
+        # the engines share one check: an output bias of ``bad`` makes the
+        # layer's features non-finite
+        g = sample_graph(convergence_spec, 40, seed=0)
+        mpnn = graphsage_mpnn([1, 3], seed=0)
+        mpnn.layers[0][1].net.biases[-1][1] = bad
+        pairs = queried_pairs(40, 10, seed=0) if queried else None
+        with pytest.raises(NumericalError, match="non-finite node features"):
+            NodeGraph(g, graph_stats(g), init="degree").forward(mpnn, pairs)
 
     @pytest.mark.parametrize("aggregation", ["neighbor_average", "n_normalized_sum"])
     @pytest.mark.parametrize("T", [1, 2, 3])

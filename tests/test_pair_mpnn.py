@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphon_mpnn import (
+    NumericalError,
     PreconditionError,
     SbmSpec,
     cmpnn_pair_sbm,
@@ -13,7 +14,8 @@ from graphon_mpnn import (
     graph_stats,
     sample_graph,
 )
-from graphon_mpnn.mpnn import EPS_DIV, Mpnn, NeighborProjection, NetFunction, RatioUpdate
+from graphon_mpnn.mpnn import (EPS_DIV, Mpnn, NeighborProjection, NetFunction, RatioUpdate,
+                               require_finite)
 from graphon_mpnn import pair_mpnn
 from graphon_mpnn.analysis import delta_pair
 from graphon_mpnn.nn import init_net
@@ -232,6 +234,50 @@ class TestPairEngine:
         numeric = finite_difference_gradients(loss, params)
         assert max_relative_error(analytic, numeric) < 1e-6
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finiteness_check_reads_min_and_max(self, bad):
+        # one bad entry anywhere among finite ones, of either sign, is
+        # caught; an empty array, such as zero queried pairs, passes
+        for at in (0, 7, 23):
+            values = np.linspace(-3.0, 3.0, 24).reshape(8, 3)
+            values.flat[at] = bad
+            with pytest.raises(NumericalError, match="non-finite pair features"):
+                require_finite(values, "pair")
+        require_finite(np.linspace(-3.0, 3.0, 24).reshape(8, 3), "pair")
+        require_finite(np.zeros((0, 1)), "pair")
+
+    # a dense pass, a queried pass through the map (30 pairs) and one
+    # without (4000 pairs); an output bias of ``bad`` in layer 0's or the
+    # last layer's update net makes that layer's rows non-finite
+    @pytest.mark.parametrize("count", [None, 30, 4000])
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_raise(self, convergence_spec, bad, layer, count):
+        g = sample_graph(convergence_spec, 60, seed=1)
+        mpnn = learnable_psi_mpnn(2, hidden=3, seed=0)
+        mpnn.layers[layer][1].net.biases[-1][0] = bad
+        pairs = None if count is None else queried_pairs(60, count, seed=0)
+        pg = PairGraph(g, graph_stats(g))
+        with pytest.raises(NumericalError, match="non-finite pair features"):
+            pg.forward(mpnn, pairs)
+        if count is not None:
+            assert (pg._map is not None) == (count == 30)
+
+    @pytest.mark.parametrize("mpnn", [fixed_psi_mpnn(2), learnable_psi_mpnn(2, hidden=3)])
+    def test_empty_pair_set_passes(self, convergence_spec, mpnn):
+        g = sample_graph(convergence_spec, 40, seed=0)
+        values, _ = PairGraph(g, graph_stats(g)).forward(mpnn, np.zeros((0, 2), dtype=int))
+        assert values.shape == (0, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, pair_mpnn._TILE - 1, pair_mpnn._TILE + 1, 300])
+    def test_neighbor_lists_are_nonzero_in_int32(self, convergence_spec, n):
+        g = graph_with_isolated_node(convergence_spec, n)
+        indptr, indices = PairGraph(g, graph_stats(g)).neighbors
+        rows, cols = np.nonzero(g.adjacency)
+        assert indices.dtype == np.int32
+        assert np.array_equal(indices, cols)
+        assert indptr[0] == 0 and np.array_equal(np.diff(indptr), np.bincount(rows, minlength=n))
+
     def test_record_needs_pairs_and_update_nets(self, convergence_spec):
         g = sample_graph(convergence_spec, 20, seed=0)
         pg = PairGraph(g, graph_stats(g))
@@ -365,8 +411,58 @@ class TestQueryMap:
         assert pg._map is kept
         pg.forward(mpnn, pairs[:-1])
         assert pg._map is not kept and len(pg._map.pairs) == len(pairs) - 1
-        pg.forward(fixed_psi_mpnn(2), pairs[:-1])  # the dense features are its source
-        assert pg._map.kind == "dense"
+        kept = pg._map
+        # layer 0's count classes are the source of the fixed pass's map too
+        pg.forward(fixed_psi_mpnn(2), pairs[:-1])
+        assert pg._map is kept and kept.kind == "classes"
+        pg.forward(fixed_psi_mpnn(3), pairs[:-1])  # layer 1's dense features are its source
+        assert pg._map is not kept and pg._map.kind == "dense"
+
+    @pytest.mark.parametrize("n, count", [(60, 20), (300, 50)])
+    def test_fixed_map_reads_layer_0_by_class(self, convergence_spec, n, count):
+        # under a map, the closed-form layer 0 runs on the count classes,
+        # whose rows are the floats of its dense features: the values equal
+        # a map over the dense layer 0 bit for bit. The dense pass adds each
+        # pair's two neighbor sums apart, so it agrees at rounding level;
+        # where no map serves, the queried pass reads the dense one exactly
+        # (test_queried_pairs_match_dense)
+        g = sample_graph(convergence_spec, n, seed=1)
+        stats = graph_stats(g)
+        pairs = queried_pairs(n, count, seed=2)
+        pg = PairGraph(g, stats)
+        values, _ = pg.forward(fixed_psi_mpnn(2), pairs)
+        assert pg._map.kind == "classes"
+        f0 = gmpnn_pair(g, stats, fixed_psi_mpnn(1)).reshape(-1, 1)
+        dense_map = pair_mpnn._QueryMap(pg, pairs, None, "dense")
+        m = np.empty((len(pairs), 1))
+        dense_map.messages(f0, out=m)
+        assert np.array_equal(values, RatioUpdate(1)(f0[dense_map.own], m))
+        dense = gmpnn_pair(g, stats, fixed_psi_mpnn(2))[pairs[:, 0], pairs[:, 1]]
+        np.testing.assert_allclose(values, dense, rtol=1e-12, atol=0.0)
+
+    def test_queried_fixed_pass_holds_no_n_by_n_float_array(self, convergence_spec):
+        # layer 0 runs on its count classes and the map reads their rows:
+        # the int32 class map (0.5 n^2 floats) and its build read 0.82 n^2
+        # floats at n = 2000, where a dense layer 0 and an n x n finiteness
+        # mask read 1.78
+        n = 2000
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        stats.common_neighbors  # computed lazily; not part of the pass
+        pg = PairGraph(g, stats)
+        pairs = queried_pairs(n, 672, seed=0)
+        tracemalloc.start()
+        try:
+            pg.forward(fixed_psi_mpnn(2), pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pg._map.kind == "classes"
+        assert peak < n * n * 8
+        held = [v for value in vars(pg).values()
+                for v in (value if isinstance(value, tuple) else (value,))]
+        assert not [v for v in held if isinstance(v, np.ndarray) and v.dtype == np.float64
+                    and v.size >= n * n]
 
     def test_blocks_cut_at_segment_starts(self, monkeypatch):
         monkeypatch.setattr(pair_mpnn, "_MAP_BLOCK", 10)
@@ -529,9 +625,11 @@ class TestDenseBuffers:
             assert np.array_equal(dense[:, :, 0], reference_fixed_pass(g.adjacency, weights, T))
 
     def test_fixed_pass_working_set(self, convergence_spec):
-        # f and m: 2 n^2 floats, plus tile-sized temporaries; W is formed
-        # per tile from the counts (3.13 n^2 floats while W was an array)
-        n = 512
+        # f and m: 2 n^2 floats, plus 165 KiB of tile-sized temporaries,
+        # 2.02 n^2 at n = 1024; W is formed per tile from the counts (3.13
+        # n^2 floats while W was an array), and the finiteness check forms
+        # no n x n mask (2.13 n^2 floats with one)
+        n = 1024
         g = sample_graph(convergence_spec, n, seed=0)
         stats = graph_stats(g)
         stats.common_neighbors  # computed lazily; not part of the pass
@@ -541,7 +639,7 @@ class TestDenseBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * n * n * 8
+        assert peak <= 2.05 * n * n * 8
 
     def test_pair_net_pass_working_set(self, convergence_spec):
         # the update input [x, m] is gathered once into one (n^2 / 2, 2)

@@ -184,6 +184,23 @@ class TestSampling:
                 assert np.array_equal(g.adjacency, g.adjacency.T)
                 assert np.all(np.diag(g.adjacency) == 0.0)
 
+    @pytest.mark.parametrize("n", [3, 129, 500])
+    def test_integer_thresholds_at_probabilities_0_and_1(self, n):
+        # the sampler compares raw words with ceil(p 2**53): p = 1 is the
+        # threshold 2**53, which every word passes, p = 0 is 0, which none
+        # does, and 2**-53 passes only a zero word
+        S = [[1.0, 0.0, 2.0 ** -53], [0.0, 0.0, 1.0], [2.0 ** -53, 1.0, 1.0 - 2.0 ** -53]]
+        spec = SbmSpec(block_mass=[0.3, 0.3, 0.4], S=S, B=np.ones((3, 1)))
+        g = sample_graph(spec, n, seed=3)
+        block_of, adj = sample_graph_oracle(spec.block_mass.tolist(), S, n,
+                                            stream(3, "positions"), stream(3, "edges"))
+        assert np.array_equal(g.adjacency, adj)
+        first, second = g.block_of == 0, g.block_of == 1
+        assert np.all(g.adjacency[np.ix_(first, first)] == ~np.eye(first.sum(), dtype=bool))
+        assert not g.adjacency[np.ix_(first, second)].any()
+        assert not g.adjacency[np.ix_(second, second)].any()
+        assert np.all(g.adjacency[np.ix_(second, ~first & ~second)])
+
     def test_adjacency_is_one_byte_per_pair(self, convergence_spec):
         g = sample_graph(convergence_spec, 300, seed=0)
         assert g.adjacency.dtype == bool and not g.adjacency.flags.writeable
@@ -371,7 +388,7 @@ class TestGraphStats:
         stats = graph_stats(g)
         c = stats.common_neighbors
         a = g.adjacency.astype(np.int64)
-        assert c.dtype == np.float32
+        assert c.dtype == np.uint16  # two bytes per pair: every count is at most n - 1
         assert not c.flags.writeable
         assert np.array_equal(c, a @ a)
         assert np.array_equal(stats.degree_counts, a.sum(axis=1))
