@@ -66,10 +66,7 @@ def _hide_edges(graph: SampledGraph, fraction: float, rng) -> tuple:
     n_hide = int(math.floor(fraction * m))
     order = rng.permutation(m)
     hidden = edges[order[:n_hide]]
-    adj = graph.adjacency.copy()
-    adj[hidden[:, 0], hidden[:, 1]] = False
-    adj[hidden[:, 1], hidden[:, 0]] = False
-    return graph.with_adjacency(adj), hidden
+    return graph.without_edges(hidden), hidden
 
 
 def sample_across_block_nonedges(graph: SampledGraph, iso_pairs, count: int,
@@ -85,8 +82,7 @@ def sample_across_block_nonedges(graph: SampledGraph, iso_pairs, count: int,
     if not iso_pairs:
         raise PreconditionError("negative sampling needs a matched block pair")
     pool = BlockPairPool(graph, iso_pairs)
-    free = np.concatenate([~graph.adjacency[np.ix_(ia, jb)].ravel()
-                           for ia, jb in pool.blocks])
+    free = np.concatenate([~graph.submatrix(ia, jb).ravel() for ia, jb in pool.blocks])
     if free.sum() < count:
         raise PreconditionError(f"across-block non-edge pool has {free.sum()} pairs, need {count}")
     chosen = []

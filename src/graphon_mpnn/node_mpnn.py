@@ -46,11 +46,11 @@ def _require_width(f: np.ndarray, mpnn: Mpnn) -> None:
         )
 
 
-def _message_sum(stats, adjacency, features, message, row_weights, out):
+def _message_sum(stats, graph, features, message, row_weights, out):
     """Writes sum_j A_ij w_i msg(f_i, f_j) for all i into ``out`` (n, H):
     ``stats.product`` for the neighbor projection, else streamed over row
-    chunks of the bool ``adjacency``."""
-    n = adjacency.shape[0]
+    chunks of ``graph``'s adjacency, each unpacked to bool."""
+    n = graph.n
     if message.is_neighbor_projection:
         stats.product(features, out=out)
     else:
@@ -61,7 +61,7 @@ def _message_sum(stats, adjacency, features, message, row_weights, out):
             )
             xj = np.broadcast_to(features[None, :, :], (stop - start, n, features.shape[1]))
             msgs = message(xi, xj)
-            out[start:stop] = np.einsum("ij,ijh->ih", adjacency[start:stop], msgs)
+            out[start:stop] = np.einsum("ij,ijh->ih", graph.rows(start, stop), msgs)
     out *= row_weights[:, None]
 
 
@@ -71,7 +71,7 @@ class NodeGraph:
     The start features and the row weights of each aggregation are
     resolved once and shared by every pass. Every product with the
     adjacency, the neighbor projection's messages and the pull's
-    A (d_m w), is ``stats.product``; other messages read the bool
+    A (d_m w), is ``stats.product``; other messages unpack the
     adjacency row chunk by row chunk. ``forward`` serves every
     caller: the sweeps and stability runs (through ``gmpnn_node``),
     scoring at queried pairs, and training by backprop through the tape it
@@ -80,7 +80,7 @@ class NodeGraph:
 
     def __init__(self, graph: SampledGraph, stats: GraphStats, init=None):
         self.n = graph.n
-        self.adjacency = graph.adjacency
+        self.graph = graph
         self.stats = stats
         self.degrees = stats.degree_counts / self.n  # d_i, bitwise A.mean(1)
         self.start = _node_start(init, graph.node_features, self.degrees)
@@ -122,7 +122,7 @@ class NodeGraph:
             width = f.shape[1]
             u = np.empty((self.n, width + message.width_out))  # [x, m]
             u[:, :width] = f
-            _message_sum(self.stats, self.adjacency, f, message, weights, out=u[:, width:])
+            _message_sum(self.stats, self.graph, f, message, weights, out=u[:, width:])
             f, cache = update_rows(update, u, record)
             caches.append(cache)
             require_finite(f, "node")

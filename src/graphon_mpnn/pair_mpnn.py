@@ -9,7 +9,7 @@ nodes, normalized by the common-neighbor fraction c(i, j):
 
 For the neighbor-projection message this reduces to adjacency matrix
 products per feature channel, the fast path that makes n = 8192 feasible;
-every product is ``GraphStats.product``, which widens the bool adjacency
+every product is ``GraphStats.product``, which widens the packed adjacency
 one row strip at a time.
 Pair features are exactly symmetric, which ``PairGraph.forward`` uses
 three ways: one product A F per channel gives both F A and A F; from the
@@ -143,7 +143,10 @@ def pair_message_weights(stats: GraphStats) -> PairWeights:
     return PairWeights(stats.common_neighbors, stats.n)
 
 
-def _general_pair_messages(adjacency, f, message, weights):
+def _general_pair_messages(graph, f, message, weights):
+    """The messages of a message function other than the neighbor
+    projection, row i at a time; the adjacency is unpacked one strip of
+    _TILE rows at a time."""
     n, _, width = f.shape
     h = message.width_out
     m = np.empty((n, n, h))
@@ -151,9 +154,12 @@ def _general_pair_messages(adjacency, f, message, weights):
         fij = np.broadcast_to(f[i][:, None, :], (n, n, width))
         own = message(fij, np.broadcast_to(f[i][None, :, :], (n, n, width)))
         other = message(fij, f)
-        term = np.einsum("jz,jzh->jh", adjacency, own)
-        term += np.einsum("z,jzh->jh", adjacency[i], other)
-        m[i] = term * weights[i][:, None]
+        mi = m[i]
+        for lo in range(0, n, _TILE):
+            mi[lo : lo + _TILE] = np.einsum("jz,jzh->jh", graph.rows(lo, lo + _TILE),
+                                            own[lo : lo + _TILE])
+        mi += np.einsum("z,jzh->jh", graph.rows(i, i + 1)[0], other)
+        mi *= weights[i][:, None]
     return m
 
 
@@ -278,7 +284,8 @@ class PairGraph:
     array: ``weights`` forms them from the integer counts at each tile,
     row strip, row or set of pairs a pass reads. Every product with the
     adjacency is ``stats.product``; the neighbor lists and the messages
-    other than the neighbor projection read the bool adjacency itself.
+    other than the neighbor projection unpack it a strip of rows at a
+    time.
     Each update net runs on its layer's rows, and ``row_inv`` maps every
     pair to its row. ``forward`` serves every caller:
     the dense sweeps (through ``gmpnn_pair``), scoring at queried pairs,
@@ -287,7 +294,7 @@ class PairGraph:
 
     def __init__(self, graph: SampledGraph, stats: GraphStats):
         self.n = graph.n
-        self.adjacency = graph.adjacency
+        self.graph = graph
         self.stats = stats
         self.weights = pair_message_weights(stats)
         self._map = None
@@ -348,7 +355,7 @@ class PairGraph:
         indices = np.empty(indptr[-1], dtype=np.int32)
         for lo in range(0, n, _TILE):
             hi = min(lo + _TILE, n)
-            indices[indptr[lo] : indptr[hi]] = np.nonzero(self.adjacency[lo:hi])[1]
+            indices[indptr[lo] : indptr[hi]] = np.nonzero(self.graph.rows(lo, hi))[1]
         return indptr, indices
 
     def neighbor_keys(self, lo, hi) -> np.ndarray:
@@ -425,7 +432,7 @@ class PairGraph:
         message is bitwise (D_i + D_j) W_ij.
         """
         if not message.is_neighbor_projection:
-            return _general_pair_messages(self.adjacency, f, message, self.weights)
+            return _general_pair_messages(self.graph, f, message, self.weights)
         shape = (self.n, self.n, message.width_out)
         m = out if out is not None and out.shape == shape else np.empty(shape)
         for k in range(m.shape[2]):

@@ -171,24 +171,61 @@ def isomorphic_block_pairs(spec: SbmSpec) -> list:
 class SampledGraph:
     """One graph drawn from an SbmSpec. Arrays are read-only after sampling.
 
-    ``adjacency`` is the symmetric 0/1 matrix as an n x n bool array, one
-    byte per node pair; ``GraphStats.product`` is the one place that reads
-    it as float64.
+    ``bits`` is the symmetric 0/1 adjacency, one bit per node pair: the
+    n x ceil(n / 8) uint8 array ``np.packbits(A, axis=1)``, so row i's
+    entry j is bit 7 - j % 8 of byte j // 8, and the pad bits of each row
+    are 0. Every reader in the package goes through ``rows`` (or
+    ``submatrix``, built on it), which unpacks a strip of rows;
+    ``GraphStats.product`` is the one place that reads them as float64.
+    Only the degree counts, a popcount per row, and ``without_edges`` read
+    the bytes themselves. ``adjacency`` unpacks the whole matrix, n^2
+    bytes, for callers outside the package that want it dense; nothing in
+    the package calls it.
     """
 
     n: int
     positions: np.ndarray
     block_of: np.ndarray
-    adjacency: np.ndarray
+    bits: np.ndarray
     node_features: np.ndarray
     seed: int
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The whole adjacency as a read-only n x n bool array, unpacked
+        on every access: n^2 bytes, eight times ``bits``."""
+        return _freeze(self.rows(0, self.n))
+
+    def rows(self, lo: int, hi: int, out=None) -> np.ndarray:
+        """Rows ``lo`` to ``hi`` (clipped to n) of the adjacency, all
+        columns: a new bool array, or written into ``out``, of any dtype
+        and as many rows, one strip of _MIRROR_ROWS rows at a time, so
+        that no bool copy of the block is formed."""
+        hi = min(hi, self.n)
+        if out is None:
+            return np.unpackbits(self.bits[lo:hi], axis=1, count=self.n).view(bool)
+        for start in range(lo, hi, _MIRROR_ROWS):
+            stop = min(start + _MIRROR_ROWS, hi)
+            np.copyto(out[start - lo : stop - lo], self.rows(start, stop))
+        return out
+
+    def submatrix(self, rows, cols) -> np.ndarray:
+        """``A[np.ix_(rows, cols)]`` for ascending ``rows``, as bool,
+        unpacked one strip of _MIRROR_ROWS rows at a time."""
+        out = np.empty((len(rows), len(cols)), dtype=bool)
+        starts = range(0, self.n, _MIRROR_ROWS)
+        bounds = np.searchsorted(rows, [*starts, self.n])
+        for lo, a, b in zip(starts, bounds, bounds[1:]):
+            if a < b:
+                out[a:b] = self.rows(lo, lo + _MIRROR_ROWS)[np.ix_(rows[a:b] - lo, cols)]
+        return out
 
     def with_adjacency(self, adjacency) -> "SampledGraph":
         """Copy of this graph with edges replaced (e.g. after hiding some).
 
         ``adjacency`` may have any dtype, but must be an n x n symmetric
-        0/1 matrix with a zero diagonal (else ValueError); it is stored as
-        a bool copy.
+        0/1 matrix with a zero diagonal (else ValueError); it is stored
+        packed, one bit per pair.
         """
         a = np.asarray(adjacency)
         if a.shape != (self.n, self.n):
@@ -200,7 +237,18 @@ class SampledGraph:
             raise ValueError("adjacency must have a zero diagonal")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
-        return dataclasses.replace(self, adjacency=_freeze(a))
+        return dataclasses.replace(self, bits=_freeze(np.packbits(a, axis=1)))
+
+    def without_edges(self, edges) -> "SampledGraph":
+        """Copy of this graph with the undirected ``edges`` ((k, 2) node
+        pairs) removed. Several edges can share a byte, so each bit is
+        cleared by an unbuffered ``np.bitwise_and.at``."""
+        bits = self.bits.copy()
+        i, j = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
+        for row, col in ((i, j), (j, i)):
+            keep = ~(np.uint8(0x80) >> (col % 8).astype(np.uint8))
+            np.bitwise_and.at(bits, (row, col // 8), keep)
+        return dataclasses.replace(self, bits=_freeze(bits))
 
     def edge_list(self) -> np.ndarray:
         """(m, 2) array of undirected edges i < j, row-major: each row
@@ -208,15 +256,17 @@ class SampledGraph:
         a strip."""
         strips = []
         for lo in range(0, self.n, _MIRROR_ROWS):
-            i, j = np.nonzero(self.adjacency[lo : lo + _MIRROR_ROWS, lo:])
+            i, j = np.nonzero(self.rows(lo, lo + _MIRROR_ROWS)[:, lo:])
             upper = j > i
             strips.append(np.column_stack([i[upper], j[upper]]) + lo)
         return np.concatenate(strips)
 
 
-#: Rows per strip of the sampler and of ``edge_list``: the sampler draws a
-#: 128-row strip of the upper triangle into one reused bool buffer and
-#: copies it, and its transpose, into the adjacency while it is in cache.
+#: Rows per strip of the sampler, of ``SampledGraph.rows`` when it writes
+#: into a given array, of ``submatrix`` and of ``edge_list``: the sampler
+#: draws a 128-row strip of the upper triangle into one reused bool buffer
+#: and packs it, and its transpose, into the adjacency while it is in
+#: cache. A multiple of 8, so that each strip's columns start on a byte.
 _MIRROR_ROWS = 128
 
 
@@ -228,8 +278,9 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
     (spec, n, seed). Each unordered pair {i, j} with i < j receives a
     single coin mirrored to both adjacency entries; the diagonal stays 0.
     Rows are drawn in order, row i taking its n - 1 - i coins for j > i.
-    The adjacency is bool: the sampler's working set is the n^2 bytes of
-    the result and one strip of 128 rows.
+    The adjacency is packed one bit per pair: the sampler's working set is
+    the n^2 / 8 bytes of the result, one bool strip of 128 rows and a
+    transposed copy of it.
     """
     if n < 2:
         raise PreconditionError(f"need n >= 2, got {n}")
@@ -243,7 +294,7 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
     # v 2**-53 < p exactly when v < ceil(p 2**53), so comparing the words
     # draws the same coins bit for bit.
     thresholds = np.ceil(spec.S * 2.0 ** 53).astype(np.uint64)[:, block_of]
-    adj = np.empty((n, n), dtype=bool)
+    bits = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     buffer = np.empty((_MIRROR_ROWS, n), dtype=bool)
     above = np.triu(np.ones((_MIRROR_ROWS, _MIRROR_ROWS), dtype=bool), 1)
     words = stream(seed, "edges").bit_generator
@@ -257,28 +308,32 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
             np.less(z, thresholds[block_of[i], i + 1 :], out=strip[i - i0, i - i0 + 1 :])
         # The strip's rows are complete right of the diagonal. Its diagonal
         # tile keeps its upper half and mirrors it into the lower one; the
-        # strip is copied into its rows from column i0 on, and its part
+        # strip is packed into its rows from column i0 on, and its part
         # right of the tile, transposed, into the columns below the tile,
         # which later strips never write. Columns left of i0 came from
-        # earlier strips.
+        # earlier strips. i0 is a multiple of 128, and so is i1 wherever
+        # rows lie below, so every write covers whole bytes. The part below
+        # is packed from a contiguous transposed copy: ``packbits`` along
+        # axis 0 took three times as long.
         tile = strip[:, :h]
         tile &= above[:h, :h]
         tile |= tile.T
-        adj[i0:i1, i0:] = strip
-        adj[i1:, i0:i1] = strip[:, h:].T
+        bits[i0:i1, i0 // 8 :] = np.packbits(strip, axis=1)
+        if i1 < n:
+            bits[i1:, i0 // 8 : i1 // 8] = np.packbits(strip[:, h:].T.copy(), axis=1)
 
     features = spec.B[block_of]
     return SampledGraph(
         n=n,
         positions=_freeze(positions),
         block_of=_freeze(block_of),
-        adjacency=_freeze(adj),
+        bits=_freeze(bits),
         node_features=_freeze(features),
         seed=int(seed),
     )
 
 
-#: Entries of the float64 row strip ``GraphStats.product`` widens the bool
+#: Entries of the float64 row strip ``GraphStats.product`` widens the
 #: adjacency into: 2**21, 16 MiB, so 1048 rows at n = 2000, 512 at
 #: n = 4096 and 256 at n = 8192, and a graph of up to 1448 nodes fits in
 #: one strip, which is widened once. Twice that covered n = 2000 whole and
@@ -287,34 +342,45 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
 #: than the whole matrix, where 512 rows cost 3 to 8%.
 _STRIP_ENTRIES = 1 << 21
 
+#: Rows of each float32 row block the common-neighbor counts are built
+#: from: two blocks are 64 MiB at n = 8192, where the whole matrix in
+#: float32 is 256 MiB.
+_CN_ROWS = 1024
+
 
 class GraphStats:
     """The exact neighbor and common-neighbor counts of one graph, and its
-    adjacency products.
+    adjacency products. The products and the common-neighbor counts read
+    the packed adjacency through ``SampledGraph.rows``, one strip or block
+    of rows at a time.
 
-    ``degree_counts[i] = sum_j A_ij`` in float64, counted exactly.
+    ``degree_counts[i] = sum_j A_ij`` in float64, counted exactly: a
+    popcount of row i's bytes (``np.bitwise_count``, numpy >= 2.0).
     ``common_neighbors[i, j] = sum_z A_iz A_jz``, zero included, is computed
     lazily (it is an n x n product) and cached. Each engine derives its own
     normalization from these counts.
 
-    The common-neighbor counts are taken in float32 as ``A Aᵀ`` (equal to
-    ``A A`` for the symmetric 0/1 adjacency), which BLAS runs as a
-    symmetric rank-k update. They are exact while n < 2**24: every partial
-    sum is an integer no larger than n. They are held as ``uint16``, two
-    bytes per node pair (``uint32`` past n = 65535, where a count may not
-    fit), and the float32 product is freed once converted.
+    The common-neighbor counts are ``A Aᵀ`` (equal to ``A A`` for the
+    symmetric 0/1 adjacency), built from pairs of row blocks of _CN_ROWS
+    rows: both blocks are unpacked into float32, one BLAS call multiplies
+    them (a symmetric rank-k update on the diagonal), and the block result
+    is written with its mirror straight into the counts. They are exact
+    while n < 2**24: every partial sum is an integer no larger than n. They
+    are held as ``uint16``, two bytes per node pair (``uint32`` past
+    n = 65535, where a count may not fit); beyond them the build holds two
+    float32 row blocks and one block result, and no n x n float array.
 
-    ``product(x)`` is every ``A @ x`` of the engines. The bool adjacency is
+    ``product(x)`` is every ``A @ x`` of the engines. The adjacency is
     widened to float64 one row strip of ``_STRIP_ENTRIES`` entries at a
     time, into one buffer the stats own, and the strip last widened is
-    kept: a graph that fits in one strip is widened once, here, and each
-    product is then one whole-matrix BLAS call.
+    kept: a graph that fits in one strip is unpacked and widened once,
+    here, and each product is then one whole-matrix BLAS call.
     """
 
     def __init__(self, graph: SampledGraph):
         self._graph = graph
         self.n = n = graph.n
-        self.degree_counts = _freeze(np.count_nonzero(graph.adjacency, axis=1).astype(float))
+        self.degree_counts = _freeze(np.bitwise_count(graph.bits).sum(axis=1).astype(float))
         self._common = None
         self._rows = max(1, min(n, _STRIP_ENTRIES // n))
         self._strip = None
@@ -325,22 +391,31 @@ class GraphStats:
     @property
     def common_neighbors(self) -> np.ndarray:
         if self._common is None:
-            a32 = self._graph.adjacency.astype(np.float32)
-            counts = a32 @ a32.T
-            del a32
-            dtype = np.uint16 if self.n <= np.iinfo(np.uint16).max else np.uint32
-            self._common = _freeze(counts.astype(dtype))
+            n = self.n
+            counts = np.empty((n, n), np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32)
+            size = min(n, _CN_ROWS)
+            blocks = np.empty((2, size, n), dtype=np.float32)
+            result = np.empty((size, size), dtype=np.float32)
+            for lo in range(0, n, size):
+                rows = self._graph.rows(lo, lo + size, out=blocks[0, : min(size, n - lo)])
+                for lo2 in range(lo, n, size):
+                    cols = rows if lo2 == lo else self._graph.rows(
+                        lo2, lo2 + size, out=blocks[1, : min(size, n - lo2)])
+                    c = np.matmul(rows, cols.T, out=result[: len(rows), : len(cols)])
+                    counts[lo : lo + size, lo2 : lo2 + size] = c
+                    counts[lo2 : lo2 + size, lo : lo + size] = c.T
+            self._common = _freeze(counts)
         return self._common
 
     def _widened(self, start: int) -> np.ndarray:
         """Rows ``start`` on of the adjacency, one strip's worth, as float64
-        in the strip buffer."""
-        rows = self._graph.adjacency[start : start + self._rows]
+        in the strip buffer, unpacked and widened unless it is the strip
+        already kept."""
         if self._strip is None:
             self._strip = np.empty((self._rows, self.n))
-        strip = self._strip[: len(rows)]
+        strip = self._strip[: min(self._rows, self.n - start)]
         if self._strip_start != start:
-            np.copyto(strip, rows)
+            self._graph.rows(start, start + self._rows, out=strip)
             self._strip_start = start
         return strip
 

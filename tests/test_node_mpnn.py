@@ -81,7 +81,7 @@ def permuted(graph, perm):
         graph,
         positions=_freeze(graph.positions[perm]),
         block_of=_freeze(graph.block_of[perm]),
-        adjacency=_freeze(graph.adjacency[np.ix_(perm, perm)]),
+        bits=_freeze(np.packbits(graph.adjacency[np.ix_(perm, perm)], axis=1)),
         node_features=_freeze(graph.node_features[perm]),
     )
 
@@ -262,7 +262,7 @@ class TestNodeEngine:
         assert np.array_equal(ng._pull(mpnn, pairs)(mpnn.depth, d), expected)
 
     def test_pass_holds_no_float64_adjacency(self, convergence_spec):
-        # the products widen the bool adjacency one row strip at a time:
+        # the products widen the packed adjacency one row strip at a time:
         # the 1024-row strip (0.5 n^2 floats) and the features read
         # 0.52 n^2 floats at n = 2048, where a float64 copy of A is n^2
         n = 2048

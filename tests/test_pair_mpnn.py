@@ -299,7 +299,9 @@ def graph_with_isolated_node(spec, n):
     """An n-node graph of ``spec`` whose node 0 has no edge, so that its
     pairs share no neighbor; n = 1 keeps node 0 of a two-node graph."""
     g = isolate(sample_graph(spec, max(n, 2), seed=2), [0])
-    return g if n > 1 else dataclasses.replace(g, n=1, adjacency=g.adjacency[:1, :1])
+    if n > 1:
+        return g
+    return dataclasses.replace(g, n=1, bits=np.packbits(g.adjacency[:1, :1], axis=1))
 
 
 def map_pairs(n, count, seed):

@@ -14,11 +14,20 @@ from graphon_mpnn import (
     sample_graph,
     validate_sbm,
 )
-from graphon_mpnn.pair_mpnn import _TILE as TILE, pair_message_weights
+from graphon_mpnn.cli import _stability_point
+from graphon_mpnn.linkpred import (RunTableConfig, _hide_edges, run_table,
+                                   sample_across_block_nonedges)
+from graphon_mpnn.mpnn import Mpnn, NetFunction, graphsage_mpnn
+from graphon_mpnn.nn import init_net
+from graphon_mpnn.node_mpnn import gmpnn_node
+from graphon_mpnn.pair_mpnn import (_TILE as TILE, PairGraph, fixed_psi_mpnn, gmpnn_pair,
+                                    learnable_psi_mpnn, pair_message_weights)
 from graphon_mpnn.rng import stream
 from graphon_mpnn.sbm import (
+    _CN_ROWS,
     _STRIP_ENTRIES,
     BlockPairPool,
+    SampledGraph,
     read_spec_file,
     write_edge_list,
     write_spec_file,
@@ -30,13 +39,13 @@ from oracles import common_neighbors_oracle, message_weights_oracle, sample_grap
 def graph_from_adjacency(adj):
     adj = np.asarray(adj, dtype=bool)
     n = adj.shape[0]
-    from graphon_mpnn.sbm import SampledGraph, _freeze
+    from graphon_mpnn.sbm import _freeze
 
     return SampledGraph(
         n=n,
         positions=_freeze(np.linspace(0, 1, n, endpoint=False)),
         block_of=_freeze(np.zeros(n, dtype=int)),
-        adjacency=_freeze(adj),
+        bits=_freeze(np.packbits(adj, axis=1)),
         node_features=_freeze(np.ones((n, 1))),
         seed=0,
     )
@@ -171,7 +180,9 @@ class TestSampling:
             freq = np.bincount(g.block_of, minlength=3) / 10_000
             assert np.max(np.abs(freq - convergence_spec.block_mass)) <= 0.05
 
-    @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 300])
+    # 255 and 385: n % 8 != 0, so a row's last byte is part pad, in the
+    # strip's rows and in the mirrored rows below each strip
+    @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 255, 300, 385])
     def test_matches_row_by_row_oracle(self, convergence_spec, linkpred_spec, n):
         for spec in (convergence_spec, linkpred_spec):
             for seed in (0, 1, 6):
@@ -201,14 +212,23 @@ class TestSampling:
         assert not g.adjacency[np.ix_(second, second)].any()
         assert np.all(g.adjacency[np.ix_(second, ~first & ~second)])
 
-    def test_adjacency_is_one_byte_per_pair(self, convergence_spec):
-        g = sample_graph(convergence_spec, 300, seed=0)
+    @pytest.mark.parametrize("n", [300, 385])
+    def test_adjacency_is_one_bit_per_pair(self, convergence_spec, n):
+        g = sample_graph(convergence_spec, n, seed=0)
+        assert g.bits.dtype == np.uint8 and not g.bits.flags.writeable
+        assert g.bits.nbytes == n * ((n + 7) // 8)
+        assert np.array_equal(g.bits, np.packbits(g.adjacency, axis=1))  # pad bits are 0
         assert g.adjacency.dtype == bool and not g.adjacency.flags.writeable
+        for lo, hi in ((0, 1), (5, 133), (n - 3, n + 10)):
+            assert np.array_equal(g.rows(lo, hi), g.adjacency[lo:hi])
+        out = np.full((n - 7, n), np.nan)
+        assert np.array_equal(g.rows(7, n, out=out), g.adjacency[7:])
 
-    def test_working_set_is_the_bool_adjacency_and_one_strip(self, convergence_spec):
-        # the n^2 bytes of the result, a 128-row bool strip and row-sized
-        # temporaries: 1.23 n^2 bytes at n = 1024, where the float64
-        # sampler held 8 n^2
+    def test_working_set_is_the_packed_adjacency_and_one_strip(self, convergence_spec):
+        # the n^2 / 8 bytes of the result, then per node a 128-row bool
+        # strip, its mirrored part's transpose and row-sized temporaries:
+        # 0.125 n^2 + 324 n bytes at n = 1024 (0.44 n^2), where the bool
+        # sampler held 1.23 n^2 and the float64 one 8 n^2
         n = 1024
         sample_graph(convergence_spec, 16, seed=0)  # first-call imports
         tracemalloc.start()
@@ -217,7 +237,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * n * n
+        assert peak <= n * n / 8 + 330 * n
 
     def test_rejects_tiny_n(self, convergence_spec):
         from graphon_mpnn import PreconditionError
@@ -307,7 +327,7 @@ class TestWithAdjacency:
 
 
 class TestProduct:
-    """GraphStats.product widens the bool adjacency strip by strip; it is
+    """GraphStats.product widens the packed adjacency strip by strip; it is
     the whole-matrix product bit for bit where one strip covers the graph
     and at every size a benchmark workload runs, and within rounding
     elsewhere."""
@@ -394,6 +414,30 @@ class TestGraphStats:
         assert np.array_equal(stats.degree_counts, a.sum(axis=1))
         assert stats.degree_counts.dtype == np.float64
 
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2500])
+    def test_common_neighbors_in_row_blocks_are_exact(self, convergence_spec, n):
+        # one block, a block and a one-row block, and three blocks, the
+        # last one part full
+        g = sample_graph(convergence_spec, n, seed=2)
+        a = g.adjacency.astype(np.float64)
+        assert np.array_equal(graph_stats(g).common_neighbors, a @ a)
+
+    def test_common_neighbors_hold_two_row_blocks(self, convergence_spec):
+        # beyond the uint16 counts, two float32 row blocks of _CN_ROWS rows,
+        # one float32 block result and one 128-row bool strip unpacked into
+        # a block: 28.3 MiB at n = 2048 and 197 MiB at n = 8192, where the
+        # whole-matrix syrk held A and the counts in float32, 32 and 512 MiB
+        n = 2048
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        tracemalloc.start()
+        try:
+            stats.common_neighbors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n + 2 * 4 * _CN_ROWS * n + 4 * _CN_ROWS ** 2 + 128 * n + 2 ** 16
+
     @pytest.mark.parametrize("n", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3])
     def test_pair_message_weights_in_fraction_order(self, convergence_spec, n):
         # W is formed from the float32 counts where it is read: at tiles,
@@ -464,3 +508,70 @@ class TestSerialization:
         assert write_edge_list(g, edges, blocks) == 2
         assert edges.read_text() == "0 1\n1 2\n"
         assert blocks.read_text() == "0\n0\n0\n"
+
+
+class TestWithoutEdges:
+    def test_clears_both_halves_of_edges_sharing_a_byte(self, convergence_spec):
+        g = sample_graph(convergence_spec, 203, seed=5)
+        edges = g.edge_list()
+        hidden = np.concatenate([edges[edges[:, 0] == 0], edges[::7]])  # row 0 whole
+        want = g.adjacency.copy()
+        want[hidden[:, 0], hidden[:, 1]] = want[hidden[:, 1], hidden[:, 0]] = False
+        h = g.without_edges(hidden)
+        assert np.array_equal(h.adjacency, want)
+        assert np.array_equal(h.bits, np.packbits(want, axis=1))
+        assert not h.bits.flags.writeable
+
+
+class TestNoDenseAdjacency:
+    """No reader in the package unpacks the whole adjacency: with
+    ``SampledGraph.adjacency`` raising, every path still runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_adjacency(self, monkeypatch):
+        def dense(graph):
+            raise AssertionError("the package read the whole adjacency")
+
+        monkeypatch.setattr(SampledGraph, "adjacency", property(dense))
+
+    def test_stability_point(self, convergence_spec):
+        mpnn = graphsage_mpnn([1, 4, 4], update_hidden=5, seed=0)
+        iso = isomorphic_block_pairs(convergence_spec)
+        gaps = _stability_point((convergence_spec, mpnn, iso, 300, 0, 100))
+        assert gaps.gaps_iso.shape == gaps.gaps_non_iso.shape == (100,)
+
+    def test_dense_and_queried_pair_passes(self, convergence_spec):
+        g = sample_graph(convergence_spec, 150, seed=0)
+        pg = PairGraph(g, graph_stats(g))
+        pairs = np.random.default_rng(0).integers(0, g.n, size=(40, 2))
+        for mpnn in (fixed_psi_mpnn(2), learnable_psi_mpnn(2, hidden=3, seed=0)):
+            dense, _ = pg.forward(mpnn)
+            queried, _ = pg.forward(mpnn, pairs)
+            np.testing.assert_allclose(queried, dense[pairs[:, 0], pairs[:, 1]], rtol=1e-12)
+        msg = NetFunction(init_net([2, 3, 2], seed=0, tag="m"))
+        upd = NetFunction(init_net([3, 3, 1], seed=0, tag="u"))
+        small = sample_graph(convergence_spec, 20, seed=0)
+        general = gmpnn_pair(small, graph_stats(small), Mpnn(layers=((msg, upd),)))
+        assert general.shape == (20, 20, 1)
+
+    def test_node_pass_with_a_net_message(self, convergence_spec):
+        g = sample_graph(convergence_spec, 300, seed=0)
+        msg = NetFunction(init_net([2, 3, 2], seed=0, tag="m"))
+        upd = NetFunction(init_net([3, 3, 1], seed=0, tag="u"))
+        assert gmpnn_node(g, graph_stats(g), Mpnn(layers=((msg, upd),))).shape == (300, 1)
+
+    def test_hidden_edges_negatives_and_edge_list(self, linkpred_spec, tmp_path):
+        g = sample_graph(linkpred_spec, 300, seed=0)
+        rng = np.random.default_rng(0)
+        observed, hidden = _hide_edges(g, 0.1, rng)
+        negatives = sample_across_block_nonedges(
+            observed, isomorphic_block_pairs(linkpred_spec), 50, rng)
+        assert len(hidden) and negatives.shape == (50, 2)
+        count = write_edge_list(observed, tmp_path / "edges.txt", tmp_path / "blocks.txt")
+        assert count == len(g.edge_list()) - len(hidden)
+
+    def test_two_run_table(self, linkpred_spec):
+        report = run_table(RunTableConfig(
+            spec=linkpred_spec, n_train=150, n_test_ood=300, runs=2, seed=0,
+            epochs_head=3, epochs_end_to_end=3, k_list=(1, 2)))
+        assert np.isfinite(report.mean_std("inductive_ood", "pair_learn", "mcc")[0])
