@@ -245,10 +245,28 @@ def _backbone_graph(model: LinkModel, graph: SampledGraph, stats=None):
 
 
 def model_scores(model: LinkModel, graph: SampledGraph, pairs,
-                 stats=None) -> np.ndarray:
-    """Head probabilities for the given pairs on the given observed graph."""
-    head_in, _ = _backbone_graph(model, graph, stats).forward(model.mpnn, pairs)
+                 backbone=None) -> np.ndarray:
+    """Head probabilities for the given pairs on the given observed graph.
+    ``backbone`` may pass the model's ``_backbone_graph`` of that graph in,
+    to share it."""
+    backbone = _backbone_graph(model, graph) if backbone is None else backbone
+    head_in, _ = backbone.forward(model.mpnn, pairs)
     return model.head.forward(head_in).reshape(-1)
+
+
+def _backbones(graph: SampledGraph):
+    """``backbone(model)``: the model's ``_backbone_graph`` on ``graph``,
+    built when its kind is first asked for and shared after, so that the
+    models of one kind read one engine: a ``PairGraph`` builds layer 0's
+    count classes, the neighbor lists and each query map once for all."""
+    stats, built = graph_stats(graph), {}
+
+    def backbone(model: LinkModel):
+        if model.kind not in built:
+            built[model.kind] = _backbone_graph(model, graph, stats)
+        return built[model.kind]
+
+    return backbone
 
 
 def _loss_and_grads(model: LinkModel, backbone, pairs, labels, head_in=None):
@@ -304,20 +322,21 @@ def _bce_loss_and_grad(logits, labels):
 
 
 def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
-                     lr: float = 1e-3, stats=None) -> tuple:
+                     lr: float = 1e-3, backbone=None) -> tuple:
     """Full-batch Adam on cross-entropy; returns (best model, train log).
 
     Validation accuracy at the threshold ``TAU`` is evaluated after every
     epoch; the returned model, a copy that Adam steps in place, carries the
     parameters of the best epoch (earliest on ties). Non-finite losses
-    abort with a NumericalError. ``stats`` may pass the observed graph's
-    statistics in, to share them.
+    abort with a NumericalError. ``backbone`` may pass the model's
+    ``_backbone_graph`` of the observed graph in, to share it.
     ``epochs = 0`` returns the model as given, with its validation accuracy.
     """
     if epochs < 0:
         raise PreconditionError(f"epochs must be >= 0, got {epochs}")
     model = copy.deepcopy(model)
-    backbone = _backbone_graph(model, dataset.observed, stats)
+    if backbone is None:
+        backbone = _backbone_graph(model, dataset.observed)
     pos_tr, neg_tr = dataset.positives["train"], dataset.negatives["train"]
     pos_val, neg_val = dataset.positives["val"], dataset.negatives["val"]
     val_pairs = np.concatenate([pos_val, neg_val], axis=0)
@@ -509,14 +528,14 @@ def _run_one(args) -> dict:
         if k > n_negatives:
             raise PreconditionError(f"hits@{k} needs at least {k} negatives")
     train_ds = training[0]
-    train_stats = graph_stats(train_ds.observed)
+    train_backbone = _backbones(train_ds.observed)
     models = {}
     for method in dict.fromkeys(config.methods):  # a repeated name trains once
         model = _untrained_model(method, config, run_seed)
         if model is not None:  # a frozen backbone trains its head alone
             epochs = config.epochs_end_to_end if model.backbone_trainable else config.epochs_head
-            models[method], _ = train_link_model(model, train_ds, epochs=epochs,
-                                                 lr=config.lr, stats=train_stats)
+            models[method], _ = train_link_model(model, train_ds, epochs=epochs, lr=config.lr,
+                                                 backbone=train_backbone(model))
 
     out = {}
     for scenario in config.scenarios:
@@ -526,14 +545,15 @@ def _run_one(args) -> dict:
         _, test_ds = build_scenario(spec, config.n_train, n_te, run_seed,
                                     scenario, training=training)
         graph = test_ds.observed
-        stats = train_stats if graph is train_ds.observed else graph_stats(graph)
+        backbone = train_backbone if graph is train_ds.observed else _backbones(graph)
         pos, neg = test_ds.positives["test"], test_ds.negatives["test"]
         pairs = np.concatenate([pos, neg], axis=0)
         for method in config.methods:
             if method == "oracle":
                 scores = oracle_scores(spec, graph, pairs)
             else:
-                scores = model_scores(models[method], graph, pairs, stats)
+                model = models[method]
+                scores = model_scores(model, graph, pairs, backbone(model))
             out[(scenario, method)] = evaluate(scores[:len(pos)], scores[len(pos):],
                                                tau=TAU, k_list=config.k_list)
     return out

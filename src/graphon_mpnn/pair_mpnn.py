@@ -9,15 +9,17 @@ nodes, normalized by the common-neighbor fraction c(i, j):
 
 For the neighbor-projection message this reduces to adjacency matrix
 products per feature channel, the fast path that makes n = 8192 feasible;
-every product is ``GraphStats.product``, which widens the packed adjacency
-one row strip at a time.
+every product runs in the row strips of ``GraphStats.product``, which
+widens the packed adjacency one strip at a time.
 Pair features are exactly symmetric, which ``PairGraph.forward`` uses
-three ways: one product A F per channel gives both F A and A F; from the
-all-ones start the first message needs no product; and each update net
-runs on fewer rows than n^2. Every dense message, layer 0's included,
-comes from ``PairGraph.dense_messages``. A symmetric map ``inv`` sends
-every pair to its row: its i <= j pair, or in layer 0, its class of equal
-counts, since its message depends on a pair only through two integers.
+four ways: one product A F per channel gives both F A and A F; from the
+all-ones start the first message needs no product; the dense messages are
+held on the i <= j triangle alone (``_Triangle``), completed strip by
+strip as the product's strips arrive; and each update net runs on fewer
+rows than n^2. Every dense message, layer 0's included, comes from
+``PairGraph.dense_messages``. A symmetric map ``inv`` sends every pair to
+its row: its i <= j pair, or in layer 0, its class of equal counts, since
+its message depends on a pair only through two integers.
 Callers that read only some pairs get the last layer at those pairs
 alone, and the ``Tape`` it records backpropagates through the pass. At
 queried pairs the last layer's message is linear in the rows of the
@@ -68,15 +70,17 @@ N_MAX_SYMBOLIC = 8192
 _MAP_C = 8
 _MAP_C_ONCE = 1
 
-#: Entries a map reads at once, in either direction: a block's intp
-#: indices, its gathered rows and its pulled gradients take 256 KiB
-#: apiece per channel and stay in cache.
+#: Entries a map reads at once, in either direction: a block's int32
+#: indices take 128 KiB, and its gathered rows and its pulled gradients
+#: 256 KiB apiece per channel, and they stay in cache.
 _MAP_BLOCK = 1 << 15
 
-#: Edge of the square tiles ``_symmetrize`` works in, for every dense
-#: message and every dense pull: its sum and the tile's weights are 32 KiB
-#: each, and a tile and its mirror stay in cache together.
-#: ``PairGraph.first_classes`` forms its keys in strips of as many rows.
+#: Edge of the square tiles that every dense message is completed and
+#: weighted in, that the ratio update mirrors the features in, and that
+#: ``_symmetrize`` weights every dense pull in: a tile's sum and its
+#: weights are 32 KiB each, and a tile and its mirror stay in cache
+#: together. ``PairGraph.first_classes`` forms its keys in strips of as
+#: many rows.
 _TILE = 64
 
 
@@ -124,6 +128,11 @@ class PairWeights:
     def __getitem__(self, index) -> np.ndarray:
         return self.of(self.counts[index])
 
+    def block(self, rows: slice, cols: slice) -> "PairWeights":
+        """The weights of the pairs ``rows`` x ``cols``, indexed from
+        (rows.start, cols.start)."""
+        return PairWeights(self.counts[rows, cols], self.n)
+
     def of(self, counts) -> np.ndarray:
         # The order stays 1 / (2n (CN / n)): the shorter 1 / (2 CN) differs in
         # the last bit for 1,774,783 of the (n <= 8192, 0 <= CN <= n)
@@ -143,24 +152,103 @@ def pair_message_weights(stats: GraphStats) -> PairWeights:
     return PairWeights(stats.common_neighbors, stats.n)
 
 
-def _general_pair_messages(graph, f, message, weights):
-    """The messages of a message function other than the neighbor
-    projection, row i at a time; the adjacency is unpacked one strip of
-    _TILE rows at a time."""
+class _Triangle:
+    """One layer's dense messages, symmetric, held on the i <= j triangle
+    in the row strips of ``GraphStats.product``.
+
+    Block b holds the rows of strip b, from s = ``starts[b]`` on, at the
+    columns s to n - 1, channels last: m_ij for i <= j is
+    ``blocks[b][i - s, j - s]``, with b the strip of i. A block's leading
+    square, its strip's diagonal block, holds both halves, so the update,
+    which reads whole blocks, finds the same message at (i, j) and (j, i).
+    ``strip`` is the buffer one strip's product is written into, and the
+    last block is a view of it: a graph of one strip holds one n x n
+    buffer per channel, a larger one about n^2 / 2 plus one strip.
+    """
+
+    def __init__(self, n: int, rows: int, width: int):
+        self.n, self.rows = n, rows
+        self.starts = range(0, n, rows)
+        self.strip = np.empty((min(rows, n), n, width))
+        last = self.starts[-1]
+        self.blocks = [np.empty((rows, n - s, width)) for s in self.starts[:-1]]
+        self.blocks.append(self.strip[: n - last, last:])
+
+    @property
+    def width(self) -> int:
+        return self.strip.shape[2]
+
+    def row(self, i: int) -> np.ndarray:
+        """The messages m_ij at j = i, ..., n - 1: a view (n - i, width)."""
+        b, a = divmod(i, self.rows)
+        return self.blocks[b][a, a:]
+
+    def at(self, i, j) -> np.ndarray:
+        """The messages at the pairs (i, j), read at (min, max): (k, width)."""
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        strip, a = np.divmod(lo, self.rows)
+        out = np.empty((len(lo), self.width))
+        for b, (block, s) in enumerate(zip(self.blocks, self.starts)):
+            at = strip == b
+            out[at] = block[a[at], hi[at] - s]
+        return out
+
+    def update(self, update, f) -> np.ndarray:
+        """The closed-form ``update`` (x, m) -> x' of every pair, written
+        into the dense features ``f``, or from the all-ones start into a new
+        array when ``f`` is None, and returned. It runs on each block in
+        one call, the strip's diagonal block whole, then mirrors the rest
+        of the block below the strip tile by tile, and spends the messages:
+        ``update`` may write its guard into them. A graph of one strip
+        mirrors nothing."""
+        n = self.n
+        out = np.empty((n, n, update.width_out)) if f is None else f
+        for block, s in zip(self.blocks, self.starts):
+            end = s + len(block)
+            x = out[s:end, s:]
+            update(1.0 if f is None else x, block, out=x)
+            for lo in range(s, end, _TILE):
+                rows = slice(lo, min(lo + _TILE, end))
+                for lo2 in range(end, n, _TILE):
+                    cols = slice(lo2, lo2 + _TILE)
+                    out[cols, rows] = out[rows, cols].swapaxes(0, 1)
+        return out
+
+
+def _general_pair_messages(graph, f, message, weights, m) -> None:
+    """Writes the messages of a message function other than the neighbor
+    projection into the triangle ``m``, row i at a time from the diagonal
+    on, and within i's strip into column i too; the adjacency is unpacked
+    one strip of _TILE rows at a time."""
     n, _, width = f.shape
-    h = message.width_out
-    m = np.empty((n, n, h))
+    mi = np.empty((n, m.width))
     for i in range(n):
         fij = np.broadcast_to(f[i][:, None, :], (n, n, width))
         own = message(fij, np.broadcast_to(f[i][None, :, :], (n, n, width)))
         other = message(fij, f)
-        mi = m[i]
         for lo in range(0, n, _TILE):
             mi[lo : lo + _TILE] = np.einsum("jz,jzh->jh", graph.rows(lo, lo + _TILE),
                                             own[lo : lo + _TILE])
         mi += np.einsum("z,jzh->jh", graph.rows(i, i + 1)[0], other)
         mi *= weights[i][:, None]
-    return m
+        b, a = divmod(i, m.rows)
+        block = m.blocks[b]
+        block[a, a:] = mi[i:]
+        block[a:, a] = mi[i : m.starts[b] + len(block)]
+
+
+def _complete(dst, src, weights):
+    """Writes (dst + src^T) W into ``dst`` in place, tile by tile, with W
+    read from ``weights`` indexed like ``dst``: ``dst`` holds Y_ij for the
+    rows i of one strip at the columns j of a later one, and ``src`` the
+    later strip's Y_ji."""
+    rows, cols = dst.shape
+    for lo in range(0, rows, _TILE):
+        r = slice(lo, lo + _TILE)
+        for lo2 in range(0, cols, _TILE):
+            c = slice(lo2, lo2 + _TILE)
+            d = dst[r, c]
+            np.multiply(d + src[c, r].T, weights[r, c], out=d)
 
 
 def _symmetrize(m, weights):
@@ -211,8 +299,8 @@ class _QueryMap:
     ``starts[p]``: the smaller endpoint's neighbors first, each list
     ascending, so that (i, j) and (j, i) add in one order and stay bitwise
     symmetric. ``own`` holds each pair's own row, its update input x. Both
-    directions read ``idx`` in the blocks of ``_blocks``; it keeps 8 bytes
-    per entry.
+    directions read ``idx`` in the blocks of ``_blocks``; it and ``own``
+    keep 4 bytes per entry (int32) while ``n_rows < 2**31``.
     """
 
     def __init__(self, graph: "PairGraph", pairs, inv, kind: str):
@@ -225,13 +313,14 @@ class _QueryMap:
         self.starts = np.cumsum(self.lengths) - self.lengths
         self.n_rows = n * n if inv is None else int(inv.max()) + 1
         flat = None if inv is None else inv.ravel()
-        self.idx = np.empty(int(self.lengths.sum()), dtype=np.intp)
+        index = np.int32 if self.n_rows < 2**31 else np.intp
+        self.idx = np.empty(int(self.lengths.sum()), dtype=index)
         self.cuts = _blocks(self.starts, len(self.idx))
         for a, b, first, last in self._spans():  # so that the intp keys stay block-sized
             keys = graph.neighbor_keys(lo[a:b], hi[a:b])
             self.idx[first:last] = keys if flat is None else flat[keys]
         own = lo * n + hi
-        self.own = own if flat is None else flat[own].astype(np.intp)
+        self.own = (own if flat is None else flat[own]).astype(index)
         self.w = graph.weights[lo, hi]
         self._buf = None
 
@@ -283,9 +372,9 @@ class PairGraph:
     the map of the last pass queried at pairs. The message weights are no
     array: ``weights`` forms them from the integer counts at each tile,
     row strip, row or set of pairs a pass reads. Every product with the
-    adjacency is ``stats.product``; the neighbor lists and the messages
-    other than the neighbor projection unpack it a strip of rows at a
-    time.
+    adjacency runs in the row strips of ``stats.product``; the neighbor
+    lists and the messages other than the neighbor projection unpack it a
+    strip of rows at a time. Dense messages live on the i <= j triangle.
     Each update net runs on its layer's rows, and ``row_inv`` maps every
     pair to its row. ``forward`` serves every caller:
     the dense sweeps (through ``gmpnn_pair``), scoring at queried pairs,
@@ -397,9 +486,9 @@ class PairGraph:
     def row_inputs(self, f, message, m=None) -> np.ndarray:
         """A layer's update input [x, m] at its rows, joined in one array:
         the count classes from all ones (``f`` is None), or the i <= j rows
-        of ``f`` and of its messages, gathered row strip by row strip. The
-        dense messages are written into ``m`` when it is an array of their
-        shape."""
+        of ``f`` and of its messages, each row's ``m[i, i:]`` copied from
+        the triangle. The dense messages are written into the triangle
+        ``m`` when it has their width."""
         if f is None:
             messages, width = self.first_classes[0], message.width_out
             u = np.empty((len(messages), 2 * width))
@@ -408,40 +497,61 @@ class PairGraph:
             return u
         m = self.dense_messages(f, message, m)
         n, width = self.n, f.shape[2]
-        u = np.empty((n * (n + 1) // 2, width + m.shape[2]))
+        u = np.empty((n * (n + 1) // 2, width + m.width))
         lo = 0
         for i in range(n):  # row i holds the pairs (i, i), ..., (i, n - 1)
             hi = lo + n - i
             u[lo:hi, :width] = f[i, i:]
-            u[lo:hi, width:] = m[i, i:]
+            u[lo:hi, width:] = m.row(i)
             lo = hi
         return u
 
-    def dense_messages(self, f, message, out=None):
+    def dense_messages(self, f, message, out=None) -> _Triangle:
         """One layer's messages on the dense symmetric features ``f``, or on
-        the all-ones start when ``f`` is None; written into ``out`` when it
-        is an array of their shape. Every dense message of a pass comes
-        from here, a queried last layer's without a map included.
+        the all-ones start when ``f`` is None, on the i <= j triangle
+        (``_Triangle``); written into the triangle ``out`` when it has their
+        width. Every dense message of a pass comes from here, a queried
+        last layer's without a map included, and no n x n array is formed.
 
         For the neighbor projection and symmetric F and A, F A = (A F)^T,
-        so each channel costs one product Y = A F_k (``stats.product``),
-        written straight into its message slice and symmetrized there tile
-        by tile:
-        m_k = (Y + Y^T) W. From all ones Y is the degree D_i in row i and
-        needs no product; D_i + D_j is an exact integer, so layer 0's
-        message is bitwise (D_i + D_j) W_ij.
+        so each channel costs one product Y = A F_k and m_k = (Y + Y^T) W.
+        Strip by strip, one ``stats.strip_product`` writes the strip's rows
+        of Y into the triangle's strip buffer. Their part left of the
+        strip's diagonal completes the blocks of the earlier strips there,
+        Y_ij + Y_ji weighted per tile (``_complete``); their part from the
+        diagonal on is the strip's block, whose leading square is
+        symmetrized in place (``_symmetrize``), and whose rest waits for
+        the later strips. The products are those of ``stats.product``, bit
+        for bit, and so is every message. From all ones Y is the degree D_i
+        in row i and needs no product; D_i + D_j is an exact integer, so
+        layer 0's message is bitwise (D_i + D_j) W_ij.
         """
+        width = message.width_out
+        if out is not None and out.width == width:
+            m = out
+        else:
+            m = _Triangle(self.n, self.stats.strip_rows, width)
         if not message.is_neighbor_projection:
-            return _general_pair_messages(self.graph, f, message, self.weights)
-        shape = (self.n, self.n, message.width_out)
-        m = out if out is not None and out.shape == shape else np.empty(shape)
-        for k in range(m.shape[2]):
-            mk = m[:, :, k]
-            if f is None:
-                mk[...] = self.stats.degree_counts[:, None]
-            else:
-                self.stats.product(f[:, :, k], out=mk)
-            _symmetrize(mk, self.weights)
+            _general_pair_messages(self.graph, f, message, self.weights, m)
+            return m
+        weights, last = self.weights, len(m.blocks) - 1
+        for b, (block, s) in enumerate(zip(m.blocks, m.starts)):
+            end = s + len(block)
+            strip = slice(s, end)
+            y = m.strip[: end - s]
+            for k in range(width):
+                yk = y[:, :, k]
+                if f is None:
+                    yk[...] = self.stats.degree_counts[strip, None]
+                else:
+                    self.stats.strip_product(s, f[:, :, k], yk)
+                for done, s2 in zip(m.blocks[:b], m.starts):
+                    rows = slice(s2, s2 + len(done))
+                    _complete(done[:, s - s2 : end - s2, k], yk[:, rows],
+                              weights.block(rows, strip))
+                if b < last:  # the last block is the strip buffer itself
+                    block[:, :, k] = yk[:, s:]
+                _symmetrize(block[:, : end - s, k], weights.block(strip, strip))
         return m
 
     def _query_map(self, mpnn: Mpnn, pairs, record: bool) -> "_QueryMap | None":
@@ -495,16 +605,19 @@ class PairGraph:
         learnable or fixed, holds no n x n float array and does no n x n
         work once layer 0's classes and the map are built. Otherwise the
         last layer's dense messages (``dense_messages``, in the pass's
-        buffer ``m``) are read at the pairs.
+        triangle ``m``) are read at the pairs.
 
-        The dense layers hold one feature buffer ``f`` and one message
-        buffer ``m`` for the whole pass. When layer 0's message is the
-        neighbor projection, which reads no features, the all-ones start
-        is never built (``f`` is None). The ratio update writes
-        f / max(m, EPS_DIV) back into ``f``; in layer 0 it writes
-        1 / max(m, EPS_DIV) into ``m``, which becomes ``f``. An update net
-        reads only its joined rows [x, m], so both buffers are released
-        while it runs, and ``out[inv]`` becomes the new ``f``.
+        The dense layers hold one feature buffer ``f`` and the messages'
+        i <= j triangle ``m`` (``_Triangle``) for the whole pass: one n x n
+        buffer per channel and about half of another, or two n x n buffers
+        where one product strip covers the graph (n <= 1448). When layer
+        0's message is the neighbor projection, which reads no features,
+        the all-ones start is never built (``f`` is None). The ratio update
+        writes f / max(m, EPS_DIV) into ``f`` block by block and mirrors it
+        tile by tile (``_Triangle.update``); in layer 0 it writes
+        1 / max(m, EPS_DIV) into a new ``f``. An update net reads only its
+        joined rows [x, m], so ``f`` and ``m`` are released while it runs,
+        and ``out[inv]`` becomes the new ``f``.
         """
         n = self.n
         _require_size(n, mpnn)
@@ -531,7 +644,7 @@ class PairGraph:
                     i, j = pairs[:, 0], pairs[:, 1]
                     m = self.dense_messages(f, message, m)
                     u[:, :width] = 1.0 if f is None else f[i, j]
-                    u[:, width:] = m[i, j]
+                    u[:, width:] = m.at(i, j)
                 out, cache = update_rows(update, u, record)
                 caches.append(cache)
                 require_finite(out, "pair")
@@ -541,10 +654,7 @@ class PairGraph:
             below = qmap is not None and t == last - 1  # the map reads this layer's rows
             if update.net is None and not (below and qmap.kind == "classes"):
                 m = self.dense_messages(f, message, m)
-                if f is None:
-                    f, m = update(1.0, m, out=m), None
-                else:
-                    f = update(f, m, out=f)
+                f = m.update(update, f)
             else:
                 u = self.row_inputs(f, message, m)
                 f = m = None  # only the joined rows are alive while the update runs
@@ -566,7 +676,8 @@ class PairGraph:
         the i <= j pairs under it) scatters the message gradients to an
         n x n matrix G. The message (Y + Y^T) W of Y = A F pulls back to
         A ((G + G^T) W): ``_symmetrize`` weights G in place, as it does
-        every forward message, and one ``stats.product`` follows. A second
+        each strip's diagonal block of a forward message, and one
+        ``stats.product`` follows. A second
         bincount over the layer below's ``inv`` sums that gradient onto its
         rows: d_ij + d_ji for an i <= j row, the sum over its pairs for a
         count class.

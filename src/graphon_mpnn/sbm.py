@@ -375,6 +375,9 @@ class GraphStats:
     time, into one buffer the stats own, and the strip last widened is
     kept: a graph that fits in one strip is unpacked and widened once,
     here, and each product is then one whole-matrix BLAS call.
+    ``strip_rows`` is the strip's height, and ``strip_product`` one
+    strip's share of a product, for callers that consume a product strip
+    by strip.
     """
 
     def __init__(self, graph: SampledGraph):
@@ -382,10 +385,10 @@ class GraphStats:
         self.n = n = graph.n
         self.degree_counts = _freeze(np.bitwise_count(graph.bits).sum(axis=1).astype(float))
         self._common = None
-        self._rows = max(1, min(n, _STRIP_ENTRIES // n))
+        self.strip_rows = max(1, min(n, _STRIP_ENTRIES // n))
         self._strip = None
         self._strip_start = None
-        if self._rows == n:
+        if self.strip_rows == n:
             self._widened(0)
 
     @property
@@ -412,10 +415,10 @@ class GraphStats:
         in the strip buffer, unpacked and widened unless it is the strip
         already kept."""
         if self._strip is None:
-            self._strip = np.empty((self._rows, self.n))
-        strip = self._strip[: min(self._rows, self.n - start)]
+            self._strip = np.empty((self.strip_rows, self.n))
+        strip = self._strip[: min(self.strip_rows, self.n - start)]
         if self._strip_start != start:
-            self._graph.rows(start, start + self._rows, out=strip)
+            self._graph.rows(start, start + self.strip_rows, out=strip)
             self._strip_start = start
         return strip
 
@@ -427,9 +430,16 @@ class GraphStats:
         the strip than for the whole matrix."""
         if out is None:
             out = np.empty((self.n, x.shape[1]))
-        for start in range(0, self.n, self._rows):
-            np.matmul(self._widened(start), x, out=out[start : start + self._rows])
+        for start in range(0, self.n, self.strip_rows):
+            self.strip_product(start, x, out[start : start + self.strip_rows])
         return out
+
+    def strip_product(self, start: int, x, out) -> np.ndarray:
+        """Rows ``start`` to ``start + strip_rows`` (clipped to n) of
+        ``A @ x``, written into ``out``: the one BLAS call ``product`` makes
+        for the row strip that begins at ``start``, a multiple of
+        ``strip_rows``."""
+        return np.matmul(self._widened(start), x, out=out)
 
 
 def graph_stats(graph: SampledGraph) -> GraphStats:

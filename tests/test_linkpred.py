@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from graphon_mpnn.linkpred import (
     model_scores,
     sample_across_block_nonedges,
 )
+from graphon_mpnn.pair_mpnn import PairGraph
 from graphon_mpnn.rng import child_seed, stream
 from graphon_mpnn.sbm import graph_stats, isomorphic_block_pairs
 
@@ -295,9 +298,9 @@ class TestTraining:
         )
         model = pair_link_model(T=2, learn_update=False, head_hidden=(8,), seed=3)
         trained, log = train_link_model(model, ds, epochs=200, lr=1e-2)
-        stats = graph_stats(ds.observed)
-        sp = model_scores(trained, ds.observed, ds.positives["train"], stats)
-        sn = model_scores(trained, ds.observed, ds.negatives["train"], stats)
+        backbone = _backbone_graph(trained, ds.observed)
+        sp = model_scores(trained, ds.observed, ds.positives["train"], backbone)
+        sn = model_scores(trained, ds.observed, ds.negatives["train"], backbone)
         acc = (np.sum(sp > 0.5) + np.sum(sn <= 0.5)) / (len(sp) + len(sn))
         assert acc == 1.0
 
@@ -503,6 +506,32 @@ class TestRunTable:
         assert rows and rows[0][2].startswith("hits@")
         text = report.format_table()
         assert "oracle" in text and "mcc" in text
+
+    def test_each_graph_builds_its_pair_classes_once(self, linkpred_spec, monkeypatch):
+        # pair_fixed and pair_learn share one PairGraph per graph, in
+        # training and in scoring: layer 0's count classes are built once on
+        # the training graph, which the transductive scenario scores too,
+        # and once on each of the inductive_same and inductive_ood graphs
+        from graphon_mpnn import RunTableConfig, run_table
+
+        built = []
+        build = PairGraph.first_classes.func
+
+        def counted(pg):
+            built.append(pg.graph)
+            return build(pg)
+
+        classes = functools.cached_property(counted)
+        classes.__set_name__(PairGraph, "first_classes")
+        monkeypatch.setattr(PairGraph, "first_classes", classes)
+        cfg = RunTableConfig(
+            spec=linkpred_spec, n_train=150, n_test_ood=300, runs=1, seed=0,
+            methods=("pair_fixed", "pair_learn"), epochs_head=2, epochs_end_to_end=2,
+            k_list=(1,),
+        )
+        run_table(cfg)
+        assert len(built) == len({id(g) for g in built}) == 3
+        assert sorted(g.n for g in built) == [150, 150, 300]
 
 
 class TestEvalReport:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -16,7 +17,7 @@ from graphon_mpnn import (
 )
 from graphon_mpnn.mpnn import (EPS_DIV, Mpnn, NeighborProjection, NetFunction, RatioUpdate,
                                require_finite)
-from graphon_mpnn import pair_mpnn
+from graphon_mpnn import pair_mpnn, sbm
 from graphon_mpnn.analysis import delta_pair
 from graphon_mpnn.nn import init_net
 from graphon_mpnn.pair_mpnn import PairGraph, learnable_psi_mpnn
@@ -48,7 +49,7 @@ class TestFixedVariant:
         assert psi(np.array([1.0]), np.array([0.0]))[0] == pytest.approx(1.0 / EPS_DIV)
 
     def test_ratio_update_in_place_is_the_same_formula(self):
-        # the dense pass writes the quotient into f, or in layer 0 into m
+        # the dense pass writes the quotient into f, in layer 0 into a new f
         rng = np.random.default_rng(0)
         x, m = rng.normal(size=(2, 7, 7, 1))
         m[0, 0, 0] = 0.0
@@ -133,6 +134,16 @@ class TestDiscrete:
             PairGraph(g, stats).forward(learnable_psi_mpnn(1), np.array([[0, 1]]))
 
 
+def full(triangle):
+    """The dense (n, n, width) messages of a ``_Triangle``, read from its
+    i <= j entries alone."""
+    n = triangle.n
+    m = np.empty((n, n, triangle.width))
+    for i in range(n):
+        m[i, i:] = m[i:, i] = triangle.row(i)
+    return m
+
+
 def queried_pairs(n, count, seed):
     """Random pairs in both orders, plus a diagonal pair and a repeat."""
     pairs = np.random.default_rng(seed).integers(0, n, size=(count, 2))
@@ -213,7 +224,7 @@ class TestPairEngine:
         pg = PairGraph(g, stats)
         y = g.adjacency @ np.ones((200, 200))
         assert np.array_equal(stats.degree_counts, g.adjacency @ np.ones(200))
-        first = pg.dense_messages(None, NeighborProjection(1))[:, :, 0]
+        first = full(pg.dense_messages(None, NeighborProjection(1)))[:, :, 0]
         assert np.array_equal(first, (y + y.T) * message_weights_oracle(g.adjacency))
 
     @pytest.mark.parametrize("T", [1, 2, 3])
@@ -419,6 +430,28 @@ class TestQueryMap:
         assert pg._map is kept and kept.kind == "classes"
         pg.forward(fixed_psi_mpnn(3), pairs[:-1])  # layer 1's dense features are its source
         assert pg._map is not kept and pg._map.kind == "dense"
+        for qmap in (kept, pg._map):
+            assert qmap.idx.dtype == qmap.own.dtype == np.int32
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_int32_entries_read_as_intp_entries(self, convergence_spec, T):
+        # the map keeps its entries and own rows in int32: its messages and
+        # its pull equal those of the same map in intp bit for bit
+        g = isolate(sample_graph(convergence_spec, 40, seed=5), [0, 1])
+        pg = PairGraph(g, graph_stats(g))
+        pairs = map_pairs(40, 20, seed=T)
+        pg.forward(fixed_psi_mpnn(T), pairs)
+        narrow = pg._map
+        wide = copy.copy(narrow)
+        wide.idx, wide.own, wide._buf = narrow.idx.astype(np.intp), narrow.own.astype(np.intp), None
+        rng = np.random.default_rng(T)
+        src = rng.normal(size=(narrow.n_rows, 2))
+        d_x, d_m = rng.normal(size=(2, len(pairs), 2))
+        out = np.empty((2, len(pairs), 2))
+        for qmap, o in zip((narrow, wide), out):
+            qmap.messages(src, out=o)
+        assert np.array_equal(out[0], out[1])
+        assert np.array_equal(narrow.pull(d_x, d_m), wide.pull(d_x, d_m))
 
     @pytest.mark.parametrize("n, count", [(60, 20), (300, 50)])
     def test_fixed_map_reads_layer_0_by_class(self, convergence_spec, n, count):
@@ -544,8 +577,32 @@ def reference_fixed_pass(adjacency, weights, T):
     return f
 
 
+def strip_reference(graph, stats, mpnn):
+    """The dense pass of neighbor-projection messages as whole-array
+    operations from all ones, every product through ``stats.product`` so
+    that it runs in the pass's strips: per layer Y = A F and
+    m = (Y + Y^T) W, then the ratio update, or the update net on every
+    i <= j row as one batch."""
+    n = graph.n
+    w = message_weights_oracle(graph.adjacency)
+    rows = np.triu_indices(n)
+    f = np.ones((n, n))
+    for _, update in mpnn.layers:
+        y = stats.product(f)
+        m = (y + y.T) * w
+        if update.net is None:
+            f = f / np.maximum(m, EPS_DIV)
+        else:
+            out = update.net.forward(np.stack([f[rows], m[rows]], axis=1))[:, 0]
+            f = np.empty((n, n))
+            f[rows] = out
+            f.T[rows] = out
+    return f
+
+
 class TestDenseBuffers:
-    """The dense pass works in two reused n x n buffers, bit for bit."""
+    """The dense pass works in one n x n feature buffer and the messages'
+    i <= j triangle, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, pair_mpnn._TILE - 1, pair_mpnn._TILE,
                                    pair_mpnn._TILE + 1, 2 * pair_mpnn._TILE + 3])
@@ -571,7 +628,7 @@ class TestDenseBuffers:
         pg = PairGraph(g, graph_stats(g))
         d = g.adjacency.sum(axis=1)
         expected = np.add.outer(d, d) * message_weights_oracle(g.adjacency)
-        first = pg.dense_messages(None, NeighborProjection(1))[:, :, 0]
+        first = full(pg.dense_messages(None, NeighborProjection(1)))[:, :, 0]
         assert np.array_equal(first, expected)
         messages, inv = pg.first_classes
         assert np.array_equal(messages[inv], expected)
@@ -626,11 +683,39 @@ class TestDenseBuffers:
             dense = gmpnn_pair(g, stats, fixed_psi_mpnn(T))
             assert np.array_equal(dense[:, :, 0], reference_fixed_pass(g.adjacency, weights, T))
 
+    @pytest.mark.parametrize("n, rows", [(300, 70), (333, 128)])
+    def test_strip_passes_equal_the_strip_reference(self, convergence_spec, monkeypatch,
+                                                    n, rows):
+        # strips of 70 rows end mid-tile and leave a last strip of 20, strips
+        # of 128 rows leave one of 77, and node 0 is isolated: the triangle
+        # completed strip by strip is the dense formula bit for bit, for
+        # the dense pass and for a queried one that takes no map
+        monkeypatch.setattr(sbm, "_STRIP_ENTRIES", rows * n)
+        g = graph_with_isolated_node(convergence_spec, n)
+        stats = graph_stats(g)
+        assert stats.strip_rows == rows
+        first = PairGraph(g, stats).dense_messages(None, NeighborProjection(1))
+        assert len(first.blocks) == -(-n // rows)
+        assert np.shares_memory(first.blocks[-1], first.strip)
+        d = g.adjacency.sum(axis=1)
+        expected = np.add.outer(d, d) * message_weights_oracle(g.adjacency)
+        assert np.array_equal(full(first)[:, :, 0], expected)
+        pairs = queried_pairs(n, 3000, seed=n)
+        for mpnn in ([fixed_psi_mpnn(T) for T in (1, 2, 3, 4)]
+                     + [learnable_psi_mpnn(T, hidden=4, seed=T) for T in (1, 2, 3)]):
+            expected = strip_reference(g, stats, mpnn)
+            assert np.array_equal(gmpnn_pair(g, stats, mpnn)[:, :, 0], expected)
+            pg = PairGraph(g, stats)
+            queried, _ = pg.forward(mpnn, pairs)
+            assert pg._map is None
+            assert np.array_equal(queried[:, 0], expected[pairs[:, 0], pairs[:, 1]])
+
     def test_fixed_pass_working_set(self, convergence_spec):
-        # f and m: 2 n^2 floats, plus 165 KiB of tile-sized temporaries,
-        # 2.02 n^2 at n = 1024; W is formed per tile from the counts (3.13
-        # n^2 floats while W was an array), and the finiteness check forms
-        # no n x n mask (2.13 n^2 floats with one)
+        # one strip: f and the triangle, which is the strip buffer of the
+        # whole product Y, 2 n^2 floats, plus 165 KiB of tile-sized
+        # temporaries, 2.02 n^2 at n = 1024; W is formed per tile from the
+        # counts (3.13 n^2 floats while W was an array), and the finiteness
+        # check forms no n x n mask (2.13 n^2 floats with one)
         n = 1024
         g = sample_graph(convergence_spec, n, seed=0)
         stats = graph_stats(g)
@@ -642,6 +727,24 @@ class TestDenseBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= 2.05 * n * n * 8
+
+    def test_fixed_pass_working_set_in_strips(self, convergence_spec, monkeypatch):
+        # f, the triangle's seven separate blocks (0.547 n^2 floats), its
+        # strip buffer for Y and the stats' strip of A (0.125 n^2 each) and
+        # tile-sized temporaries: 1.82 n^2 floats at n = 1024, where f, a
+        # dense m and the strip of A read 2.15
+        n = 1024
+        monkeypatch.setattr(sbm, "_STRIP_ENTRIES", 128 * n)  # 8 strips, as at n = 4096
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        stats.common_neighbors  # computed lazily; not part of the pass
+        tracemalloc.start()
+        try:
+            gmpnn_pair(g, stats, fixed_psi_mpnn(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.83 * n * n * 8
 
     def test_pair_net_pass_working_set(self, convergence_spec):
         # the update input [x, m] is gathered once into one (n^2 / 2, 2)
