@@ -17,17 +17,16 @@ all-ones start the first message needs no product; the dense messages are
 held on the i <= j triangle alone (``_Triangle``), completed strip by
 strip as the product's strips arrive; and each update net runs on fewer
 rows than n^2. Every dense message, layer 0's included, comes from
-``PairGraph.dense_messages``. A symmetric map ``inv`` sends every pair to
-its row: its i <= j pair, or in layer 0, its class of equal counts, since
-its message depends on a pair only through two integers.
-Callers that read only some pairs get the last layer at those pairs
-alone, and the ``Tape`` it records backpropagates through the pass. At
-queried pairs the last layer's message is linear in the rows of the
-layer below, so it reads them through a sparse map fixed for the graph
-and the pairs, E = sum over the pairs of (D_i + D_j) entries, and its
-pull is that map's transpose, read from the same index array with nothing
-sorted: a two-layer pass then does no n x n work.
-Where no map serves, the dense last layer is read at the pairs.
+``PairGraph.dense_messages``. ``PairGraph._plan`` decides once per pass
+which rows each layer runs on: layer 0's classes of equal counts (its
+message depends on a pair only through two integers), the i <= j pairs
+or the dense features, with a symmetric map ``inv`` from every pair to
+its row. Callers that read only some pairs get the last layer at those
+pairs alone, and the ``Tape`` it records backpropagates through the pass.
+There the last layer's message is linear in the rows of the layer below:
+it reads them through a sparse map fixed for the graph and the pairs
+(``_QueryMap``), whose pull is its transpose, or where no map serves, the
+dense messages at the pairs.
 The continuous recursion collapses to r x r block-pair states.
 """
 
@@ -293,8 +292,9 @@ class _QueryMap:
 
     Per channel, m_ij = W_ij (sum_{z in N(i)} src[key(j, z)]
     + sum_{z in N(j)} src[key(i, z)]), where ``src`` holds the ``n_rows``
-    rows of the layer below and key(a, z) is its row map ``inv[a, z]``, or
-    the flat index a n + z of the dense features when ``inv`` is None. The
+    rows of the layer below, its ``kind`` of rows (a ``PairGraph._plan``
+    entry), and key(a, z) is their row map ``inv[a, z]``, or the flat index
+    a n + z of the dense features (``PairGraph.row_inv``). The
     E entries of ``idx`` form one segment per pair, ``lengths[p]`` long from
     ``starts[p]``: the smaller endpoint's neighbors first, each list
     ascending, so that (i, j) and (j, i) add in one order and stay bitwise
@@ -303,8 +303,8 @@ class _QueryMap:
     keep 4 bytes per entry (int32) while ``n_rows < 2**31``.
     """
 
-    def __init__(self, graph: "PairGraph", pairs, inv, kind: str):
-        n = graph.n
+    def __init__(self, graph: "PairGraph", pairs, kind: str):
+        n, inv = graph.n, graph.row_inv(kind)
         self.kind, self.pairs = kind, pairs.copy()
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
@@ -375,10 +375,11 @@ class PairGraph:
     adjacency runs in the row strips of ``stats.product``; the neighbor
     lists and the messages other than the neighbor projection unpack it a
     strip of rows at a time. Dense messages live on the i <= j triangle.
-    Each update net runs on its layer's rows, and ``row_inv`` maps every
-    pair to its row. ``forward`` serves every caller:
-    the dense sweeps (through ``gmpnn_pair``), scoring at queried pairs,
-    and training, frozen or by backprop through the tape it records.
+    ``_plan`` gives each layer of a pass its rows, read by ``forward``,
+    ``_query_map`` and the pull alike, and ``row_inv`` maps every pair to
+    its row. ``forward`` serves every caller: the dense sweeps (through
+    ``gmpnn_pair``), scoring at queried pairs, and training, frozen or by
+    backprop through the tape it records.
     """
 
     def __init__(self, graph: SampledGraph, stats: GraphStats):
@@ -463,40 +464,55 @@ class PairGraph:
         return keys
 
     def upper_rows(self) -> np.ndarray:
-        """Flat indices i n + j of the i <= j pairs, row-major: the rows of
-        every update net but layer 0's classes."""
+        """Flat indices i n + j of the i <= j pairs, row-major: the
+        "upper" rows."""
         i, j = np.triu_indices(self.n)
         return i * self.n + j
 
-    @staticmethod
-    def _row_kind(t: int, message) -> str:
-        return "classes" if t == 0 and message.is_neighbor_projection else "upper"
-
-    def row_inv(self, t: int, message) -> np.ndarray:
-        """The symmetric n x n map from each pair to its row in layer t:
-        its count class in layer 0, else its i <= j row (int32, built per
-        call so that none is alive while an update net runs)."""
-        if self._row_kind(t, message) == "classes":
+    def row_inv(self, rows: str):
+        """The symmetric n x n map from each pair to its row among
+        ``rows``, a ``_plan`` entry: its count class for "classes", its
+        i <= j row for "upper" (int32, built per call so that none is alive
+        while an update net runs), and None for "dense" rows, which are the
+        pairs themselves at their flat indices."""
+        if rows == "classes":
             return self.first_classes[1]
+        if rows == "dense":
+            return None
         i, j = np.triu_indices(self.n)
         inv = np.empty((self.n, self.n), dtype=np.int32)
         inv[i, j] = inv[j, i] = np.arange(len(i), dtype=np.int32)
         return inv
 
-    def row_inputs(self, f, message, m=None) -> np.ndarray:
-        """A layer's update input [x, m] at its rows, joined in one array:
-        the count classes from all ones (``f`` is None), or the i <= j rows
-        of ``f`` and of its messages, each row's ``m[i, i:]`` copied from
-        the triangle. The dense messages are written into the triangle
-        ``m`` when it has their width."""
-        if f is None:
-            messages, width = self.first_classes[0], message.width_out
-            u = np.empty((len(messages), 2 * width))
+    def row_inputs(self, rows: str, f, message, m=None, pairs=None) -> np.ndarray:
+        """A layer's update input [x, m] at its ``rows`` (a ``_plan``
+        entry), joined in one array: the count classes from all ones; the
+        pairs, read through the kept map from the rows ``f`` below ("map")
+        or from the dense ``f`` and its messages ("pairs"); or the i <= j
+        rows of ``f`` and its messages, ``m[i, i:]`` copied from the
+        triangle. The dense messages go into the triangle ``m`` when it has
+        their width; ``f`` is None for the all-ones start."""
+        width = message.width_in // 2
+        if rows == "classes":
+            messages = self.first_classes[0]
+            u = np.empty((len(messages), width + message.width_out))
             u[:, :width] = 1.0
             u[:, width:] = messages[:, None]
             return u
+        if rows == "map":
+            src = f.reshape(-1, width)
+            u = np.empty((len(pairs), width + message.width_out))
+            u[:, :width] = src[self._map.own]
+            self._map.messages(src, out=u[:, width:])
+            return u
         m = self.dense_messages(f, message, m)
-        n, width = self.n, f.shape[2]
+        if rows == "pairs":
+            i, j = pairs[:, 0], pairs[:, 1]
+            u = np.empty((len(pairs), width + m.width))
+            u[:, :width] = 1.0 if f is None else f[i, j]
+            u[:, width:] = m.at(i, j)
+            return u
+        n = self.n
         u = np.empty((n * (n + 1) // 2, width + m.width))
         lo = 0
         for i in range(n):  # row i holds the pairs (i, i), ..., (i, n - 1)
@@ -554,33 +570,44 @@ class PairGraph:
                 _symmetrize(block[:, : end - s, k], weights.block(strip, strip))
         return m
 
-    def _query_map(self, mpnn: Mpnn, pairs, record: bool) -> "_QueryMap | None":
-        """The map of a pass of ``mpnn`` queried at ``pairs``, or None where
-        the dense messages serve: for one layer, a message other than the
-        neighbor projection, or more than _MAP_C n^2 entries (_MAP_C_ONCE
-        n^2 for a pass that is not recorded).
+    def _plan(self, mpnn: Mpnn, pairs, record: bool) -> list:
+        """The rows of each layer of a pass of ``mpnn``, queried at
+        ``pairs`` unless they are None: what the layer's update runs on,
+        and in the last layer of a queried pass, what it reads.
 
-        Its source, its ``kind``, is the rows of the layer below: layer 0's
-        count classes when that layer is layer 0 with the neighbor
-        projection, whatever its update, closed form included; else the
-        i <= j rows of a net, or the dense features of a closed-form
-        update. The last map built is kept and serves every pass at the
-        same pairs from the same kind of source, so the learnable and the
-        fixed two-layer pass share one."""
-        last = mpnn.depth - 1
-        entries = self.stats.degree_counts[pairs].sum()
-        if (last == 0 or not mpnn.layers[last][0].is_neighbor_projection
-                or entries > (_MAP_C if record else _MAP_C_ONCE) * self.n ** 2):
-            return None
-        message, update = mpnn.layers[last - 1]
-        kind = self._row_kind(last - 1, message)
-        if kind == "upper" and update.net is None:
-            kind = "dense"
+        - "classes": layer 0's count classes (``first_classes``), where
+          layer 0's message is the neighbor projection and either its
+          update is a net or a map reads it (T = 2 under "map");
+        - "upper": the i <= j pairs, for every other net update;
+        - "dense": the dense features, for every other closed-form update;
+        - "map": the last layer of a queried pass, where T > 1, its
+          message is the neighbor projection and E <= _MAP_C n^2
+          (_MAP_C_ONCE n^2 unrecorded): it reads the rows below through
+          ``_query_map``, O(E), so they are not expanded to the dense
+          ``out[inv]`` (``row_inv``) as every other layer's rows are;
+        - "pairs": the last layer of any other queried pass, its dense
+          messages read at the pairs.
+        """
+        layers = mpnn.layers
+        plan = ["dense" if update.net is None else "upper" for _, update in layers]
+        if pairs is not None:
+            entries = self.stats.degree_counts[pairs].sum()
+            mapped = (len(layers) > 1 and layers[-1][0].is_neighbor_projection
+                      and entries <= (_MAP_C if record else _MAP_C_ONCE) * self.n ** 2)
+            plan[-1] = "map" if mapped else "pairs"
+        if layers[0][0].is_neighbor_projection and (plan[0] == "upper" or plan[1:] == ["map"]):
+            plan[0] = "classes"
+        return plan
+
+    def _query_map(self, pairs, rows: str) -> _QueryMap:
+        """The map of a pass queried at ``pairs`` from the ``rows`` below
+        its last layer. The last map built is kept and serves every pass at
+        the same pairs from the same rows, so the learnable and the fixed
+        two-layer pass share one."""
         kept = self._map
-        if kept is None or kept.kind != kind or not np.array_equal(kept.pairs, pairs):
+        if kept is None or kept.kind != rows or not np.array_equal(kept.pairs, pairs):
             self._map = None  # release the old map before building the new
-            inv = None if kind == "dense" else self.row_inv(last - 1, message)
-            self._map = _QueryMap(self, pairs, inv, kind)
+            self._map = _QueryMap(self, pairs, rows)
         return self._map
 
     def forward(self, mpnn: Mpnn, pairs=None, record: bool = False):
@@ -588,24 +615,13 @@ class PairGraph:
 
         Returns ``(values, tape)``. Without ``pairs``, values is the dense
         (n, n, F) tensor. With ``pairs`` (k x 2), the last layer is
-        evaluated at those pairs only and values is (k, F). Pair features
-        are exactly symmetric: an update net runs on its layer's rows (one
-        per count class in layer 0, one per i <= j pair after), and the
-        dense features are gathered as ``out[inv]``; closed-form updates
-        run elementwise on the dense tensor, but for layer 0 under a map
-        of kind "classes", which runs on the class rows as a net does.
-        With ``record``, ``pairs`` is required and tape is the ``Tape`` to
-        backpropagate through; otherwise tape is None.
-
-        A queried last layer reads the layer below through the map of
-        ``_query_map`` where one serves: E gathered rows and one segmented
-        sum, O(E) for E = sum over the pairs of (D_i + D_j). The rows
-        below it, a net's or layer 0's count classes, are then never
-        expanded to ``out[inv]``, so a two-layer pass at queried pairs,
-        learnable or fixed, holds no n x n float array and does no n x n
-        work once layer 0's classes and the map are built. Otherwise the
-        last layer's dense messages (``dense_messages``, in the pass's
-        triangle ``m``) are read at the pairs.
+        evaluated at those pairs only and values is (k, F). With
+        ``record``, ``pairs`` is required and tape is the ``Tape`` to
+        backpropagate through; otherwise tape is None. Each layer runs on
+        the rows that ``_plan`` gives it, and is checked finite there. A
+        two-layer pass whose last layer reads the map holds no n x n float
+        array and does no n x n work once layer 0's classes and the map
+        are built.
 
         The dense layers hold one feature buffer ``f`` and the messages'
         i <= j triangle ``m`` (``_Triangle``) for the whole pass: one n x n
@@ -615,72 +631,55 @@ class PairGraph:
         the all-ones start is never built (``f`` is None). The ratio update
         writes f / max(m, EPS_DIV) into ``f`` block by block and mirrors it
         tile by tile (``_Triangle.update``); in layer 0 it writes
-        1 / max(m, EPS_DIV) into a new ``f``. An update net reads only its
-        joined rows [x, m], so ``f`` and ``m`` are released while it runs,
-        and ``out[inv]`` becomes the new ``f``.
+        1 / max(m, EPS_DIV) into a new ``f``. An update on rows reads only
+        its joined rows [x, m], so ``f`` and ``m`` are released while it
+        runs.
         """
         n = self.n
         _require_size(n, mpnn)
         if record:
             require_tape(mpnn, pairs, "pair")
-        qmap = None
         if pairs is not None:
             pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-            qmap = self._query_map(mpnn, pairs, record)
-        widths = mpnn.feature_dims
-        f = None if mpnn.layers[0][0].is_neighbor_projection else np.ones((n, n, widths[0]))
+        plan = self._plan(mpnn, pairs, record)
+        qmap = self._query_map(pairs, plan[-2]) if plan[-1] == "map" else None
+        f = (None if mpnn.layers[0][0].is_neighbor_projection
+             else np.ones((n, n, mpnn.feature_dims[0])))
         m = None
         caches = []
-        last = mpnn.depth - 1
-        for t, (message, update) in enumerate(mpnn.layers):
-            width = widths[t]
-            if pairs is not None and t == last:
-                u = np.empty((len(pairs), width + message.width_out))
-                if qmap is not None:
-                    src = f.reshape(-1, width)
-                    u[:, :width] = src[qmap.own]
-                    qmap.messages(src, out=u[:, width:])
-                else:
-                    i, j = pairs[:, 0], pairs[:, 1]
-                    m = self.dense_messages(f, message, m)
-                    u[:, :width] = 1.0 if f is None else f[i, j]
-                    u[:, width:] = m.at(i, j)
-                out, cache = update_rows(update, u, record)
-                caches.append(cache)
-                require_finite(out, "pair")
-                if not record:
-                    return out, None
-                return out, Tape(mpnn, caches, self._pull(mpnn, pairs, qmap))
-            below = qmap is not None and t == last - 1  # the map reads this layer's rows
-            if update.net is None and not (below and qmap.kind == "classes"):
+        for (message, update), rows, above in zip(mpnn.layers, plan, plan[1:] + [None]):
+            if rows == "dense":
                 m = self.dense_messages(f, message, m)
                 f = m.update(update, f)
             else:
-                u = self.row_inputs(f, message, m)
+                u = self.row_inputs(rows, f, message, m, pairs)
                 f = m = None  # only the joined rows are alive while the update runs
-                out, cache = update_rows(update, u, record)
+                f, cache = update_rows(update, u, record)
                 del u
                 caches.append(cache)
-                f = out if below else out[self.row_inv(t, message)]
             require_finite(f, "pair")
-        return f, None
+            if rows in ("classes", "upper") and above != "map":
+                f = f[self.row_inv(rows)]
+        if not record:
+            return f, None
+        return f, Tape(mpnn, caches, self._pull(mpnn, pairs, plan, qmap))
 
-    def _pull(self, mpnn: Mpnn, pairs: np.ndarray, qmap):
-        """The tape's pull for a pass queried at ``pairs``.
+    def _pull(self, mpnn: Mpnn, pairs: np.ndarray, plan: list, qmap):
+        """The tape's pull for a pass queried at ``pairs`` on the rows of
+        ``plan``.
 
-        The last layer's output rows are the returned values. Where the
-        pass took the map ``qmap``, the last layer's pull is its transpose
-        onto the rows below (``_QueryMap.pull``): O(E), and no n x n
-        array. Every other layer's pull is dense: one bincount over
-        the flat indices of its rows (the queried pairs for the last layer,
-        the i <= j pairs under it) scatters the message gradients to an
-        n x n matrix G. The message (Y + Y^T) W of Y = A F pulls back to
-        A ((G + G^T) W): ``_symmetrize`` weights G in place, as it does
-        each strip's diagonal block of a forward message, and one
-        ``stats.product`` follows. A second
-        bincount over the layer below's ``inv`` sums that gradient onto its
-        rows: d_ij + d_ji for an i <= j row, the sum over its pairs for a
-        count class.
+        The last layer's output rows are the returned values. A "map"
+        layer pulls through the transpose of ``qmap`` onto the rows below
+        (``_QueryMap.pull``): O(E), and no n x n array. A "pairs" or
+        "upper" layer pulls densely: one bincount over the flat indices of
+        its rows (the queried pairs, or ``upper_rows()``) scatters the
+        message gradients to an n x n matrix G. The message (Y + Y^T) W of
+        Y = A F pulls back to A ((G + G^T) W): ``_symmetrize`` weights G in
+        place, as it does each strip's diagonal block of a forward message,
+        and one ``stats.product`` follows. A second bincount over the row
+        map of the layer below, ``row_inv(plan[t - 1])``, sums that
+        gradient onto its rows: d_ij + d_ji for an i <= j row, the sum over
+        its pairs for a count class.
         """
         n, widths = self.n, mpnn.feature_dims
         queried = pairs[:, 0] * n + pairs[:, 1]
@@ -689,10 +688,10 @@ class PairGraph:
             if t == mpnn.depth:
                 return np.asarray(d, dtype=float)
             width = widths[t]
-            if qmap is not None and t == mpnn.depth - 1:
+            if plan[t] == "map":
                 return qmap.pull(d[:, :width], d[:, width:])
-            flat = queried if t == mpnn.depth - 1 else self.upper_rows()
-            inv = self.row_inv(t - 1, mpnn.layers[t - 1][0]).ravel()
+            flat = queried if plan[t] == "pairs" else self.upper_rows()
+            inv = self.row_inv(plan[t - 1]).ravel()
             delta = []
             for k in range(width):
                 g = np.bincount(flat, weights=d[:, width + k], minlength=n * n).reshape(n, n)

@@ -150,6 +150,16 @@ def queried_pairs(n, count, seed):
     return np.vstack([pairs, [[3, 3]], pairs[:1]])
 
 
+def message_net_mpnn(T):
+    """T = 1 or 2 layers whose messages and updates are all nets."""
+    layers = [(NetFunction(init_net([2, 4, 2], seed=T, tag="m")),
+               NetFunction(init_net([3, 4, 1], seed=T, tag="u")))]
+    if T == 2:
+        layers.append((NetFunction(init_net([2, 3, 1], seed=T, tag="m2")),
+                       NetFunction(init_net([2, 3, 1], seed=T, tag="u2"))))
+    return Mpnn(layers=tuple(layers))
+
+
 class TestPairEngine:
     # at n = 120, an unrecorded pass with T > 1 takes the neighbor map for
     # 40 pairs, whose sums add in another order than the product A F; 300
@@ -181,12 +191,7 @@ class TestPairEngine:
                        B=np.ones((2, 1)))
         g = sample_graph(spec, 12, seed=T)
         stats = graph_stats(g)
-        layers = [(NetFunction(init_net([2, 4, 2], seed=T, tag="m")),
-                   NetFunction(init_net([3, 4, 1], seed=T, tag="u")))]
-        if T == 2:
-            layers.append((NetFunction(init_net([2, 3, 1], seed=T, tag="m2")),
-                           NetFunction(init_net([2, 3, 1], seed=T, tag="u2"))))
-        mpnn = Mpnn(layers=tuple(layers))
+        mpnn = message_net_mpnn(T)
         pairs = queried_pairs(12, 30, seed=T)
         pg = PairGraph(g, stats)
         queried, _ = pg.forward(mpnn, pairs)
@@ -196,9 +201,10 @@ class TestPairEngine:
 
     # a recorded pass keeps its map for every epoch, so it takes the map up
     # to a larger crossover: 300 pairs take it, 4000 take the product, and
-    # the pull of that last layer is the dense one, on pairs in both orders
+    # the pull of that last layer is the dense one, on pairs in both orders;
+    # T = 1 takes no map
     @pytest.mark.parametrize("count", [300, 4000])
-    @pytest.mark.parametrize("T", [2, 3])
+    @pytest.mark.parametrize("T", [1, 2, 3, 4])
     def test_recorded_pairs_match_dense(self, convergence_spec, T, count):
         g = sample_graph(convergence_spec, 120, seed=4)
         stats = graph_stats(g)
@@ -210,13 +216,69 @@ class TestPairEngine:
         np.testing.assert_allclose(queried, expected, rtol=1e-12, atol=0.0)
         entries = stats.degree_counts[pairs].sum()
         assert (entries > pair_mpnn._MAP_C * 120 ** 2) == (count == 4000)
-        assert (pg._map is not None) == (count == 300)
-        if count == 4000:
+        assert (pg._map is not None) == (T > 1 and count == 300)
+        if pg._map is None:
             assert np.array_equal(queried, expected)
         d_out = np.random.default_rng(6).normal(size=(len(pairs), 1))
         analytic = [g_ for layer in tape.backward(d_out) for g_ in layer]
         _, oracle = pair_update_rows_oracle(g.adjacency, mpnn.trainable_nets(), pairs, d_out)
         assert max_relative_error(analytic, [g_ for layer in oracle for g_ in layer]) < 1e-12
+
+    # the rows of each layer at n = 120: a dense pass (count None), passes
+    # queried at 40 pairs (under the one-use map limit) and 4000 (over it),
+    # and recorded passes at 300 (under the recorded limit) and 4000
+    @pytest.mark.parametrize("model, T, count, record, plan", [
+        ("fixed", 1, None, False, "dense"),
+        ("fixed", 1, 40, False, "pairs"),
+        ("fixed", 1, 4000, False, "pairs"),
+        ("fixed", 2, None, False, "dense dense"),
+        ("fixed", 2, 40, False, "classes map"),
+        ("fixed", 2, 4000, False, "dense pairs"),
+        ("fixed", 3, None, False, "dense dense dense"),
+        ("fixed", 3, 40, False, "dense dense map"),
+        ("fixed", 3, 4000, False, "dense dense pairs"),
+        ("fixed", 4, None, False, "dense dense dense dense"),
+        ("fixed", 4, 40, False, "dense dense dense map"),
+        ("fixed", 4, 4000, False, "dense dense dense pairs"),
+        ("learn", 1, None, False, "classes"),
+        ("learn", 1, 40, False, "pairs"),
+        ("learn", 1, 4000, False, "pairs"),
+        ("learn", 1, 300, True, "pairs"),
+        ("learn", 1, 4000, True, "pairs"),
+        ("learn", 2, None, False, "classes upper"),
+        ("learn", 2, 40, False, "classes map"),
+        ("learn", 2, 4000, False, "classes pairs"),
+        ("learn", 2, 300, True, "classes map"),
+        ("learn", 2, 4000, True, "classes pairs"),
+        ("learn", 3, None, False, "classes upper upper"),
+        ("learn", 3, 40, False, "classes upper map"),
+        ("learn", 3, 4000, False, "classes upper pairs"),
+        ("learn", 3, 300, True, "classes upper map"),
+        ("learn", 3, 4000, True, "classes upper pairs"),
+        ("learn", 4, None, False, "classes upper upper upper"),
+        ("learn", 4, 40, False, "classes upper upper map"),
+        ("learn", 4, 4000, False, "classes upper upper pairs"),
+        ("learn", 4, 300, True, "classes upper upper map"),
+        ("learn", 4, 4000, True, "classes upper upper pairs"),
+        ("net", 1, None, False, "upper"),
+        ("net", 1, 40, False, "pairs"),
+        ("net", 2, None, False, "upper upper"),
+        ("net", 2, 40, False, "upper pairs"),
+    ])
+    def test_plan_of_each_pass(self, convergence_spec, model, T, count, record, plan):
+        g = sample_graph(convergence_spec, 120, seed=4)
+        models = {"fixed": fixed_psi_mpnn, "net": message_net_mpnn,
+                  "learn": lambda T: learnable_psi_mpnn(T, hidden=4, seed=5)}
+        mpnn = models[model](T)
+        pairs = None if count is None else queried_pairs(120, count, seed=T)
+        pg = PairGraph(g, graph_stats(g))
+        plan = plan.split()
+        assert pg._plan(mpnn, pairs, record) == plan
+        pg.forward(mpnn, pairs, record)
+        if plan[-1] == "map":
+            assert pg._map.kind == plan[-2]
+        else:
+            assert pg._map is None
 
     def test_first_message_is_the_degree_product_exactly(self, convergence_spec):
         g = sample_graph(convergence_spec, 200, seed=6)
@@ -468,7 +530,7 @@ class TestQueryMap:
         values, _ = pg.forward(fixed_psi_mpnn(2), pairs)
         assert pg._map.kind == "classes"
         f0 = gmpnn_pair(g, stats, fixed_psi_mpnn(1)).reshape(-1, 1)
-        dense_map = pair_mpnn._QueryMap(pg, pairs, None, "dense")
+        dense_map = pair_mpnn._QueryMap(pg, pairs, "dense")
         m = np.empty((len(pairs), 1))
         dense_map.messages(f0, out=m)
         assert np.array_equal(values, RatioUpdate(1)(f0[dense_map.own], m))
