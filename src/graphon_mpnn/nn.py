@@ -20,13 +20,23 @@ def _tanh_grad(h):
     return np.subtract(1.0, d, out=d)
 
 
+def _column_sums(d):
+    """``d.sum(axis=0)`` bit for bit. Over the rows of a C-contiguous
+    array of several columns numpy adds one row after another, as
+    ``einsum`` does in under half the time; it sums one column, or a
+    Fortran-ordered array's columns, pairwise, which ``einsum`` does not."""
+    if d.shape[1] > 1 and d.flags.c_contiguous:
+        return np.einsum("ij->j", d)
+    return d.sum(axis=0)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so that no
+    exponential overflows: both read the one e^-|z|, and no mask indexes
+    the input."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, np.divide(1.0, d), np.divide(e, d, out=e))
 
 
 class FeedForwardNet:
@@ -97,7 +107,7 @@ class FeedForwardNet:
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if inputs is not None:
                 inputs.append(h)
-            z = h @ w.T
+            z = h * w[:, 0] if w.shape[1] == 1 else h @ w.T  # one product per entry either way
             z += b
             h = z if k == last else np.tanh(z, out=z)
         out = sigmoid(h) if self.output_activation == "sigmoid" else h
@@ -128,7 +138,7 @@ class FeedForwardNet:
             flat_delta = delta.reshape(-1, delta.shape[-1])
             flat_in = h_in.reshape(-1, h_in.shape[-1])
             grads[2 * k] = flat_delta.T @ flat_in
-            grads[2 * k + 1] = flat_delta.sum(axis=0)
+            grads[2 * k + 1] = _column_sums(flat_delta)
             delta = delta @ self.weights[k]
             if k > 0:
                 delta *= _tanh_grad(inputs[k])

@@ -263,10 +263,12 @@ class SampledGraph:
 
 
 #: Rows per strip of the sampler, of ``SampledGraph.rows`` when it writes
-#: into a given array, of ``submatrix`` and of ``edge_list``: the sampler
-#: draws a 128-row strip of the upper triangle into one reused bool buffer
-#: and packs it, and its transpose, into the adjacency while it is in
-#: cache. A multiple of 8, so that each strip's columns start on a byte.
+#: into a given array, of ``submatrix``, of ``edge_list`` and of the float64
+#: strips ``GraphStats.product`` reads for a product of fewer than this many
+#: columns: the sampler draws a 128-row strip of the upper triangle into one
+#: reused bool buffer and packs it, and its transpose, into the adjacency
+#: while it is in cache. A multiple of 8, so that each strip's columns start
+#: on a byte.
 _MIRROR_ROWS = 128
 
 
@@ -334,12 +336,14 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
 
 
 #: Entries of the float64 row strip ``GraphStats.product`` widens the
-#: adjacency into: 2**21, 16 MiB, so 1048 rows at n = 2000, 512 at
-#: n = 4096 and 256 at n = 8192, and a graph of up to 1448 nodes fits in
-#: one strip, which is widened once. Twice that covered n = 2000 whole and
-#: raised the peak memory of a link-prediction table run at n = 2000 by 6%;
-#: strips of 256 rows make the n^3 product at n = 8192 about 20% slower
-#: than the whole matrix, where 512 rows cost 3 to 8%.
+#: adjacency into for a product of _MIRROR_ROWS columns or more: 2**21,
+#: 16 MiB, so 1048 rows at n = 2000, 512 at n = 4096 and 256 at n = 8192,
+#: and a graph of up to 1448 nodes fits in one strip, which is widened
+#: once. Twice that covered n = 2000 whole and raised the peak memory of a
+#: link-prediction table run at n = 2000 by 6%; strips of 256 rows make the
+#: n^3 product at n = 8192 about 20% slower than the whole matrix, where
+#: 512 rows cost 3 to 8%. A thinner product on a larger graph reads
+#: strips of _MIRROR_ROWS rows, 2.0 MB at n = 2000 and 8 MiB at n = 8192.
 _STRIP_ENTRIES = 1 << 21
 
 #: Rows of each float32 row block the common-neighbor counts are built
@@ -371,13 +375,16 @@ class GraphStats:
     float32 row blocks and one block result, and no n x n float array.
 
     ``product(x)`` is every ``A @ x`` of the engines. The adjacency is
-    widened to float64 one row strip of ``_STRIP_ENTRIES`` entries at a
-    time, into one buffer the stats own, and the strip last widened is
-    kept: a graph that fits in one strip is unpacked and widened once,
-    here, and each product is then one whole-matrix BLAS call.
-    ``strip_rows`` is the strip's height, and ``strip_product`` one
-    strip's share of a product, for callers that consume a product strip
-    by strip.
+    widened to float64 one row strip at a time, into one buffer the stats
+    own, and the strip last widened is kept: a graph that fits in one strip
+    of ``_STRIP_ENTRIES`` entries is unpacked and widened once, here, and
+    each product is then one whole-matrix BLAS call. On a larger graph a
+    product of _MIRROR_ROWS columns or more reads strips of
+    ``_STRIP_ENTRIES`` entries, ``strip_rows`` rows each, and a thinner one
+    strips of _MIRROR_ROWS rows; the buffer takes the height first needed
+    and grows only for a taller strip. ``strip_product`` is one tall
+    strip's share of a product, for callers that consume a square product
+    strip by strip.
     """
 
     def __init__(self, graph: SampledGraph):
@@ -387,9 +394,9 @@ class GraphStats:
         self._common = None
         self.strip_rows = max(1, min(n, _STRIP_ENTRIES // n))
         self._strip = None
-        self._strip_start = None
+        self._strip_key = None
         if self.strip_rows == n:
-            self._widened(0)
+            self._widened(0, n)
 
     @property
     def common_neighbors(self) -> np.ndarray:
@@ -410,36 +417,46 @@ class GraphStats:
             self._common = _freeze(counts)
         return self._common
 
-    def _widened(self, start: int) -> np.ndarray:
-        """Rows ``start`` on of the adjacency, one strip's worth, as float64
-        in the strip buffer, unpacked and widened unless it is the strip
-        already kept."""
-        if self._strip is None:
-            self._strip = np.empty((self.strip_rows, self.n))
-        strip = self._strip[: min(self.strip_rows, self.n - start)]
-        if self._strip_start != start:
-            self._graph.rows(start, start + self.strip_rows, out=strip)
-            self._strip_start = start
+    def _widened(self, start: int, height: int) -> np.ndarray:
+        """Rows ``start`` to ``start + height`` (clipped to n) of the
+        adjacency as float64 in the strip buffer, unpacked and widened
+        unless they are the strip already kept, under the key
+        (start, height). The buffer is allocated at the first height asked
+        for and grown when a taller strip is asked for."""
+        if self._strip is None or len(self._strip) < height:
+            self._strip = None  # freed before the taller one is allocated
+            self._strip = np.empty((height, self.n))
+        strip = self._strip[: min(height, self.n - start)]
+        if self._strip_key != (start, height):
+            self._graph.rows(start, start + height, out=strip)
+            self._strip_key = (start, height)
         return strip
 
     def product(self, x, out=None) -> np.ndarray:
         """``A @ x`` for a float64 (n, k) ``x``, written into ``out`` when
         given, one row strip at a time. Where one strip covers the graph it
-        is the whole-matrix product. Else a strip's rows may differ from it
-        at rounding level, at sizes where BLAS takes other edge kernels for
-        the strip than for the whole matrix."""
+        is the whole-matrix product. Else a product of fewer than
+        _MIRROR_ROWS columns, which is memory-bound and gains nothing from
+        tall strips, reads strips of at most _MIRROR_ROWS rows, one
+        ``SampledGraph.rows`` unpack each; a wider one reads strips of
+        ``strip_rows``. A strip's rows may differ from the whole-matrix
+        product at rounding level, at sizes where BLAS takes other edge
+        kernels for the strip than for the whole matrix."""
         if out is None:
             out = np.empty((self.n, x.shape[1]))
-        for start in range(0, self.n, self.strip_rows):
-            self.strip_product(start, x, out[start : start + self.strip_rows])
+        height = self.strip_rows
+        if x.shape[1] < _MIRROR_ROWS and height < self.n:
+            height = min(height, _MIRROR_ROWS)
+        for start in range(0, self.n, height):
+            np.matmul(self._widened(start, height), x, out=out[start : start + height])
         return out
 
     def strip_product(self, start: int, x, out) -> np.ndarray:
         """Rows ``start`` to ``start + strip_rows`` (clipped to n) of
-        ``A @ x``, written into ``out``: the one BLAS call ``product`` makes
-        for the row strip that begins at ``start``, a multiple of
-        ``strip_rows``."""
-        return np.matmul(self._widened(start), x, out=out)
+        ``A @ x``, written into ``out``: the one BLAS call ``product``
+        makes for the row strip that begins at ``start``, a multiple of
+        ``strip_rows``, when ``x`` has _MIRROR_ROWS columns or more."""
+        return np.matmul(self._widened(start, self.strip_rows), x, out=out)
 
 
 def graph_stats(graph: SampledGraph) -> GraphStats:

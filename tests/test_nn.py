@@ -8,6 +8,7 @@ from graphon_mpnn.nn import (
     adam_step,
     init_net,
     lipschitz_upper_bound,
+    sigmoid,
 )
 
 from oracles import finite_difference_gradients, max_relative_error
@@ -96,15 +97,25 @@ class TestForwardBackward:
         assert max_relative_error([grad_in], numeric_in) < 1e-4
 
 
-def test_tanh_backward_bitwise_equals_recomputed_derivative():
+@pytest.mark.parametrize("dims, rows", [([3, 7, 6, 2], 50), ([1, 7, 6, 1], 6000),
+                                        ([16, 7, 16, 16], 6000)])
+def test_tanh_backward_bitwise_equals_recomputed_derivative(dims, rows):
     # backward reads tanh'(z) = 1 - h^2 off the cached activation h; the
-    # result must equal, bit for bit, recomputing 1 - tanh(z)^2
+    # result must equal, bit for bit, recomputing 1 - tanh(z)^2, and the
+    # forward pass's and bias gradients' fast paths (a one-column input,
+    # einsum column sums) the plain matrix product and sum(axis=0)
     rng = np.random.default_rng(3)
     for seed in range(5):
-        net = init_net([3, 7, 6, 2], seed=seed)
-        x = rng.normal(scale=2.0, size=(50, 3))
-        g = rng.normal(size=(50, 2))
-        _, cache = net.forward_cache(x)
+        net = init_net(dims, seed=seed)
+        x = rng.normal(scale=2.0, size=(rows, dims[0]))
+        g = rng.normal(size=(rows, dims[-1]))
+        out, cache = net.forward_cache(x)
+        h = x
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            h = h @ w.T + b
+            if k < len(net.weights) - 1:
+                h = np.tanh(h)
+        assert np.array_equal(out, h)
         grads, grad_in = net.backward(cache, g)
 
         inputs = cache[0]
@@ -120,6 +131,22 @@ def test_tanh_backward_bitwise_equals_recomputed_derivative():
         for a, b in zip(grads, expected):
             assert np.array_equal(a, b)
         assert np.array_equal(grad_in, delta)
+
+
+def test_sigmoid_is_the_masked_formula():
+    # 1 / (1 + e^-z) where z >= 0 and e^z / (1 + e^z) elsewhere, each
+    # side computed on its own entries, equal bit for bit
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.normal(scale=s, size=6000) for s in (1.0, 30.0, 400.0)]
+                       + [[0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]])
+    want = np.empty_like(z)
+    pos = z >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    want[~pos] = ez / (1.0 + ez)
+    got = sigmoid(z)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[-1]) and got[-3:-1].tolist() == [1.0, 0.0]
 
 
 class TestLipschitz:

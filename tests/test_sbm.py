@@ -25,6 +25,7 @@ from graphon_mpnn.pair_mpnn import (_TILE as TILE, PairGraph, fixed_psi_mpnn, gm
 from graphon_mpnn.rng import stream
 from graphon_mpnn.sbm import (
     _CN_ROWS,
+    _MIRROR_ROWS,
     _STRIP_ENTRIES,
     BlockPairPool,
     SampledGraph,
@@ -327,9 +328,10 @@ class TestWithAdjacency:
 
 
 class TestProduct:
-    """GraphStats.product widens the packed adjacency strip by strip; it is
-    the whole-matrix product bit for bit where one strip covers the graph
-    and at every size a benchmark workload runs, and within rounding
+    """GraphStats.product widens the packed adjacency strip by strip, in
+    strips of at most _MIRROR_ROWS rows for a product of fewer columns; it
+    is the whole-matrix product bit for bit where one strip covers the
+    graph and at every size a benchmark workload runs, and within rounding
     elsewhere."""
 
     @staticmethod
@@ -358,6 +360,42 @@ class TestProduct:
         for width in (1, 8):
             got, want = self.products(convergence_spec, n, width)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_thin_product_holds_one_short_strip(self, convergence_spec):
+        # the strip of _MIRROR_ROWS rows (2.0 MB at n = 2000), the output and
+        # one strip's bool unpack; a strip of strip_rows rows (1048) is 16.8 MB
+        n, width = 2000, 8
+        stats = graph_stats(sample_graph(convergence_spec, n, seed=0))
+        x = np.random.default_rng(0).standard_normal((n, width))
+        tracemalloc.start()
+        try:
+            stats.product(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 * _MIRROR_ROWS + _MIRROR_ROWS + 8 * width) * n + 16384
+
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_thin_strips_at_8192_are_the_256_row_strips(self, convergence_spec, width):
+        # the whole float64 matrix is 512 MiB here, so the reference is
+        # built from the 256-row strips that every product read before
+        n = 8192
+        g = sample_graph(convergence_spec, n, seed=0)
+        x = np.random.default_rng(width).standard_normal((n, width))
+        want = np.concatenate([g.rows(lo, lo + 256).astype(float) @ x
+                               for lo in range(0, n, 256)])
+        assert np.array_equal(graph_stats(g).product(x), want)
+
+    def test_thin_and_square_products_share_the_strip_buffer(self, convergence_spec):
+        # thin, square (_MIRROR_ROWS columns or more), thin: the buffer
+        # grows for the square product and each strip is widened anew
+        n = 2000
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        rng = np.random.default_rng(0)
+        for width in (8, _MIRROR_ROWS, 1):
+            x = rng.standard_normal((n, width))
+            assert np.array_equal(stats.product(x), graph_stats(g).product(x))
 
     def test_writes_into_strided_out(self, convergence_spec):
         n = 1500
