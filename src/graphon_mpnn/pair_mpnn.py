@@ -21,12 +21,17 @@ rows than n^2. Every dense message, layer 0's included, comes from
 which rows each layer runs on: layer 0's classes of equal counts (its
 message depends on a pair only through two integers), the i <= j pairs
 or the dense features, with a symmetric map ``inv`` from every pair to
-its row. Callers that read only some pairs get the last layer at those
-pairs alone, and the ``Tape`` it records backpropagates through the pass.
-There the last layer's message is linear in the rows of the layer below:
-it reads them through a sparse map fixed for the graph and the pairs
-(``_QueryMap``), whose pull is its transpose, or where no map serves, the
-dense messages at the pairs.
+its row where the rows are expanded to dense features. Callers that read
+only some pairs get the last layer at those pairs alone, and the ``Tape``
+it records backpropagates through the pass. There the last layer's
+message is linear in the rows of the layer below: it reads them through a
+sparse map fixed for the graph and the pairs (``_QueryMap``), whose pull
+is its transpose, or where no map serves, the dense messages at the
+pairs. A map over layer 0's classes reads the graph at the pairs'
+endpoints alone, their neighbor lists and their rows of the
+common-neighbor counts, and the pass that copies those rows out of the
+counts' row blocks (``GraphStats.common_neighbor_blocks``) also finds the
+classes: a queried two-layer pass holds no n x n array.
 The continuous recursion collapses to r x r block-pair states.
 """
 
@@ -49,7 +54,7 @@ from .mpnn import (
     update_rows,
 )
 from .nn import init_net
-from .sbm import GraphStats, SampledGraph, SbmSpec, graphon_common_neighbors
+from .sbm import GraphStats, SampledGraph, SbmSpec, count_dtype, graphon_common_neighbors
 
 #: Dense pair tensors are capped to protect memory; the fully symbolic
 #: variant affords a larger cap because it never materializes per-pair
@@ -78,8 +83,8 @@ _MAP_BLOCK = 1 << 15
 #: weighted in, that the ratio update mirrors the features in, and that
 #: ``_symmetrize`` weights every dense pull in: a tile's sum and its
 #: weights are 32 KiB each, and a tile and its mirror stay in cache
-#: together. ``PairGraph.first_classes`` forms its keys in strips of as
-#: many rows.
+#: together. ``PairGraph.count_rows`` marks layer 0's class keys, and
+#: ``PairGraph.row_inv`` reads the classes, in strips of as many rows.
 _TILE = 64
 
 
@@ -112,13 +117,13 @@ def learnable_psi_mpnn(T: int, hidden: int = 5, seed=0) -> Mpnn:
 class PairWeights:
     """The message weights W_ij = 1 / (2n c_ij) of the common-neighbor
     fraction c_ij = CN_ij / n, as a function of the integer counts that
-    ``GraphStats`` holds (two bytes per pair): W is formed in float64 where
-    it is read and no n x n array of it is held.
+    ``GraphStats`` holds (two bytes per pair), or of some of their rows: W
+    is formed in float64 where it is read and no n x n array of it is held.
 
     ``weights[index]`` is W at ``counts[index]`` for any numpy index of the
-    n x n counts: a tile, a row strip, a row or pairs. ``of`` forms W from
-    given counts, and is the one place the fallback is applied: CN_ij = 0
-    is read as 1, so that c_ij = 1/n.
+    counts: a tile, a row strip, a row or pairs. ``of`` forms W from given
+    counts, and is the one place the fallback is applied: CN_ij = 0 is read
+    as 1, so that c_ij = 1/n.
     """
 
     def __init__(self, counts: np.ndarray, n: int):
@@ -149,6 +154,58 @@ def pair_message_weights(stats: GraphStats) -> PairWeights:
     function of its integer common-neighbor counts (``PairWeights``): it
     reads ``stats.common_neighbors`` once and allocates no n x n array."""
     return PairWeights(stats.common_neighbors, stats.n)
+
+
+class _CountClasses:
+    """Layer 0's count classes of one graph.
+
+    With W_ij = 1/(2 CN_ij), the first message depends on a pair only
+    through the integers (D_i + D_j, max(CN_ij, 1)), CN = 0 read as 1 by the
+    fallback of ``PairWeights``. Pairs with equal counts form one class and
+    share one update input, bit for bit. A pair's key is
+    (D_i + D_j - 2 D_min) base + max(CN_ij, 1) - 1 with base = max(D_max, 1):
+    CN_ij <= D_max, so the keys order the classes by degree sum, then by
+    count, and the range of the counts need not be known before they are.
+
+    ``mark`` enters the keys of a block of pairs in a bool table over their
+    range (a counting pass, where np.unique would sort); ``close`` numbers
+    the marked keys in order, ``index[key]``, and forms ``messages``, each
+    class's message (D_i + D_j) W_ij from the class's own two counts. Then
+    ``of`` reads the classes of any pairs whose counts are given.
+    """
+
+    def __init__(self, stats: GraphStats):
+        self.n = stats.n
+        d = stats.degree_counts.astype(np.intp)
+        self.d_min = d.min()
+        self.d = d - self.d_min
+        self.base = max(int(d.max()), 1)
+        self.present = np.zeros((2 * int(self.d.max()) + 1) * self.base, dtype=bool)
+        self.index = self.messages = None
+
+    def keys(self, i, j, counts) -> np.ndarray:
+        """The keys of the pairs (i, j), node indices that broadcast against
+        each other and against their common-neighbor counts ``counts``."""
+        key = self.d[i] + self.d[j]
+        key *= self.base
+        key += np.maximum(counts, 1).astype(np.intp)
+        key -= 1
+        return key
+
+    def mark(self, i, j, counts) -> None:
+        self.present[self.keys(i, j, counts)] = True
+
+    def close(self) -> None:
+        self.index = np.cumsum(self.present, dtype=np.int32)
+        self.index -= 1
+        keys = np.flatnonzero(self.present)
+        self.present = None
+        degree_sums = (keys // self.base + 2 * self.d_min).astype(np.float64)
+        self.messages = degree_sums * PairWeights(keys % self.base + 1, self.n)[...]
+
+    def of(self, i, j, counts) -> np.ndarray:
+        """The classes (int32) of the pairs (i, j), as ``keys`` reads them."""
+        return self.index[self.keys(i, j, counts)]
 
 
 class _Triangle:
@@ -286,6 +343,19 @@ def _blocks(starts: np.ndarray, total: int) -> np.ndarray:
     return cuts[np.diff(cuts, prepend=-1) > 0]
 
 
+def _terms(indptr, neighbors, at_lo, at_hi) -> tuple:
+    """For each pair, given by the positions of its endpoints lo <= hi in
+    the neighbor lists ``(indptr, neighbors)``, the terms (a, z) of its
+    message, as two arrays: z over N(lo) with a = hi's position, then z
+    over N(hi) with a = lo's, each list ascending."""
+    owner = np.stack([at_lo, at_hi], axis=1).ravel()  # each pair's two halves
+    lengths = np.diff(indptr)[owner]
+    ends = np.cumsum(lengths)
+    pos = np.arange(ends[-1] if len(ends) else 0)
+    pos += np.repeat(indptr[owner] - (ends - lengths), lengths)
+    return np.repeat(np.stack([at_hi, at_lo], axis=1).ravel(), lengths), neighbors[pos]
+
+
 class _QueryMap:
     """The last layer's messages at k queried pairs as a sparse map from
     the rows of the layer below, fixed for one graph and one set of pairs.
@@ -293,35 +363,58 @@ class _QueryMap:
     Per channel, m_ij = W_ij (sum_{z in N(i)} src[key(j, z)]
     + sum_{z in N(j)} src[key(i, z)]), where ``src`` holds the ``n_rows``
     rows of the layer below, its ``kind`` of rows (a ``PairGraph._plan``
-    entry), and key(a, z) is their row map ``inv[a, z]``, or the flat index
-    a n + z of the dense features (``PairGraph.row_inv``). The
-    E entries of ``idx`` form one segment per pair, ``lengths[p]`` long from
+    entry), and key(a, z) is the row of the pair (a, z): its count class
+    for "classes", its row in the map ``PairGraph.row_inv`` for "upper",
+    the flat index a n + z of the dense features for "dense". The E
+    entries of ``idx`` form one segment per pair, ``lengths[p]`` long from
     ``starts[p]``: the smaller endpoint's neighbors first, each list
     ascending, so that (i, j) and (j, i) add in one order and stay bitwise
     symmetric. ``own`` holds each pair's own row, its update input x. Both
     directions read ``idx`` in the blocks of ``_blocks``; it and ``own``
     keep 4 bytes per entry (int32) while ``n_rows < 2**31``.
+
+    Every term is a pair (a, z) with a an endpoint, so the map reads the
+    graph at its endpoints alone: their neighbor lists, and for "classes"
+    their rows of the common-neighbor counts (``PairGraph.count_rows``),
+    from which the classes, ``own`` and the weights ``w`` are read; no
+    n x n array is formed. The other kinds read the row map and the
+    weights of the dense layers below.
     """
 
     def __init__(self, graph: "PairGraph", pairs, kind: str):
-        n, inv = graph.n, graph.row_inv(kind)
+        n = graph.n
         self.kind, self.pairs = kind, pairs.copy()
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        degree = np.diff(graph.neighbors[0])
-        self.lengths = degree[lo] + degree[hi]
+        nodes = np.unique(pairs)
+        at_lo, at_hi = np.searchsorted(nodes, lo), np.searchsorted(nodes, hi)
+        indptr, neighbors = graph.neighbor_lists(nodes)
+        degree = np.diff(indptr)
+        self.lengths = degree[at_lo] + degree[at_hi]
         self.starts = np.cumsum(self.lengths) - self.lengths
-        self.n_rows = n * n if inv is None else int(inv.max()) + 1
-        flat = None if inv is None else inv.ravel()
+        if kind == "classes":
+            counts = graph.count_rows(nodes)
+            classes = graph.first_classes
+            self.n_rows = len(classes.messages)
+            self.w = PairWeights(counts, n)[at_lo, hi]
+
+            def rows_of(at, z):  # the rows of the pairs (nodes[at], z)
+                return classes.of(nodes[at], z, counts[at, z])
+        else:
+            inv = graph.row_inv(kind)
+            self.n_rows = n * n if inv is None else int(inv.max()) + 1
+            flat = None if inv is None else inv.ravel()
+            self.w = graph.weights[lo, hi]
+
+            def rows_of(at, z):
+                keys = nodes[at] * n + z
+                return keys if flat is None else flat[keys]
         index = np.int32 if self.n_rows < 2**31 else np.intp
+        self.own = rows_of(at_lo, hi).astype(index)
         self.idx = np.empty(int(self.lengths.sum()), dtype=index)
         self.cuts = _blocks(self.starts, len(self.idx))
         for a, b, first, last in self._spans():  # so that the intp keys stay block-sized
-            keys = graph.neighbor_keys(lo[a:b], hi[a:b])
-            self.idx[first:last] = keys if flat is None else flat[keys]
-        own = lo * n + hi
-        self.own = (own if flat is None else flat[own]).astype(index)
-        self.w = graph.weights[lo, hi]
+            self.idx[first:last] = rows_of(*_terms(indptr, neighbors, at_lo[a:b], at_hi[a:b]))
         self._buf = None
 
     def _spans(self):
@@ -368,13 +461,16 @@ class PairGraph:
     """One graph as the pairwise recursion reads it, and the recursion on it.
 
     What every pass reads of the graph is computed once from the counts in
-    ``stats`` and shared: layer 0's count classes, the neighbor lists and
-    the map of the last pass queried at pairs. The message weights are no
-    array: ``weights`` forms them from the integer counts at each tile,
-    row strip, row or set of pairs a pass reads. Every product with the
-    adjacency runs in the row strips of ``stats.product``; the neighbor
-    lists and the messages other than the neighbor projection unpack it a
-    strip of rows at a time. Dense messages live on the i <= j triangle.
+    ``stats`` and shared: layer 0's count classes (``first_classes``),
+    their n x n map where a pass expands them, and the map of the last
+    pass queried at pairs, which reads the neighbor lists and the
+    common-neighbor counts at the pairs' endpoints alone (``count_rows``).
+    The message weights are no array: ``weights``, formed for the first
+    dense layer from the whole counts, reads them at each tile, row strip,
+    row or set of pairs a pass reads. Every product with the adjacency runs
+    in the row strips of ``stats.product``; the neighbor lists and the
+    messages other than the neighbor projection unpack it a strip of rows
+    at a time. Dense messages live on the i <= j triangle.
     ``_plan`` gives each layer of a pass its rows, read by ``forward``,
     ``_query_map`` and the pull alike, and ``row_inv`` maps every pair to
     its row. ``forward`` serves every caller: the dense sweeps (through
@@ -386,82 +482,82 @@ class PairGraph:
         self.n = graph.n
         self.graph = graph
         self.stats = stats
-        self.weights = pair_message_weights(stats)
+        self._classes = None
         self._map = None
 
     @cached_property
-    def first_classes(self) -> tuple:
-        """Layer 0's count classes: ``(messages, inv)``.
+    def weights(self) -> PairWeights:
+        """The message weights of the dense layers (``pair_message_weights``),
+        formed on first use: they read the whole common-neighbor counts,
+        which a pass that reads layer 0 through a map never builds."""
+        return pair_message_weights(self.stats)
 
-        With W_ij = 1/(2 CN_ij), the first message depends on a pair only
-        through the integers (D_i + D_j, max(CN_ij, 1)), CN = 0 read as 1 by
-        the fallback of ``PairWeights``. Pairs with equal counts form one
-        class and share one update input, bit for bit. ``messages`` holds
-        each class's message (D_i + D_j) W_ij, formed from the class's own
-        two counts and ordered by them, and the symmetric n x n int32
-        ``inv`` holds each pair's class.
+    @property
+    def first_classes(self) -> _CountClasses:
+        """Layer 0's count classes (``_CountClasses``), built once: while a
+        map streams its endpoints' counts (``count_rows``), or else from the
+        whole counts, which a pass that expands the classes reads anyway."""
+        if self._classes is None:
+            self.stats.common_neighbors  # built whole, for the dense layers too
+            self.count_rows(np.zeros(0, dtype=np.intp))
+        return self._classes
 
-        The keys are formed per row strip, twice, and no n x n key array is
-        held: once to mark them in a bool table over their range (a counting
-        pass, where np.unique would sort), once to write each strip's
-        classes, its keys' running index in that table.
-        """
-        n, counts = self.n, self.weights.counts
-        d = self.stats.degree_counts.astype(np.intp)
-        d_min = d.min()
-        d -= d_min
-        cn_min = max(int(counts.min()), 1)
-        base = max(int(counts.max()), 1) - cn_min + 1
-
-        def keys_of(rows):
-            key = np.add.outer(d[rows], d)
-            key *= base
-            key += np.maximum(counts[rows], 1).astype(np.intp)
-            key -= cn_min
-            return key
-
-        strips = [slice(lo, lo + _TILE) for lo in range(0, n, _TILE)]
-        present = np.zeros((2 * d.max() + 1) * base, dtype=bool)
-        for rows in strips:
-            present[keys_of(rows)] = True
-        index = np.cumsum(present, dtype=np.int32) - 1
-        inv = np.empty((n, n), dtype=np.int32)
-        for rows in strips:
-            inv[rows] = index[keys_of(rows)]
-        keys = np.flatnonzero(present)
-        degree_sums = (keys // base + 2 * d_min).astype(np.float64)
-        return degree_sums * self.weights.of(keys % base + cn_min), inv
+    def count_rows(self, nodes) -> np.ndarray:
+        """The rows of the common-neighbor counts at the ascending, distinct
+        ``nodes``: (len(nodes), n), in one pass over the blocks of
+        ``stats.common_neighbor_blocks``, which read the whole counts where
+        they are built and else compute each block and let it go. A row
+        is copied from the blocks right of its diagonal and from the
+        mirror of those above it. The same pass marks layer 0's count
+        classes when they are not yet built: every pair's key is in a block
+        or its mirror, and keys are symmetric. No n x n array is formed."""
+        n, stats = self.n, self.stats
+        out = np.empty((len(nodes), n), dtype=count_dtype(n))
+        classes = _CountClasses(stats) if self._classes is None else None
+        for lo, lo2, c in stats.common_neighbor_blocks():
+            h, w = c.shape
+            if classes is not None:
+                for t in range(0, h, _TILE):
+                    i, j = np.ogrid[lo + t : lo + min(t + _TILE, h), lo2 : lo2 + w]
+                    classes.mark(i, j, c[t : t + _TILE])
+            a, b = np.searchsorted(nodes, [lo, lo + h])
+            out[a:b, lo2 : lo2 + w] = c[nodes[a:b] - lo]
+            if lo2 > lo:
+                a, b = np.searchsorted(nodes, [lo2, lo2 + w])
+                out[a:b, lo : lo + h] = c[:, nodes[a:b] - lo2].T
+        if classes is not None:
+            classes.close()
+            self._classes = classes
+        return out
 
     @cached_property
-    def neighbors(self) -> tuple:
-        """The neighbor lists as ``(indptr, indices)``: node i's neighbors,
-        ascending, are ``indices[indptr[i]:indptr[i + 1]]``. ``indptr`` is
-        the running sum of the degree counts, and the int32 ``indices`` are
-        filled one strip of _TILE rows at a time, so that no index array of
-        every edge is formed."""
-        n = self.n
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(self.stats.degree_counts.astype(np.intp), out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int32)
+    def _class_inv(self) -> np.ndarray:
+        """The symmetric n x n int32 map from each pair to its count class,
+        read from the whole counts one strip of _TILE rows at a time."""
+        n, classes, counts = self.n, self.first_classes, self.stats.common_neighbors
+        inv = np.empty((n, n), dtype=np.int32)
         for lo in range(0, n, _TILE):
-            hi = min(lo + _TILE, n)
-            indices[indptr[lo] : indptr[hi]] = np.nonzero(self.graph.rows(lo, hi))[1]
-        return indptr, indices
+            i, j = np.ogrid[lo : min(lo + _TILE, n), 0:n]
+            inv[lo : lo + _TILE] = classes.of(i, j, counts[lo : lo + _TILE])
+        return inv
 
-    def neighbor_keys(self, lo, hi) -> np.ndarray:
-        """For each pair (lo, hi), the flat indices a n + z of its message's
-        terms: z over N(lo) with a = hi, then z over N(hi) with a = lo,
-        each neighbor list ascending."""
-        indptr, neighbors = self.neighbors
-        owner = np.stack([lo, hi], axis=1).ravel()  # each pair's two halves
-        lengths = np.diff(indptr)[owner]
-        ends = np.cumsum(lengths)
-        pos = np.arange(ends[-1] if len(ends) else 0)
-        pos += np.repeat(indptr[owner] - (ends - lengths), lengths)
-        keys = np.repeat(np.stack([hi, lo], axis=1).ravel(), lengths)
-        keys *= self.n
-        keys += neighbors[pos]
-        return keys
+    def neighbor_lists(self, nodes) -> tuple:
+        """The neighbor lists of the ascending, distinct ``nodes`` as
+        ``(indptr, indices)``: the neighbors of ``nodes[p]``, ascending, are
+        ``indices[indptr[p]:indptr[p + 1]]``. ``indptr`` is the running sum
+        of their degree counts, and the int32 ``indices`` are filled one
+        strip of _TILE rows at a time."""
+        n = self.n
+        indptr = np.zeros(len(nodes) + 1, dtype=np.intp)
+        np.cumsum(self.stats.degree_counts[nodes].astype(np.intp), out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        starts = range(0, n, _TILE)
+        bounds = np.searchsorted(nodes, [*starts, n])
+        for lo, a, b in zip(starts, bounds, bounds[1:]):
+            if a < b:
+                rows = self.graph.rows(lo, lo + _TILE)[nodes[a:b] - lo]
+                indices[indptr[a] : indptr[b]] = np.nonzero(rows)[1]
+        return indptr, indices
 
     def upper_rows(self) -> np.ndarray:
         """Flat indices i n + j of the i <= j pairs, row-major: the
@@ -476,7 +572,7 @@ class PairGraph:
         while an update net runs), and None for "dense" rows, which are the
         pairs themselves at their flat indices."""
         if rows == "classes":
-            return self.first_classes[1]
+            return self._class_inv
         if rows == "dense":
             return None
         i, j = np.triu_indices(self.n)
@@ -494,7 +590,7 @@ class PairGraph:
         their width; ``f`` is None for the all-ones start."""
         width = message.width_in // 2
         if rows == "classes":
-            messages = self.first_classes[0]
+            messages = self.first_classes.messages
             u = np.empty((len(messages), width + message.width_out))
             u[:, :width] = 1.0
             u[:, width:] = messages[:, None]
@@ -619,9 +715,10 @@ class PairGraph:
         ``record``, ``pairs`` is required and tape is the ``Tape`` to
         backpropagate through; otherwise tape is None. Each layer runs on
         the rows that ``_plan`` gives it, and is checked finite there. A
-        two-layer pass whose last layer reads the map holds no n x n float
-        array and does no n x n work once layer 0's classes and the map
-        are built.
+        two-layer pass whose last layer reads the map holds no n x n array
+        (on a graph whose whole counts are not built yet, it streams them
+        once to find the classes and its endpoints' rows) and does no
+        n x n work once layer 0's classes and the map are built.
 
         The dense layers hold one feature buffer ``f`` and the messages'
         i <= j triangle ``m`` (``_Triangle``) for the whole pass: one n x n
@@ -719,10 +816,16 @@ def cmpnn_pair_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
     g_ab = (1/(2 c_ab)) sum_c pi_c [ S_bc msg(F_ab, F_ac) + S_ac msg(F_ab, F_bc) ]
     F_ab <- upd(F_ab, g_ab)
 
-    ``init`` defaults to all ones; pass an (r, r) or (r, r, F0) array for
-    other starting signals (e.g. the edge-probability matrix itself).
-    Returns the (r, r, F) block-pair values, or with ``return_layers`` the
-    list of them for the start and after every layer.
+    ``init`` defaults to all ones; pass a symmetric (r, r) or (r, r, F0)
+    array for other starting signals (e.g. the edge-probability matrix
+    itself), else ValueError. Returns the (r, r, F) block-pair values, or
+    with ``return_layers`` the list of them for the start and after every
+    layer.
+
+    For symmetric F and S, g is symmetric, but the two sums reach g_ab and
+    g_ba in other orders. So the recursion runs on the a <= b states alone,
+    each layer's messages formed from their mirror and kept at a <= b, and
+    every returned array is their mirror: symmetric bit for bit.
     """
     r = spec.r
     c = graphon_common_neighbors(spec)
@@ -740,10 +843,15 @@ def cmpnn_pair_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
             f = f[:, :, None]
         if f.shape != (r, r, width0):
             raise ValueError(f"init must be ({r}, {r}, {width0})")
-        f = f.copy()  # C order, whatever the layout of ``init``
+        if not np.array_equal(f, f.transpose(1, 0, 2)):
+            raise ValueError("init must be symmetric in its two block indices")
     pi = spec.block_mass
+    upper = np.triu_indices(r)
+    inv = np.empty((r, r), dtype=np.intp)
+    inv[upper] = inv[upper[::-1]] = np.arange(len(upper[0]))
 
-    def messages(f, message):
+    def messages(u, message):
+        f = u[inv]
         shape = (r, r, r, f.shape[2])
         fab = np.broadcast_to(f[:, :, None, :], shape)
         own = message(fab, np.broadcast_to(f[:, None, :, :], shape))  # msg(F_ab, F_ac)
@@ -751,6 +859,7 @@ def cmpnn_pair_sbm(spec: SbmSpec, mpnn: Mpnn, init=None,
         g = np.einsum("c,bc,abch->abh", pi, spec.S, own)
         g += np.einsum("c,ac,abch->abh", pi, spec.S, other)
         g /= 2.0 * c[:, :, None]
-        return g
+        return g[upper]
 
-    return block_recursion(mpnn, f, messages, return_layers)
+    trace = block_recursion(mpnn, f[upper], messages, return_layers)
+    return [u[inv] for u in trace] if return_layers else trace[inv]

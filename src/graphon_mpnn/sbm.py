@@ -347,9 +347,19 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
 _STRIP_ENTRIES = 1 << 21
 
 #: Rows of each float32 row block the common-neighbor counts are built
-#: from: two blocks are 64 MiB at n = 8192, where the whole matrix in
-#: float32 is 256 MiB.
-_CN_ROWS = 1024
+#: from: two blocks are 32 MiB at n = 8192, where the whole matrix in
+#: float32 is 256 MiB. Blocks of 1024 rows built the whole counts no
+#: faster (median 0.58 against 0.55 s at n = 4096, 4.8 to 5.6 against 4.9 s
+#: at 8192, one BLAS thread) and doubled what a pass that streams the
+#: blocks holds.
+_CN_ROWS = 512
+
+
+def count_dtype(n: int):
+    """The integer type common-neighbor counts of an n-node graph are held
+    in: ``uint16``, two bytes per pair, up to n = 65535, where a count may
+    no longer fit, ``uint32`` past it."""
+    return np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32
 
 
 class GraphStats:
@@ -359,7 +369,8 @@ class GraphStats:
     of rows at a time.
 
     ``degree_counts[i] = sum_j A_ij`` in float64, counted exactly: a
-    popcount of row i's bytes (``np.bitwise_count``, numpy >= 2.0).
+    popcount of row i's bytes (``np.bitwise_count``, numpy >= 2.0), taken
+    _MIRROR_ROWS rows at a time, so that no popcount of every byte is held.
     ``common_neighbors[i, j] = sum_z A_iz A_jz``, zero included, is computed
     lazily (it is an n x n product) and cached. Each engine derives its own
     normalization from these counts.
@@ -370,9 +381,12 @@ class GraphStats:
     them (a symmetric rank-k update on the diagonal), and the block result
     is written with its mirror straight into the counts. They are exact
     while n < 2**24: every partial sum is an integer no larger than n. They
-    are held as ``uint16``, two bytes per node pair (``uint32`` past
-    n = 65535, where a count may not fit); beyond them the build holds two
-    float32 row blocks and one block result, and no n x n float array.
+    are held as ``count_dtype(n)``, ``uint16``, two bytes per node pair
+    (``uint32`` past n = 65535, where a count may not fit); beyond them the
+    build holds two float32 row blocks and one block result, and no n x n
+    float array. ``common_neighbor_blocks`` yields the same block results
+    one by one, or where the counts are built, their blocks: a caller that
+    reads the counts at some rows, or reduces them, holds no n x n array.
 
     ``product(x)`` is every ``A @ x`` of the engines. The adjacency is
     widened to float64 one row strip at a time, into one buffer the stats
@@ -390,7 +404,11 @@ class GraphStats:
     def __init__(self, graph: SampledGraph):
         self._graph = graph
         self.n = n = graph.n
-        self.degree_counts = _freeze(np.bitwise_count(graph.bits).sum(axis=1).astype(float))
+        degrees = np.empty(n)
+        for lo in range(0, n, _MIRROR_ROWS):
+            degrees[lo : lo + _MIRROR_ROWS] = np.bitwise_count(
+                graph.bits[lo : lo + _MIRROR_ROWS]).sum(axis=1)
+        self.degree_counts = _freeze(degrees)
         self._common = None
         self.strip_rows = max(1, min(n, _STRIP_ENTRIES // n))
         self._strip = None
@@ -402,20 +420,36 @@ class GraphStats:
     def common_neighbors(self) -> np.ndarray:
         if self._common is None:
             n = self.n
-            counts = np.empty((n, n), np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32)
-            size = min(n, _CN_ROWS)
-            blocks = np.empty((2, size, n), dtype=np.float32)
-            result = np.empty((size, size), dtype=np.float32)
-            for lo in range(0, n, size):
-                rows = self._graph.rows(lo, lo + size, out=blocks[0, : min(size, n - lo)])
-                for lo2 in range(lo, n, size):
-                    cols = rows if lo2 == lo else self._graph.rows(
-                        lo2, lo2 + size, out=blocks[1, : min(size, n - lo2)])
-                    c = np.matmul(rows, cols.T, out=result[: len(rows), : len(cols)])
-                    counts[lo : lo + size, lo2 : lo2 + size] = c
-                    counts[lo2 : lo2 + size, lo : lo + size] = c.T
+            counts = np.empty((n, n), dtype=count_dtype(n))
+            for lo, lo2, c in self.common_neighbor_blocks():
+                counts[lo : lo + len(c), lo2 : lo2 + c.shape[1]] = c
+                counts[lo2 : lo2 + c.shape[1], lo : lo + len(c)] = c.T
             self._common = _freeze(counts)
         return self._common
+
+    def common_neighbor_blocks(self):
+        """Yields ``(lo, lo2, block)`` for the blocks of the common-neighbor
+        counts at rows ``lo`` and columns ``lo2`` on, lo <= lo2, each
+        _CN_ROWS square (short at the last rows and columns), which cover
+        the upper triangle and, mirrored, the whole matrix: views of
+        ``common_neighbors`` when it is built, else each block computed as
+        ``common_neighbors`` computes it, in float32, in a buffer that the
+        next block overwrites, and no n x n array is formed."""
+        n = self.n
+        size = min(n, _CN_ROWS)
+        if self._common is not None:
+            for lo in range(0, n, size):
+                for lo2 in range(lo, n, size):
+                    yield lo, lo2, self._common[lo : lo + size, lo2 : lo2 + size]
+            return
+        blocks = np.empty((2, size, n), dtype=np.float32)
+        result = np.empty((size, size), dtype=np.float32)
+        for lo in range(0, n, size):
+            rows = self._graph.rows(lo, lo + size, out=blocks[0, : min(size, n - lo)])
+            for lo2 in range(lo, n, size):
+                cols = rows if lo2 == lo else self._graph.rows(
+                    lo2, lo2 + size, out=blocks[1, : min(size, n - lo2)])
+                yield lo, lo2, np.matmul(rows, cols.T, out=result[: len(rows), : len(cols)])
 
     def _widened(self, start: int, height: int) -> np.ndarray:
         """Rows ``start`` to ``start + height`` (clipped to n) of the

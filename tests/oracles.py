@@ -185,6 +185,38 @@ def message_weights_oracle(adjacency):
     return 1.0 / (2.0 * n * np.where(counts > 0, counts / n, 1.0 / n))
 
 
+def class_map_oracle(adjacency, pairs):
+    """Layer 0's count classes and the map of a two-layer pass queried at
+    ``pairs`` over them, from the whole counts and the whole class map.
+
+    A pair's class is its key (D_i + D_j, max(CN_ij, 1)), the classes
+    numbered in the sorted order of their keys (``np.unique``), and a
+    class's message is (D_i + D_j) W_ij. For a pair with endpoints
+    lo <= hi the map's entries are the classes of (hi, z) for z in N(lo),
+    ascending, then of (lo, z) for z in N(hi); its own row is the class of
+    (lo, hi) and its weight W_lo,hi. Returns (idx, own, w, n_rows,
+    messages).
+    """
+    a = np.asarray(adjacency).astype(np.int64)
+    n = a.shape[0]
+    counts = a @ a
+    degree = a.sum(axis=1)
+    w = message_weights_oracle(a)
+    sums = degree[:, None] + degree[None, :]
+    keys = np.stack([sums.ravel(), np.maximum(counts, 1).ravel()], axis=1)
+    classes, inv = np.unique(keys, axis=0, return_inverse=True)
+    inv = inv.reshape(n, n)
+    messages = classes[:, 0] * (1.0 / (2.0 * n * (classes[:, 1] / n)))
+    idx, own, weights = [], [], []
+    for i, j in pairs:
+        lo, hi = min(i, j), max(i, j)
+        idx += [inv[hi, z] for z in np.flatnonzero(a[lo])]
+        idx += [inv[lo, z] for z in np.flatnonzero(a[hi])]
+        own.append(inv[lo, hi])
+        weights.append(w[lo, hi])
+    return np.array(idx), np.array(own), np.array(weights), len(classes), messages
+
+
 def pair_update_rows_oracle(adjacency, nets, pairs, d_values):
     """Pairwise recursion with neighbor-projection messages and width-1
     update nets from the all-ones start, every layer's net run on all

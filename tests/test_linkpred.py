@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,7 @@ from graphon_mpnn.linkpred import (
     model_scores,
     sample_across_block_nonedges,
 )
-from graphon_mpnn.pair_mpnn import PairGraph
+from graphon_mpnn import pair_mpnn
 from graphon_mpnn.rng import child_seed, stream
 from graphon_mpnn.sbm import graph_stats, isomorphic_block_pairs
 
@@ -509,29 +507,27 @@ class TestRunTable:
 
     def test_each_graph_builds_its_pair_classes_once(self, linkpred_spec, monkeypatch):
         # pair_fixed and pair_learn share one PairGraph per graph, in
-        # training and in scoring: layer 0's count classes are built once on
-        # the training graph, which the transductive scenario scores too,
+        # training and in scoring: layer 0's count class table is built once
+        # on the training graph, which the transductive scenario scores too,
         # and once on each of the inductive_same and inductive_ood graphs
         from graphon_mpnn import RunTableConfig, run_table
 
         built = []
-        build = PairGraph.first_classes.func
 
-        def counted(pg):
-            built.append(pg.graph)
-            return build(pg)
+        class Counted(pair_mpnn._CountClasses):
+            def __init__(self, stats):
+                built.append(stats)
+                super().__init__(stats)
 
-        classes = functools.cached_property(counted)
-        classes.__set_name__(PairGraph, "first_classes")
-        monkeypatch.setattr(PairGraph, "first_classes", classes)
+        monkeypatch.setattr(pair_mpnn, "_CountClasses", Counted)
         cfg = RunTableConfig(
             spec=linkpred_spec, n_train=150, n_test_ood=300, runs=1, seed=0,
             methods=("pair_fixed", "pair_learn"), epochs_head=2, epochs_end_to_end=2,
             k_list=(1,),
         )
         run_table(cfg)
-        assert len(built) == len({id(g) for g in built}) == 3
-        assert sorted(g.n for g in built) == [150, 150, 300]
+        assert len(built) == len({id(stats) for stats in built}) == 3
+        assert sorted(stats.n for stats in built) == [150, 150, 300]
 
 
 class TestEvalReport:

@@ -23,6 +23,7 @@ from graphon_mpnn.nn import init_net
 from graphon_mpnn.pair_mpnn import PairGraph, learnable_psi_mpnn
 
 from oracles import (
+    class_map_oracle,
     cmpnn_pair_oracle,
     finite_difference_gradients,
     max_relative_error,
@@ -345,11 +346,18 @@ class TestPairEngine:
     @pytest.mark.parametrize("n", [1, 2, pair_mpnn._TILE - 1, pair_mpnn._TILE + 1, 300])
     def test_neighbor_lists_are_nonzero_in_int32(self, convergence_spec, n):
         g = graph_with_isolated_node(convergence_spec, n)
-        indptr, indices = PairGraph(g, graph_stats(g)).neighbors
+        pg = PairGraph(g, graph_stats(g))
+        indptr, indices = pg.neighbor_lists(np.arange(n))
         rows, cols = np.nonzero(g.adjacency)
         assert indices.dtype == np.int32
         assert np.array_equal(indices, cols)
         assert indptr[0] == 0 and np.array_equal(np.diff(indptr), np.bincount(rows, minlength=n))
+        # some of the nodes: node 0 (isolated), the last, and every third
+        nodes = np.unique(np.r_[0, np.arange(1, n, 3), n - 1])
+        indptr, indices = pg.neighbor_lists(nodes)
+        rows, cols = np.nonzero(g.adjacency[nodes])
+        assert np.array_equal(indices, cols)
+        assert np.array_equal(np.diff(indptr), np.bincount(rows, minlength=len(nodes)))
 
     def test_record_needs_pairs_and_update_nets(self, convergence_spec):
         g = sample_graph(convergence_spec, 20, seed=0)
@@ -424,7 +432,7 @@ class TestQueryMap:
         mpnn = learnable_psi_mpnn(2, hidden=3, seed=0)
         pairs = np.array([[2, 3], [0, 1], [4, 5], [1, 1], [0, 0]])
         pg.forward(mpnn, pairs)
-        src = np.random.default_rng(0).normal(size=(len(pg.first_classes[0]), 1))
+        src = np.random.default_rng(0).normal(size=(len(pg.first_classes.messages), 1))
         out = np.full((len(pairs), 1), np.nan)
         pg._map.messages(src, out)
         assert np.array_equal(out[[1, 3, 4], 0], np.zeros(3))
@@ -538,10 +546,11 @@ class TestQueryMap:
         np.testing.assert_allclose(values, dense, rtol=1e-12, atol=0.0)
 
     def test_queried_fixed_pass_holds_no_n_by_n_float_array(self, convergence_spec):
-        # layer 0 runs on its count classes and the map reads their rows:
-        # the int32 class map (0.5 n^2 floats) and its build read 0.82 n^2
-        # floats at n = 2000, where a dense layer 0 and an n x n finiteness
-        # mask read 1.78
+        # layer 0 runs on its count classes and the map reads their rows,
+        # from the endpoints' rows of the counts: 0.41 n^2 floats at
+        # n = 2000, where the int32 class map (0.5 n^2 floats) and its
+        # build read 0.74, and a dense layer 0 and an n x n finiteness mask
+        # 1.78
         n = 2000
         g = sample_graph(convergence_spec, n, seed=0)
         stats = graph_stats(g)
@@ -560,6 +569,59 @@ class TestQueryMap:
                 for v in (value if isinstance(value, tuple) else (value,))]
         assert not [v for v in held if isinstance(v, np.ndarray) and v.dtype == np.float64
                     and v.size >= n * n]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("n, cn_rows", [(600, None), (333, 100)])
+    def test_class_map_equals_the_full_count_oracle(self, convergence_spec, monkeypatch,
+                                                    n, cn_rows, cached):
+        # the map over layer 0's classes, built from its endpoints' rows of
+        # the counts, streamed from the row-block products (n = 600: blocks
+        # of 512 and 88 rows; n = 333 in blocks of 100, the last of 33) or
+        # read from the whole counts, equals the oracle's from the whole
+        # counts and class map; nodes 0 and 1 are isolated, so some pairs
+        # have no common neighbor
+        if cn_rows is not None:
+            monkeypatch.setattr(sbm, "_CN_ROWS", cn_rows)
+        g = isolate(sample_graph(convergence_spec, n, seed=4), [0, 1])
+        stats = graph_stats(g)
+        if cached:
+            stats.common_neighbors
+        pg = PairGraph(g, stats)
+        pairs = map_pairs(n, 200, seed=n)
+        values, _ = pg.forward(fixed_psi_mpnn(2), pairs)
+        qmap = pg._map
+        assert qmap.kind == "classes"
+        assert (stats._common is not None) == cached  # the stream builds no counts
+        a = g.adjacency.astype(np.int64)
+        assert ((a @ a)[pairs[:, 0], pairs[:, 1]] == 0).any()
+        idx, own, w, n_rows, messages = class_map_oracle(g.adjacency, pairs)
+        assert qmap.n_rows == n_rows
+        assert np.array_equal(qmap.idx, idx) and np.array_equal(qmap.own, own)
+        assert np.array_equal(qmap.w, w)
+        assert np.array_equal(pg.first_classes.messages, messages)
+        dense = gmpnn_pair(g, stats, fixed_psi_mpnn(2))[pairs[:, 0], pairs[:, 1]]
+        np.testing.assert_allclose(values, dense, rtol=1e-12, atol=0.0)
+
+    def test_streamed_pass_holds_no_n_by_n_array(self, convergence_spec):
+        # a queried T = 2 pass on a fresh graph streams the counts' row
+        # blocks: two float32 blocks of 512 rows, a block result, the
+        # endpoints' rows of the counts and the map, 16.5 MiB at n = 2000,
+        # where the whole uint16 counts, the int32 class map and its build
+        # read 30.3
+        n = 2000
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        pairs = queried_pairs(n, 672, seed=0)
+        tracemalloc.start()
+        try:
+            pg = PairGraph(g, stats)
+            pg.forward(fixed_psi_mpnn(2), pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pg._map.kind == "classes" and stats._common is None
+        assert "weights" not in vars(pg) and "_class_inv" not in vars(pg)
+        assert peak <= 17.5 * 2 ** 20
 
     def test_blocks_cut_at_segment_starts(self, monkeypatch):
         monkeypatch.setattr(pair_mpnn, "_MAP_BLOCK", 10)
@@ -607,7 +669,8 @@ class TestFirstLayerClasses:
     def test_one_class_per_distinct_counts(self, convergence_spec):
         n = 60
         g = sample_graph(convergence_spec, n, seed=3)
-        messages, inv = PairGraph(g, graph_stats(g)).first_classes
+        pg = PairGraph(g, graph_stats(g))
+        messages, inv = pg.first_classes.messages, pg.row_inv("classes")
         a = g.adjacency.astype(np.int64)
         cn, deg = a @ a, a.sum(axis=1)
         # the 1/n fallback reads CN = 0 as 1: those pairs share the class
@@ -692,8 +755,7 @@ class TestDenseBuffers:
         expected = np.add.outer(d, d) * message_weights_oracle(g.adjacency)
         first = full(pg.dense_messages(None, NeighborProjection(1)))[:, :, 0]
         assert np.array_equal(first, expected)
-        messages, inv = pg.first_classes
-        assert np.array_equal(messages[inv], expected)
+        assert np.array_equal(pg.first_classes.messages[pg.row_inv("classes")], expected)
 
     def test_building_a_pair_graph_allocates_no_n_by_n_array(self, convergence_spec):
         n = 512
@@ -714,15 +776,15 @@ class TestDenseBuffers:
         pg.forward(mpnn, pairs, record=True)[1].backward(np.ones((len(pairs), 1)))
         held = [v for value in vars(pg).values()
                 for v in (value if isinstance(value, tuple) else (value,))]
-        held += list(vars(pg.weights).values())
-        assert pg._map is not None and "first_classes" in vars(pg)
+        held += list(vars(pg.weights).values()) + list(vars(pg.first_classes).values())
+        assert pg._map is not None and pg._classes is not None
         assert not [v for v in held if isinstance(v, np.ndarray) and v.dtype == np.float64
                     and v.size >= n * n and v is not g.adjacency]
 
     def test_first_classes_hold_no_n_by_n_key_array(self, convergence_spec):
         # the keys are formed per row strip: beyond the int32 inv (0.5 n^2
         # floats) only strips and a table over the key range are alive,
-        # 0.74 n^2 floats at n = 1024, where two intp n x n arrays read 2.0
+        # 0.72 n^2 floats at n = 1024, where two intp n x n arrays read 2.0
         n = 1024
         g = sample_graph(convergence_spec, n, seed=0)
         stats = graph_stats(g)
@@ -730,7 +792,7 @@ class TestDenseBuffers:
         pg = PairGraph(g, stats)
         tracemalloc.start()
         try:
-            pg.first_classes
+            pg.row_inv("classes")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -863,6 +925,27 @@ class TestContinuous:
     def test_ones_init_converges_to_edge_probabilities(self, convergence_spec):
         out = cmpnn_pair_sbm(convergence_spec, fixed_psi_mpnn(50))
         assert np.max(np.abs(out[:, :, 0] - convergence_spec.S)) < 1e-6
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 4])
+    @pytest.mark.parametrize("learn", [False, True])
+    @pytest.mark.parametrize("model", ["convergence_spec", "linkpred_spec"])
+    def test_symmetry_exact_every_layer(self, request, model, learn, T):
+        # the recursion runs on the a <= b states and returns their mirror:
+        # the states were off by up to 1.1e-16 when both halves were updated
+        spec = request.getfixturevalue(model)
+        mpnn = learnable_psi_mpnn(T, hidden=5, seed=T) if learn else fixed_psi_mpnn(T)
+        for init in (None, spec.S):
+            trace = cmpnn_pair_sbm(spec, mpnn, init=init, return_layers=True)
+            assert len(trace) == T + 1
+            for f in trace:
+                assert np.array_equal(f, f.transpose(1, 0, 2))
+            assert np.array_equal(cmpnn_pair_sbm(spec, mpnn, init=init), trace[-1])
+
+    def test_asymmetric_init_is_rejected(self, convergence_spec):
+        init = convergence_spec.S.copy()
+        init[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            cmpnn_pair_sbm(convergence_spec, fixed_psi_mpnn(1), init=init)
 
     @pytest.mark.parametrize("shape", [(3, 3, 1, 2), (3, 3, 2), (3, 2), (3,)])
     def test_init_of_another_shape_is_rejected(self, convergence_spec, shape):

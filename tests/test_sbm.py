@@ -22,6 +22,7 @@ from graphon_mpnn.nn import init_net
 from graphon_mpnn.node_mpnn import gmpnn_node
 from graphon_mpnn.pair_mpnn import (_TILE as TILE, PairGraph, fixed_psi_mpnn, gmpnn_pair,
                                     learnable_psi_mpnn, pair_message_weights)
+from graphon_mpnn import sbm
 from graphon_mpnn.rng import stream
 from graphon_mpnn.sbm import (
     _CN_ROWS,
@@ -452,10 +453,11 @@ class TestGraphStats:
         assert np.array_equal(stats.degree_counts, a.sum(axis=1))
         assert stats.degree_counts.dtype == np.float64
 
-    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("n", [511, 1023, 1024, 1025, 2500])
     def test_common_neighbors_in_row_blocks_are_exact(self, convergence_spec, n):
-        # one block, a block and a one-row block, and three blocks, the
-        # last one part full
+        # one block; two blocks, the last one row short; two full blocks;
+        # two blocks and a one-row block; five blocks, the last part full
+        assert _CN_ROWS == 512
         g = sample_graph(convergence_spec, n, seed=2)
         a = g.adjacency.astype(np.float64)
         assert np.array_equal(graph_stats(g).common_neighbors, a @ a)
@@ -463,8 +465,8 @@ class TestGraphStats:
     def test_common_neighbors_hold_two_row_blocks(self, convergence_spec):
         # beyond the uint16 counts, two float32 row blocks of _CN_ROWS rows,
         # one float32 block result and one 128-row bool strip unpacked into
-        # a block: 28.3 MiB at n = 2048 and 197 MiB at n = 8192, where the
-        # whole-matrix syrk held A and the counts in float32, 32 and 512 MiB
+        # a block: 17.3 MiB at n = 2048 (28.3 in blocks of 1024 rows), where
+        # the whole-matrix syrk held A and the counts in float32, 32 MiB
         n = 2048
         g = sample_graph(convergence_spec, n, seed=0)
         stats = graph_stats(g)
@@ -475,6 +477,47 @@ class TestGraphStats:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * n * n + 2 * 4 * _CN_ROWS * n + 4 * _CN_ROWS ** 2 + 128 * n + 2 ** 16
+
+    @pytest.mark.parametrize("n, rows", [(1, None), (600, None), (333, 100)])
+    def test_common_neighbor_blocks_cover_the_upper_triangle(self, convergence_spec,
+                                                             monkeypatch, n, rows):
+        # streamed from row-block products, or read from the built counts,
+        # the blocks are the counts' blocks at lo <= lo2, and with their
+        # mirrors they are every count once
+        if rows is not None:
+            monkeypatch.setattr(sbm, "_CN_ROWS", rows)
+        g = graph_with_isolated_node(convergence_spec, n)
+        a = g.adjacency.astype(np.int64)
+        stats = graph_stats(g)
+        for built in (False, True):
+            seen = np.zeros((n, n), dtype=int)
+            for lo, lo2, c in stats.common_neighbor_blocks():
+                assert lo <= lo2 and c.dtype == (np.uint16 if built else np.float32)
+                block = np.s_[lo : lo + c.shape[0], lo2 : lo2 + c.shape[1]]
+                assert np.array_equal(c, (a @ a)[block])
+                seen[block] += 1
+                if lo2 > lo:
+                    seen[block[::-1]] += 1
+            assert (seen == 1).all()
+            assert (stats._common is not None) == built
+            stats.common_neighbors
+
+    @pytest.mark.parametrize("n", [1500, 4100])
+    def test_degrees_are_counted_in_strips(self, convergence_spec, n):
+        # the degrees, a popcount of _MIRROR_ROWS rows of bytes at a time
+        # and the reduction's 64 KiB cast buffer: 162 KB at n = 4100, where
+        # a popcount of every byte held n^2 / 8 bytes, 2.1 MB; the stats
+        # widen no strip of the adjacency where one strip does not cover it
+        g = sample_graph(convergence_spec, n, seed=1)
+        tracemalloc.start()
+        try:
+            stats = graph_stats(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.strip_rows < n
+        assert np.array_equal(stats.degree_counts, g.adjacency.sum(axis=1))
+        assert peak <= 8 * n + _MIRROR_ROWS * (-(-n // 8)) + 2 ** 17
 
     @pytest.mark.parametrize("n", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3])
     def test_pair_message_weights_in_fraction_order(self, convergence_spec, n):
