@@ -26,6 +26,7 @@ from .errors import PreconditionError
 from .mpnn import NEIGHBOR_AVERAGE, N_NORMALIZED_SUM, Mpnn
 from .node_mpnn import cmpnn_node_sbm, gmpnn_node
 from .pair_mpnn import _require_size, cmpnn_pair_sbm, gmpnn_pair
+from . import sbm
 from .rng import stream
 from .sbm import BlockPairPool, SampledGraph, SbmSpec, graph_stats, graphon_degree, graphon_common_neighbors, sample_graph
 from .util import parallel_map
@@ -36,9 +37,6 @@ SWEEP_MODES = ("node_mean", "node_sum", "pair_fixed", "pair_net")
 
 #: The fewest distinct sizes a log-log slope is fitted to.
 MIN_FIT_SIZES = 3
-
-#: ``delta_pair`` gathers row strips of about this many entries (8 MiB).
-_STRIP_ENTRIES = 1 << 20
 
 
 # --- gap metrics ------------------------------------------------------------
@@ -64,16 +62,17 @@ def delta_pair(values: np.ndarray, block_values: np.ndarray,
     integral, so the diagonal gap does not shrink with n and is not covered
     by the pairwise concentration argument.
 
-    The gaps are taken in row strips, so no n x n temporary is built. A
-    strip's diagonal entries are zeroed, which cannot raise a maximum of
-    non-negative gaps.
+    The gaps are taken in row strips of ``sbm._STRIP_ENTRIES`` entries,
+    the float64 strips of ``GraphStats.product``, so no n x n temporary
+    is built. A strip's diagonal entries are zeroed, which cannot raise a
+    maximum of non-negative gaps; the maximum does not depend on the cut.
     """
     n = len(block_of)
     if values.shape != (n, n) + block_values.shape[2:]:
         raise ValueError(f"shape mismatch: {values.shape} vs {n} nodes of "
                          f"block values {block_values.shape}")
     _require_blocks(block_values, block_of)
-    rows = max(1, _STRIP_ENTRIES // values[0].size)
+    rows = max(1, sbm._STRIP_ENTRIES // values[0].size)
     maxima = []
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)

@@ -131,6 +131,8 @@ def cmd_table(args) -> int:
     write_csv(os.path.join(out_dir, "table.csv"),
               ["scenario", "method", "metric", "mean", "std", "runs"],
               report.csv_rows())
+    write_csv(os.path.join(out_dir, "train_curves.csv"),
+              ["run", "method", "epoch", "loss", "val_accuracy"], report.curve_rows())
     table_text = report.format_table()
     with open(os.path.join(out_dir, "table.txt"), "w") as fh:
         fh.write(table_text + "\n")

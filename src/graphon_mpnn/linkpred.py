@@ -26,11 +26,12 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 from .mpnn import NEIGHBOR_AVERAGE, Mpnn, graphsage_mpnn
-from .nn import AdamState, FeedForwardNet, adam_step, init_net, sigmoid
+from .nn import AdamState, Buffers, FeedForwardNet, adam_step, init_net, sigmoid
 from .node_mpnn import NodeGraph
 from .pair_mpnn import PairGraph, _require_size, fixed_psi_mpnn, learnable_psi_mpnn
 from .rng import child_seed, stream
 from .sbm import (
+    _MIRROR_ROWS,
     BlockPairPool,
     SampledGraph,
     SbmSpec,
@@ -60,12 +61,23 @@ class LinkDataset:
 
 
 def _hide_edges(graph: SampledGraph, fraction: float, rng) -> tuple:
-    """Remove a uniform fraction of edges; returns (observed, hidden edges)."""
-    edges = graph.edge_list()
-    m = len(edges)
+    """Remove a uniform fraction of edges; returns (observed, hidden edges).
+
+    The hidden edges are those at the first positions of a permutation of
+    the m edges i < j in row-major order, in the permutation's order. Each
+    is read from its strip of ``graph.edge_strips()``, which the running
+    count of ``graph.upper_counts()`` locates, so no (m, 2) list is formed.
+    """
+    row_firsts = np.concatenate([[0], np.cumsum(graph.upper_counts())])
+    m = int(row_firsts[-1])
+    firsts = row_firsts[:-1:_MIRROR_ROWS]  # each strip's first edge
     n_hide = int(math.floor(fraction * m))
-    order = rng.permutation(m)
-    hidden = edges[order[:n_hide]]
+    chosen = rng.permutation(m)[:n_hide].copy()  # the whole permutation is let go
+    strip_of = np.searchsorted(firsts, chosen, side="right") - 1
+    hidden = np.empty((n_hide, 2), dtype=np.intp)
+    for s, edges in enumerate(graph.edge_strips()):
+        at = np.flatnonzero(strip_of == s)
+        hidden[at] = edges[chosen[at] - firsts[s]]
     return graph.without_edges(hidden), hidden
 
 
@@ -77,7 +89,7 @@ def sample_across_block_nonedges(graph: SampledGraph, iso_pairs, count: int,
     Each draw from ``rng`` is one index into the ``BlockPairPool`` of
     ``iso_pairs``; repeats and edges are skipped. The pairs come back in
     the order drawn, each as ``(i, j)`` with ``i < j``, the convention of
-    ``SampledGraph.edge_list``, whichever matched block either node is in.
+    ``SampledGraph.edge_strips``, whichever matched block either node is in.
     """
     if not iso_pairs:
         raise PreconditionError("negative sampling needs a matched block pair")
@@ -269,7 +281,8 @@ def _backbones(graph: SampledGraph):
     return backbone
 
 
-def _loss_and_grads(model: LinkModel, backbone, pairs, labels, head_in=None):
+def _loss_and_grads(model: LinkModel, backbone, pairs, labels, head_in=None,
+                    buffers: Buffers | None = None):
     """Cross-entropy over the first ``len(labels)`` pairs and its exact
     parameter gradients.
 
@@ -277,27 +290,31 @@ def _loss_and_grads(model: LinkModel, backbone, pairs, labels, head_in=None):
     labelled ones (the validation pairs during training) ride along
     through the backbone without a gradient, so that one pass embeds them
     too. ``head_in`` holds a frozen backbone's head inputs at ``pairs``.
+    ``buffers``, the training run's ``nn.Buffers``, takes the arrays the
+    pass rewrites every epoch; without it they are new, with the same bits.
     Gradients are ordered like ``model.trainable_nets()`` parameters: head
     first, then the backbone's update nets layer by layer (when it has
     any).
     Returns (loss, grads, head inputs at every pair).
     """
     n_loss = len(labels)
+    buffers = Buffers() if buffers is None else buffers
     tape = None
     if head_in is None:
-        head_in, tape = backbone.forward(model.mpnn, pairs,
-                                         record=model.backbone_trainable)
+        head_in, tape = backbone.forward(model.mpnn, pairs, record=model.backbone_trainable,
+                                         buffers=buffers)
 
-    _, cache = model.head.forward_cache(head_in[:n_loss])
+    _, cache = model.head.forward_cache(head_in[:n_loss], buffers)
     logits = cache[1].reshape(-1)
     loss, d_logits = _bce_loss_and_grad(logits, labels)
     head_grads, d_head_in = model.head.backward_from_logits(
-        cache, d_logits.reshape(-1, 1)
+        cache, d_logits.reshape(-1, 1), buffers
     )
     grads = list(head_grads)
     if tape is not None:
-        d_all = np.zeros_like(head_in)
+        d_all = buffers.get("head_in_grad", head_in.shape)
         d_all[:n_loss] = d_head_in
+        d_all[n_loss:] = 0.0
         for g in tape.backward(d_all):
             grads.extend(g)
     return loss, grads, head_in
@@ -347,6 +364,7 @@ def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
     params = [p for net in model.trainable_nets() for p in net.parameters()]
     state = AdamState.for_parameters(params, lr=lr)
     log_out = TrainLog()
+    buffers = Buffers()  # this run's, released when it returns
 
     frozen_head_in = None
     if not model.backbone_trainable:
@@ -368,7 +386,7 @@ def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
                 val_head_in, _ = backbone.forward(model.mpnn, val_pairs)
         else:
             loss, grads, head_in = _loss_and_grads(
-                model, backbone, pairs, labels, head_in=frozen_head_in,
+                model, backbone, pairs, labels, head_in=frozen_head_in, buffers=buffers,
             )
             if not np.isfinite(loss):
                 log.error("training diverged at epoch %d (loss=%r)", epoch, loss)
@@ -461,11 +479,13 @@ class RunTableConfig:
 
 @dataclass
 class EvalReport:
-    """Per-(scenario, method, metric) means and deviations over runs."""
+    """Per-(scenario, method, metric) means and deviations over runs, and
+    the training log of each run's trained models."""
 
     values: dict  # (scenario, method) -> {metric: [per-run floats]}
     runs: int
     k_list: tuple
+    curves: dict = field(default_factory=dict)  # (run, method) -> TrainLog
 
     def mean_std(self, scenario, method, metric) -> tuple:
         """(mean, sample standard deviation); the deviation is None for a
@@ -485,6 +505,18 @@ class EvalReport:
                 mean, std = self.mean_std(scenario, method, metric)
                 rows.append([scenario, method, metric, format_float(mean),
                              format_float(std), self.runs])
+        return rows
+
+    def curve_rows(self) -> list:
+        """One row per run, trained method and epoch e, ordered by run and
+        method: the training loss of the parameters after e Adam steps and
+        their validation accuracy. The last row of a model, after its last
+        step, has an accuracy and no loss."""
+        rows = []
+        for (run, method), log in sorted(self.curves.items()):
+            for epoch, acc in enumerate(log.val_accuracies):
+                loss = log.losses[epoch] if epoch < len(log.losses) else None
+                rows.append([run, method, epoch, format_float(loss), format_float(acc)])
         return rows
 
     def format_table(self) -> str:
@@ -517,7 +549,9 @@ def _untrained_model(method: str, config: RunTableConfig, run_seed: int):
                                            else "model/pair-fixed"))
 
 
-def _run_one(args) -> dict:
+def _run_one(args) -> tuple:
+    """One run's metrics, keyed by (scenario, method), and the training
+    log of each method it trains."""
     config, run_seed = args
     spec = config.spec
     training = build_training_split(spec, config.n_train, run_seed)
@@ -529,13 +563,13 @@ def _run_one(args) -> dict:
             raise PreconditionError(f"hits@{k} needs at least {k} negatives")
     train_ds = training[0]
     train_backbone = _backbones(train_ds.observed)
-    models = {}
+    models, logs = {}, {}
     for method in dict.fromkeys(config.methods):  # a repeated name trains once
         model = _untrained_model(method, config, run_seed)
         if model is not None:  # a frozen backbone trains its head alone
             epochs = config.epochs_end_to_end if model.backbone_trainable else config.epochs_head
-            models[method], _ = train_link_model(model, train_ds, epochs=epochs, lr=config.lr,
-                                                 backbone=train_backbone(model))
+            models[method], logs[method] = train_link_model(
+                model, train_ds, epochs=epochs, lr=config.lr, backbone=train_backbone(model))
 
     out = {}
     for scenario in config.scenarios:
@@ -556,7 +590,7 @@ def _run_one(args) -> dict:
                 scores = model_scores(model, graph, pairs, backbone(model))
             out[(scenario, method)] = evaluate(scores[:len(pos)], scores[len(pos):],
                                                tau=TAU, k_list=config.k_list)
-    return out
+    return out, logs
 
 
 def run_table(config: RunTableConfig) -> EvalReport:
@@ -577,10 +611,11 @@ def run_table(config: RunTableConfig) -> EvalReport:
     tasks = [(config, child_seed(config.seed, f"run/{r}"))
              for r in range(config.runs)]
     per_run = parallel_map(_run_one, tasks, jobs=config.jobs)
-    values = {}
-    for result in per_run:
+    values, curves = {}, {}
+    for run, (result, logs) in enumerate(per_run):
         for key, metrics in result.items():
             bucket = values.setdefault(key, {})
             for metric, v in metrics.items():
                 bucket.setdefault(metric, []).append(v)
-    return EvalReport(values=values, runs=config.runs, k_list=config.k_list)
+        curves.update(((run, method), log) for method, log in logs.items())
+    return EvalReport(values=values, runs=config.runs, k_list=config.k_list, curves=curves)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .nn import FeedForwardNet, init_net, lipschitz_upper_bound
+from .nn import Buffers, FeedForwardNet, init_net, lipschitz_upper_bound
 
 NEIGHBOR_AVERAGE = "neighbor_average"
 N_NORMALIZED_SUM = "n_normalized_sum"
@@ -98,15 +98,16 @@ class NetFunction:
         return self.net.formal_bias()
 
 
-def update_rows(update, u, record: bool):
+def update_rows(update, u, record: bool, buffers=None):
     """One layer's update on the rows of ``u``, its input [x, m] joined in
     one array, and with ``record`` (only for a net update) the net's
-    forward cache (else None). A net reads ``u`` as it is; the closed-form
-    update reads x and m as the two halves of its width."""
+    forward cache (else None), its arrays in ``buffers`` when given. A net
+    reads ``u`` as it is; the closed-form update reads x and m as the two
+    halves of its width."""
     if update.net is None:
         return update(u[:, :update.width_out], u[:, update.width_out:]), None
     if record:
-        return update.net.forward_cache(u)
+        return update.net.forward_cache(u, buffers)
     return update.net.forward(u), None
 
 
@@ -225,12 +226,15 @@ class Tape:
     ``pull(t, d)`` is the engine's share of the backward pass: it maps the
     gradient at layer t's update input to the gradient at layer t-1's
     output rows, and at t = depth the gradient at the returned values to
-    the gradient at the last layer's output rows.
+    the gradient at the last layer's output rows. ``buffers``, a training
+    run's ``nn.Buffers`` or None, takes the update nets' backward arrays
+    as it took their caches.
     """
 
     mpnn: Mpnn
     caches: list  # per layer: the update net's forward cache
     pull: Callable
+    buffers: Buffers | None = None
 
     def backward(self, d_values: np.ndarray) -> list:
         """Parameter gradients of <d_values, values> for the recorded pass.
@@ -243,7 +247,8 @@ class Tape:
         grads = [None] * depth
         delta = self.pull(depth, d_values)
         for t in range(depth - 1, -1, -1):
-            grads[t], d_u = self.mpnn.layers[t][1].net.backward(self.caches[t], delta)
+            grads[t], d_u = self.mpnn.layers[t][1].net.backward(self.caches[t], delta,
+                                                                self.buffers)
             if t > 0:
                 delta = self.pull(t, d_u)
         return grads

@@ -14,9 +14,9 @@ import numpy as np
 from .rng import stream
 
 
-def _tanh_grad(h):
-    """1 - h^2 for h = tanh(z), with one temporary."""
-    d = h * h
+def _tanh_grad(h, out=None):
+    """1 - h^2 for h = tanh(z), written into ``out`` or one temporary."""
+    d = np.multiply(h, h, out=out)
     return np.subtract(1.0, d, out=d)
 
 
@@ -37,6 +37,31 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))
     d = 1.0 + e
     return np.where(z >= 0, np.divide(1.0, d), np.divide(e, d, out=e))
+
+
+class Buffers:
+    """The arrays a training run rewrites every epoch: the head's and the
+    update nets' recorded activations, their backward products and
+    tanh-derivative scratch, the head-input gradient and the node pull's
+    endpoint gradients. ``get(key, shape)`` hands out the array of ``key``,
+    allocated at first use and kept while its shape holds, so an epoch
+    writes into the arrays the one before it wrote. A run owns one and
+    drops it when it returns; an array it hands out is valid until the next
+    ``get`` of its key.
+
+    Freeing and reallocating them every epoch costs page faults, not only
+    copies: glibc returns a few hundred KiB freed at the heap top to the
+    system and faults the pages back in at the next allocation.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, key, shape) -> np.ndarray:
+        array = self._arrays.get(key)
+        if array is None or array.shape != shape:
+            array = self._arrays[key] = np.empty(shape)
+        return array
 
 
 class FeedForwardNet:
@@ -85,18 +110,20 @@ class FeedForwardNet:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._forward(x)[0]
 
-    def forward_cache(self, x: np.ndarray):
+    def forward_cache(self, x: np.ndarray, buffers: Buffers | None = None):
         """Forward pass retaining what backward() reads.
 
         The cache is (inputs, logits, out): each layer's input (x, then the
         tanh outputs of the hidden layers), the last layer's output before
-        the output nonlinearity and the net's output.
+        the output nonlinearity and the net's output. With ``buffers`` each
+        layer's output is written into this net's array there, bit for bit
+        what it would be in a new one.
         """
         inputs = []
-        out, logits = self._forward(x, inputs)
+        out, logits = self._forward(x, inputs, buffers)
         return out, (inputs, logits, out)
 
-    def _forward(self, x, inputs=None):
+    def _forward(self, x, inputs=None, buffers=None):
         """The net's output and logits; each layer's input is appended to
         the list ``inputs`` when one is given."""
         x = np.asarray(x, dtype=float)
@@ -107,41 +134,55 @@ class FeedForwardNet:
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if inputs is not None:
                 inputs.append(h)
-            z = h * w[:, 0] if w.shape[1] == 1 else h @ w.T  # one product per entry either way
+            z = None if buffers is None else buffers.get((id(self), "z", k),
+                                                         h.shape[:-1] + (len(w),))
+            if w.shape[1] == 1:  # one product per entry either way
+                z = np.multiply(h, w[:, 0], out=z)
+            else:
+                z = np.matmul(h, w.T, out=z)
             z += b
             h = z if k == last else np.tanh(z, out=z)
         out = sigmoid(h) if self.output_activation == "sigmoid" else h
         return out, h
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, cache, grad_out: np.ndarray, buffers: Buffers | None = None):
         """Gradients of <grad_out, forward(x)> w.r.t. parameters and input.
 
         Returns (param_grads, grad_in). Parameter gradients are summed over
-        all batch elements; grad_in matches the input batch shape.
+        all batch elements; grad_in matches the input batch shape. With
+        ``buffers`` the gradients at the layers' inputs and the tanh
+        derivatives are written into this net's arrays there, grad_in
+        included; the cache is only read.
         """
         out = cache[2]
         delta = np.asarray(grad_out, dtype=float)
         if self.output_activation == "sigmoid":
             delta = delta * out * (1.0 - out)
-        return self._backward_from_logits(cache, delta)
+        return self._backward_from_logits(cache, delta, buffers)
 
-    def backward_from_logits(self, cache, grad_logits: np.ndarray):
+    def backward_from_logits(self, cache, grad_logits: np.ndarray,
+                             buffers: Buffers | None = None):
         """Like backward() but the gradient is taken at the logits, the last
         layer's output before the output nonlinearity."""
-        return self._backward_from_logits(cache, np.asarray(grad_logits, dtype=float))
+        return self._backward_from_logits(cache, np.asarray(grad_logits, dtype=float), buffers)
 
-    def _backward_from_logits(self, cache, delta):
+    def _backward_from_logits(self, cache, delta, buffers=None):
         inputs = cache[0]
         grads = [None] * (2 * len(self.weights))
         for k in range(len(self.weights) - 1, -1, -1):
-            h_in = inputs[k]
+            h_in, w = inputs[k], self.weights[k]
             flat_delta = delta.reshape(-1, delta.shape[-1])
             flat_in = h_in.reshape(-1, h_in.shape[-1])
             grads[2 * k] = flat_delta.T @ flat_in
             grads[2 * k + 1] = _column_sums(flat_delta)
-            delta = delta @ self.weights[k]
+            d_in = tanh_grad = None
+            if buffers is not None:
+                d_in = buffers.get((id(self), "d_in", k), h_in.shape)
+                if k > 0:
+                    tanh_grad = buffers.get((id(self), "tanh'", k), h_in.shape)
+            delta = np.matmul(delta, w, out=d_in)
             if k > 0:
-                delta *= _tanh_grad(inputs[k])
+                delta *= _tanh_grad(h_in, out=tanh_grad)
         return grads, delta
 
 

@@ -21,11 +21,9 @@ import numpy as np
 from .errors import PreconditionError
 from .mpnn import (NEIGHBOR_AVERAGE, Mpnn, Tape, block_recursion, require_finite, require_tape,
                    update_rows)
-from .sbm import GraphStats, SampledGraph, SbmSpec, graphon_degree
+from .sbm import _MIRROR_ROWS, GraphStats, SampledGraph, SbmSpec, graphon_degree
 
 log = logging.getLogger(__name__)
-
-_CHUNK_ROWS = 128
 
 
 def _node_start(init, signal, degrees: np.ndarray) -> np.ndarray:
@@ -48,14 +46,15 @@ def _require_width(f: np.ndarray, mpnn: Mpnn) -> None:
 
 def _message_sum(stats, graph, features, message, row_weights, out):
     """Writes sum_j A_ij w_i msg(f_i, f_j) for all i into ``out`` (n, H):
-    ``stats.product`` for the neighbor projection, else streamed over row
-    chunks of ``graph``'s adjacency, each unpacked to bool."""
+    ``stats.product`` for the neighbor projection, else streamed over the
+    strips of _MIRROR_ROWS rows of ``graph``'s adjacency, each unpacked to
+    bool."""
     n = graph.n
     if message.is_neighbor_projection:
         stats.product(features, out=out)
     else:
-        for start in range(0, n, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, n)
+        for start in range(0, n, _MIRROR_ROWS):
+            stop = min(start + _MIRROR_ROWS, n)
             xi = np.broadcast_to(
                 features[start:stop, None, :], (stop - start, n, features.shape[1])
             )
@@ -72,7 +71,7 @@ class NodeGraph:
     resolved once and shared by every pass. Every product with the
     adjacency, the neighbor projection's messages and the pull's
     A (d_m w), is ``stats.product``; other messages unpack the
-    adjacency row chunk by row chunk. ``forward`` serves every
+    adjacency strip by strip. ``forward`` serves every
     caller: the sweeps and stability runs (through ``gmpnn_node``),
     scoring at queried pairs, and training by backprop through the tape it
     records.
@@ -103,14 +102,16 @@ class NodeGraph:
             self._weights[aggregation] = weights
         return self._weights[aggregation]
 
-    def forward(self, mpnn: Mpnn, pairs=None, record: bool = False):
+    def forward(self, mpnn: Mpnn, pairs=None, record: bool = False, buffers=None):
         """Run the discrete node recursion from the start features.
 
         Returns ``(values, tape)``. Without ``pairs``, values is the dense
         (n, F) feature matrix. With ``pairs`` (k x 2), values is the
         endpoint concatenation [f_i, f_j], shape (k, 2F). With ``record``,
         ``pairs`` is required and tape is the ``Tape`` to backpropagate
-        through; otherwise tape is None.
+        through; otherwise tape is None. A recorded pass writes its update
+        nets' caches and its pull's endpoint gradients into ``buffers``, a
+        training run's ``nn.Buffers``, when one is given.
         """
         if record:
             require_tape(mpnn, pairs, "node")
@@ -123,20 +124,24 @@ class NodeGraph:
             u = np.empty((self.n, width + message.width_out))  # [x, m]
             u[:, :width] = f
             _message_sum(self.stats, self.graph, f, message, weights, out=u[:, width:])
-            f, cache = update_rows(update, u, record)
+            f, cache = update_rows(update, u, record, buffers)
             caches.append(cache)
             require_finite(f, "node")
         if pairs is None:
             return f, None
         pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
         values = np.concatenate([f[pairs[:, 0]], f[pairs[:, 1]]], axis=-1)
-        return values, Tape(mpnn, caches, self._pull(mpnn, pairs)) if record else None
+        if not record:
+            return values, None
+        return values, Tape(mpnn, caches, self._pull(mpnn, pairs, buffers), buffers)
 
-    def _pull(self, mpnn: Mpnn, pairs: np.ndarray):
+    def _pull(self, mpnn: Mpnn, pairs: np.ndarray, buffers=None):
         """The tape's pull for a pass queried at ``pairs``.
 
-        The endpoint gradients are summed onto the nodes; below layer t the
-        node gradient is d_f + A (d_m w).
+        The endpoint gradients are stacked channel by channel, the first
+        endpoints' above the second's (in ``buffers`` when given), and
+        summed onto the nodes; below layer t the node gradient is
+        d_f + A (d_m w).
         """
         widths = mpnn.feature_dims
         weights = self.row_weights(mpnn.aggregation)
@@ -144,10 +149,13 @@ class NodeGraph:
 
         def pull(t, d):
             if t == mpnn.depth:
-                width = widths[-1]
-                ends = np.concatenate([d[:, :width], d[:, width:]])
-                return np.stack([np.bincount(nodes, weights=ends[:, k], minlength=self.n)
-                                 for k in range(width)], axis=-1)
+                width, k = widths[-1], len(d)
+                shape = (width, 2 * k)
+                ends = np.empty(shape) if buffers is None else buffers.get("node_ends", shape)
+                ends[:, :k] = d[:, :width].T
+                ends[:, k:] = d[:, width:].T
+                return np.stack([np.bincount(nodes, weights=ends[c], minlength=self.n)
+                                 for c in range(width)], axis=-1)
             d_f, d_m = d[:, :widths[t]], d[:, widths[t]:]
             return d_f + self.stats.product(d_m * weights[:, None])
 

@@ -177,8 +177,8 @@ class SampledGraph:
     are 0. Every reader in the package goes through ``rows`` (or
     ``submatrix``, built on it), which unpacks a strip of rows;
     ``GraphStats.product`` is the one place that reads them as float64.
-    Only the degree counts, a popcount per row, and ``without_edges`` read
-    the bytes themselves. ``adjacency`` unpacks the whole matrix, n^2
+    Only the degree counts and ``upper_counts``, popcounts per row, and
+    ``without_edges`` read the bytes themselves. ``adjacency`` unpacks the whole matrix, n^2
     bytes, for callers outside the package that want it dense; nothing in
     the package calls it.
     """
@@ -250,25 +250,37 @@ class SampledGraph:
             np.bitwise_and.at(bits, (row, col // 8), keep)
         return dataclasses.replace(self, bits=_freeze(bits))
 
-    def edge_list(self) -> np.ndarray:
-        """(m, 2) array of undirected edges i < j, row-major: each row
-        strip's edges right of the diagonal, so that no temporary outgrows
-        a strip."""
-        strips = []
+    def edge_strips(self):
+        """The undirected edges i < j, row-major, one (k, 2) intp array per
+        strip of _MIRROR_ROWS rows: each strip's edges right of the
+        diagonal, so that no temporary outgrows a strip."""
         for lo in range(0, self.n, _MIRROR_ROWS):
             i, j = np.nonzero(self.rows(lo, lo + _MIRROR_ROWS)[:, lo:])
             upper = j > i
-            strips.append(np.column_stack([i[upper], j[upper]]) + lo)
-        return np.concatenate(strips)
+            yield np.column_stack([i[upper], j[upper]]) + lo
+
+    def upper_counts(self) -> np.ndarray:
+        """The number of edges (i, j) with j > i in each row i, from the
+        packed rows: per strip, a popcount of the bytes right of the
+        strip's columns and the strip's diagonal block, unpacked."""
+        counts = np.empty(self.n, dtype=np.intp)
+        for lo in range(0, self.n, _MIRROR_ROWS):
+            hi = min(lo + _MIRROR_ROWS, self.n)
+            cut = -(-hi // 8)  # the byte past the block; hi is a multiple of 8 but at n
+            block = np.unpackbits(self.bits[lo:hi, lo // 8 : cut], axis=1, count=hi - lo)
+            counts[lo:hi] = np.bitwise_count(self.bits[lo:hi, cut:]).sum(axis=1)
+            counts[lo:hi] += np.count_nonzero(np.triu(block, 1), axis=1)
+        return counts
 
 
 #: Rows per strip of the sampler, of ``SampledGraph.rows`` when it writes
-#: into a given array, of ``submatrix``, of ``edge_list`` and of the float64
-#: strips ``GraphStats.product`` reads for a product of fewer than this many
-#: columns: the sampler draws a 128-row strip of the upper triangle into one
-#: reused bool buffer and packs it, and its transpose, into the adjacency
-#: while it is in cache. A multiple of 8, so that each strip's columns start
-#: on a byte.
+#: into a given array, of ``submatrix``, of ``edge_strips`` and
+#: ``upper_counts``, of the node engine's general messages and of the
+#: float64 strips ``GraphStats.product`` reads for a product of fewer than
+#: this many columns: the sampler draws a 128-row strip of the upper
+#: triangle into one reused bool buffer and packs it, and its transpose,
+#: into the adjacency while it is in cache. A multiple of 8, so that each
+#: strip's columns start on a byte.
 _MIRROR_ROWS = 128
 
 
@@ -600,12 +612,14 @@ def read_spec_file(path) -> SbmSpec:
 
 def write_edge_list(graph: SampledGraph, edges_path, blocks_path) -> int:
     """Dump edges as '<i> <j>' per line (0-indexed) plus a block column
-    file; returns the number of edges."""
-    edges = graph.edge_list()
+    file; returns the number of edges. Each strip of ``edge_strips`` is
+    formatted and written in one call."""
+    count = 0
     with open(edges_path, "w") as fh:
-        for i, j in edges:
-            fh.write(f"{i} {j}\n")
+        for edges in graph.edge_strips():
+            fh.write(("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))
+            count += len(edges)
     with open(blocks_path, "w") as fh:
         for b in graph.block_of:
             fh.write(f"{b}\n")
-    return len(edges)
+    return count

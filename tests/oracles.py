@@ -256,6 +256,28 @@ def pair_update_rows_oracle(adjacency, nets, pairs, d_values):
     return f, grads
 
 
+def edge_list(graph):
+    """(m, 2) intp array of the undirected edges i < j of ``graph``,
+    row-major, read row by row off its dense adjacency."""
+    a = graph.adjacency
+    rows = [np.column_stack([np.full(len(js), i), js])
+            for i in range(graph.n) for js in [np.flatnonzero(a[i, i + 1 :]) + i + 1]]
+    return np.concatenate(rows).astype(np.intp) if rows else np.zeros((0, 2), np.intp)
+
+
+def write_edge_list_oracle(graph, edges_path, blocks_path):
+    """The per-edge writer: one formatted line per edge of ``edge_list``
+    and per node's block; returns the number of edges."""
+    edges = edge_list(graph)
+    with open(edges_path, "w") as fh:
+        for i, j in edges:
+            fh.write(f"{i} {j}\n")
+    with open(blocks_path, "w") as fh:
+        for b in graph.block_of:
+            fh.write(f"{b}\n")
+    return len(edges)
+
+
 def finite_difference_gradients(loss_fn, params, h=1e-5):
     """Central differences of a scalar loss w.r.t. a list of arrays."""
     grads = []

@@ -20,7 +20,7 @@ from graphon_mpnn import (
     loglog_slope,
     sample_graph,
 )
-from graphon_mpnn import analysis
+from graphon_mpnn import analysis, sbm
 from graphon_mpnn.analysis import default_probability_budget
 from graphon_mpnn.mpnn import Mpnn, NeighborProjection, NetFunction, graphsage_mpnn
 from graphon_mpnn.nn import FeedForwardNet
@@ -99,7 +99,7 @@ class TestDeltas:
         n, r = 23, 4
         if strip_rows:
             # strips of 2 rows, the last of 1, each crossing the diagonal
-            monkeypatch.setattr(analysis, "_STRIP_ENTRIES", strip_rows * n * 2)
+            monkeypatch.setattr(sbm, "_STRIP_ENTRIES", strip_rows * n * 2)
         block_of = rng.permutation(np.arange(n) % r)
         node_block = rng.normal(size=(r, 2))
         pair_block = rng.normal(size=(r, r, 2))

@@ -350,12 +350,19 @@ class TestTable:
             proc = run_cli("--jobs", str(jobs), "table", str(cfg))
             assert proc.returncode == 0, proc.stderr
             outputs.append([(out / name).read_bytes()
-                            for name in ("table.csv", "table.txt")])
+                            for name in ("table.csv", "table.txt", "train_curves.csv")])
         assert outputs[0] == outputs[1]
         rows = outputs[0][0].decode().splitlines()
         assert {row.split(",")[1] for row in rows[1:]} == {
             "node", "pair_fixed", "pair_learn", "oracle"}
         assert all(row.endswith(",2") for row in rows[1:])
+        # 2 runs x 3 trained methods x (3 epochs + the accuracy after the last)
+        curves = [row.split(",") for row in outputs[0][2].decode().splitlines()]
+        assert curves[0] == ["run", "method", "epoch", "loss", "val_accuracy"]
+        assert [row[:3] for row in curves[1:]] == [
+            [str(run), method, str(epoch)] for run in range(2)
+            for method in ("node", "pair_fixed", "pair_learn") for epoch in range(4)]
+        assert all((row[3] == "") == (row[2] == "3") for row in curves[1:])
 
     def test_method_order_changes_no_output(self, tmp_path, model_file):
         # each run trains its models in the order of `methods`, each from
@@ -374,7 +381,7 @@ class TestTable:
             proc = run_cli("table", str(cfg))
             assert proc.returncode == 0, proc.stderr
             outputs.append([(out / name).read_bytes()
-                            for name in ("table.csv", "table.txt")])
+                            for name in ("table.csv", "table.txt", "train_curves.csv")])
         assert outputs[0] == outputs[1]
         rows = outputs[0][0].decode().splitlines()
         assert {row.split(",")[1] for row in rows[1:]} == {"node", "pair_fixed", "oracle"}

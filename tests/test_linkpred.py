@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,17 +20,20 @@ from graphon_mpnn.linkpred import (
     LinkDataset,
     _backbone_graph,
     _bce_loss_and_grad,
+    _hide_edges,
     _loss_and_grads,
     build_training_split,
     model_scores,
     sample_across_block_nonedges,
 )
-from graphon_mpnn import pair_mpnn
+from graphon_mpnn import linkpred, pair_mpnn
+from graphon_mpnn.nn import AdamState, Buffers, adam_step
 from graphon_mpnn.rng import child_seed, stream
 from graphon_mpnn.sbm import graph_stats, isomorphic_block_pairs
 
 from oracles import (
     across_block_nonedges_oracle,
+    edge_list,
     finite_difference_gradients,
     max_relative_error,
     pair_update_rows_oracle,
@@ -37,7 +43,7 @@ from oracles import (
 def tiny_dataset(spec, n, seed, n_pos=6, n_neg=6):
     """Hand-rolled dataset on a small graph: first edges vs first non-edges."""
     g = sample_graph(spec, n, seed=seed)
-    edges = g.edge_list()
+    edges = edge_list(g)
     iu, ju = np.triu_indices(n, k=1)
     non = np.column_stack([iu, ju])[g.adjacency[iu, ju] == 0]
     assert len(edges) >= 2 * n_pos and len(non) >= 2 * n_neg
@@ -59,7 +65,7 @@ class TestBuildScenario:
         train_ds, test_ds = build_scenario(linkpred_spec, 200, 200, seed=1,
                                            scenario="transductive")
         g = sample_graph(linkpred_spec, 200, seed=0)  # not the same graph
-        m_observed = len(train_ds.observed.edge_list())
+        m_observed = len(edge_list(train_ds.observed))
         n_tr = len(train_ds.positives["train"])
         n_val = len(train_ds.positives["val"])
         n_te = len(test_ds.positives["test"])
@@ -83,6 +89,37 @@ class TestBuildScenario:
                 assert (i, j) not in seen
                 seen.add((i, j))
                 assert train_ds.observed.adjacency[i, j] == 0.0
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (7, 1), (128, 2), (300, 3), (1000, 4)])
+    @pytest.mark.parametrize("fraction", [0.1, 1.0])
+    def test_hidden_edges_are_the_permutations_first(self, linkpred_spec, n, seed, fraction):
+        # the edges at order[:n_hide] of one permutation of the row-major
+        # edge list, in its order, and the observed graph lacks exactly them
+        g = sample_graph(linkpred_spec, n, seed=seed)
+        edges = edge_list(g)
+        order = np.random.default_rng(seed).permutation(len(edges))
+        want = edges[order[: int(np.floor(fraction * len(edges)))]]
+        observed, hidden = _hide_edges(g, fraction, np.random.default_rng(seed))
+        assert hidden.dtype == np.intp and np.array_equal(hidden, want)
+        left = edge_list(observed)
+        assert len(left) == len(edges) - len(hidden)
+        assert np.array_equal(np.sort(np.concatenate([left, hidden]) @ [n, 1]),
+                              edges @ [n, 1])
+
+    def test_hiding_edges_forms_no_edge_list(self, linkpred_spec):
+        # each hidden edge is read from its strip, so the peak is the
+        # permutation of the m edges (8 m bytes) and strip-sized arrays:
+        # reads 1.39 times the permutation at n = 2000, where the (m, 2)
+        # list and its gather read 4.0 (16.3 MiB)
+        g = sample_graph(linkpred_spec, 2000, seed=0)
+        m = int(g.upper_counts().sum())
+        tracemalloc.start()
+        try:
+            _hide_edges(g, 0.1, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * m
 
     def test_negatives_are_across_block_nonedges(self, linkpred_spec):
         train_ds, test_ds = build_scenario(linkpred_spec, 150, 300, seed=3,
@@ -280,7 +317,7 @@ class TestTraining:
         # features concentrate near 0.6 and 0.02, a separable instance
         g = sample_graph(linkpred_spec, 60, seed=2)
         bo = g.block_of
-        edges = g.edge_list()
+        edges = edge_list(g)
         within = edges[(bo[edges[:, 0]] == 0) & (bo[edges[:, 1]] == 0)]
         iu, ju = np.triu_indices(60, k=1)
         non = np.column_stack([iu, ju])[g.adjacency[iu, ju] == 0]
@@ -361,6 +398,60 @@ class TestTraining:
         scores = model_scores(trained, train_ds.observed, np.concatenate([pos, neg]))
         correct = np.sum(scores[:len(pos)] > TAU) + np.sum(scores[len(pos):] <= TAU)
         assert correct / len(scores) == log.best_val_accuracy
+
+    @pytest.mark.parametrize("method, T", [("node", None), ("pair_learn", 2),
+                                           ("pair_learn", 3), ("pair_fixed", 2)])
+    def test_buffered_epochs_are_bitwise(self, linkpred_spec, method, T):
+        # epochs that write into one run's Buffers give the loss, the
+        # gradients and the head inputs of epochs that allocate, bit for bit
+        train_ds, _ = build_training_split(linkpred_spec, 150, 7)
+        model = (node_link_model(seed=1) if method == "node"
+                 else pair_link_model(T=T, learn_update=method == "pair_learn", seed=2))
+        backbone = _backbone_graph(model, train_ds.observed)
+        pos, neg = train_ds.positives, train_ds.negatives
+        pairs = np.concatenate([pos["train"], neg["train"], pos["val"], neg["val"]])
+        labels = np.concatenate([np.ones(len(pos["train"])), np.zeros(len(neg["train"]))])
+        params = [p for net in model.trainable_nets() for p in net.parameters()]
+        state = AdamState.for_parameters(params, lr=5e-2)
+        buffers = Buffers()
+        for _ in range(3):
+            loss, grads, head_in = _loss_and_grads(model, backbone, pairs, labels)
+            loss_b, grads_b, head_in_b = _loss_and_grads(model, backbone, pairs, labels,
+                                                         buffers=buffers)
+            assert loss_b == loss and np.array_equal(head_in_b, head_in)
+            assert len(grads_b) == len(grads)
+            assert all(np.array_equal(a, b) for a, b in zip(grads_b, grads))
+            adam_step(params, grads_b, state)
+
+    def test_training_allocates_its_buffers_once(self, linkpred_spec, monkeypatch):
+        # every epoch writes into the arrays the first epoch allocated, and
+        # the run lets them go when it returns
+        runs = []
+
+        class Counting(Buffers):
+            def __init__(self):
+                super().__init__()
+                self.handed = set()  # (key, id of the array handed out)
+                runs.append(self)
+
+            def get(self, key, shape):
+                array = super().get(key, shape)
+                self.handed.add((key, id(array)))
+                return array
+
+        monkeypatch.setattr(linkpred, "Buffers", Counting)
+        train_ds, _ = build_training_split(linkpred_spec, 150, 7)
+        for model in (node_link_model(seed=1), pair_link_model(T=2, learn_update=True, seed=2)):
+            allocated = []
+            for epochs in (1, 4):
+                train_link_model(model, train_ds, epochs=epochs)
+                handed = runs[-1].handed
+                assert len({key for key, _ in handed}) == len(handed)
+                allocated.append(len(handed))
+            assert allocated[0] == allocated[1] > 0
+        released = [weakref.ref(run) for run in runs]
+        runs.clear()
+        assert all(ref() is None for ref in released)
 
     def test_backbone_trainable_is_read_off_the_network(self):
         node = node_link_model()
@@ -504,6 +595,32 @@ class TestRunTable:
         assert rows and rows[0][2].startswith("hits@")
         text = report.format_table()
         assert "oracle" in text and "mcc" in text
+
+    def test_curves_are_the_training_logs(self, linkpred_spec):
+        # each run keeps the log of every model it trains, the log that
+        # train_link_model returns for that model and split
+        from graphon_mpnn import RunTableConfig, run_table
+
+        cfg = RunTableConfig(
+            spec=linkpred_spec, n_train=150, n_test_ood=300, runs=2, seed=0,
+            methods=("oracle", "pair_fixed", "node"), scenarios=("transductive",),
+            epochs_head=2, epochs_end_to_end=3, k_list=(1,),
+        )
+        report = run_table(cfg)
+        assert list(report.curves) == [(0, "pair_fixed"), (0, "node"),
+                                       (1, "pair_fixed"), (1, "node")]
+        seed = child_seed(0, "run/1")
+        train_ds, _ = build_training_split(linkpred_spec, 150, seed)
+        _, log = train_link_model(linkpred._untrained_model("node", cfg, seed), train_ds,
+                                  epochs=3)
+        assert report.curves[(1, "node")] == log
+        rows = report.curve_rows()
+        assert [row[:3] for row in rows[:7]] == [[0, "node", e] for e in range(4)] + [
+            [0, "pair_fixed", e] for e in range(3)]
+        assert len(rows) == 2 * (4 + 3)
+        node_rows = rows[7:11]  # run 1's node model
+        assert [row[3] for row in node_rows] == [repr(x) for x in log.losses] + [""]
+        assert [row[4] for row in node_rows] == [repr(x) for x in log.val_accuracies]
 
     def test_each_graph_builds_its_pair_classes_once(self, linkpred_spec, monkeypatch):
         # pair_fixed and pair_learn share one PairGraph per graph, in

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from graphon_mpnn.nn import (
     AdamState,
+    Buffers,
     FeedForwardNet,
     adam_step,
     init_net,
@@ -131,6 +132,45 @@ def test_tanh_backward_bitwise_equals_recomputed_derivative(dims, rows):
         for a, b in zip(grads, expected):
             assert np.array_equal(a, b)
         assert np.array_equal(grad_in, delta)
+
+
+@pytest.mark.parametrize("dims, rows", [([3, 7, 6, 2], 50), ([1, 7, 6, 1], 600),
+                                        ([16, 7, 16, 16], 600)])
+def test_buffered_passes_are_bitwise_and_reuse_their_arrays(dims, rows):
+    # a training run's Buffers hand each epoch the arrays the one before
+    # wrote: forward and backward into them give the bits of new arrays,
+    # the cache backward reads is left as it was, and the second epoch
+    # writes into the first epoch's arrays
+    rng = np.random.default_rng(5)
+    net = init_net(dims, seed=1, output_activation="sigmoid")
+    buffers = Buffers()
+    first = None
+    for epoch in range(3):
+        x = rng.normal(scale=2.0, size=(rows, dims[0]))
+        g = rng.normal(size=(rows, dims[-1]))
+        out, cache = net.forward_cache(x)
+        grads, grad_in = net.backward(cache, g)
+        out_b, cache_b = net.forward_cache(x, buffers)
+        kept = [h.copy() for h in cache_b[0]]
+        grads_b, grad_in_b = net.backward(cache_b, g, buffers)
+        assert np.array_equal(out_b, out) and np.array_equal(cache_b[1], cache[1])
+        assert all(np.array_equal(a, b) for a, b in zip(grads_b, grads))
+        assert np.array_equal(grad_in_b, grad_in)
+        assert all(np.array_equal(a, b) for a, b in zip(cache_b[0], kept))
+        arrays = [*cache_b[0][1:], cache_b[1], grad_in_b]
+        if first is None:
+            first = arrays
+        assert all(a is b for a, b in zip(arrays, first))
+        for p in net.parameters():  # a step between epochs
+            p += 0.1 * rng.normal(size=p.shape)
+
+
+def test_buffers_reallocate_only_for_a_new_shape():
+    buffers = Buffers()
+    a = buffers.get("x", (4, 3))
+    assert buffers.get("x", (4, 3)) is a and buffers.get("y", (4, 3)) is not a
+    b = buffers.get("x", (5, 3))
+    assert b.shape == (5, 3) and b is not a and buffers.get("x", (5, 3)) is b
 
 
 def test_sigmoid_is_the_masked_formula():

@@ -490,8 +490,10 @@ class TestQueryMap:
         pairs = queried_pairs(50, 30, seed=1)
         pg.forward(mpnn, pairs)
         kept = pg._map
+        assert kept.idx.dtype == kept.own.dtype == np.int32
         pg.forward(mpnn, pairs.copy(), record=True)
-        assert pg._map is kept
+        assert pg._map is kept  # widened in place: a recorded pass reads intp entries
+        assert kept.idx.dtype == kept.own.dtype == np.intp
         pg.forward(mpnn, pairs[:-1])
         assert pg._map is not kept and len(pg._map.pairs) == len(pairs) - 1
         kept = pg._map
@@ -513,7 +515,9 @@ class TestQueryMap:
         pg.forward(fixed_psi_mpnn(T), pairs)
         narrow = pg._map
         wide = copy.copy(narrow)
-        wide.idx, wide.own, wide._buf = narrow.idx.astype(np.intp), narrow.own.astype(np.intp), None
+        wide._buf = None
+        wide.widen()
+        assert narrow.idx.dtype == np.int32 and wide.idx.dtype == wide.own.dtype == np.intp
         rng = np.random.default_rng(T)
         src = rng.normal(size=(narrow.n_rows, 2))
         d_x, d_m = rng.normal(size=(2, len(pairs), 2))

@@ -35,7 +35,8 @@ from graphon_mpnn.sbm import (
     write_spec_file,
 )
 
-from oracles import common_neighbors_oracle, message_weights_oracle, sample_graph_oracle
+from oracles import (common_neighbors_oracle, edge_list, message_weights_oracle,
+                     sample_graph_oracle, write_edge_list_oracle)
 
 
 def graph_from_adjacency(adj):
@@ -561,26 +562,36 @@ class TestSerialization:
             read_spec_file(path)
 
     @pytest.mark.parametrize("n", [2, 3, 129, 300])
-    def test_edge_list_is_the_upper_triangle_row_major(self, convergence_spec, n):
+    def test_edge_strips_are_the_upper_triangle_row_major(self, convergence_spec, n):
         g = sample_graph(convergence_spec, n, seed=4)
         iu, ju = np.triu_indices(n, k=1)
         upper = g.adjacency[iu, ju] > 0
-        edges = g.edge_list()
-        assert edges.dtype == np.intp
+        strips = list(g.edge_strips())
+        assert len(strips) == -(-n // _MIRROR_ROWS)
+        for lo, edges in zip(range(0, n, _MIRROR_ROWS), strips):
+            assert edges.dtype == np.intp and edges.shape[1] == 2
+            assert np.all((edges[:, 0] >= lo) & (edges[:, 0] < lo + _MIRROR_ROWS))
+        edges = np.concatenate(strips)
         assert np.array_equal(edges, np.column_stack([iu[upper], ju[upper]]))
-        assert g.with_adjacency(np.zeros((n, n))).edge_list().shape == (0, 2)
+        assert np.array_equal(g.upper_counts(), np.bincount(edges[:, 0], minlength=n))
+        empty = g.with_adjacency(np.zeros((n, n)))
+        assert np.concatenate(list(empty.edge_strips())).shape == (0, 2)
+        assert not empty.upper_counts().any()
 
-    def test_edge_list_builds_no_pair_index_arrays(self, convergence_spec):
-        # row strips: the result and its strips, where the n^2 / 2
-        # triu_indices pair and mask peaked at 6 times the result
+    def test_edge_strips_build_no_pair_index_arrays(self, convergence_spec):
+        # row strips: one strip's edges and its unpacked rows are alive at a
+        # time, 3.5 times the largest strip's edges (the n^2 / 2
+        # triu_indices pair and mask once peaked at 6 times all edges)
         g = sample_graph(convergence_spec, 600, seed=0)
+        largest = max(edges.nbytes for edges in g.edge_strips())
         tracemalloc.start()
         try:
-            edges = g.edge_list()
+            for _ in g.edge_strips():
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * edges.nbytes
+        assert peak <= 4 * largest
 
     def test_edge_list_format(self, tmp_path):
         g = graph_from_adjacency([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -590,11 +601,22 @@ class TestSerialization:
         assert edges.read_text() == "0 1\n1 2\n"
         assert blocks.read_text() == "0\n0\n0\n"
 
+    @pytest.mark.parametrize("n, seed", [(2, 0), (129, 1), (700, 2)])
+    def test_edge_list_file_matches_the_per_edge_writer(self, convergence_spec, tmp_path,
+                                                        n, seed):
+        g = sample_graph(convergence_spec, n, seed=seed)
+        written = []
+        for name, write in (("strips", write_edge_list), ("oracle", write_edge_list_oracle)):
+            edges, blocks = tmp_path / f"{name}_edges.txt", tmp_path / f"{name}_blocks.txt"
+            count = write(g, edges, blocks)
+            written.append((count, edges.read_bytes(), blocks.read_bytes()))
+        assert written[0] == written[1]
+
 
 class TestWithoutEdges:
     def test_clears_both_halves_of_edges_sharing_a_byte(self, convergence_spec):
         g = sample_graph(convergence_spec, 203, seed=5)
-        edges = g.edge_list()
+        edges = edge_list(g)
         hidden = np.concatenate([edges[edges[:, 0] == 0], edges[::7]])  # row 0 whole
         want = g.adjacency.copy()
         want[hidden[:, 0], hidden[:, 1]] = want[hidden[:, 1], hidden[:, 0]] = False
@@ -649,7 +671,7 @@ class TestNoDenseAdjacency:
             observed, isomorphic_block_pairs(linkpred_spec), 50, rng)
         assert len(hidden) and negatives.shape == (50, 2)
         count = write_edge_list(observed, tmp_path / "edges.txt", tmp_path / "blocks.txt")
-        assert count == len(g.edge_list()) - len(hidden)
+        assert count == sum(len(edges) for edges in g.edge_strips()) - len(hidden)
 
     def test_two_run_table(self, linkpred_spec):
         report = run_table(RunTableConfig(
