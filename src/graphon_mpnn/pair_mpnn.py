@@ -54,7 +54,8 @@ from .mpnn import (
     update_rows,
 )
 from .nn import init_net
-from .sbm import GraphStats, SampledGraph, SbmSpec, count_dtype, graphon_common_neighbors
+from .sbm import (CountTriangle, GraphStats, SampledGraph, SbmSpec, count_dtype,
+                  graphon_common_neighbors)
 
 #: Dense pair tensors are capped to protect memory; the fully symbolic
 #: variant affords a larger cap because it never materializes per-pair
@@ -116,14 +117,17 @@ def learnable_psi_mpnn(T: int, hidden: int = 5, seed=0) -> Mpnn:
 
 class PairWeights:
     """The message weights W_ij = 1 / (2n c_ij) of the common-neighbor
-    fraction c_ij = CN_ij / n, as a function of the integer counts that
-    ``GraphStats`` holds (two bytes per pair), or of some of their rows: W
-    is formed in float64 where it is read and no n x n array of it is held.
+    fraction c_ij = CN_ij / n, as a function of integer counts ``counts``
+    indexed like W: the counts' triangle that ``GraphStats`` holds (two
+    bytes per count, read through ``sbm.CountTriangle``), a block of it, or
+    some rows of the counts. W is formed in float64 where it is read and no
+    n x n array of it is held.
 
-    ``weights[index]`` is W at ``counts[index]`` for any numpy index of the
-    counts: a tile, a row strip, a row or pairs. ``of`` forms W from given
-    counts, and is the one place the fallback is applied: CN_ij = 0 is read
-    as 1, so that c_ij = 1/n.
+    ``weights[index]`` is W at ``counts[index]``: on the triangle a tile, a
+    row strip, a row or pairs, and a tile inside one of its blocks reads a
+    view of the block. ``of`` forms W from given counts, and is the one
+    place the fallback is applied: CN_ij = 0 is read as 1, so that
+    c_ij = 1/n.
     """
 
     def __init__(self, counts: np.ndarray, n: int):
@@ -134,7 +138,9 @@ class PairWeights:
 
     def block(self, rows: slice, cols: slice) -> "PairWeights":
         """The weights of the pairs ``rows`` x ``cols``, indexed from
-        (rows.start, cols.start)."""
+        (rows.start, cols.start): a view of the counts' block where the
+        rows lie in one strip of the triangle and the columns from its
+        start on."""
         return PairWeights(self.counts[rows, cols], self.n)
 
     def of(self, counts) -> np.ndarray:
@@ -151,9 +157,11 @@ class PairWeights:
 
 def pair_message_weights(stats: GraphStats) -> PairWeights:
     """The message weights of the graph that ``stats`` counts, as a
-    function of its integer common-neighbor counts (``PairWeights``): it
+    function of its integer common-neighbor counts (``PairWeights``) on
+    their i <= j triangle in the product's strips (``CountTriangle``): it
     reads ``stats.common_neighbors`` once and allocates no n x n array."""
-    return PairWeights(stats.common_neighbors, stats.n)
+    n = stats.n
+    return PairWeights(CountTriangle(n, stats.strip_rows, stats.common_neighbors), n)
 
 
 class _CountClasses:
@@ -274,8 +282,9 @@ class _Triangle:
 def _general_pair_messages(graph, f, message, weights, m) -> None:
     """Writes the messages of a message function other than the neighbor
     projection into the triangle ``m``, row i at a time from the diagonal
-    on, and within i's strip into column i too; the adjacency is unpacked
-    one strip of _TILE rows at a time."""
+    on, and within i's strip into column i too, each row weighted by W's
+    row i (``weights[i]``, gathered from the counts' triangle); the
+    adjacency is unpacked one strip of _TILE rows at a time."""
     n, _, width = f.shape
     mi = np.empty((n, m.width))
     for i in range(n):
@@ -478,8 +487,10 @@ class PairGraph:
     pass queried at pairs, which reads the neighbor lists and the
     common-neighbor counts at the pairs' endpoints alone (``count_rows``).
     The message weights are no array: ``weights``, formed for the first
-    dense layer from the whole counts, reads them at each tile, row strip,
-    row or set of pairs a pass reads. Every product with the adjacency runs
+    dense layer from the whole counts, which live on the i <= j triangle in
+    the product's strips, reads them at each tile, row or set of pairs a
+    pass reads: a tile of the dense messages' triangle reads a view of the
+    counts' block in the same strip. Every product with the adjacency runs
     in the row strips of ``stats.product``; the neighbor lists and the
     messages other than the neighbor projection unpack it a strip of rows
     at a time. Dense messages live on the i <= j triangle.
@@ -518,11 +529,12 @@ class PairGraph:
         """The rows of the common-neighbor counts at the ascending, distinct
         ``nodes``: (len(nodes), n), in one pass over the blocks of
         ``stats.common_neighbor_blocks``, which read the whole counts where
-        they are built and else compute each block and let it go. A row
-        is copied from the blocks right of its diagonal and from the
-        mirror of those above it. The same pass marks layer 0's count
-        classes when they are not yet built: every pair's key is in a block
-        or its mirror, and keys are symmetric. No n x n array is formed."""
+        they are built (blocks of their triangle) and else compute each
+        block and let it go. A row is copied from the blocks at its rows
+        and from the mirror of those at its columns. The same pass marks
+        layer 0's count classes when they are not yet built: every pair's
+        key is in a block or its mirror, and keys are symmetric. No n x n
+        array is formed."""
         n, stats = self.n, self.stats
         out = np.empty((len(nodes), n), dtype=count_dtype(n))
         classes = _CountClasses(stats) if self._classes is None else None
@@ -545,12 +557,20 @@ class PairGraph:
     @cached_property
     def _class_inv(self) -> np.ndarray:
         """The symmetric n x n int32 map from each pair to its count class,
-        read from the whole counts one strip of _TILE rows at a time."""
-        n, classes, counts = self.n, self.first_classes, self.stats.common_neighbors
+        read from the blocks of the whole counts (``first_classes`` builds
+        them) one strip of _TILE rows at a time, and written with its
+        mirror where a block lies right of its strip."""
+        n, classes = self.n, self.first_classes
         inv = np.empty((n, n), dtype=np.int32)
-        for lo in range(0, n, _TILE):
-            i, j = np.ogrid[lo : min(lo + _TILE, n), 0:n]
-            inv[lo : lo + _TILE] = classes.of(i, j, counts[lo : lo + _TILE])
+        for lo, lo2, c in self.stats.common_neighbor_blocks():
+            h, w = c.shape
+            for t in range(0, h, _TILE):
+                rows = slice(lo + t, lo + min(t + _TILE, h))
+                i, j = np.ogrid[rows, lo2 : lo2 + w]
+                keys = classes.of(i, j, c[t : t + _TILE])
+                inv[rows, lo2 : lo2 + w] = keys
+                if lo2 > lo:
+                    inv[lo2 : lo2 + w, rows] = keys.T
         return inv
 
     def neighbor_lists(self, nodes) -> tuple:

@@ -220,25 +220,6 @@ class SampledGraph:
                 out[a:b] = self.rows(lo, lo + _MIRROR_ROWS)[np.ix_(rows[a:b] - lo, cols)]
         return out
 
-    def with_adjacency(self, adjacency) -> "SampledGraph":
-        """Copy of this graph with edges replaced (e.g. after hiding some).
-
-        ``adjacency`` may have any dtype, but must be an n x n symmetric
-        0/1 matrix with a zero diagonal (else ValueError); it is stored
-        packed, one bit per pair.
-        """
-        a = np.asarray(adjacency)
-        if a.shape != (self.n, self.n):
-            raise ValueError(f"adjacency must be ({self.n}, {self.n}), got {a.shape}")
-        if a.dtype != bool and not np.all((a == 0) | (a == 1)):
-            raise ValueError("adjacency entries must be 0 or 1")
-        a = a.astype(bool)
-        if a.diagonal().any():
-            raise ValueError("adjacency must have a zero diagonal")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
-        return dataclasses.replace(self, bits=_freeze(np.packbits(a, axis=1)))
-
     def without_edges(self, edges) -> "SampledGraph":
         """Copy of this graph with the undirected ``edges`` ((k, 2) node
         pairs) removed. Several edges can share a byte, so each bit is
@@ -374,6 +355,65 @@ def count_dtype(n: int):
     return np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32
 
 
+class CountTriangle:
+    """The common-neighbor counts of an n-node graph on the i <= j
+    triangle, in row strips of ``rows`` rows, as ``pair_mpnn._Triangle``
+    holds a layer's messages: block b holds the rows of strip b, from
+    s = ``starts[b]`` on, at the columns s to n - 1, CN_ij for i <= j at
+    ``blocks[b][i - s, j - s]`` with b the strip of i, and its leading
+    square, the strip's diagonal block, holds both halves. The blocks lie
+    one after another in the one flat array ``flat`` of ``count_dtype(n)``:
+    about n^2 / 2 counts plus half of each leading square, and with one
+    strip the n x n counts.
+
+    It is read like the n x n counts: ``[rows, cols]`` of two slices is a
+    view of a block where the rows lie in one strip and the columns from
+    its start on; any other rectangle, a row strip ``[rows]``, a row
+    ``[i]`` and pairs ``[i, j]`` of index arrays are gathered from the
+    flat array at (min(i, j), max(i, j)).
+    """
+
+    def __init__(self, n: int, rows: int, flat=None):
+        self.n, self.rows = n, rows
+        self.starts = range(0, n, rows)
+        self.offsets = np.cumsum([0] + [min(rows, n - s) * (n - s) for s in self.starts])
+        self.flat = np.empty(self.offsets[-1], dtype=count_dtype(n)) if flat is None else flat
+        self.blocks = [self.flat[a:b].reshape(-1, n - s)
+                       for s, a, b in zip(self.starts, self.offsets, self.offsets[1:])]
+
+    def index(self, i, j) -> np.ndarray:
+        """The flat indices of the pairs (i, j), node indices that
+        broadcast against each other."""
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        s = lo - lo % self.rows  # the first row of lo's strip
+        return self.offsets[lo // self.rows] + (lo - s) * (self.n - s) + (hi - s)
+
+    def __getitem__(self, index) -> np.ndarray:
+        i, j = index if isinstance(index, tuple) else (index, slice(None))
+        if isinstance(i, slice):
+            r0, r1, _ = i.indices(self.n)
+            c0, c1, _ = j.indices(self.n)
+            s = r0 - r0 % self.rows
+            if r0 < r1 <= s + self.rows and c0 >= s:
+                return self.blocks[r0 // self.rows][r0 - s : r1 - s, c0 - s : c1 - s]
+            i, j = np.ogrid[r0:r1, c0:c1]
+        elif isinstance(j, slice):
+            j = np.arange(self.n)[j]
+        return self.flat[self.index(i, j)]
+
+    def put(self, r0: int, c0: int, values) -> None:
+        """Writes the counts ``values`` at the rows from ``r0`` and the
+        columns from ``c0`` on where they lie on the triangle: in each
+        strip the rows cross, at the columns from the strip's start on."""
+        h, w = values.shape
+        for b in range(r0 // self.rows, (r0 + h - 1) // self.rows + 1):
+            s = self.starts[b]
+            a, z, c = max(r0, s), min(r0 + h, s + self.rows), max(c0, s)
+            if c < c0 + w:
+                block = self.blocks[b][a - s : z - s, c - s : c0 + w - s]
+                block[...] = values[a - r0 : z - r0, c - c0 :]
+
+
 class GraphStats:
     """The exact neighbor and common-neighbor counts of one graph, and its
     adjacency products. The products and the common-neighbor counts read
@@ -383,22 +423,29 @@ class GraphStats:
     ``degree_counts[i] = sum_j A_ij`` in float64, counted exactly: a
     popcount of row i's bytes (``np.bitwise_count``, numpy >= 2.0), taken
     _MIRROR_ROWS rows at a time, so that no popcount of every byte is held.
-    ``common_neighbors[i, j] = sum_z A_iz A_jz``, zero included, is computed
-    lazily (it is an n x n product) and cached. Each engine derives its own
-    normalization from these counts.
+    The common-neighbor counts CN_ij = sum_z A_iz A_jz, zero included, are
+    computed lazily (they are an n x n product) and cached:
+    ``common_neighbors`` is the flat read-only array of their i <= j
+    triangle in the product's row strips of ``strip_rows`` rows, which
+    ``CountTriangle`` reads like the n x n counts. Each engine derives its
+    own normalization from these counts.
 
     The common-neighbor counts are ``A Aᵀ`` (equal to ``A A`` for the
     symmetric 0/1 adjacency), built from pairs of row blocks of _CN_ROWS
     rows: both blocks are unpacked into float32, one BLAS call multiplies
     them (a symmetric rank-k update on the diagonal), and the block result
-    is written with its mirror straight into the counts. They are exact
-    while n < 2**24: every partial sum is an integer no larger than n. They
-    are held as ``count_dtype(n)``, ``uint16``, two bytes per node pair
-    (``uint32`` past n = 65535, where a count may not fit); beyond them the
-    build holds two float32 row blocks and one block result, and no n x n
-    float array. ``common_neighbor_blocks`` yields the same block results
-    one by one, or where the counts are built, their blocks: a caller that
-    reads the counts at some rows, or reduces them, holds no n x n array.
+    and its mirror are written straight into the triangle, each where it
+    lies on it. They are exact while n < 2**24: every partial
+    sum is an integer no larger than n. They are held as
+    ``count_dtype(n)``, ``uint16``, two bytes per count (``uint32`` past
+    n = 65535, where a count may not fit): 6 MiB at n = 2048, 18 MiB at
+    4096 and 66 MiB at 8192, where the n x n counts took 8, 32 and 128, and
+    the n x n counts themselves where one strip covers the graph. Beyond
+    them the build holds two float32 row blocks and one block result, and
+    no n x n array. ``common_neighbor_blocks`` yields the same block
+    results one by one, or where the counts are built, blocks of the
+    triangle: a caller that reads the counts at some rows, or reduces them,
+    holds no n x n array.
 
     ``product(x)`` is every ``A @ x`` of the engines. The adjacency is
     widened to float64 one row strip at a time, into one buffer the stats
@@ -430,30 +477,38 @@ class GraphStats:
 
     @property
     def common_neighbors(self) -> np.ndarray:
+        """The flat read-only array of the common-neighbor counts on the
+        i <= j triangle (``CountTriangle`` with ``strip_rows`` rows per
+        strip), built on first access from ``common_neighbor_blocks``."""
         if self._common is None:
-            n = self.n
-            counts = np.empty((n, n), dtype=count_dtype(n))
+            counts = CountTriangle(self.n, self.strip_rows)
             for lo, lo2, c in self.common_neighbor_blocks():
-                counts[lo : lo + len(c), lo2 : lo2 + c.shape[1]] = c
-                counts[lo2 : lo2 + c.shape[1], lo : lo + len(c)] = c.T
-            self._common = _freeze(counts)
+                counts.put(lo, lo2, c)
+                if lo2 > lo:
+                    counts.put(lo2, lo, c.T)
+            self._common = _freeze(counts.flat)
         return self._common
 
     def common_neighbor_blocks(self):
-        """Yields ``(lo, lo2, block)`` for the blocks of the common-neighbor
-        counts at rows ``lo`` and columns ``lo2`` on, lo <= lo2, each
-        _CN_ROWS square (short at the last rows and columns), which cover
-        the upper triangle and, mirrored, the whole matrix: views of
-        ``common_neighbors`` when it is built, else each block computed as
-        ``common_neighbors`` computes it, in float32, in a buffer that the
-        next block overwrites, and no n x n array is formed."""
+        """Yields ``(lo, lo2, block)`` for blocks of the common-neighbor
+        counts at rows ``lo`` and columns ``lo2`` on, lo <= lo2, which cover
+        the upper triangle and, mirrored where lo2 > lo, every count once;
+        a block at lo2 = lo is square and holds both halves. Where the
+        counts are built they are views of them, each strip's leading
+        square and the rest of its block (``CountTriangle``); else they are
+        the _CN_ROWS squares (short at the last rows and columns) computed
+        as ``common_neighbors`` computes them, in float32, in a buffer that
+        the next block overwrites, and no n x n array is formed."""
         n = self.n
-        size = min(n, _CN_ROWS)
         if self._common is not None:
-            for lo in range(0, n, size):
-                for lo2 in range(lo, n, size):
-                    yield lo, lo2, self._common[lo : lo + size, lo2 : lo2 + size]
+            counts = CountTriangle(n, self.strip_rows, self._common)
+            for s, block in zip(counts.starts, counts.blocks):
+                h = len(block)
+                yield s, s, block[:, :h]
+                if s + h < n:
+                    yield s, s + h, block[:, h:]
             return
+        size = min(n, _CN_ROWS)
         blocks = np.empty((2, size, n), dtype=np.float32)
         result = np.empty((size, size), dtype=np.float32)
         for lo in range(0, n, size):
@@ -612,12 +667,17 @@ def read_spec_file(path) -> SbmSpec:
 
 def write_edge_list(graph: SampledGraph, edges_path, blocks_path) -> int:
     """Dump edges as '<i> <j>' per line (0-indexed) plus a block column
-    file; returns the number of edges. Each strip of ``edge_strips`` is
-    formatted and written in one call."""
+    file; returns the number of edges. The edges of each strip of
+    ``edge_strips`` are formatted and written _MIRROR_ROWS^2 at a time, so
+    that the Python ints of one call, about 44 bytes per index, stay under
+    1.5 MiB whatever a strip holds."""
     count = 0
+    chunk = _MIRROR_ROWS ** 2
     with open(edges_path, "w") as fh:
         for edges in graph.edge_strips():
-            fh.write(("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))
+            for lo in range(0, len(edges), chunk):
+                part = edges[lo : lo + chunk]
+                fh.write(("%d %d\n" * len(part)) % tuple(part.ravel().tolist()))
             count += len(edges)
     with open(blocks_path, "w") as fh:
         for b in graph.block_of:

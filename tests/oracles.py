@@ -4,6 +4,8 @@ Everything here is written with plain Python loops against the recursion
 definitions and deliberately shares no code with the package internals.
 """
 
+import dataclasses
+
 import numpy as np
 
 
@@ -185,6 +187,22 @@ def message_weights_oracle(adjacency):
     return 1.0 / (2.0 * n * np.where(counts > 0, counts / n, 1.0 / n))
 
 
+def count_matrix(stats):
+    """The n x n common-neighbor counts that ``stats`` holds, expanded row
+    by row from its flat array: the rows of each strip of
+    ``stats.strip_rows`` rows, one after another, each from the strip's
+    first row's column to the last, and mirrored."""
+    flat, n, rows = stats.common_neighbors, stats.n, stats.strip_rows
+    out = np.empty((n, n), dtype=flat.dtype)
+    at = 0
+    for first in range(0, n, rows):
+        for i in range(first, min(first + rows, n)):
+            out[i, first:] = out[first:, i] = flat[at : at + n - first]
+            at += n - first
+    assert at == len(flat)
+    return out
+
+
 def class_map_oracle(adjacency, pairs):
     """Layer 0's count classes and the map of a two-layer pass queried at
     ``pairs`` over them, from the whole counts and the whole class map.
@@ -254,6 +272,29 @@ def pair_update_rows_oracle(adjacency, nets, pairs, d_values):
         # m = (A f + (A f)^T) w, so f collects A (d_m + d_m^T)
         g = d_f + a @ (d_m + d_m.T)
     return f, grads
+
+
+def with_adjacency(graph, adjacency):
+    """A copy of ``graph`` with its edges replaced (e.g. after hiding some).
+
+    ``adjacency`` may have any dtype, but must be an n x n symmetric 0/1
+    matrix with a zero diagonal (else ValueError); it is stored packed, one
+    bit per pair, read-only.
+    """
+    n = graph.n
+    a = np.asarray(adjacency)
+    if a.shape != (n, n):
+        raise ValueError(f"adjacency must be ({n}, {n}), got {a.shape}")
+    if a.dtype != bool and not np.all((a == 0) | (a == 1)):
+        raise ValueError("adjacency entries must be 0 or 1")
+    a = a.astype(bool)
+    if a.diagonal().any():
+        raise ValueError("adjacency must have a zero diagonal")
+    if not np.array_equal(a, a.T):
+        raise ValueError("adjacency must be symmetric")
+    bits = np.packbits(a, axis=1)
+    bits.flags.writeable = False
+    return dataclasses.replace(graph, bits=bits)
 
 
 def edge_list(graph):

@@ -25,11 +25,13 @@ from graphon_mpnn.pair_mpnn import PairGraph, learnable_psi_mpnn
 from oracles import (
     class_map_oracle,
     cmpnn_pair_oracle,
+    count_matrix,
     finite_difference_gradients,
     max_relative_error,
     message_weights_oracle,
     pair_mpnn_oracle,
     pair_update_rows_oracle,
+    with_adjacency,
 )
 
 
@@ -203,12 +205,17 @@ class TestPairEngine:
     # a recorded pass keeps its map for every epoch, so it takes the map up
     # to a larger crossover: 300 pairs take it, 4000 take the product, and
     # the pull of that last layer is the dense one, on pairs in both orders;
-    # T = 1 takes no map
+    # T = 1 takes no map. In strips of 37 rows the pull's tiles of W
+    # straddle the cuts of the counts' triangle.
+    @pytest.mark.parametrize("strip", [None, 37])
     @pytest.mark.parametrize("count", [300, 4000])
     @pytest.mark.parametrize("T", [1, 2, 3, 4])
-    def test_recorded_pairs_match_dense(self, convergence_spec, T, count):
+    def test_recorded_pairs_match_dense(self, convergence_spec, monkeypatch, T, count, strip):
+        if strip is not None:
+            monkeypatch.setattr(sbm, "_STRIP_ENTRIES", strip * 120)
         g = sample_graph(convergence_spec, 120, seed=4)
         stats = graph_stats(g)
+        assert stats.strip_rows == (strip or 120)
         mpnn = learnable_psi_mpnn(T, hidden=4, seed=5)
         pairs = queried_pairs(120, count, seed=T)
         pg = PairGraph(g, stats)
@@ -227,7 +234,11 @@ class TestPairEngine:
 
     # the rows of each layer at n = 120: a dense pass (count None), passes
     # queried at 40 pairs (under the one-use map limit) and 4000 (over it),
-    # and recorded passes at 300 (under the recorded limit) and 4000
+    # and recorded passes at 300 (under the recorded limit) and 4000. In
+    # strips of 37 rows the plan is the same, W is read across the cuts of
+    # the counts' triangle (by the net messages' rows and the "upper" map's
+    # pairs among others), and the values are those of one strip.
+    @pytest.mark.parametrize("strip", [None, 37])
     @pytest.mark.parametrize("model, T, count, record, plan", [
         ("fixed", 1, None, False, "dense"),
         ("fixed", 1, 40, False, "pairs"),
@@ -266,20 +277,27 @@ class TestPairEngine:
         ("net", 2, None, False, "upper upper"),
         ("net", 2, 40, False, "upper pairs"),
     ])
-    def test_plan_of_each_pass(self, convergence_spec, model, T, count, record, plan):
+    def test_plan_of_each_pass(self, convergence_spec, monkeypatch, model, T, count, record,
+                               plan, strip):
         g = sample_graph(convergence_spec, 120, seed=4)
         models = {"fixed": fixed_psi_mpnn, "net": message_net_mpnn,
                   "learn": lambda T: learnable_psi_mpnn(T, hidden=4, seed=5)}
         mpnn = models[model](T)
         pairs = None if count is None else queried_pairs(120, count, seed=T)
+        if strip is not None:
+            whole, _ = PairGraph(g, graph_stats(g)).forward(mpnn, pairs, record)
+            monkeypatch.setattr(sbm, "_STRIP_ENTRIES", strip * 120)
         pg = PairGraph(g, graph_stats(g))
+        assert pg.stats.strip_rows == (strip or 120)
         plan = plan.split()
         assert pg._plan(mpnn, pairs, record) == plan
-        pg.forward(mpnn, pairs, record)
+        values, _ = pg.forward(mpnn, pairs, record)
         if plan[-1] == "map":
             assert pg._map.kind == plan[-2]
         else:
             assert pg._map is None
+        if strip is not None:
+            np.testing.assert_allclose(values, whole, rtol=1e-12, atol=0.0)
 
     def test_first_message_is_the_degree_product_exactly(self, convergence_spec):
         g = sample_graph(convergence_spec, 200, seed=6)
@@ -373,7 +391,7 @@ def isolate(graph, nodes):
     a = graph.adjacency.copy()
     a[nodes, :] = 0.0
     a[:, nodes] = 0.0
-    return graph.with_adjacency(a)
+    return with_adjacency(graph, a)
 
 
 def graph_with_isolated_node(spec, n):
@@ -733,18 +751,24 @@ class TestDenseBuffers:
     """The dense pass works in one n x n feature buffer and the messages'
     i <= j triangle, bit for bit."""
 
+    @pytest.mark.parametrize("strip", [None, 37])
     @pytest.mark.parametrize("n", [1, 2, pair_mpnn._TILE - 1, pair_mpnn._TILE,
                                    pair_mpnn._TILE + 1, 2 * pair_mpnn._TILE + 3])
-    def test_tiled_symmetrization_is_y_plus_its_transpose(self, convergence_spec, n):
+    def test_tiled_symmetrization_is_y_plus_its_transpose(self, convergence_spec, monkeypatch,
+                                                          n, strip):
         # the weights are formed per tile from the counts, and the mirror
         # tile reads them transposed: bitwise the full-array formula, the
-        # 1/n fallback of the isolated node 0 included
+        # 1/n fallback of the isolated node 0 included, from the counts in
+        # one strip or in strips of 37 rows, which tiles straddle
+        if strip is not None:
+            monkeypatch.setattr(sbm, "_STRIP_ENTRIES", strip * n)
         rng = np.random.default_rng(n)
         y = rng.normal(size=(n, n))
         g = graph_with_isolated_node(convergence_spec, n)
-        weights = pair_mpnn.pair_message_weights(graph_stats(g))
+        stats = graph_stats(g)
+        weights = pair_mpnn.pair_message_weights(stats)
         full = message_weights_oracle(g.adjacency)
-        assert (weights.counts == 0).any()
+        assert (count_matrix(stats) == 0).any()
         for w, expected in ((np.ones((n, n)), y + y.T), (weights, (y + y.T) * full)):
             m = y.copy()
             pair_mpnn._symmetrize(m, w)
@@ -873,6 +897,30 @@ class TestDenseBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= 1.83 * n * n * 8
+
+    def test_fixed_pass_working_set_with_the_count_build_in_strips(self, convergence_spec,
+                                                                  monkeypatch):
+        # the pass and the count build it starts: f, the message triangle's
+        # seven separate blocks and its strip buffer for Y, the counts on
+        # their triangle (0.141 n^2 floats), the stats' strip of A and
+        # tile-sized temporaries: 1.96 n^2 floats at n = 1024 in eight
+        # strips, where the n x n counts (0.25 n^2 floats) read 2.07
+        n = 1024
+        monkeypatch.setattr(sbm, "_STRIP_ENTRIES", 128 * n)  # 8 strips, as at n = 4096
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        tracemalloc.start()
+        try:
+            gmpnn_pair(g, stats, fixed_psi_mpnn(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        starts = range(0, n, 128)
+        f, strips = 8 * n * n, 2 * 8 * 128 * n
+        messages = sum(8 * 128 * (n - s) for s in starts[:-1])
+        counts = sum(2 * 128 * (n - s) for s in starts)
+        assert stats.common_neighbors.nbytes == counts
+        assert peak <= f + messages + counts + strips + 2 ** 18
 
     def test_pair_net_pass_working_set(self, convergence_spec):
         # the update input [x, m] is gathered once into one (n^2 / 2, 2)

@@ -35,8 +35,8 @@ from graphon_mpnn.sbm import (
     write_spec_file,
 )
 
-from oracles import (common_neighbors_oracle, edge_list, message_weights_oracle,
-                     sample_graph_oracle, write_edge_list_oracle)
+from oracles import (common_neighbors_oracle, count_matrix, edge_list, message_weights_oracle,
+                     sample_graph_oracle, with_adjacency, write_edge_list_oracle)
 
 
 def graph_from_adjacency(adj):
@@ -293,14 +293,14 @@ class TestBlockPairPool:
 
 
 class TestWithAdjacency:
-    """with_adjacency stores a bool copy of a symmetric 0/1 matrix with a
-    zero diagonal and rejects any other matrix."""
+    """The oracle helper with_adjacency stores a bool copy of a symmetric
+    0/1 matrix with a zero diagonal and rejects any other matrix."""
 
     def test_stores_a_bool_copy(self, convergence_spec):
         g = sample_graph(convergence_spec, 20, seed=1)
         a = g.adjacency.astype(float)
         a[0, :] = a[:, 0] = 0.0
-        h = g.with_adjacency(a)
+        h = with_adjacency(g, a)
         assert h.adjacency.dtype == bool and not h.adjacency.flags.writeable
         assert np.array_equal(h.adjacency, a)
         a[1, 2] = a[2, 1] = 1.0 - a[1, 2]  # the caller's array stays its own
@@ -326,7 +326,7 @@ class TestWithAdjacency:
         else:
             a = a[:, :, None]
         with pytest.raises(ValueError):
-            g.with_adjacency(a)
+            with_adjacency(g, a)
 
 
 class TestProduct:
@@ -419,11 +419,11 @@ class TestGraphStats:
         g = graph_from_adjacency([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         stats = graph_stats(g)
         assert np.array_equal(stats.degree_counts, [1.0, 2.0, 1.0])
-        assert stats.common_neighbors[0, 2] == 1.0
+        assert count_matrix(stats)[0, 2] == 1.0
         w = pair_message_weights(stats)
         assert w[0, 2] == pytest.approx(1 / (2 * 3 * (1 / 3)))
         # nodes 0 and 1 share no neighbor: c falls back to 1/n
-        assert stats.common_neighbors[0, 1] == 0.0
+        assert count_matrix(stats)[0, 1] == 0.0
         assert w[0, 1] == 1.0 / (2.0 * 3 * (1 / 3))
 
     def test_empty_graph_fallback(self):
@@ -431,15 +431,15 @@ class TestGraphStats:
         stats = graph_stats(g)
         assert np.all(stats.degree_counts == 0.0)
         assert np.all(stats.common_neighbors == 0.0)
-        assert np.all(pair_message_weights(stats)[...] == 1.0 / (2.0 * 5 * (1 / 5)))
+        assert np.all(pair_message_weights(stats)[:, :] == 1.0 / (2.0 * 5 * (1 / 5)))
 
     def test_complete_graph(self):
         adj = np.ones((4, 4)) - np.eye(4)
         stats = graph_stats(graph_from_adjacency(adj))
         assert np.all(stats.degree_counts == 3.0)
         off = ~np.eye(4, dtype=bool)
-        assert np.all(stats.common_neighbors[off] == 2.0)
-        np.testing.assert_allclose(pair_message_weights(stats)[off],
+        assert np.all(count_matrix(stats)[off] == 2.0)
+        np.testing.assert_allclose(pair_message_weights(stats)[:, :][off],
                                    1 / (2 * 4 * (2 / 4)))
 
     @pytest.mark.parametrize("n", [3, 129, 300])
@@ -450,7 +450,7 @@ class TestGraphStats:
         a = g.adjacency.astype(np.int64)
         assert c.dtype == np.uint16  # two bytes per pair: every count is at most n - 1
         assert not c.flags.writeable
-        assert np.array_equal(c, a @ a)
+        assert np.array_equal(count_matrix(stats), a @ a)
         assert np.array_equal(stats.degree_counts, a.sum(axis=1))
         assert stats.degree_counts.dtype == np.float64
 
@@ -461,32 +461,78 @@ class TestGraphStats:
         assert _CN_ROWS == 512
         g = sample_graph(convergence_spec, n, seed=2)
         a = g.adjacency.astype(np.float64)
-        assert np.array_equal(graph_stats(g).common_neighbors, a @ a)
+        assert np.array_equal(count_matrix(graph_stats(g)), a @ a)
+
+    # strips of 37 rows cross the cuts of the 100-row blocks the counts are
+    # built from, strips of 128 rows hold the blocks' cuts inside, strips
+    # of 100 rows meet them and leave a last strip of 33, and one strip
+    # holds the whole counts
+    @pytest.mark.parametrize("n, rows", [(300, 37), (300, 128), (333, 100), (150, 150)])
+    def test_counts_on_the_triangle_in_strips(self, convergence_spec, monkeypatch, n, rows):
+        monkeypatch.setattr(sbm, "_CN_ROWS", 100)
+        monkeypatch.setattr(sbm, "_STRIP_ENTRIES", rows * n)
+        g = graph_with_isolated_node(convergence_spec, n)
+        a = g.adjacency.astype(np.int64)
+        cn = a @ a
+        stats = graph_stats(g)
+        flat = stats.common_neighbors
+        assert stats.strip_rows == rows and flat.ndim == 1 and not flat.flags.writeable
+        assert len(flat) == sum(min(rows, n - s) * (n - s) for s in range(0, n, rows))
+        assert np.array_equal(count_matrix(stats), cn)
+        # read like the n x n counts: tiles, some across a strip's cut, row
+        # strips, rows and pairs; a tile in one strip right of its start
+        # is a view
+        counts = sbm.CountTriangle(n, rows, flat)
+        for lo in range(0, n, TILE):
+            r = slice(lo, lo + TILE)
+            assert np.array_equal(counts[r], cn[r])
+            for lo2 in range(0, n, TILE):
+                c = slice(lo2, lo2 + TILE)
+                assert np.array_equal(counts[r, c], cn[r, c])
+        for s in range(0, n, rows):
+            r = slice(s, min(s + rows, n))
+            assert np.shares_memory(counts[r, s:], flat)
+            assert np.array_equal(counts[r, s:], cn[r, s:])
+        for i in range(n):
+            assert np.array_equal(counts[i], cn[i])
+        pairs = np.random.default_rng(n).integers(0, n, size=(2000, 2))
+        assert np.array_equal(counts[pairs[:, 0], pairs[:, 1]], cn[pairs[:, 0], pairs[:, 1]])
+        assert counts[n:, :].shape == (0, n) and counts[:0, 5:9].shape == (0, 4)
 
     def test_common_neighbors_hold_two_row_blocks(self, convergence_spec):
-        # beyond the uint16 counts, two float32 row blocks of _CN_ROWS rows,
-        # one float32 block result and one 128-row bool strip unpacked into
-        # a block: 17.3 MiB at n = 2048 (28.3 in blocks of 1024 rows), where
-        # the whole-matrix syrk held A and the counts in float32, 32 MiB
+        # beyond the uint16 counts on the triangle in two strips of 1024
+        # rows (6 MiB), two float32 row blocks of _CN_ROWS rows, one float32
+        # block result and one 128-row bool strip unpacked into a block:
+        # 15.3 MiB at n = 2048, where the n x n counts read 17.3 (28.3 in
+        # blocks of 1024 rows) and the whole-matrix syrk held A and the
+        # counts in float32, 32 MiB
         n = 2048
         g = sample_graph(convergence_spec, n, seed=0)
         stats = graph_stats(g)
+        rows = stats.strip_rows
+        assert rows == 1024
+        triangle = 2 * sum(min(rows, n - s) * (n - s) for s in range(0, n, rows))
         tracemalloc.start()
         try:
             stats.common_neighbors
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * n * n + 2 * 4 * _CN_ROWS * n + 4 * _CN_ROWS ** 2 + 128 * n + 2 ** 16
+        assert stats.common_neighbors.nbytes == triangle == 6 * 2 ** 20
+        assert peak <= triangle + 2 * 4 * _CN_ROWS * n + 4 * _CN_ROWS ** 2 + 128 * n + 2 ** 16
 
-    @pytest.mark.parametrize("n, rows", [(1, None), (600, None), (333, 100)])
+    @pytest.mark.parametrize("n, rows, strip", [(1, None, None), (600, None, None),
+                                                (333, 100, None), (333, 100, 70)])
     def test_common_neighbor_blocks_cover_the_upper_triangle(self, convergence_spec,
-                                                             monkeypatch, n, rows):
-        # streamed from row-block products, or read from the built counts,
-        # the blocks are the counts' blocks at lo <= lo2, and with their
-        # mirrors they are every count once
+                                                             monkeypatch, n, rows, strip):
+        # streamed from row-block products, or read from the built counts'
+        # triangle (in one strip, or in strips of 70 rows), the blocks are
+        # the counts' blocks at lo <= lo2, and with their mirrors they are
+        # every count once
         if rows is not None:
             monkeypatch.setattr(sbm, "_CN_ROWS", rows)
+        if strip is not None:
+            monkeypatch.setattr(sbm, "_STRIP_ENTRIES", strip * n)
         g = graph_with_isolated_node(convergence_spec, n)
         a = g.adjacency.astype(np.int64)
         stats = graph_stats(g)
@@ -520,16 +566,22 @@ class TestGraphStats:
         assert np.array_equal(stats.degree_counts, g.adjacency.sum(axis=1))
         assert peak <= 8 * n + _MIRROR_ROWS * (-(-n // 8)) + 2 ** 17
 
+    @pytest.mark.parametrize("strip", [None, 37])
     @pytest.mark.parametrize("n", [1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3])
-    def test_pair_message_weights_in_fraction_order(self, convergence_spec, n):
-        # W is formed from the float32 counts where it is read: at tiles,
-        # row strips, rows and pairs it equals the full-array formula
-        # bitwise, the 1/n fallback included (node 0 is isolated)
+    def test_pair_message_weights_in_fraction_order(self, convergence_spec, monkeypatch,
+                                                    n, strip):
+        # W is formed from the counts where it is read: at tiles, row
+        # strips, rows and pairs it equals the full-array formula bitwise,
+        # the 1/n fallback included (node 0 is isolated), from the counts
+        # in one strip or in strips of 37 rows, which tiles straddle
+        if strip is not None:
+            monkeypatch.setattr(sbm, "_STRIP_ENTRIES", strip * n)
         g = graph_with_isolated_node(convergence_spec, n)
         expected = message_weights_oracle(g.adjacency)
-        w = pair_message_weights(graph_stats(g))
-        assert (w.counts == 0).any()
-        assert np.array_equal(w[...], expected)
+        stats = graph_stats(g)
+        w = pair_message_weights(stats)
+        assert (count_matrix(stats) == 0).any()
+        assert np.array_equal(w[:, :], expected)
         for lo in range(0, n, TILE):
             rows = slice(lo, lo + TILE)
             assert np.array_equal(w[rows], expected[rows])
@@ -574,7 +626,7 @@ class TestSerialization:
         edges = np.concatenate(strips)
         assert np.array_equal(edges, np.column_stack([iu[upper], ju[upper]]))
         assert np.array_equal(g.upper_counts(), np.bincount(edges[:, 0], minlength=n))
-        empty = g.with_adjacency(np.zeros((n, n)))
+        empty = with_adjacency(g, np.zeros((n, n)))
         assert np.concatenate(list(empty.edge_strips())).shape == (0, 2)
         assert not empty.upper_counts().any()
 
@@ -601,16 +653,35 @@ class TestSerialization:
         assert edges.read_text() == "0 1\n1 2\n"
         assert blocks.read_text() == "0\n0\n0\n"
 
+    # at n = 700 the first strip's edges outgrow one formatting call's
+    # _MIRROR_ROWS^2 edges
     @pytest.mark.parametrize("n, seed", [(2, 0), (129, 1), (700, 2)])
     def test_edge_list_file_matches_the_per_edge_writer(self, convergence_spec, tmp_path,
                                                         n, seed):
         g = sample_graph(convergence_spec, n, seed=seed)
+        assert (max(len(e) for e in g.edge_strips()) > _MIRROR_ROWS ** 2) == (n == 700)
         written = []
         for name, write in (("strips", write_edge_list), ("oracle", write_edge_list_oracle)):
             edges, blocks = tmp_path / f"{name}_edges.txt", tmp_path / f"{name}_blocks.txt"
             count = write(g, edges, blocks)
             written.append((count, edges.read_bytes(), blocks.read_bytes()))
         assert written[0] == written[1]
+
+
+    def test_edge_list_file_formats_bounded_chunks(self, convergence_spec, tmp_path):
+        # one strip's edges and its unpacked rows, or one strip's edges and
+        # the Python ints of _MIRROR_ROWS^2 of them: 3.9 times the largest
+        # strip's edges at n = 2000 (0.95 MB), where formatting a strip's
+        # edges in one call read 7.4
+        g = sample_graph(convergence_spec, 2000, seed=0)
+        largest = max(edges.nbytes for edges in g.edge_strips())
+        tracemalloc.start()
+        try:
+            write_edge_list(g, tmp_path / "edges.txt", tmp_path / "blocks.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * largest + 2 ** 19
 
 
 class TestWithoutEdges:
