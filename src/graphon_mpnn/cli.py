@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 config error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -53,9 +52,8 @@ def cmd_converge(args) -> int:
     if len(set(cfg.n_list)) < analysis.MIN_FIT_SIZES:
         raise PreconditionError(f"[converge] n_list: the slope fit needs at least "
                                 f"{analysis.MIN_FIT_SIZES} distinct n, got {cfg.n_list}")
-    jobs = args.jobs or cfg.jobs
     records = analysis.convergence_sweep(cfg.spec, cfg.mpnn, cfg.mode, cfg.n_list,
-                                         cfg.seeds, p=cfg.p, jobs=jobs)
+                                         cfg.seeds, p=cfg.p, jobs=args.jobs)
     fit = analysis.loglog_slope(records)
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = [[r.mode, r.n, r.seed, format_float(r.delta), format_float(r.bound)]
@@ -97,10 +95,9 @@ def cmd_stability(args) -> int:
     r = cfg.spec.r
     if len(iso) == r * (r - 1) // 2:  # before any graph is sampled
         raise PreconditionError("the model has no unmatched block pair")
-    jobs = args.jobs or cfg.jobs
     points = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
     tasks = [(cfg.spec, cfg.mpnn, iso, n, seed, cfg.sample_budget) for n, seed in points]
-    results = parallel_map(_stability_point, tasks, jobs=jobs)
+    results = parallel_map(_stability_point, tasks, jobs=args.jobs)
     gap_rows = []
     summary_rows = []
     for (n, seed), result in zip(points, results):
@@ -125,8 +122,7 @@ def cmd_stability(args) -> int:
 
 def cmd_table(args) -> int:
     cfg, out_dir, text = parse_table_config(args.config)
-    cfg = dataclasses.replace(cfg, jobs=args.jobs or cfg.jobs)
-    report = linkpred.run_table(cfg)
+    report = linkpred.run_table(cfg, jobs=args.jobs)
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "table.csv"),
               ["scenario", "method", "metric", "mean", "std", "runs"],
@@ -158,9 +154,9 @@ def cmd_validate_spec(args) -> int:
 
 
 def _worker_cap(text: str) -> int:
-    """The --jobs value: an integer >= 0, where 0 takes the config's."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    """The --jobs value: an integer >= 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
 
 
@@ -170,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Block-model sampling, message-passing convergence "
                     "sweeps, and link-prediction evaluation.",
     )
-    parser.add_argument("--jobs", type=_worker_cap, default=0,
-                        help="worker cap (default 0: value from config, else 1)")
+    parser.add_argument("--jobs", type=_worker_cap, default=1,
+                        help="worker processes at most (default 1)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -182,7 +182,6 @@ class ConvergeConfig:
     out_dir: str
     mpnn: Mpnn
     p: float | None
-    jobs: int
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,6 @@ class StabilityConfig:
     out_dir: str
     mpnn: Mpnn
     sample_budget: int
-    jobs: int
 
 
 def parse_sample_config(path) -> tuple:
@@ -216,7 +214,6 @@ def parse_converge_config(path) -> tuple:
         mpnn=_sweep_net(sec, mode),
         # the closed-form pair net has no bound, so no failure probability
         p=None if mode == "pair_fixed" else sec.get("p", _probability, None),
-        jobs=sec.get("jobs", int, 1, low=1),
     )
     sec.close()
     return cfg, text
@@ -231,30 +228,30 @@ def parse_stability_config(path) -> tuple:
         out_dir=out_dir,
         mpnn=_sweep_net(sec),
         sample_budget=sec.get("sample_budget", int, 2000, low=1),
-        jobs=sec.get("jobs", int, 1, low=1),
     )
     sec.close()
     return cfg, text
 
 
 def parse_table_config(path) -> tuple:
-    """(run config, output directory, config text) of a table config."""
+    """(run config, output directory, config text) of a table config. An
+    optional key left out takes ``RunTableConfig``'s default."""
     sec, spec, out_dir, text = _open(path, "table")
-    cfg = RunTableConfig(
-        spec=spec,
+    keys = dict(
         n_train=sec.get("n_train", low=2),
         n_test_ood=sec.get("n_test_ood", low=2),
         runs=sec.get("runs", low=1),
         seed=sec.get("seed", low=0),
-        methods=sec.get("methods", _names(METHODS), METHODS),
-        scenarios=sec.get("scenarios", _names(SCENARIOS), SCENARIOS),
-        epochs_head=sec.get("epochs_head", int, 200, low=0),
-        epochs_end_to_end=sec.get("epochs_end_to_end", int, 200, low=0),
-        lr=sec.get("lr", _positive, 1e-3),
-        pair_layers=sec.get("pair_layers", int, 2, low=1),
-        k_list=sec.get("k_list", _ints, (10, 50, 100), low=1),
-        jobs=sec.get("jobs", int, 1, low=1),
+        methods=sec.get("methods", _names(METHODS), None),
+        scenarios=sec.get("scenarios", _names(SCENARIOS), None),
+        epochs_head=sec.get("epochs_head", int, None, low=0),
+        epochs_end_to_end=sec.get("epochs_end_to_end", int, None, low=0),
+        lr=sec.get("lr", _positive, None),
+        pair_layers=sec.get("pair_layers", int, None, low=1),
+        k_list=sec.get("k_list", _ints, None, low=1),
     )
+    cfg = RunTableConfig(spec=spec, **{key: value for key, value in keys.items()
+                                       if value is not None})
     sec.close()
     return cfg, out_dir, text
 

@@ -31,7 +31,6 @@ from .node_mpnn import NodeGraph
 from .pair_mpnn import PairGraph, _require_size, fixed_psi_mpnn, learnable_psi_mpnn
 from .rng import child_seed, stream
 from .sbm import (
-    _MIRROR_ROWS,
     BlockPairPool,
     SampledGraph,
     SbmSpec,
@@ -65,19 +64,18 @@ def _hide_edges(graph: SampledGraph, fraction: float, rng) -> tuple:
 
     The hidden edges are those at the first positions of a permutation of
     the m edges i < j in row-major order, in the permutation's order. Each
-    is read from its strip of ``graph.edge_strips()``, which the running
-    count of ``graph.upper_counts()`` locates, so no (m, 2) list is formed.
+    is read from its strip of ``graph.edge_strips()``, located by the
+    edges of the strips before it, so no (m, 2) list is formed.
     """
-    row_firsts = np.concatenate([[0], np.cumsum(graph.upper_counts())])
-    m = int(row_firsts[-1])
-    firsts = row_firsts[:-1:_MIRROR_ROWS]  # each strip's first edge
+    m = int(graph.upper_counts().sum())
     n_hide = int(math.floor(fraction * m))
     chosen = rng.permutation(m)[:n_hide].copy()  # the whole permutation is let go
-    strip_of = np.searchsorted(firsts, chosen, side="right") - 1
     hidden = np.empty((n_hide, 2), dtype=np.intp)
-    for s, edges in enumerate(graph.edge_strips()):
-        at = np.flatnonzero(strip_of == s)
-        hidden[at] = edges[chosen[at] - firsts[s]]
+    first = 0  # the strip's first edge
+    for edges in graph.edge_strips():
+        at = np.flatnonzero((chosen >= first) & (chosen < first + len(edges)))
+        hidden[at] = edges[chosen[at] - first]
+        first += len(edges)
     return graph.without_edges(hidden), hidden
 
 
@@ -241,44 +239,29 @@ def pair_link_model(T: int = 2, learn_update: bool = False, update_hidden=5,
 
 # --- forward/backward through the backbones -----------------------------------
 
-def _backbone_graph(model: LinkModel, graph: SampledGraph, stats=None):
-    """The engine a link model's backbone runs on one observed graph.
+def _engines(graph: SampledGraph) -> dict:
+    """The engines link models' backbones run on one observed graph, by
+    model kind, over one ``graph_stats``.
 
-    A ``NodeGraph`` or ``PairGraph`` holds what the backbone reads of the
-    graph, so building it once shares that with every pass. Its
-    ``forward(model.mpnn, pairs, record)`` returns the head inputs at
-    ``pairs`` and, with ``record``, the tape whose ``backward`` returns
-    each layer's update-net gradients.
+    A ``NodeGraph`` or ``PairGraph`` holds what a backbone reads of the
+    graph, so the models of one kind share it: a ``PairGraph`` builds
+    layer 0's count classes, the neighbor lists and each query map once
+    for all. Its ``forward(model.mpnn, pairs, record)`` returns the head
+    inputs at ``pairs`` and, with ``record``, the tape whose ``backward``
+    returns each layer's update-net gradients.
     """
-    stats = graph_stats(graph) if stats is None else stats
-    if model.kind == "pair":
-        return PairGraph(graph, stats)
-    return NodeGraph(graph, stats, init="degree")
+    stats = graph_stats(graph)
+    return {"node": NodeGraph(graph, stats, init="degree"), "pair": PairGraph(graph, stats)}
 
 
 def model_scores(model: LinkModel, graph: SampledGraph, pairs,
                  backbone=None) -> np.ndarray:
     """Head probabilities for the given pairs on the given observed graph.
-    ``backbone`` may pass the model's ``_backbone_graph`` of that graph in,
-    to share it."""
-    backbone = _backbone_graph(model, graph) if backbone is None else backbone
+    ``backbone`` may pass the model's engine of that graph in (of
+    ``_engines``), to share it."""
+    backbone = _engines(graph)[model.kind] if backbone is None else backbone
     head_in, _ = backbone.forward(model.mpnn, pairs)
     return model.head.forward(head_in).reshape(-1)
-
-
-def _backbones(graph: SampledGraph):
-    """``backbone(model)``: the model's ``_backbone_graph`` on ``graph``,
-    built when its kind is first asked for and shared after, so that the
-    models of one kind read one engine: a ``PairGraph`` builds layer 0's
-    count classes, the neighbor lists and each query map once for all."""
-    stats, built = graph_stats(graph), {}
-
-    def backbone(model: LinkModel):
-        if model.kind not in built:
-            built[model.kind] = _backbone_graph(model, graph, stats)
-        return built[model.kind]
-
-    return backbone
 
 
 def _loss_and_grads(model: LinkModel, backbone, pairs, labels, head_in=None,
@@ -286,7 +269,7 @@ def _loss_and_grads(model: LinkModel, backbone, pairs, labels, head_in=None,
     """Cross-entropy over the first ``len(labels)`` pairs and its exact
     parameter gradients.
 
-    ``backbone`` is the model's ``_backbone_graph``. Pairs past the
+    ``backbone`` is the model's engine (of ``_engines``). Pairs past the
     labelled ones (the validation pairs during training) ride along
     through the backbone without a gradient, so that one pass embeds them
     too. ``head_in`` holds a frozen backbone's head inputs at ``pairs``.
@@ -345,15 +328,15 @@ def train_link_model(model: LinkModel, dataset: LinkDataset, epochs: int = 200,
     Validation accuracy at the threshold ``TAU`` is evaluated after every
     epoch; the returned model, a copy that Adam steps in place, carries the
     parameters of the best epoch (earliest on ties). Non-finite losses
-    abort with a NumericalError. ``backbone`` may pass the model's
-    ``_backbone_graph`` of the observed graph in, to share it.
+    abort with a NumericalError. ``backbone`` may pass the model's engine
+    of the observed graph in (of ``_engines``), to share it.
     ``epochs = 0`` returns the model as given, with its validation accuracy.
     """
     if epochs < 0:
         raise PreconditionError(f"epochs must be >= 0, got {epochs}")
     model = copy.deepcopy(model)
     if backbone is None:
-        backbone = _backbone_graph(model, dataset.observed)
+        backbone = _engines(dataset.observed)[model.kind]
     pos_tr, neg_tr = dataset.positives["train"], dataset.negatives["train"]
     pos_val, neg_val = dataset.positives["val"], dataset.negatives["val"]
     val_pairs = np.concatenate([pos_val, neg_val], axis=0)
@@ -474,7 +457,6 @@ class RunTableConfig:
     lr: float = 1e-3
     pair_layers: int = 2
     k_list: tuple = (10, 50, 100)
-    jobs: int = 1
 
 
 @dataclass
@@ -562,14 +544,15 @@ def _run_one(args) -> tuple:
         if k > n_negatives:
             raise PreconditionError(f"hits@{k} needs at least {k} negatives")
     train_ds = training[0]
-    train_backbone = _backbones(train_ds.observed)
+    train_engines = _engines(train_ds.observed)
     models, logs = {}, {}
     for method in dict.fromkeys(config.methods):  # a repeated name trains once
         model = _untrained_model(method, config, run_seed)
         if model is not None:  # a frozen backbone trains its head alone
             epochs = config.epochs_end_to_end if model.backbone_trainable else config.epochs_head
             models[method], logs[method] = train_link_model(
-                model, train_ds, epochs=epochs, lr=config.lr, backbone=train_backbone(model))
+                model, train_ds, epochs=epochs, lr=config.lr,
+                backbone=train_engines[model.kind])
 
     out = {}
     for scenario in config.scenarios:
@@ -579,7 +562,7 @@ def _run_one(args) -> tuple:
         _, test_ds = build_scenario(spec, config.n_train, n_te, run_seed,
                                     scenario, training=training)
         graph = test_ds.observed
-        backbone = train_backbone if graph is train_ds.observed else _backbones(graph)
+        engines = train_engines if graph is train_ds.observed else _engines(graph)
         pos, neg = test_ds.positives["test"], test_ds.negatives["test"]
         pairs = np.concatenate([pos, neg], axis=0)
         for method in config.methods:
@@ -587,19 +570,20 @@ def _run_one(args) -> tuple:
                 scores = oracle_scores(spec, graph, pairs)
             else:
                 model = models[method]
-                scores = model_scores(model, graph, pairs, backbone(model))
+                scores = model_scores(model, graph, pairs, engines[model.kind])
             out[(scenario, method)] = evaluate(scores[:len(pos)], scores[len(pos):],
                                                tau=TAU, k_list=config.k_list)
     return out, logs
 
 
-def run_table(config: RunTableConfig) -> EvalReport:
+def run_table(config: RunTableConfig, jobs: int = 1) -> EvalReport:
     """Execute the full protocol over independent runs and aggregate.
 
     Each run trains the models of ``config.methods`` in their order; every
-    model has a seed of its own, so the order changes no result. The
-    largest graph a pair model runs on is checked against its cap before
-    any run samples a graph.
+    model has a seed of its own, so the order changes no result. Runs go
+    to at most ``jobs`` worker processes, which changes no result either.
+    The largest graph a pair model runs on is checked against its cap
+    before any run samples a graph.
     """
     config.spec.require_valid(pairwise=True)
     n_max = max(config.n_train,
@@ -610,7 +594,7 @@ def run_table(config: RunTableConfig) -> EvalReport:
             _require_size(n_max, model.mpnn)
     tasks = [(config, child_seed(config.seed, f"run/{r}"))
              for r in range(config.runs)]
-    per_run = parallel_map(_run_one, tasks, jobs=config.jobs)
+    per_run = parallel_map(_run_one, tasks, jobs=jobs)
     values, curves = {}, {}
     for run, (result, logs) in enumerate(per_run):
         for key, metrics in result.items():

@@ -234,11 +234,18 @@ class SampledGraph:
     def edge_strips(self):
         """The undirected edges i < j, row-major, one (k, 2) intp array per
         strip of _MIRROR_ROWS rows: each strip's edges right of the
-        diagonal, so that no temporary outgrows a strip."""
+        diagonal, so that no temporary outgrows a strip. The diagonal
+        tile's lower half is cleared in the strip's own unpacked rows, and
+        one flat index of the rest gives row and column."""
         for lo in range(0, self.n, _MIRROR_ROWS):
-            i, j = np.nonzero(self.rows(lo, lo + _MIRROR_ROWS)[:, lo:])
-            upper = j > i
-            yield np.column_stack([i[upper], j[upper]]) + lo
+            strip = self.rows(lo, lo + _MIRROR_ROWS)[:, lo:]
+            h, width = strip.shape
+            strip[:, :h][np.tri(h, dtype=bool)] = False
+            at = np.flatnonzero(strip)
+            edges = np.empty((len(at), 2), dtype=np.intp)
+            np.divmod(at, width, out=(edges[:, 0], edges[:, 1]))
+            edges += lo
+            yield edges
 
     def upper_counts(self) -> np.ndarray:
         """The number of edges (i, j) with j > i in each row i, from the
@@ -597,12 +604,6 @@ def _model_text(spec: SbmSpec) -> str:
     return f"r = {spec.r}\n" + "".join(
         f"{key} = [{', '.join(repr(float(v)) for v in a.reshape(-1))}]\n"
         for key, a in lists.items())
-
-
-def write_spec_file(spec: SbmSpec, path) -> None:
-    """Write ``spec`` as a model file."""
-    with open(path, "w") as fh:
-        fh.write(_model_text(spec))
 
 
 #: The model keys by their lower-case form: keys match in lower case, as in configs.

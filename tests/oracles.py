@@ -1,12 +1,17 @@
-"""Independent brute-force references used by the test suite.
+"""Independent brute-force references used by the test suite, and the
+helpers that build its inputs.
 
-Everything here is written with plain Python loops against the recursion
-definitions and deliberately shares no code with the package internals.
+The references are written with plain Python loops against the recursion
+definitions and deliberately share no code with the package internals.
+The model-file writer formats through the package's own ``_model_text``,
+as the run manifest does.
 """
 
 import dataclasses
 
 import numpy as np
+
+from graphon_mpnn.sbm import _model_text
 
 
 def common_neighbors_oracle(block_mass, S):
@@ -295,6 +300,13 @@ def with_adjacency(graph, adjacency):
     bits = np.packbits(a, axis=1)
     bits.flags.writeable = False
     return dataclasses.replace(graph, bits=bits)
+
+
+def write_spec_file(spec, path) -> None:
+    """Write ``spec`` as a model file, formatted as a run manifest writes
+    its model."""
+    with open(path, "w") as fh:
+        fh.write(_model_text(spec))
 
 
 def edge_list(graph):

@@ -26,13 +26,13 @@ from graphon_mpnn.mpnn import Mpnn, NetFunction, graphsage_mpnn
 from graphon_mpnn.nn import init_net
 from graphon_mpnn.pair_mpnn import fixed_psi_mpnn, learnable_psi_mpnn
 from graphon_mpnn.linkpred import node_link_model, pair_link_model
-from graphon_mpnn.sbm import write_spec_file
 
 from oracles import (
     finite_difference_gradients,
     max_relative_error,
     node_mpnn_oracle,
     pair_mpnn_oracle,
+    write_spec_file,
 )
 
 
@@ -239,9 +239,9 @@ class TestCriterion7:
         cfg = RunTableConfig(
             spec=linkpred_spec, n_train=500, n_test_ood=2000, runs=10, seed=0,
             methods=("node", "pair_fixed", "pair_learn", "oracle"),
-            epochs_head=200, epochs_end_to_end=150, jobs=2,
+            epochs_head=200, epochs_end_to_end=150,
         )
-        report = run_table(cfg)
+        report = run_table(cfg, jobs=2)
         elapsed = time.time() - t0
 
         oracle_mcc, _ = report.mean_std("transductive", "oracle", "mcc")

@@ -9,7 +9,9 @@ import pytest
 
 from graphon_mpnn import cli, config, linkpred
 from graphon_mpnn.pair_mpnn import learnable_psi_mpnn
-from graphon_mpnn.sbm import read_spec_file, write_spec_file
+from graphon_mpnn.sbm import read_spec_file
+
+from oracles import write_spec_file
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "scripts" / "configs"
@@ -203,16 +205,16 @@ class TestStability:
         outputs = []
         for jobs in (1, 2):
             cfg, out = self._config(tmp_path, model_file, name=f"jobs{jobs}",
-                                    seeds="0, 1", extra=f"jobs = {jobs}\n")
-            proc = run_cli("stability", str(cfg))
+                                    seeds="0, 1")
+            proc = run_cli("--jobs", str(jobs), "stability", str(cfg))
             assert proc.returncode == 0, proc.stderr
             outputs.append([(out / name).read_bytes()
                             for name in ("gaps.csv", "gap_medians.csv")])
         assert outputs[0] == outputs[1]
         assert len(outputs[0][1].splitlines()) == 5
 
-    def test_jobs_key_reaches_the_worker_pool(self, tmp_path, model_file,
-                                              monkeypatch):
+    def test_jobs_flag_reaches_the_worker_pool(self, tmp_path, model_file,
+                                               monkeypatch):
         from graphon_mpnn import cli, util
 
         seen = []
@@ -222,11 +224,10 @@ class TestStability:
             return util.parallel_map(fn, tasks, jobs=1)
 
         monkeypatch.setattr(cli, "parallel_map", recording_map)
-        cfg, _ = self._config(tmp_path, model_file, extra="jobs = 2\n")
+        cfg, _ = self._config(tmp_path, model_file)
         assert cli.main(["stability", str(cfg)]) == 0
-        assert cli.main(["--jobs", "1", "stability", str(cfg)]) == 0
-        assert cli.main(["--jobs", "0", "stability", str(cfg)]) == 0
-        assert seen == [2, 1, 2]
+        assert cli.main(["--jobs", "2", "stability", str(cfg)]) == 0
+        assert seen == [1, 2]
 
     def test_no_unmatched_block_pair_fails_before_sampling(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -386,7 +387,7 @@ class TestTable:
         rows = outputs[0][0].decode().splitlines()
         assert {row.split(",")[1] for row in rows[1:]} == {"node", "pair_fixed", "oracle"}
 
-    def test_jobs_key_reaches_the_worker_pool(self, tmp_path, model_file, monkeypatch):
+    def test_jobs_flag_reaches_the_worker_pool(self, tmp_path, model_file, monkeypatch):
         from graphon_mpnn import util
 
         seen = []
@@ -398,11 +399,10 @@ class TestTable:
         monkeypatch.setattr(linkpred, "parallel_map", recording_map)
         cfg = tmp_path / "jobs.cfg"
         cfg.write_text(f"[sbm]\nspec = {model_file}\n[table]\n{TABLE_KEYS}runs = 1\n"
-                       f"k_list = 1\njobs = 2\n[output]\ndir = {tmp_path / 'out'}\n")
+                       f"k_list = 1\n[output]\ndir = {tmp_path / 'out'}\n")
         assert cli.main(["table", str(cfg)]) == 0
-        assert cli.main(["--jobs", "1", "table", str(cfg)]) == 0
-        assert cli.main(["--jobs", "0", "table", str(cfg)]) == 0
-        assert seen == [2, 1, 2]
+        assert cli.main(["--jobs", "2", "table", str(cfg)]) == 0
+        assert seen == [1, 2]
 
 
 def assert_config_error(tmp_path, command, body, message, output=""):
@@ -448,16 +448,16 @@ class TestOutOfRangeCounts:
          "n_test_ood"),
         ("table", TABLE_KEYS.replace("seed = 0", "seed = -1") + "runs = 1\n", "seed"),
         *(("converge", f"{NODE_SWEEP}{key} = {value}\n", key)
-          for key, value in NET_KEYS + (("jobs", 0),)),
+          for key, value in NET_KEYS),
         ("converge", "mode = pair_fixed\nn_list = 32\nseeds = 0\nlayers = 0\n",
          "layers"),
         ("converge", "mode = pair_net\nn_list = 32\nseeds = 0\nupdate_hidden = 0\n",
          "update_hidden"),
         *(("stability", f"n_list = 64\nseeds = 0\n{key} = {value}\n", key)
-          for key, value in NET_KEYS + (("jobs", 0),)),
+          for key, value in NET_KEYS),
         *(("table", f"{TABLE_KEYS}runs = 1\n{key} = {value}\n", key)
           for key, value in (("epochs_head", -1), ("epochs_end_to_end", -1),
-                             ("pair_layers", 0), ("jobs", 0))),
+                             ("pair_layers", 0))),
     ])
     def test_is_a_config_error(self, tmp_path, model_file, command, section, key):
         assert_config_error(tmp_path, command,
@@ -490,14 +490,16 @@ class TestOutOfRangeCounts:
                             "lr: must be finite and > 0")
 
     def test_negative_jobs_flag_is_a_usage_error(self, tmp_path, model_file):
+        # and so is 0: the flag is the only worker cap
         cfg = tmp_path / "sample.cfg"
         out = tmp_path / "out"
         cfg.write_text(f"[sbm]\nspec = {model_file}\n[sample]\nn = 10\nseed = 0\n"
                        f"[output]\ndir = {out}\n")
-        proc = run_cli("--jobs", "-3", "sample", str(cfg))
-        assert proc.returncode == 2
-        assert "--jobs: must be an integer >= 0" in proc.stderr
-        assert not out.exists()
+        for jobs in ("-3", "0"):
+            proc = run_cli("--jobs", jobs, "sample", str(cfg))
+            assert proc.returncode == 2
+            assert "--jobs: must be an integer >= 1" in proc.stderr
+            assert not out.exists()
 
 
 class TestConfigReader:
@@ -517,6 +519,10 @@ class TestConfigReader:
          "feature_dim"),
         ("stability", "n_list = 64\nseeds = 0\nmode = node_mean\n", "mode"),
         ("sample", "n = 10\nseed = 0\nn_list = 10\n", "n_list"),
+        # --jobs is the one worker cap; no section has a jobs key
+        ("converge", NODE_SWEEP + "jobs = 2\n", "jobs"),
+        ("stability", "n_list = 64\nseeds = 0\njobs = 2\n", "jobs"),
+        ("table", TABLE_KEYS + "runs = 1\njobs = 2\n", "jobs"),
     ])
     def test_unread_key(self, tmp_path, model_file, command, section, key):
         assert_config_error(tmp_path, command,
@@ -580,6 +586,14 @@ class TestShippedConfigs:
                         f"n_list = 32\nseeds = 0\n[output]\ndir = {tmp_path}\n")
         cfg, _ = config.parse_converge_config(path)
         assert_same_net(cfg.mpnn, learnable_psi_mpnn(2, hidden=10, seed=0))
+
+    def test_table_keys_left_out_take_the_field_defaults(self, tmp_path, model_file):
+        path = tmp_path / "table.cfg"
+        path.write_text(f"[sbm]\nspec = {model_file}\n[table]\nn_train = 150\n"
+                        f"n_test_ood = 300\nruns = 1\nseed = 0\n[output]\ndir = {tmp_path}\n")
+        cfg = config.parse_table_config(path)[0]
+        assert cfg == linkpred.RunTableConfig(spec=cfg.spec, n_train=150, n_test_ood=300,
+                                              runs=1, seed=0)
 
     def test_golden_sample(self, tmp_path):
         # the output directory resolves against the working directory; the

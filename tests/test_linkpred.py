@@ -18,18 +18,18 @@ from graphon_mpnn import (
 from graphon_mpnn.linkpred import (
     TAU,
     LinkDataset,
-    _backbone_graph,
     _bce_loss_and_grad,
+    _engines,
     _hide_edges,
     _loss_and_grads,
     build_training_split,
     model_scores,
     sample_across_block_nonedges,
 )
-from graphon_mpnn import linkpred, pair_mpnn
+from graphon_mpnn import linkpred, pair_mpnn, sbm
 from graphon_mpnn.nn import AdamState, Buffers, adam_step
 from graphon_mpnn.rng import child_seed, stream
-from graphon_mpnn.sbm import graph_stats, isomorphic_block_pairs
+from graphon_mpnn.sbm import isomorphic_block_pairs
 
 from oracles import (
     across_block_nonedges_oracle,
@@ -105,6 +105,16 @@ class TestBuildScenario:
         assert len(left) == len(edges) - len(hidden)
         assert np.array_equal(np.sort(np.concatenate([left, hidden]) @ [n, 1]),
                               edges @ [n, 1])
+
+    def test_hidden_edges_follow_the_strip_height(self, linkpred_spec, monkeypatch):
+        # only sbm knows how many rows a strip of edge_strips holds
+        monkeypatch.setattr(sbm, "_MIRROR_ROWS", 64)
+        g = sample_graph(linkpred_spec, 300, seed=0)
+        edges = edge_list(g)
+        order = np.random.default_rng(0).permutation(len(edges))
+        n_hide = int(np.floor(0.1 * len(edges)))
+        _, hidden = _hide_edges(g, 0.1, np.random.default_rng(0))
+        assert np.array_equal(hidden, edges[order[:n_hide]])
 
     def test_hiding_edges_forms_no_edge_list(self, linkpred_spec):
         # each hidden edge is read from its strip, so the peak is the
@@ -225,7 +235,7 @@ class TestEndToEndGradients:
         ds = tiny_dataset(linkpred_spec, 14, seed=0)
         model = node_link_model(feature_dims=(3, 2), update_hidden=4,
                                 head_hidden=(4,), seed=1)
-        backbone = _backbone_graph(model, ds.observed, graph_stats(ds.observed))
+        backbone = _engines(ds.observed)[model.kind]
         pairs = np.concatenate([ds.positives["train"], ds.negatives["train"]])
         labels = np.concatenate([np.ones(6), np.zeros(6)])
         _, grads, _ = _loss_and_grads(model, backbone, pairs, labels)
@@ -245,7 +255,7 @@ class TestEndToEndGradients:
         ds = tiny_dataset(linkpred_spec, 12, seed=3)
         model = pair_link_model(T=T, learn_update=True, update_hidden=3,
                                 head_hidden=(4,), seed=2)
-        backbone = _backbone_graph(model, ds.observed, graph_stats(ds.observed))
+        backbone = _engines(ds.observed)[model.kind]
         pairs = np.concatenate([ds.positives["train"], ds.negatives["train"]])
         labels = np.concatenate([np.ones(6), np.zeros(6)])
         _, grads, _ = _loss_and_grads(model, backbone, pairs, labels)
@@ -263,7 +273,7 @@ class TestEndToEndGradients:
         ds = tiny_dataset(linkpred_spec, 60, seed=4)
         model = pair_link_model(T=T, learn_update=True, update_hidden=3,
                                 head_hidden=(4,), seed=2)
-        backbone = _backbone_graph(model, ds.observed, graph_stats(ds.observed))
+        backbone = _engines(ds.observed)[model.kind]
         pairs = np.concatenate([ds.positives["train"], ds.negatives["train"]])
         labels = np.concatenate([np.ones(6), np.zeros(6)])
         _, grads, head_in = _loss_and_grads(model, backbone, pairs, labels)
@@ -280,7 +290,7 @@ class TestEndToEndGradients:
         ds = tiny_dataset(linkpred_spec, 12, seed=3)
         model = pair_link_model(T=2, learn_update=True, update_hidden=3,
                                 head_hidden=(4,), seed=2)
-        backbone = _backbone_graph(model, ds.observed, graph_stats(ds.observed))
+        backbone = _engines(ds.observed)[model.kind]
         pairs = np.concatenate([ds.positives["train"], ds.negatives["train"]])
         labels = np.concatenate([np.ones(6), np.zeros(6)])
         _, grads, _ = _loss_and_grads(model, backbone, pairs, labels)
@@ -333,7 +343,7 @@ class TestTraining:
         )
         model = pair_link_model(T=2, learn_update=False, head_hidden=(8,), seed=3)
         trained, log = train_link_model(model, ds, epochs=200, lr=1e-2)
-        backbone = _backbone_graph(trained, ds.observed)
+        backbone = _engines(ds.observed)[trained.kind]
         sp = model_scores(trained, ds.observed, ds.positives["train"], backbone)
         sn = model_scores(trained, ds.observed, ds.negatives["train"], backbone)
         acc = (np.sum(sp > 0.5) + np.sum(sn <= 0.5)) / (len(sp) + len(sn))
@@ -407,7 +417,7 @@ class TestTraining:
         train_ds, _ = build_training_split(linkpred_spec, 150, 7)
         model = (node_link_model(seed=1) if method == "node"
                  else pair_link_model(T=T, learn_update=method == "pair_learn", seed=2))
-        backbone = _backbone_graph(model, train_ds.observed)
+        backbone = _engines(train_ds.observed)[model.kind]
         pos, neg = train_ds.positives, train_ds.negatives
         pairs = np.concatenate([pos["train"], neg["train"], pos["val"], neg["val"]])
         labels = np.concatenate([np.ones(len(pos["train"])), np.zeros(len(neg["train"]))])
