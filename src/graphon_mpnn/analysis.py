@@ -62,17 +62,18 @@ def delta_pair(values: np.ndarray, block_values: np.ndarray,
     integral, so the diagonal gap does not shrink with n and is not covered
     by the pairwise concentration argument.
 
-    The gaps are taken in row strips of ``sbm._STRIP_ENTRIES`` entries,
-    the float64 strips of ``GraphStats.product``, so no n x n temporary
-    is built. A strip's diagonal entries are zeroed, which cannot raise a
-    maximum of non-negative gaps; the maximum does not depend on the cut.
+    The gaps are taken in the row strips ``sbm.strip_height`` gives a
+    thin product of rows of n F entries, 2 to 4 MiB past n F = 1448, so
+    no n x n temporary is built. A strip's diagonal entries are zeroed,
+    which cannot raise a maximum of non-negative gaps; the maximum does
+    not depend on the cut.
     """
     n = len(block_of)
     if values.shape != (n, n) + block_values.shape[2:]:
         raise ValueError(f"shape mismatch: {values.shape} vs {n} nodes of "
                          f"block values {block_values.shape}")
     _require_blocks(block_values, block_of)
-    rows = max(1, sbm._STRIP_ENTRIES // values[0].size)
+    rows = sbm.strip_height(values[0].size, 1)
     maxima = []
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)

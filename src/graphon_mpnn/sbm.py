@@ -263,12 +263,12 @@ class SampledGraph:
 
 #: Rows per strip of the sampler, of ``SampledGraph.rows`` when it writes
 #: into a given array, of ``submatrix``, of ``edge_strips`` and
-#: ``upper_counts``, of the node engine's general messages and of the
-#: float64 strips ``GraphStats.product`` reads for a product of fewer than
-#: this many columns: the sampler draws a 128-row strip of the upper
-#: triangle into one reused bool buffer and packs it, and its transpose,
-#: into the adjacency while it is in cache. A multiple of 8, so that each
-#: strip's columns start on a byte.
+#: ``upper_counts`` and of the node engine's general messages: the
+#: sampler draws a 128-row strip of the upper triangle into one reused
+#: bool buffer and packs it, and its transpose, into the adjacency while
+#: it is in cache. A multiple of 8, so that each strip's columns start on
+#: a byte. ``strip_height`` also counts a product of this many columns or
+#: more as square, and caps a thinner one's strips at this many rows.
 _MIRROR_ROWS = 128
 
 
@@ -336,15 +336,51 @@ def sample_graph(spec: SbmSpec, n: int, seed: int) -> SampledGraph:
 
 
 #: Entries of the float64 row strip ``GraphStats.product`` widens the
-#: adjacency into for a product of _MIRROR_ROWS columns or more: 2**21,
-#: 16 MiB, so 1048 rows at n = 2000, 512 at n = 4096 and 256 at n = 8192,
-#: and a graph of up to 1448 nodes fits in one strip, which is widened
-#: once. Twice that covered n = 2000 whole and raised the peak memory of a
-#: link-prediction table run at n = 2000 by 6%; strips of 256 rows make the
-#: n^3 product at n = 8192 about 20% slower than the whole matrix, where
-#: 512 rows cost 3 to 8%. A thinner product on a larger graph reads
-#: strips of _MIRROR_ROWS rows, 2.0 MB at n = 2000 and 8 MiB at n = 8192.
+#: adjacency into for a square product (_MIRROR_ROWS columns or more)
+#: through n = 5792: 2**21, 16 MiB, so 1048 rows at n = 2000 and 512 at
+#: n = 4096, and a graph of up to 1448 nodes fits in one strip, which is
+#: widened once. Twice that covered n = 2000 whole and raised the peak
+#: memory of a link-prediction table run at n = 2000 by 6%. Past
+#: n = 5792 a square strip is one sixteenth of the graph, 512 rows at
+#: n = 8192, where 2**21 entries, 256 rows, took the n^3 product of a
+#: dense pair layer 4 to 10% longer.
 _STRIP_ENTRIES = 1 << 21
+
+#: The fewest entries of a thin product's float64 strip (fewer than
+#: _MIRROR_ROWS columns): 2**18, 2 MiB, about an L2 cache, in the smallest
+#: power of two rows that holds them, so 128 rows (the cap, _MIRROR_ROWS)
+#: below n = 4096, 64 from 4096, 32 from 8192 and 8 (_THIN_MIN_ROWS) from
+#: 32768 on. A thin product is memory-bound and gains nothing from taller
+#: strips.
+_THIN_ENTRIES = 1 << 18
+
+#: Multiply-adds of a thin strip's product of two columns or more: OpenBLAS
+#: takes a small-matrix kernel for a product of at most 100^3, whose sums
+#: differ from the blocked kernel's in the last bits, so a strip of 2 or 3
+#: columns takes 2**20 / width entries, 128 rows at n = 4096 and 64 at
+#: n = 8192. A product of one column is a gemv at every height.
+_THIN_WORK = 1 << 20
+
+#: The fewest rows of a thin product's strip.
+_THIN_MIN_ROWS = 8
+
+
+def strip_height(n: int, width: int) -> int:
+    """Rows of each float64 row strip of an (n, n) by (n, width) product,
+    the one strip rule of ``GraphStats``: n where one square strip covers
+    the graph; else for a square product (_MIRROR_ROWS columns or more)
+    _STRIP_ENTRIES entries or n / 16 rows, whichever is more; for a
+    thinner one the smallest power of two rows that holds _THIN_ENTRIES
+    entries (and does _THIN_WORK multiply-adds, for two columns or more),
+    from _THIN_MIN_ROWS to _MIRROR_ROWS and never more than a square
+    strip."""
+    rows = min(n, max(_STRIP_ENTRIES // n, n // 16))
+    if width < _MIRROR_ROWS and rows < n:
+        entries = _THIN_ENTRIES if width == 1 else max(_THIN_ENTRIES, _THIN_WORK // width)
+        need = -(-entries // n)
+        thin = 1 << (need - 1).bit_length()  # the power of two at or above
+        rows = min(rows, _MIRROR_ROWS, max(_THIN_MIN_ROWS, thin))
+    return rows
 
 #: Rows of each float32 row block the common-neighbor counts are built
 #: from: two blocks are 32 MiB at n = 8192, where the whole matrix in
@@ -446,7 +482,7 @@ class GraphStats:
     sum is an integer no larger than n. They are held as
     ``count_dtype(n)``, ``uint16``, two bytes per count (``uint32`` past
     n = 65535, where a count may not fit): 6 MiB at n = 2048, 18 MiB at
-    4096 and 66 MiB at 8192, where the n x n counts took 8, 32 and 128, and
+    4096 and 68 MiB at 8192, where the n x n counts took 8, 32 and 128, and
     the n x n counts themselves where one strip covers the graph. Beyond
     them the build holds two float32 row blocks and one block result, and
     no n x n array. ``common_neighbor_blocks`` yields the same block
@@ -458,13 +494,15 @@ class GraphStats:
     widened to float64 one row strip at a time, into one buffer the stats
     own, and the strip last widened is kept: a graph that fits in one strip
     of ``_STRIP_ENTRIES`` entries is unpacked and widened once, here, and
-    each product is then one whole-matrix BLAS call. On a larger graph a
-    product of _MIRROR_ROWS columns or more reads strips of
-    ``_STRIP_ENTRIES`` entries, ``strip_rows`` rows each, and a thinner one
-    strips of _MIRROR_ROWS rows; the buffer takes the height first needed
-    and grows only for a taller strip. ``strip_product`` is one tall
-    strip's share of a product, for callers that consume a square product
-    strip by strip.
+    each product is then one whole-matrix BLAS call. On a larger graph the
+    strip's height is ``strip_height(n, width)``, keyed on the product's
+    kind and n: a square product (_MIRROR_ROWS columns or more) reads
+    strips of ``strip_rows`` rows, _STRIP_ENTRIES entries or one sixteenth
+    of the graph, and a thinner one strips of at least _THIN_ENTRIES
+    entries, at most _MIRROR_ROWS rows; the buffer takes the height first
+    needed and grows only for a taller strip. ``strip_product`` is one
+    square strip's share of a product, for callers that consume a square
+    product strip by strip.
     """
 
     def __init__(self, graph: SampledGraph):
@@ -476,7 +514,7 @@ class GraphStats:
                 graph.bits[lo : lo + _MIRROR_ROWS]).sum(axis=1)
         self.degree_counts = _freeze(degrees)
         self._common = None
-        self.strip_rows = max(1, min(n, _STRIP_ENTRIES // n))
+        self.strip_rows = strip_height(n, _MIRROR_ROWS)
         self._strip = None
         self._strip_key = None
         if self.strip_rows == n:
@@ -530,7 +568,8 @@ class GraphStats:
         adjacency as float64 in the strip buffer, unpacked and widened
         unless they are the strip already kept, under the key
         (start, height). The buffer is allocated at the first height asked
-        for and grown when a taller strip is asked for."""
+        for and grown when a taller strip is asked for; a shorter strip,
+        a thin product's after a square one, takes its first rows."""
         if self._strip is None or len(self._strip) < height:
             self._strip = None  # freed before the taller one is allocated
             self._strip = np.empty((height, self.n))
@@ -542,19 +581,16 @@ class GraphStats:
 
     def product(self, x, out=None) -> np.ndarray:
         """``A @ x`` for a float64 (n, k) ``x``, written into ``out`` when
-        given, one row strip at a time. Where one strip covers the graph it
-        is the whole-matrix product. Else a product of fewer than
-        _MIRROR_ROWS columns, which is memory-bound and gains nothing from
-        tall strips, reads strips of at most _MIRROR_ROWS rows, one
-        ``SampledGraph.rows`` unpack each; a wider one reads strips of
+        given, one row strip of ``strip_height(n, k)`` rows at a time. Where
+        one strip covers the graph it is the whole-matrix product. Else a
+        thin product (k < _MIRROR_ROWS) reads strips of 2 to 4 MiB, each
+        one ``SampledGraph.rows`` unpack, and a square one strips of
         ``strip_rows``. A strip's rows may differ from the whole-matrix
         product at rounding level, at sizes where BLAS takes other edge
         kernels for the strip than for the whole matrix."""
         if out is None:
             out = np.empty((self.n, x.shape[1]))
-        height = self.strip_rows
-        if x.shape[1] < _MIRROR_ROWS and height < self.n:
-            height = min(height, _MIRROR_ROWS)
+        height = strip_height(self.n, x.shape[1])
         for start in range(0, self.n, height):
             np.matmul(self._widened(start, height), x, out=out[start : start + height])
         return out
@@ -563,7 +599,8 @@ class GraphStats:
         """Rows ``start`` to ``start + strip_rows`` (clipped to n) of
         ``A @ x``, written into ``out``: the one BLAS call ``product``
         makes for the row strip that begins at ``start``, a multiple of
-        ``strip_rows``, when ``x`` has _MIRROR_ROWS columns or more."""
+        ``strip_rows``, when ``x`` is square (_MIRROR_ROWS columns or
+        more)."""
         return np.matmul(self._widened(start, self.strip_rows), x, out=out)
 
 

@@ -99,7 +99,7 @@ class TestDeltas:
         n, r = 23, 4
         if strip_rows:
             # strips of 2 rows, the last of 1, each crossing the diagonal
-            monkeypatch.setattr(sbm, "_STRIP_ENTRIES", strip_rows * n * 2)
+            monkeypatch.setattr(sbm, "strip_height", lambda n, width: strip_rows)
         block_of = rng.permutation(np.arange(n) % r)
         node_block = rng.normal(size=(r, 2))
         pair_block = rng.normal(size=(r, r, 2))

@@ -331,16 +331,24 @@ class TestWithAdjacency:
 
 class TestProduct:
     """GraphStats.product widens the packed adjacency strip by strip, in
-    strips of at most _MIRROR_ROWS rows for a product of fewer columns; it
-    is the whole-matrix product bit for bit where one strip covers the
-    graph and at every size a benchmark workload runs, and within rounding
-    elsewhere."""
+    strips of ``strip_height`` rows: a thin product (fewer than
+    _MIRROR_ROWS columns) reads 2 to 4 MiB strips of at most _MIRROR_ROWS
+    rows, a square one strips of 2^21 entries, or of one sixteenth of the
+    graph past n = 5792. It is the whole-matrix product bit for bit where one
+    strip covers the graph and at every size a benchmark workload runs,
+    the strips every product read before bit for bit at n = 4096 and 8192,
+    and within rounding elsewhere."""
 
     @staticmethod
     def products(convergence_spec, n, width):
         g = sample_graph(convergence_spec, n, seed=0)
         x = np.random.default_rng(width).standard_normal((n, width))
         return graph_stats(g).product(x), g.adjacency.astype(float) @ x
+
+    @staticmethod
+    def strips(g, x, rows):
+        return np.concatenate([g.rows(lo, lo + rows).astype(float) @ x
+                               for lo in range(0, g.n, rows)])
 
     @pytest.mark.parametrize("n", [131, 500, 1024])
     def test_one_strip_is_the_whole_matrix(self, convergence_spec, n):
@@ -363,10 +371,27 @@ class TestProduct:
             got, want = self.products(convergence_spec, n, width)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
-    def test_thin_product_holds_one_short_strip(self, convergence_spec):
-        # the strip of _MIRROR_ROWS rows (2.0 MB at n = 2000), the output and
-        # one strip's bool unpack; a strip of strip_rows rows (1048) is 16.8 MB
-        n, width = 2000, 8
+    # thin strips hold 2^18 entries, and 2^20 multiply-adds from two
+    # columns on, in a power of two rows from 8 to 128; square strips hold
+    # 2^21 entries through n = 5792 and n / 16 rows beyond
+    @pytest.mark.parametrize("n, rows, narrow, square", [
+        (2000, 128, 128, 1048), (4096, 64, 128, 512), (5000, 64, 128, 419),
+        (8192, 32, 64, 512), (32768, 8, 16, 2048), (65536, 8, 8, 4096)])
+    def test_strip_height_follows_the_kind_and_n(self, n, rows, narrow, square):
+        assert [sbm.strip_height(n, w) for w in (1, 4, 8, _MIRROR_ROWS - 1)] == [rows] * 4
+        assert [sbm.strip_height(n, w) for w in (2, 3)] == [narrow] * 2
+        assert sbm.strip_height(n, _MIRROR_ROWS) == sbm.strip_height(n, n) == square
+
+    def test_square_strips_grow_past_5792(self):
+        # 2^21 entries give 362 rows at n = 5792 and 361 at 5808
+        assert [sbm.strip_height(n, _MIRROR_ROWS) for n in (5792, 5808, 5824)] == [362, 363, 364]
+
+    # the strip of 128 rows at n = 2000 (2.0 MB) and of 32 at 8192 (2 MiB),
+    # the output and one strip's bool unpack; a strip of strip_rows rows
+    # (1048) is 16.8 MB at n = 2000, and the 128-row strip 8 MiB at 8192
+    @pytest.mark.parametrize("n, rows", [(2000, 128), (8192, 32)])
+    def test_thin_product_holds_one_short_strip(self, convergence_spec, n, rows):
+        width = 8
         stats = graph_stats(sample_graph(convergence_spec, n, seed=0))
         x = np.random.default_rng(0).standard_normal((n, width))
         tracemalloc.start()
@@ -375,23 +400,36 @@ class TestProduct:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (8 * _MIRROR_ROWS + _MIRROR_ROWS + 8 * width) * n + 16384
+        assert peak <= (8 * rows + rows + 8 * width) * n + 16384
 
-    @pytest.mark.parametrize("width", [1, 8])
-    def test_thin_strips_at_8192_are_the_256_row_strips(self, convergence_spec, width):
-        # the whole float64 matrix is 512 MiB here, so the reference is
-        # built from the 256-row strips that every product read before
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_thin_strips_are_the_128_row_strips(self, convergence_spec, n):
+        # the whole float64 matrix is 512 MiB at n = 8192, so the reference
+        # is built from the 128-row strips that every thin product read
+        # before; the strips are 64 rows at n = 4096 and 32 at 8192
+        g = sample_graph(convergence_spec, n, seed=0)
+        stats = graph_stats(g)
+        assert sbm.strip_height(n, 1) < _MIRROR_ROWS
+        for width in (1, 2, 8, 16):
+            x = np.random.default_rng(width).standard_normal((n, width))
+            assert np.array_equal(stats.product(x), self.strips(g, x, 128))
+
+    def test_square_strips_at_8192_are_the_256_row_strips(self, convergence_spec):
+        # 512-row strips, where every square product read 256 rows before;
+        # x is 8 and 16 MiB and no n x n operand is built
         n = 8192
         g = sample_graph(convergence_spec, n, seed=0)
-        x = np.random.default_rng(width).standard_normal((n, width))
-        want = np.concatenate([g.rows(lo, lo + 256).astype(float) @ x
-                               for lo in range(0, n, 256)])
-        assert np.array_equal(graph_stats(g).product(x), want)
+        stats = graph_stats(g)
+        assert stats.strip_rows == 512
+        for width in (128, 256):
+            x = np.random.default_rng(width).standard_normal((n, width))
+            assert np.array_equal(stats.product(x), self.strips(g, x, 256))
 
-    def test_thin_and_square_products_share_the_strip_buffer(self, convergence_spec):
+    @pytest.mark.parametrize("n", [2000, 4096])
+    def test_thin_and_square_products_share_the_strip_buffer(self, convergence_spec, n):
         # thin, square (_MIRROR_ROWS columns or more), thin: the buffer
-        # grows for the square product and each strip is widened anew
-        n = 2000
+        # grows for the square product and each strip is widened anew;
+        # the heights are 128 and 1048 rows at n = 2000, 64 and 512 at 4096
         g = sample_graph(convergence_spec, n, seed=0)
         stats = graph_stats(g)
         rng = np.random.default_rng(0)
